@@ -27,7 +27,7 @@ from .errors import ConfigError, FiberdimError, InsufficientScales, InvalidWord
 from .systems import verify_system
 from .thermo import gibbs_markov, measure_stats, pressure_cylinder_sum, \
     pressure_derivative_check
-from .words import induced_ifs_maps, pair_alphabet
+from .words import induced_ifs_maps
 
 ENV_THREADS = "FIBERDIM_THREADS"
 
@@ -143,10 +143,8 @@ def cmd_dimension(config: dict, out_dir: str):
         "branch_agreement": abs(branch_value(stats, "b")
                                 - branch_value(stats, "c")),
     }
-    if system.variant == "similarity":
-        sched = system.schedule
-        moduli = [sched.ratio_of(e) * sched.inner_factor
-                  for e in pair_alphabet(M)]
+    moduli = system.family.moduli(system, M)
+    if moduli is not None:
         oracle = moran_root(moduli)
         results["moran_root"] = oracle
         results["moran_diff"] = abs(oracle - sweep.delta_T)
@@ -252,7 +250,9 @@ COMMANDS = {
 def _resolve_threads(flag_value, config_value):
     """Precedence: --threads flag, then environment, then config."""
     if flag_value is not None:
-        return int(flag_value)
+        if flag_value < 1:
+            raise ConfigError("--threads must be >= 1")
+        return flag_value
     env = os.environ.get(ENV_THREADS)
     if env is not None:
         try:

@@ -14,7 +14,7 @@ import json
 import jsonschema
 
 from .errors import ConfigError
-from .systems import SimilaritySchedule, SmaleSystem, make_system
+from .systems import FAMILIES, SimilaritySchedule, SmaleSystem, make_system
 from .thermo import ConstantPotential, GeometricPotential, TablePotential
 
 DEFAULTS = {
@@ -88,8 +88,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "variant": {"enum": ["inverse_conjugate", "inverse_square",
-                                     "similarity"]},
+                "variant": {"enum": list(FAMILIES)},
                 "schedule": {
                     "type": "object",
                     "additionalProperties": False,
@@ -242,18 +241,12 @@ def config_hash(config: dict) -> str:
 def build_system(config: dict) -> SmaleSystem:
     sec = config["system"]
     center = None if sec["center"] is None else complex(*sec["center"])
-    if sec["variant"] == "similarity":
-        sched_cfg = sec["schedule"]
-        schedule = SimilaritySchedule(
-            kind=sched_cfg["kind"], base=sched_cfg["base"],
-            ratio=sched_cfg["ratio"], ratio_a=sched_cfg["ratio_a"],
-            ratio_b=sched_cfg["ratio_b"], grid_digit=sched_cfg["grid_digit"],
-            inner_factor=sched_cfg["inner_factor"],
-            table=tuple(tuple(row) for row in sched_cfg["table"]),
-        )
-        return make_system("similarity", schedule=schedule, center=center,
-                           radius=sec["radius"])
-    return make_system(sec["variant"], center=center, radius=sec["radius"])
+    schedule = None
+    if FAMILIES[sec["variant"]].uses_schedule:
+        table = tuple(tuple(row) for row in sec["schedule"]["table"])
+        schedule = SimilaritySchedule(**{**sec["schedule"], "table": table})
+    return make_system(sec["variant"], schedule=schedule, center=center,
+                       radius=sec["radius"])
 
 
 def build_potential(config: dict, system: SmaleSystem, max_digit: int = None):

@@ -38,22 +38,6 @@ VERDICT_MARGIN = 0.15
 # ---------------------------------------------------------------------------
 # summability of the one-step derivative sum
 
-def symbol_derivative_sup(system: SmaleSystem, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Closed-form sup of the one-step derivative modulus per pair symbol."""
-    m = np.asarray(m, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if system.variant == "inverse_conjugate":
-        return 1.0 / (np.hypot(m + 0.5, n) - 0.5) ** 2
-    if system.variant == "inverse_square":
-        zmax = abs(system.domain.center) + system.domain.radius
-        return 2.0 * zmax / (np.hypot(2 * m + 0.25, 2 * n) - 0.75) ** 2
-    sched = system.schedule
-    out = np.empty(m.shape)
-    for i, (mm, nn) in enumerate(zip(m.astype(int).ravel(), n.astype(int).ravel())):
-        out.ravel()[i] = sched.ratio_of((mm, nn)) * sched.inner_factor
-    return out
-
-
 @dataclass(frozen=True)
 class SummabilityReport:
     """Tail behaviour of the depth-1 derivative sums as the truncation grows."""
@@ -70,7 +54,7 @@ def _symbol_sups(system: SmaleSystem, m_max: int):
     """(per-symbol sup, shell index) over the truncation to max digit m_max."""
     grid = np.arange(1, m_max + 1)
     mm, nn = np.meshgrid(grid, grid, indexing="ij")
-    sup = symbol_derivative_sup(system, mm, nn)
+    sup = system.family.symbol_sup(system, mm, nn)
     shell = np.maximum(mm, nn)
     return sup.ravel(), shell.ravel()
 
@@ -89,18 +73,15 @@ def summability_scan(system: SmaleSystem, s_grid, m_schedule=(4, 8, 16, 32, 64)
     if not s_grid:
         raise ConfigError("empty s grid")
     m_schedule = tuple(sorted(int(m) for m in m_schedule))
-    if system.variant == "similarity":
-        from .systems import _schedule_digit_limit
-        limit = _schedule_digit_limit(system)
-        if limit < m_schedule[-1]:
-            # grid-limited alphabet: the full sum is a finite sum
-            return SummabilityReport(
-                s_grid=s_grid, m_schedule=m_schedule,
-                depth1_sums=tuple(() for _ in s_grid),
-                tail_slopes=tuple(-math.inf for _ in s_grid),
-                verdicts=tuple("summable" for _ in s_grid),
-                boundary_estimate=0.0,
-            )
+    if system.family.digit_limit(system) < m_schedule[-1]:
+        # grid-limited alphabet: the full sum is a finite sum
+        return SummabilityReport(
+            s_grid=s_grid, m_schedule=m_schedule,
+            depth1_sums=tuple(() for _ in s_grid),
+            tail_slopes=tuple(-math.inf for _ in s_grid),
+            verdicts=tuple("summable" for _ in s_grid),
+            boundary_estimate=0.0,
+        )
     sup_flat, shell_flat = _symbol_sups(system, m_schedule[-1])
     sums, slopes, verdicts = [], [], []
     for s in s_grid:
@@ -337,14 +318,10 @@ def variational_sweep(system: SmaleSystem, max_digit: int, s_grid,
 # closed forms for similarity systems
 
 def _similarity_moments(system: SmaleSystem, max_digit: int, s: float):
-    if system.variant != "similarity":
+    moduli = system.family.moduli(system, max_digit)
+    if moduli is None:
         raise ConfigError("closed forms exist for similarity systems only")
-    sched = system.schedule
-    M = check_max_digit(max_digit)
-    from .words import pair_alphabet
-    symbols = pair_alphabet(M)
-    g = np.array([math.log(sched.ratio_of(e) * sched.inner_factor)
-                  for e in symbols])
+    g = np.log(moduli)
     w = np.exp(s * g)
     Z = w.sum()
     p = w / Z

@@ -14,15 +14,13 @@ cylinder enclosure truncated at the context depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, DomainEscape, InvalidWord
 from .words import Box, cf_value_float, check_max_digit, check_pair_word, pair_alphabet, pi_tilde
-
-VARIANTS = ("inverse_conjugate", "inverse_square", "similarity")
 
 #: Tolerance for the image-containment check of fiber maps.
 ESCAPE_TOL = 1e-10
@@ -88,18 +86,15 @@ class SimilaritySchedule:
             raise ConfigError(f"unknown similarity schedule kind {self.kind!r}")
         if not (0.0 < self.inner_factor <= 0.5):
             raise ConfigError("inner factor must lie in (0, 1/2]")
-        for r in self._all_ratios():
+        for r in map(self.ratio_of, self.ratio_symbols()):
             if not (0.0 < r < 1.0 / 3.0):
                 raise ConfigError(f"ratio {r} outside (0, 1/3)")
 
-    def _all_ratios(self):
-        if self.kind == "geometric":
-            return [self.base ** -2.0]
-        if self.kind == "equal":
-            return [self.ratio]
-        if self.kind == "two_ratio":
-            return [self.ratio_a, self.ratio_b]
-        return [row[2] for row in self.table]
+    def ratio_symbols(self):
+        """Symbols that carry every ratio the schedule uses."""
+        if self.kind == "custom":
+            return [row[:2] for row in self.table]
+        return pair_alphabet(2)
 
     def _custom_row(self, symbol):
         for row in self.table:
@@ -136,6 +131,203 @@ class SimilaritySchedule:
         row = self._custom_row(symbol)
         return complex(row[3], row[4])
 
+    def modulus_of(self, symbol) -> float:
+        """Derivative modulus of the symbol's map: its ratio times the inner factor."""
+        return self.ratio_of(symbol) * self.inner_factor
+
+    @property
+    def digit_limit(self) -> float:
+        """Largest digit the schedule defines maps for."""
+        if self.kind == "geometric":
+            return math.inf
+        if self.kind == "custom":
+            return max((row[0] for row in self.table), default=1)
+        return self.grid_digit
+
+
+# ---------------------------------------------------------------------------
+# fiber families: one formula table per variant
+
+class FiberFamily:
+    """Formula table of one fiber family; every layer evaluates its maps here.
+
+    The time-zero map reads a coefficient off the forward word: the complex
+    translate value for the reciprocal families (the defaults here), the
+    first symbol's (modulus, translation) pair for the similarity family.
+    ``map`` and ``derivative_mod`` broadcast over points and coefficients, so
+    the scalar layer, the bulk sampler and the potential realization share
+    one formula.
+    """
+
+    center, radius = 0.5 + 0j, 0.5  # default domain
+    memory = 2  # default realization memory of log|T'|
+    reads_tail = True  # the coefficient reads past the first symbol
+    uses_schedule = False  # the family takes a SimilaritySchedule
+
+    def coefficients(self, system, m_rows, n_rows):
+        """Coefficients of digit rows; ``[..., i]`` is context symbol i."""
+        return pi_values_bulk(m_rows, n_rows)
+
+    def coeff_at(self, system, pi_value, symbol):
+        """Coefficient of one context given its translate value and first symbol."""
+        return pi_value
+
+    def digit_limit(self, system) -> float:
+        return math.inf
+
+    def alphabet(self, system, max_digit) -> tuple:
+        """Symbols of the M-truncation; InvalidWord when M passes the digit limit."""
+        M = check_max_digit(max_digit)
+        limit = self.digit_limit(system)
+        if M > limit:
+            raise InvalidWord(
+                f"truncation {M} exceeds the schedule's digit limit {limit}")
+        return pair_alphabet(M)
+
+    def moduli(self, system, max_digit):
+        """Derivative modulus per symbol of the M-alphabet; None if it varies."""
+        return None
+
+    def image_disk(self, system, symbol, tail) -> Disk:
+        word = (symbol,) + (tuple(tail) if tail else (symbol,) * 11)
+        p = FiberWordContext(word).pi_value
+        return invert_disk(self._image_preimage(system.domain, p))
+
+    def validate(self, system):
+        """Hard requirements on a constructed system (none by default)."""
+
+
+class _InverseConjugate(FiberFamily):
+    """T(w) = 1 / (conj(w) + c)."""
+
+    def map(self, w, c):
+        return 1.0 / (np.conj(w) + c)
+
+    def derivative_mod(self, w, c):
+        return 1.0 / abs(np.conj(w) + c) ** 2
+
+    def _min_modulus(self, domain: Disk) -> float:
+        # minimum of |conj(z) + p| over the domain and p in [1, inf)^2, which
+        # sits at p = 1 + 1i
+        return abs(domain.center.conjugate() + (1 + 1j)) - domain.radius
+
+    def one_step_sup(self, domain, schedule):
+        m = self._min_modulus(domain)
+        if m <= 0:
+            raise ConfigError("domain touches the singular translate")
+        return 1.0 / m ** 2
+
+    def distortion(self, domain):
+        return 2.0 / self._min_modulus(domain), 1.0
+
+    def symbol_sup(self, system, m, n):
+        return 1.0 / (np.hypot(m + 0.5, n) - 0.5) ** 2
+
+    def _image_preimage(self, domain, p):
+        return Disk(domain.center.conjugate() + p, domain.radius)
+
+
+class _InverseSquare(FiberFamily):
+    """T(w) = 1 / (w^2 + 2c)."""
+
+    def map(self, w, c):
+        return 1.0 / (w * w + 2.0 * c)
+
+    def derivative_mod(self, w, c):
+        return 2.0 * abs(w) / abs(w * w + 2.0 * c) ** 2
+
+    def _zmax(self, domain: Disk) -> float:
+        return abs(domain.center) + domain.radius
+
+    def one_step_sup(self, domain, schedule):
+        zmax = self._zmax(domain)
+        m = 2.0 * abs(1 + 1j) - zmax ** 2
+        if m <= 0:
+            raise ConfigError("domain too large for the square family")
+        return 2.0 * zmax / m ** 2
+
+    def distortion(self, domain):
+        # log-derivative gradient blows up near z = 0; record a grid-measured
+        # bound over the domain instead of an analytic constant
+        pts = _grid_points(domain, 900)
+        pts = pts[np.abs(pts) > 1e-3]
+        g = 1.0 / np.abs(pts) + 4.0 * np.abs(pts) / (2.0 * abs(1 + 1j) - np.abs(pts) ** 2)
+        return float(np.max(g)), 1.0
+
+    def symbol_sup(self, system, m, n):
+        return 2.0 * self._zmax(system.domain) / (np.hypot(2 * m + 0.25, 2 * n) - 0.75) ** 2
+
+    def _image_preimage(self, domain, p):
+        # z^2 over the domain sits inside a disk around center^2
+        r2 = 2.0 * abs(domain.center) * domain.radius + domain.radius ** 2
+        return Disk(domain.center ** 2 + 2.0 * p, r2)
+
+
+class _Similarity(FiberFamily):
+    """T(w) = modulus * w + translation, both set by the first symbol."""
+
+    center, radius = 0j, 1.0
+    memory = 1
+    reads_tail = False
+    uses_schedule = True
+
+    def map(self, w, c):
+        return c[0] * w + c[1]
+
+    def derivative_mod(self, w, c):
+        return c[0]
+
+    def _tables(self, system, max_digit):
+        """(modulus, translation) lookup arrays indexed [m, n] over the M-alphabet."""
+        symbols = self.alphabet(system, max_digit)
+        mod = np.zeros((max_digit + 1, max_digit + 1))
+        tr = np.zeros_like(mod, dtype=complex)
+        for sym in symbols:
+            mod[sym], tr[sym] = self.coeff_at(system, None, sym)
+        return mod, tr
+
+    def coefficients(self, system, m_rows, n_rows):
+        m, n = m_rows[..., 0], n_rows[..., 0]
+        mod, tr = self._tables(system, int(max(m.max(), n.max())))
+        return mod[m, n], tr[m, n]
+
+    def coeff_at(self, system, pi_value, symbol):
+        return system.schedule.modulus_of(symbol), system.schedule.translation_of(symbol)
+
+    def digit_limit(self, system):
+        return system.schedule.digit_limit
+
+    def moduli(self, system, max_digit):
+        return self._tables(system, max_digit)[0][1:, 1:].ravel()
+
+    def one_step_sup(self, domain, schedule):
+        return max(map(schedule.modulus_of, schedule.ratio_symbols()))
+
+    def distortion(self, domain):
+        return 0.0, 1.0
+
+    def symbol_sup(self, system, m, n):
+        return self._tables(system, int(max(m.max(), n.max())))[0][m, n]
+
+    def image_disk(self, system, symbol, tail) -> Disk:
+        rc, t = self.coeff_at(system, None, symbol)
+        return Disk(t + rc * system.domain.center, rc * system.domain.radius)
+
+    def validate(self, system, probe_digit: int = 4):
+        """Images of the domain must stay inside the domain."""
+        for sym in pair_alphabet(min(probe_digit, system.schedule.digit_limit)):
+            if not system.domain.contains_disk(self.image_disk(system, sym, None),
+                                               tol=1e-12):
+                raise ConfigError(f"similarity image for symbol {sym} escapes the domain")
+
+
+#: Variant name -> formula table.  A new family is one entry here.
+FAMILIES = {
+    "inverse_conjugate": _InverseConjugate(),
+    "inverse_square": _InverseSquare(),
+    "similarity": _Similarity(),
+}
+
 
 # ---------------------------------------------------------------------------
 # system descriptor
@@ -158,10 +350,14 @@ class SmaleSystem:
     distortion_bound: float
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in FAMILIES:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.contraction <= 1.0:
             raise ConfigError("certified contraction factor must exceed 1")
+
+    @property
+    def family(self) -> FiberFamily:
+        return FAMILIES[self.variant]
 
 
 def _grid_points(disk: Disk, n: int) -> np.ndarray:
@@ -176,85 +372,29 @@ def _grid_points(disk: Disk, n: int) -> np.ndarray:
     return disk.center + disk.radius * pts
 
 
-def _one_step_sup(variant: str, domain: Disk, schedule) -> float:
-    """Analytic upper bound for the one-step derivative modulus."""
-    if variant == "inverse_conjugate":
-        # |T'| = 1/|conj(z) + p|^2 with p in [1, inf)^2; the minimum modulus
-        # of conj(z) + p over the domain sits at p = 1 + 1i
-        m = abs(domain.center.conjugate() + (1 + 1j)) - domain.radius
-        if m <= 0:
-            raise ConfigError("domain touches the singular translate")
-        return 1.0 / m ** 2
-    if variant == "inverse_square":
-        zmax = abs(domain.center) + domain.radius
-        m = 2.0 * abs(1 + 1j) - zmax ** 2
-        if m <= 0:
-            raise ConfigError("domain too large for the square family")
-        return 2.0 * zmax / m ** 2
-    # similarity: sup ratio over admitted symbols (geometric decays in m+n)
-    sched = schedule
-    if sched.kind == "custom":
-        sups = [row[2] * sched.inner_factor for row in sched.table]
-    else:
-        sups = [sched.ratio_of(s) * sched.inner_factor
-                for s in pair_alphabet(max(2, sched.grid_digit))]
-    return max(sups)
-
-
 def make_system(variant: str,
                 schedule: SimilaritySchedule | None = None,
                 center: complex | None = None,
                 radius: float | None = None) -> SmaleSystem:
     """Construct a system with certified contraction and distortion bounds."""
-    if variant not in VARIANTS:
+    if variant not in FAMILIES:
         raise ConfigError(f"unknown variant {variant!r}")
-    if variant == "similarity":
+    family = FAMILIES[variant]
+    if family.uses_schedule:
         schedule = schedule or SimilaritySchedule()
-        domain = Disk(complex(center) if center is not None else 0j,
-                      float(radius) if radius is not None else 1.0)
-    else:
-        if schedule is not None:
-            raise ConfigError("ratio schedules only apply to similarity systems")
-        domain = Disk(complex(center) if center is not None else 0.5 + 0j,
-                      float(radius) if radius is not None else 0.5)
-    sup = _one_step_sup(variant, domain, schedule)
+    elif schedule is not None:
+        raise ConfigError("ratio schedules only apply to similarity systems")
+    domain = Disk(complex(center) if center is not None else family.center,
+                  float(radius) if radius is not None else family.radius)
+    sup = family.one_step_sup(domain, schedule)
     if sup >= 1.0:
         raise ConfigError(f"one-step derivative sup {sup} is not a contraction")
-    if variant == "inverse_conjugate":
-        mmin = abs(domain.center.conjugate() + (1 + 1j)) - domain.radius
-        H, alpha = 2.0 / mmin, 1.0
-    elif variant == "inverse_square":
-        # log-derivative gradient blows up near z = 0; record a grid-measured
-        # bound over the domain instead of an analytic constant
-        pts = _grid_points(domain, 900)
-        pts = pts[np.abs(pts) > 1e-3]
-        g = 1.0 / np.abs(pts) + 4.0 * np.abs(pts) / (2.0 * abs(1 + 1j) - np.abs(pts) ** 2)
-        H, alpha = float(np.max(g)), 1.0
-    else:
-        H, alpha = 0.0, 1.0
+    H, alpha = family.distortion(domain)
     sys_ = SmaleSystem(variant=variant, domain=domain, schedule=schedule,
                        contraction=1.0 / sup, distortion_alpha=alpha,
                        distortion_bound=H)
-    if variant == "similarity":
-        _validate_similarity_images(sys_)
+    family.validate(sys_)
     return sys_
-
-
-def _validate_similarity_images(system: SmaleSystem, probe_digit: int = 4):
-    """Images of the domain must stay inside the domain (hard requirement)."""
-    for sym in pair_alphabet(min(probe_digit, _schedule_digit_limit(system))):
-        img = image_disk(system, sym)
-        if not system.domain.contains_disk(img, tol=1e-12):
-            raise ConfigError(f"similarity image for symbol {sym} escapes the domain")
-
-
-def _schedule_digit_limit(system: SmaleSystem) -> int:
-    sched = system.schedule
-    if sched.kind == "geometric":
-        return 10**6
-    if sched.kind == "custom":
-        return max((row[0] for row in sched.table), default=1)
-    return sched.grid_digit
 
 
 # ---------------------------------------------------------------------------
@@ -340,23 +480,15 @@ def fiber_map_at(system: SmaleSystem, pi_value: complex, w: complex,
 
     Similarity systems ignore ``pi_value`` and need ``symbol`` instead.
     """
-    if system.variant == "inverse_conjugate":
-        return 1.0 / (np.conj(w) + pi_value)
-    if system.variant == "inverse_square":
-        return 1.0 / (w * w + 2.0 * pi_value)
-    sched = system.schedule
-    r = sched.ratio_of(symbol)
-    return r * sched.inner_factor * w + sched.translation_of(symbol)
+    family = system.family
+    return family.map(w, family.coeff_at(system, pi_value, symbol))
 
 
 def fiber_derivative_mod_at(system: SmaleSystem, pi_value: complex, w: complex,
                             symbol=None) -> float:
     """Formula layer: one-step derivative modulus of the time-zero map."""
-    if system.variant == "inverse_conjugate":
-        return 1.0 / abs(np.conj(w) + pi_value) ** 2
-    if system.variant == "inverse_square":
-        return 2.0 * abs(w) / abs(w * w + 2.0 * pi_value) ** 2
-    return system.schedule.ratio_of(symbol) * system.schedule.inner_factor
+    family = system.family
+    return family.derivative_mod(w, family.coeff_at(system, pi_value, symbol))
 
 
 def fiber_map(system: SmaleSystem, ctx: FiberWordContext, w: complex) -> complex:
@@ -400,20 +532,7 @@ def image_disk(system: SmaleSystem, symbol, tail=None) -> Disk:
     for the square family.  ``tail`` is the forward continuation used for the
     translate value (defaults to repeating the symbol).
     """
-    sym = check_pair_word([symbol])[0]
-    if system.variant == "similarity":
-        sched = system.schedule
-        rc = sched.ratio_of(sym) * sched.inner_factor
-        return Disk(sched.translation_of(sym) + rc * system.domain.center,
-                    rc * system.domain.radius)
-    word = (sym,) + (tuple(tail) if tail else (sym,) * 11)
-    p = FiberWordContext(word).pi_value
-    dom = system.domain
-    if system.variant == "inverse_conjugate":
-        return invert_disk(Disk(dom.center.conjugate() + p, dom.radius))
-    # square variant: z^2 over the domain sits inside a disk around center^2
-    r2 = 2.0 * abs(dom.center) * dom.radius + dom.radius ** 2
-    return invert_disk(Disk(dom.center ** 2 + 2.0 * p, r2))
+    return system.family.image_disk(system, check_pair_word([symbol])[0], tail)
 
 
 # ---------------------------------------------------------------------------
@@ -433,39 +552,33 @@ def fiber_points_bulk(system: SmaleSystem,
     """Vectorised fiber points for batches of past/forward digit rows.
 
     ``past_m[:, j]`` is the first digit coordinate at time -(j+1).  Uses the
-    float continued-fraction path; results agree with ``pi2_hat`` up to the
-    coding error at the given depths.
+    float continued-fraction path: each level reads its translate value off
+    ``ctx_depth`` symbols with a fixed tail, where ``pi2_hat`` takes the
+    midpoint of the exact cylinder of the same symbols.  Both lie in that
+    cylinder, whose sides are at most the coding error 2**(1 - ctx_depth);
+    for maps 1-Lipschitz in the translate value the points therefore agree
+    with ``pi2_hat`` to within
+    sqrt(2) * 2**(1 - ctx_depth) * contraction / (contraction - 1).
     """
-    size, n_past = past_m.shape
-    if system.variant == "similarity":
-        sched = system.schedule
-        symbols = sorted({(int(m), int(n))
-                          for m, n in zip(past_m.ravel(), past_n.ravel())})
-        rc = {s: sched.ratio_of(s) * sched.inner_factor for s in symbols}
-        tr = {s: sched.translation_of(s) for s in symbols}
-        rc_m = np.zeros((max(s[0] for s in symbols) + 1,
-                         max(s[1] for s in symbols) + 1))
-        tr_m = np.zeros_like(rc_m, dtype=complex)
-        for s in symbols:
-            rc_m[s], tr_m[s] = rc[s], tr[s]
-        w = np.full(size, system.domain.center, dtype=complex)
-        for j in range(n_past - 1, -1, -1):
-            m, n = past_m[:, j], past_n[:, j]
-            w = rc_m[m, n] * w + tr_m[m, n]
-        return w
-    # concatenated two-sided digit rows: [eta_-n .. eta_-1, eta_0, eta_1, ..]
-    all_m = np.concatenate([past_m[:, ::-1], fwd_m], axis=1)
-    all_n = np.concatenate([past_n[:, ::-1], fwd_n], axis=1)
-    w = np.full(size, system.domain.center, dtype=complex)
-    for level in range(n_past, 0, -1):
-        start = n_past - level
-        stop = min(start + ctx_depth, all_m.shape[1])
-        c = pi_values_bulk(all_m[:, start:stop], all_n[:, start:stop])
-        if system.variant == "inverse_conjugate":
-            w = 1.0 / (np.conj(w) + c)
-        else:
-            w = 1.0 / (w * w + 2.0 * c)
+    family = system.family
+    width = ctx_depth if family.reads_tail else 1
+    w = np.full(past_m.shape[0], system.domain.center, dtype=complex)
+    for level in range(past_m.shape[1], 0, -1):
+        coeff = family.coefficients(system,
+                                    _context_rows(past_m, fwd_m, level, width),
+                                    _context_rows(past_n, fwd_n, level, width))
+        w = family.map(w, coeff)
     return w
+
+
+def _context_rows(past: np.ndarray, fwd: np.ndarray, level: int,
+                  width: int) -> np.ndarray:
+    """``width`` digits of each two-sided row from time -level on; a view
+    into ``past`` unless the window reaches time 0."""
+    rows = past[:, level - 1::-1][:, :width]
+    if rows.shape[1] < width:
+        rows = np.concatenate([rows, fwd[:, :width - rows.shape[1]]], axis=1)
+    return rows
 
 
 def sample_fiber_limit_set(system: SmaleSystem, forward, max_digit: int,
@@ -504,7 +617,7 @@ class SystemReport:
     distortion_alpha: float
 
 
-def _osc_min_gap(system: SmaleSystem, max_digit: int, tails) -> float:
+def _osc_min_gap(system: SmaleSystem, symbols, tails) -> float:
     """Smallest pairwise separation of depth-1 images sharing a tail.
 
     Signed: zero means touching, negative means overlap.  Images over
@@ -512,17 +625,13 @@ def _osc_min_gap(system: SmaleSystem, max_digit: int, tails) -> float:
     for the reciprocal families, so sharing the tail is the honest check.
     """
     worst = math.inf
-    symbols = pair_alphabet(min(max_digit, _schedule_digit_limit(system))
-                            if system.variant == "similarity" else max_digit)
-    for tail in tails:
+    for tail in tails if system.family.reads_tail else tails[:1]:
         disks = [image_disk(system, s, tail) for s in symbols]
         for i in range(len(disks)):
             for j in range(i + 1, len(disks)):
                 gap = (abs(disks[i].center - disks[j].center)
                        - disks[i].radius - disks[j].radius)
                 worst = min(worst, gap)
-        if system.variant == "similarity":
-            break  # no tail dependence
     return worst
 
 
@@ -534,14 +643,14 @@ def verify_system(system: SmaleSystem, max_digit: int,
     touching boundaries (open images stay disjoint), ``lambda_hat`` is the
     reciprocal of the largest sampled one-step derivative, and the distortion
     constant is the steepest sampled Hoelder quotient of log-derivatives.
+    A truncation past the family's digit limit raises ``InvalidWord``.
     """
     M = check_max_digit(max_digit)
     rng = np.random.default_rng(seed)
-    alphabet = pair_alphabet(min(M, _schedule_digit_limit(system))
-                             if system.variant == "similarity" else M)
+    alphabet = system.family.alphabet(system, M)
     tails = [((1, 1),) * 11, ((M, M),) * 11,
              tuple(map(tuple, rng.integers(1, M + 1, size=(11, 2))))]
-    min_gap = _osc_min_gap(system, M, tails)
+    min_gap = _osc_min_gap(system, alphabet, tails)
     osc_ok = bool(min_gap >= -ESCAPE_TOL)
 
     # one-step derivative band over random symbols, tails, and domain points
@@ -564,12 +673,9 @@ def verify_system(system: SmaleSystem, max_digit: int,
     ctx = FiberWordContext((alphabet[0],) + ((1, 1),) * 11)
     sel = pts[rng.integers(len(pts), size=min(200, len(pts)))]
     ld = np.array([math.log(fiber_derivative_mod(system, ctx, w)) for w in sel])
-    H_hat = 0.0
-    for i in range(len(sel)):
-        d = np.abs(sel - sel[i])
-        mask = d > 1e-9
-        if mask.any():
-            H_hat = max(H_hat, float(np.max(np.abs(ld[mask] - ld[i]) / d[mask] ** alpha)))
+    d = np.abs(sel[None, :] - sel[:, None])
+    far = d > 1e-9
+    H_hat = np.max(np.abs(ld[None, :] - ld[:, None])[far] / d[far] ** alpha, initial=0.0)
     return SystemReport(variant=system.variant, max_digit=M, osc_ok=osc_ok,
                         min_image_gap=float(min_gap), lambda_hat=float(lambda_hat),
                         derivative_band=band, distortion_H_hat=float(H_hat),

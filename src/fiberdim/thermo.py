@@ -32,8 +32,11 @@ from .errors import (
     NonPrimitive,
     SummabilityFailure,
 )
-from .systems import SmaleSystem
-from .words import ENUMERATION_CAP, check_max_digit, check_pair_word, pair_alphabet
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .systems import SmaleSystem, fiber_points_bulk
+from .words import (ENUMERATION_CAP, cf_value_float, check_max_digit,
+                    check_pair_word, enumerate_pair_words, pair_alphabet)
 
 #: Cap on the number of k-word states of the transfer matrix.
 STATE_CAP = 4096
@@ -76,7 +79,7 @@ class GeometricPotential:
     @property
     def memory(self) -> int:
         """Default realization memory: exact for similarity families."""
-        return 1 if self.system.variant == "similarity" else 2
+        return self.system.family.memory
 
 
 @dataclass(frozen=True)
@@ -163,22 +166,10 @@ def _composition_depth(system: SmaleSystem) -> int:
 
 
 def _digit_planes(codes: np.ndarray, n: int, max_digit: int):
-    """Per-position digit arrays (values 1..M) for base-A word codes."""
+    """Digit arrays (values 1..M) of shape (len(codes), n) for base-A word codes."""
     A = max_digit * max_digit
-    m_cols, n_cols = [], []
-    for i in range(n):
-        sym = (codes // A ** (n - 1 - i)) % A
-        m_cols.append((sym // max_digit + 1).astype(np.int64))
-        n_cols.append((sym % max_digit + 1).astype(np.int64))
-    return m_cols, n_cols
-
-
-def _cf_backward(digit_cols, tail: float = 0.5) -> np.ndarray:
-    """Backward continued fraction over a list of equal-length digit arrays."""
-    x = np.full_like(digit_cols[0], tail, dtype=float)
-    for d in reversed(digit_cols):
-        x = 1.0 / (x + d)
-    return x
+    sym = (codes[:, None] // A ** np.arange(n - 1, -1, -1)) % A
+    return sym // max_digit + 1, sym % max_digit + 1
 
 
 def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
@@ -188,40 +179,28 @@ def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
     Entry ``code`` is log|T'| of the time-zero map of the two-sided periodic
     extension of the word, evaluated at the fiber point pinned by its past.
     The composition depth makes the point accurate to the POINT_TOL scale.
+    Translate values are read off ``window`` symbols as in
+    ``fiber_points_bulk``, so against the exact-cylinder evaluation of
+    ``pi2_hat`` an entry is off by at most ``distortion_bound`` times the sum
+    of the point bound stated there and the translate coding error
+    sqrt(2) * 2**(1 - window).
     """
     M = check_max_digit(max_digit)
-    A = M * M
-    count = A ** n
+    count = (M * M) ** n
     if count > ENUMERATION_CAP:
         raise EnumerationCapExceeded(f"{count} periodic words exceed the cap")
-    codes = np.arange(count, dtype=np.int64)
-    m_cols, n_cols = _digit_planes(codes, n, M)
-    if system.variant == "similarity":
-        sched = system.schedule
-        mods = np.array([sched.ratio_of(s) * sched.inner_factor
-                         for s in pair_alphabet(M)])
-        sym0 = (m_cols[0] - 1) * M + (n_cols[0] - 1)
-        return np.log(mods[sym0])
-    # translate values for the n distinct context rotations
-    c_rot = []
-    for r in range(n):
-        cols = [(r + t) % n for t in range(window)]
-        re = m_cols[cols[0]] + _cf_backward([m_cols[c] for c in cols[1:]])
-        im = n_cols[cols[0]] + _cf_backward([n_cols[c] for c in cols[1:]])
-        c_rot.append(re + 1j * im)
+    m_dig, n_dig = _digit_planes(np.arange(count, dtype=np.int64), n, M)
+    family = system.family
+    # context windows of the n rotations, read off the periodic continuation
+    cols = np.arange(n + window - 1) % n
+    m_win = sliding_window_view(m_dig[:, cols], window, axis=1)
+    n_win = sliding_window_view(n_dig[:, cols], window, axis=1)
+    coeffs = [family.coefficients(system, m_win[:, r], n_win[:, r])
+              for r in range(n)]
     w = np.full(count, system.domain.center, dtype=complex)
     for lev in range(_composition_depth(system), 0, -1):
-        c = c_rot[(-lev) % n]
-        if system.variant == "inverse_conjugate":
-            w = 1.0 / (np.conj(w) + c)
-        else:
-            w = 1.0 / (w * w + 2.0 * c)
-    p0 = c_rot[0]
-    if system.variant == "inverse_conjugate":
-        mod = 1.0 / np.abs(np.conj(w) + p0) ** 2
-    else:
-        mod = 2.0 * np.abs(w) / np.abs(w * w + 2.0 * p0) ** 2
-    return np.log(mod)
+        w = family.map(w, coeffs[(-lev) % n])
+    return np.log(family.derivative_mod(w, coeffs[0]))
 
 
 @lru_cache(maxsize=64)
@@ -231,18 +210,13 @@ def realized_table(system: SmaleSystem, max_digit: int, memory: int) -> TablePot
     if memory < 1:
         raise ConfigError("realization memory must be >= 1")
     vals = periodic_log_derivatives(system, M, memory)
-    alphabet = pair_alphabet(M)
-    words = [()]
-    for _ in range(memory):
-        words = [w + (s,) for w in words for s in alphabet]
-    entries = tuple((w, float(v)) for w, v in zip(words, vals))
+    entries = tuple((w, float(v))
+                    for w, v in zip(enumerate_pair_words(M, memory), vals))
     return TablePotential(max_digit=M, memory=memory, entries=entries)
 
 
 def potential_approx_error(system: SmaleSystem, memory: int) -> float:
     """Hoelder tail bound for the memory-k realization of log|T'|."""
-    if system.variant == "similarity":
-        return 0.0
     gap = system.domain.diameter * system.contraction ** (-memory)
     return system.distortion_bound * gap ** system.distortion_alpha
 
@@ -293,17 +267,14 @@ class GibbsApprox:
     carry the full-alphabet word codes that survived support pruning.
     """
 
-    potential: object
     max_digit: int
     memory: int
     log_pressure: float
     states: np.ndarray = field(repr=False)
     transition: np.ndarray = field(repr=False)
     stationary: np.ndarray = field(repr=False)
-    right_vec: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
     gram_base: np.ndarray = field(repr=False)
-    boundary: np.ndarray = field(repr=False)
     potential_error: float = 0.0
     is_geometric: bool = False
     _lookup: np.ndarray = field(default=None, repr=False)
@@ -328,13 +299,6 @@ class GibbsApprox:
         return self._lookup
 
     # -- masses ------------------------------------------------------------
-
-    def state_of(self, word) -> int:
-        w = check_pair_word(word)
-        if len(w) < self.memory:
-            raise InvalidWord(f"need at least {self.memory} symbols")
-        idx = self.lookup()[_word_code(w[: self.memory], self.max_digit)]
-        return int(idx)
 
     def word_log_mass(self, word) -> float:
         """log mu of the cylinder of a word (any length >= 1)."""
@@ -538,12 +502,6 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     gram = _scaled(base, table.scale)
     idx = np.arange(A ** L, dtype=np.int64)
     succ = (idx % A ** (L - 1))[:, None] * A + np.arange(A)[None, :]
-    # boundary: exact end gram plus max-plus tail over L-1 future symbols
-    tail = np.zeros(A ** L)
-    for _ in range(L - 1):
-        tail = np.max(gram[succ] + tail[succ], axis=1)
-    boundary = gram + tail
-
     logW = np.full((A ** L, A ** L), -np.inf)
     logW[idx[:, None], succ] = gram[idx][:, None]
     support = np.isfinite(logW)
@@ -578,10 +536,10 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     pi /= pi.sum()
 
     return GibbsApprox(
-        potential=potential, max_digit=M, memory=L,
+        max_digit=M, memory=L,
         log_pressure=float(np.log(rho) + m0),
-        states=keep, transition=P, stationary=pi, right_vec=h,
-        gram=gram, gram_base=base, boundary=boundary,
+        states=keep, transition=P, stationary=pi,
+        gram=gram, gram_base=base,
         potential_error=err, is_geometric=geo,
     )
 
@@ -751,14 +709,7 @@ def lyapunov_marginal(g: GibbsApprox, which: int, n_samples: int = 2000,
     rng = _rng(rng_seed)
     m_d, n_d = g.sample_forward_digits(orbit_len + window, n_samples, rng)
     d = m_d if which == 1 else n_d
-    x = np.empty((n_samples, orbit_len))
-    tail = np.full(n_samples, 0.5)
-    for t in range(orbit_len):
-        cols = [d[:, t + 1 + u] for u in range(window)]
-        xcur = tail.copy()
-        for col in reversed(cols):
-            xcur = 1.0 / (xcur + col)
-        x[:, t] = xcur
+    x = cf_value_float(sliding_window_view(d[:, 1:], window, axis=1)[:, :orbit_len])
     per_orbit = (2.0 * np.log(x + d[:, :orbit_len])).mean(axis=1)
     return McEstimate(value=float(per_orbit.mean()),
                       se=float(per_orbit.std(ddof=1) / math.sqrt(n_samples)),
@@ -771,28 +722,16 @@ def lyapunov_fiber(g: GibbsApprox, system: SmaleSystem, n_samples: int = 4000,
     """Monte Carlo -int log|T'| at fiber points from backward sampling."""
     if past_depth < 10:
         raise InvalidWord("past_depth must be >= 10")
-    from .systems import fiber_points_bulk, pi_values_bulk
     rng = _rng(rng_seed)
     past_m, past_n, fwd_m, fwd_n = g.sample_two_sided(
         past_depth, max(window, g.memory), n_samples, rng)
     pts = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n,
                             ctx_depth=window)
-    if system.variant == "similarity":
-        sched = system.schedule
-        mods = np.array([sched.ratio_of(s) * sched.inner_factor
-                         for s in pair_alphabet(g.max_digit)])
-        sym0 = (fwd_m[:, 0] - 1) * g.max_digit + (fwd_n[:, 0] - 1)
-        vals = -np.log(mods[sym0])
-    else:
-        off = system.domain.radius + 1e-6
-        if (np.abs(pts - system.domain.center) > off).any():
-            raise DomainEscape("sampled fiber points left the domain")
-        p0 = pi_values_bulk(fwd_m[:, :window], fwd_n[:, :window])
-        if system.variant == "inverse_conjugate":
-            mod = 1.0 / np.abs(np.conj(pts) + p0) ** 2
-        else:
-            mod = 2.0 * np.abs(pts) / np.abs(pts * pts + 2.0 * p0) ** 2
-        vals = -np.log(mod)
+    if (np.abs(pts - system.domain.center) > system.domain.radius + 1e-6).any():
+        raise DomainEscape("sampled fiber points left the domain")
+    family = system.family
+    coeff = family.coefficients(system, fwd_m[:, :window], fwd_n[:, :window])
+    vals = -np.log(family.derivative_mod(pts, coeff))
     return McEstimate(value=float(vals.mean()),
                       se=float(vals.std(ddof=1) / math.sqrt(n_samples)),
                       n=n_samples)

@@ -115,26 +115,12 @@ class Interval:
         return self.hi - self.lo
 
     @property
-    def width_float(self) -> float:
-        return float(self.hi - self.lo)
-
-    @property
     def mid(self) -> float:
         return float((self.lo + self.hi) / 2)
-
-    @property
-    def mid_exact(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def contains(self, x) -> bool:
         x = Fraction(x)
         return self.lo <= x <= self.hi
-
-    def subset_of(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
-
-    def overlaps_interior(self, other: "Interval") -> bool:
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
 
 
 @dataclass(frozen=True)
@@ -147,10 +133,6 @@ class Box:
     @property
     def mid(self) -> complex:
         return complex(self.re.mid, self.im.mid)
-
-    @property
-    def width_float(self) -> float:
-        return max(self.re.width_float, self.im.width_float)
 
     def contains(self, z: complex) -> bool:
         return self.re.contains(z.real) and self.im.contains(z.imag)

@@ -104,6 +104,17 @@ class TestConfigErrors:
         assert run(["pressure", "--config", str(tmp_path / "absent.json"),
                     "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("command", ["dimension", "sample", "verify"])
+    def test_similarity_truncation_past_grid_exits_2(self, tmp_path, command):
+        # the equal schedule defines maps for digits <= 2 only
+        cfg = write_config(tmp_path, {
+            "system": {"variant": "similarity",
+                       "schedule": {"kind": "equal", "grid_digit": 2}},
+            "truncation": {"m_schedule": [3]},
+        })
+        assert run([command, "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+
     def test_reducible_table_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, {
             "potential": {"kind": "table",
@@ -266,6 +277,15 @@ class TestThreads:
         assert run(["pressure", "--config", cfg, "--out", str(out),
                     "--threads", "2"]) == 0
         assert read_record(out, "pressure")["config"]["threads"] == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_flag_below_one_exits_2(self, tmp_path, threads):
+        cfg = write_config(tmp_path, {
+            "potential": {"kind": "constant", "value": 0.0},
+            "truncation": {"m_schedule": [2], "depth": 3},
+        })
+        assert run(["pressure", "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--threads", threads]) == 2
 
     def test_invalid_env_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_THREADS, "many")

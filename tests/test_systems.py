@@ -15,6 +15,7 @@ from fiberdim.systems import (
     fiber_derivative_mod_at,
     fiber_map,
     fiber_map_at,
+    fiber_points_bulk,
     image_disk,
     invert_disk,
     make_system,
@@ -22,7 +23,8 @@ from fiberdim.systems import (
     sample_fiber_limit_set,
     verify_system,
 )
-from fiberdim.words import pair_alphabet
+from fiberdim.thermo import periodic_log_derivatives
+from fiberdim.words import enumerate_pair_words, pair_alphabet
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +272,12 @@ class TestLimitSetSampling:
         with pytest.raises(InvalidWord):
             sample_fiber_limit_set(conj, (), 3, 25, 10, seed=0)
 
+    @pytest.mark.parametrize("variant", ["inverse_conjugate", "similarity"])
+    def test_empty_past_gives_domain_center(self, variant):
+        system = make_system(variant)
+        pts = sample_fiber_limit_set(system, ((1, 1),), 2, 0, 5, seed=0)
+        assert np.array_equal(pts, np.full(5, system.domain.center))
+
 
 class TestVerifyReports:
     def test_conjugate_separation_and_band(self, conj):
@@ -311,3 +319,48 @@ class TestVerifyReports:
         # similarity maps have constant derivative, no log-derivative drift
         sim = make_system("similarity")
         assert verify_system(sim, 3).distortion_H_hat == 0.0
+
+
+class TestBulkMatchesScalar:
+    """The vectorised paths against the scalar reference ``pi2_hat``."""
+
+    CTX = 12
+
+    @pytest.fixture(params=["inverse_conjugate", "inverse_square", "similarity"])
+    def system(self, request):
+        return make_system(request.param)
+
+    def point_tol(self, system):
+        # coding error of the translate values, carried through the
+        # contracting composition (fiber_points_bulk docstring)
+        lam = system.contraction
+        return math.sqrt(2) * 2.0 ** (1 - self.CTX) * lam / (lam - 1)
+
+    def test_vectorised_paths_match_pi2_hat(self, system):
+        rng = np.random.default_rng(11)
+        M, depth, count = 3, 20, 30
+        past_m, past_n = rng.integers(1, M + 1, size=(2, count, depth))
+        fwd_m, fwd_n = rng.integers(1, M + 1, size=(2, count, self.CTX))
+        bulk = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n,
+                                 ctx_depth=self.CTX)
+        for i in range(count):
+            past = PastWord(symbols=tuple(zip(past_m[i], past_n[i])),
+                            forward=tuple(zip(fwd_m[i], fwd_n[i])),
+                            enclosure_depth=self.CTX)
+            ref, _ = pi2_hat(system, past)
+            assert abs(bulk[i] - ref) <= self.point_tol(system)
+
+        # periodic realization: log|T'| at the pi2_hat point of each
+        # periodic word, forward word and past both repeating it
+        coding = math.sqrt(2) * 2.0 ** (1 - self.CTX)
+        log_tol = system.distortion_bound * (self.point_tol(system) + coding)
+        for memory in (1, 2):
+            vals = periodic_log_derivatives(system, 2, memory, window=self.CTX)
+            for code, word in enumerate(enumerate_pair_words(2, memory)):
+                fwd = word * self.CTX
+                past = PastWord(symbols=tuple(word[-j % memory] for j in range(1, 61)),
+                                forward=fwd, enclosure_depth=self.CTX)
+                w, _ = pi2_hat(system, past)
+                ref = math.log(fiber_derivative_mod(
+                    system, FiberWordContext(fwd, self.CTX), w))
+                assert abs(vals[code] - ref) <= log_tol + 1e-12
