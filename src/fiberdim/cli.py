@@ -136,6 +136,7 @@ def cmd_dimension(config: dict, out_dir: str):
                                   else None),
         },
         "stats": dataclasses.asdict(stats),
+        "chain": g.health(),
         "global_dimension": value,
         "branch": branch,
         "branch_values": {"b": branch_value(stats, "b"),

@@ -227,6 +227,33 @@ class BoxDimEstimate:
     counts: tuple
 
 
+def _ranks(x: np.ndarray):
+    """(rank of each entry among the distinct values, number of distinct values)."""
+    distinct, inverse = np.unique(x, return_inverse=True)
+    return inverse.astype(np.int64), len(distinct)
+
+
+def box_count(points: np.ndarray, eps: float) -> int:
+    """Number of distinct eps-boxes the points fall in.
+
+    Floor indices are shifted by their minimum and packed by their ranges
+    into one int64 key per point.  A column whose range exceeds the point
+    count, or a key prefix whose packing would overflow, is first replaced
+    by its ranks.
+    """
+    key, size = np.zeros(len(points), dtype=np.int64), 1
+    for col in np.floor(points / eps).T:
+        col = col - col.min()
+        span = int(col.max()) + 1
+        if span > len(points):
+            col, span = _ranks(col)
+        if size * span >= 2 ** 62:
+            key, size = _ranks(key)
+        key = key * span + col.astype(np.int64)
+        size *= span
+    return len(np.unique(key))
+
+
 def box_dimension(cloud: PointCloud, n_scales: int = 8) -> BoxDimEstimate:
     """Slope of log box count over a dyadic mesh ladder.
 
@@ -244,8 +271,7 @@ def box_dimension(cloud: PointCloud, n_scales: int = 8) -> BoxDimEstimate:
         eps = diam / 2.0 ** j
         if eps < floor:
             break
-        boxes = np.floor(cloud.points / eps)
-        counts.append(len(np.unique(boxes, axis=0)))
+        counts.append(box_count(cloud.points, eps))
         eps_list.append(eps)
     if len(eps_list) < 2:
         return BoxDimEstimate(value=0.0, scales=tuple(eps_list),

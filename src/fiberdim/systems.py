@@ -193,6 +193,18 @@ class FiberFamily:
         p = FiberWordContext(word).pi_value
         return invert_disk(self._image_preimage(system.domain, p))
 
+    def _preimage_gap(self, system, m, n):
+        """Least modulus |c| - r of the map's denominator over the domain, per symbol.
+
+        The map of symbol (m, n) inverts the preimage disk of translate
+        m + ni; the per-symbol derivative sup follows from this distance.
+        """
+        disk = self._image_preimage(system.domain, m + 1j * n)
+        gap = np.hypot(disk.center.real, disk.center.imag) - disk.radius
+        if np.any(gap <= 0):
+            raise ConfigError("a symbol's preimage disk reaches the singularity")
+        return gap
+
     def validate(self, system):
         """Hard requirements on a constructed system (none by default)."""
 
@@ -221,7 +233,7 @@ class _InverseConjugate(FiberFamily):
         return 2.0 / self._min_modulus(domain), 1.0
 
     def symbol_sup(self, system, m, n):
-        return 1.0 / (np.hypot(m + 0.5, n) - 0.5) ** 2
+        return 1.0 / self._preimage_gap(system, m, n) ** 2
 
     def _image_preimage(self, domain, p):
         return Disk(domain.center.conjugate() + p, domain.radius)
@@ -255,7 +267,7 @@ class _InverseSquare(FiberFamily):
         return float(np.max(g)), 1.0
 
     def symbol_sup(self, system, m, n):
-        return 2.0 * self._zmax(system.domain) / (np.hypot(2 * m + 0.25, 2 * n) - 0.75) ** 2
+        return 2.0 * self._zmax(system.domain) / self._preimage_gap(system, m, n) ** 2
 
     def _image_preimage(self, domain, p):
         # z^2 over the domain sits inside a disk around center^2

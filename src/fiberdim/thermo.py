@@ -2,9 +2,13 @@
 
 Potentials depend on finitely many forward symbols (memory k).  The Gibbs
 state of such a potential on the M-truncated shift is the stationary Markov
-chain built from Perron eigendata of the weighted transition matrix over
-k-word states; its pressure is the log Perron root.  An independent pressure
-route sums exp(sup S_n psi) over depth-n cylinders directly, with the sup
+chain built from Perron eigendata of the weighted transition operator over
+k-word states; its pressure is the log Perron root.  That operator is a de
+Bruijn graph: each k-word has at most A = M^2 successors and every edge
+weight depends on the source only, so the Perron vectors come from power
+iteration at O(A^k) per step and the chain is stored as an (n_states, A)
+successor table, never as an n x n matrix.  An independent pressure route
+sums exp(sup S_n psi) over depth-n cylinders directly, with the sup
 computed exactly for finite-memory potentials.
 
 Geometric potentials (s * log of the fiber derivative modulus) have
@@ -21,6 +25,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.special import logsumexp
 
 from .errors import (
@@ -262,9 +268,14 @@ class McEstimate:
 class GibbsApprox:
     """Stationary Markov Gibbs state on k-word states of the truncation.
 
-    ``transition`` rows sum to one; ``stationary`` is its invariant vector;
-    ``log_pressure`` is the log Perron root of the weight matrix.  States
-    carry the full-alphabet word codes that survived support pruning.
+    States carry the full-alphabet word codes that survived support pruning.
+    Row i of ``transition`` holds the probabilities of the A = M^2 successor
+    slots of state i (slot a appends symbol a); ``successors`` holds the
+    state index of each slot, -1 where the slot is pruned, and such slots
+    carry probability zero.  ``stationary`` is the invariant law and
+    ``log_pressure`` the log Perron root of the weight operator.  The health
+    fields record the Perron solve: its iteration count, the relative right
+    and left eigen-residuals, and the l1 stationarity residual |pi P - pi|.
     """
 
     max_digit: int
@@ -272,14 +283,17 @@ class GibbsApprox:
     log_pressure: float
     states: np.ndarray = field(repr=False)
     transition: np.ndarray = field(repr=False)
+    successors: np.ndarray = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
     gram_base: np.ndarray = field(repr=False)
     potential_error: float = 0.0
     is_geometric: bool = False
+    perron_iterations: int = 0
+    perron_residual: tuple = (0.0, 0.0)
+    stationarity_residual: float = 0.0
     _lookup: np.ndarray = field(default=None, repr=False)
-    _cum_fwd: np.ndarray = field(default=None, repr=False)
-    _cum_bwd: np.ndarray = field(default=None, repr=False)
+    _kernels: tuple = field(default=None, repr=False)
     _hat_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -289,6 +303,14 @@ class GibbsApprox:
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+    def health(self) -> dict:
+        """Numerical health of the chain, as recorded in run records."""
+        right, left = self.perron_residual
+        return {"n_states": self.n_states,
+                "perron_iterations": self.perron_iterations,
+                "perron_residual": {"right": right, "left": left},
+                "stationarity_residual": self.stationarity_residual}
 
     def lookup(self) -> np.ndarray:
         """Full word-code -> pruned state index (-1 when pruned)."""
@@ -315,13 +337,11 @@ class GibbsApprox:
             return -math.inf
         out = math.log(self.stationary[cur])
         for sym in w[L:]:
-            c = (sym[0] - 1) * self.max_digit + (sym[1] - 1)
-            nxt_code = (self.states[cur] % A ** (L - 1)) * A + c
-            nxt = self.lookup()[nxt_code]
-            if nxt < 0 or self.transition[cur, nxt] <= 0:
+            a = (sym[0] - 1) * self.max_digit + (sym[1] - 1)
+            if self.transition[cur, a] <= 0:
                 return -math.inf
-            out += math.log(self.transition[cur, nxt])
-            cur = nxt
+            out += math.log(self.transition[cur, a])
+            cur = self.successors[cur, a]
         return out
 
     def symbol_marginal(self) -> np.ndarray:
@@ -335,29 +355,41 @@ class GibbsApprox:
     # -- sampling ----------------------------------------------------------
 
     def _cums(self):
-        if self._cum_fwd is None:
-            self._cum_fwd = np.cumsum(self.transition, axis=1)
-            rev = (self.stationary[None, :] * self.transition.T
-                   / self.stationary[:, None])
-            rev /= rev.sum(axis=1, keepdims=True)
-            self._cum_bwd = np.cumsum(rev, axis=1)
-        return self._cum_fwd, self._cum_bwd
+        """(cumulative slot law, next state) of the forward and reversed chains.
 
-    def _step(self, cum, state, rng):
+        The reversed chain steps from state j to the A predecessors
+        a * A^(L-1) + j // A, with probability pi_i P(i, j) / pi_j.
+        """
+        if self._kernels is None:
+            A, L = self.alphabet_size, self.memory
+            pred = self.lookup()[np.arange(A)[None, :] * A ** (L - 1)
+                                 + (self.states // A)[:, None]]
+            src = np.where(pred >= 0, pred, 0)
+            rev = np.where(pred >= 0, self.stationary[src]
+                           * self.transition[src, (self.states % A)[:, None]],
+                           0.0) / self.stationary[:, None]
+            rev /= rev.sum(axis=1, keepdims=True)
+            self._kernels = ((_cum_table(self.transition), self.successors),
+                             (_cum_table(rev), pred))
+        return self._kernels
+
+    @staticmethod
+    def _step(kernel, state, rng):
+        cum, nxt = kernel
         u = rng.random(len(state))
-        return (cum[state] < u[:, None]).sum(axis=1).clip(0, self.n_states - 1)
+        return nxt[state, (cum[state] <= u[:, None]).sum(axis=1)]
 
     def sample_forward(self, n_symbols: int, count: int, rng) -> np.ndarray:
         """Symbol codes of forward words drawn from the stationary chain."""
         rng = _rng(rng)
-        L, A = self.memory, self.alphabet_size
+        L = self.memory
         if n_symbols < L:
             raise InvalidWord(f"need at least {L} symbols per draw")
-        cum_fwd, _ = self._cums()
+        ahead, _ = self._cums()
         state = rng.choice(self.n_states, size=count, p=self.stationary)
-        return self._emit_forward(state, n_symbols, cum_fwd, rng)
+        return self._emit_forward(state, n_symbols, ahead, rng)
 
-    def _emit_forward(self, state, n_symbols, cum_fwd, rng):
+    def _emit_forward(self, state, n_symbols, ahead, rng):
         L, A = self.memory, self.alphabet_size
         out = np.empty((len(state), n_symbols), dtype=np.int64)
         code = self.states[state]
@@ -365,7 +397,7 @@ class GibbsApprox:
             out[:, i] = (code // A ** (L - 1 - i)) % A
         cur = state
         for t in range(L, n_symbols):
-            cur = self._step(cum_fwd, cur, rng)
+            cur = self._step(ahead, cur, rng)
             out[:, t] = self.states[cur] % A
         return out
 
@@ -377,15 +409,15 @@ class GibbsApprox:
         the conditional measures on fibers.
         """
         rng = _rng(rng)
-        cum_fwd, cum_bwd = self._cums()
+        ahead, back = self._cums()
         A = self.alphabet_size
         state0 = rng.choice(self.n_states, size=count, p=self.stationary)
         past = np.empty((count, n_past), dtype=np.int64)
         cur = state0
         for j in range(n_past):
-            cur = self._step(cum_bwd, cur, rng)
+            cur = self._step(back, cur, rng)
             past[:, j] = self.states[cur] // A ** (self.memory - 1)
-        fwd = self._emit_forward(state0, n_forward, cum_fwd, rng)
+        fwd = self._emit_forward(state0, n_forward, ahead, rng)
         M = self.max_digit
         return (past // M + 1, past % M + 1, fwd // M + 1, fwd % M + 1)
 
@@ -426,16 +458,10 @@ class GibbsApprox:
 
     def _step_matrix(self) -> np.ndarray:
         """log transition probability by (source full code, appended symbol)."""
-        A, L = self.alphabet_size, self.memory
+        step = np.full((self.alphabet_size ** self.memory, self.alphabet_size),
+                       -np.inf)
         with np.errstate(divide="ignore"):
-            logP = np.log(self.transition)
-        succ_code = (self.states % A ** (L - 1))[:, None] * A + np.arange(A)[None, :]
-        succ_idx = self.lookup()[succ_code]
-        valid = succ_idx >= 0
-        src = np.arange(self.n_states)[:, None].repeat(A, axis=1)
-        vals = np.where(valid, logP[src, np.where(valid, succ_idx, 0)], -np.inf)
-        step = np.full((A ** L, A), -np.inf)
-        step[self.states] = vals
+            step[self.states] = np.log(self.transition)
         return step
 
     def _hat_compute(self, depth: int) -> float:
@@ -461,26 +487,107 @@ class GibbsApprox:
         return worst
 
 
-def _prune_support(support: np.ndarray) -> np.ndarray:
-    alive = np.ones(support.shape[0], dtype=bool)
+def _cum_table(P: np.ndarray) -> np.ndarray:
+    """Row cumsums of a slot law, pinned to 1 from the last allowed slot on.
+
+    With the draw counting entries <= u for u in [0, 1), a zero-probability
+    slot is never chosen, so every step follows an allowed transition.
+    """
+    cum = np.cumsum(P, axis=1)
+    last = P.shape[1] - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
+    cum[np.arange(P.shape[1])[None, :] >= last[:, None]] = 1.0
+    return cum
+
+
+# -- de Bruijn weight operator ------------------------------------------------
+#
+# Over full L-word codes i, the allowed successors of i are
+# (i mod A^(L-1)) * A + a, and every edge leaving i carries the weight w[i].
+# So W h and W^T nu are a multiply and a reshape-sum over (A^(L-1), A), each
+# O(A^L); no n x n array is formed.
+
+#: Relative Perron residual at which the power iteration stops.
+PERRON_TOL = 1e-13
+
+#: Power-iteration cap; reaching it means the spectral gap is too small.
+PERRON_MAX_ITER = 10_000
+
+#: Largest Perron or stationarity residual a built chain may carry.
+HEALTH_TOL = 1e-10
+
+
+def _apply(w: np.ndarray, h: np.ndarray, A: int) -> np.ndarray:
+    """W h: weight of each source times the sum of h over its successors."""
+    return w * np.tile(h.reshape(-1, A).sum(axis=1), A)
+
+
+def _apply_transpose(w: np.ndarray, nu: np.ndarray, A: int) -> np.ndarray:
+    """W^T nu: sum of nu * w over the A predecessors of each target."""
+    return np.repeat((nu * w).reshape(A, -1).sum(axis=0), A)
+
+
+def _prune_support(finite: np.ndarray, A: int) -> np.ndarray:
+    """Codes on a bi-infinite allowed path: some live successor and predecessor."""
+    alive = finite.copy()
     while True:
-        sub = support & alive[:, None] & alive[None, :]
-        new = alive & sub.any(axis=1) & sub.any(axis=0)
+        new = (alive & np.tile(alive.reshape(-1, A).any(axis=1), A)
+               & np.repeat(alive.reshape(A, -1).any(axis=0), A))
         if np.array_equal(new, alive):
             return alive
         alive = new
 
 
-def _check_primitive(support: np.ndarray):
-    n = support.shape[0]
-    exponent = (n - 1) ** 2 + 1
-    B = support.astype(float)
-    steps = max(0, math.ceil(math.log2(exponent))) if exponent > 1 else 0
-    for _ in range(steps):
-        B = (B @ B) > 0
-        B = B.astype(float)
-    if not (B > 0).all():
-        raise NonPrimitive("transition support is not primitive")
+def _check_primitive(successors: np.ndarray):
+    """Irreducible (one strong component) and aperiodic (BFS-level gcd 1)."""
+    n = len(successors)
+    src, slot = np.nonzero(successors >= 0)
+    dst = successors[src, slot]
+    graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    n_comp, _ = connected_components(graph, directed=True, connection="strong")
+    if n_comp > 1:
+        raise NonPrimitive(
+            f"transition support is reducible ({n_comp} strong components)")
+    level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
+    period = int(np.gcd.reduce(np.abs(level[src] + 1 - level[dst])))
+    if period > 1:
+        raise NonPrimitive(f"transition support has period {period}")
+
+
+def _perron(w: np.ndarray, alive: np.ndarray, A: int):
+    """Right and left Perron vectors, root and residuals by power iteration.
+
+    Both iterates are l1-normalised each step; they stop together once the
+    relative residuals |W h - rho h|_1 / rho and |W^T nu - rho nu|_1 / rho
+    fall below PERRON_TOL.  The root is the Rayleigh quotient nu W h / nu h.
+    """
+    h = alive / alive.sum()
+    nu = h.copy()
+    for iterations in range(1, PERRON_MAX_ITER + 1):
+        Wh = _apply(w, h, A)
+        Wnu = _apply_transpose(w, nu, A) * alive
+        rho_r, rho_l = Wh.sum(), Wnu.sum()
+        res = (np.abs(Wh - rho_r * h).sum() / rho_r,
+               np.abs(Wnu - rho_l * nu).sum() / rho_l)
+        h, nu = Wh / rho_r, Wnu / rho_l
+        if max(res) <= PERRON_TOL:
+            break
+    else:
+        raise NonPrimitive(
+            f"Perron power iteration hit {PERRON_MAX_ITER} iterations with "
+            f"residuals right {res[0]:.3g}, left {res[1]:.3g}")
+    Wh = _apply(w, h, A)
+    Wnu = _apply_transpose(w, nu, A) * alive
+    rho = float(nu @ Wh / (nu @ h))
+    res = (float(np.abs(Wh - rho * h).sum() / rho),
+           float(np.abs(Wnu - rho * nu).sum() / rho))
+    return h, nu, rho, iterations, res
+
+
+def _table_memory(potential, memory) -> int:
+    """Word length L of the realized table, known before realizing it."""
+    if isinstance(potential, GeometricPotential) and memory is not None:
+        return memory
+    return max(memory or 1, getattr(potential, "memory", 1))
 
 
 @lru_cache(maxsize=256)
@@ -489,58 +596,57 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
 
     States are k-words; the weight of an allowed transition is exp of the
     potential on the source window.  Forbidden words prune the support; the
-    remainder must be primitive.
+    remainder must be primitive.  The Perron data come from power iteration
+    on the de Bruijn weight operator, O(A^L) per step.
     """
     M = check_max_digit(max_digit)
-    table, err, geo = _realize(potential, M, memory)
-    L = max(memory or 1, table.memory)
     A = M * M
+    L = _table_memory(potential, memory)
     if A ** L > STATE_CAP:
         raise EnumerationCapExceeded(
             f"{A**L} states exceed the cap {STATE_CAP}; lower the memory")
+    table, err, geo = _realize(potential, M, memory)
     base = _base_flat(table, L)
     gram = _scaled(base, table.scale)
-    idx = np.arange(A ** L, dtype=np.int64)
-    succ = (idx % A ** (L - 1))[:, None] * A + np.arange(A)[None, :]
-    logW = np.full((A ** L, A ** L), -np.inf)
-    logW[idx[:, None], succ] = gram[idx][:, None]
-    support = np.isfinite(logW)
-    alive = _prune_support(support)
+    alive = _prune_support(np.isfinite(gram), A)
     if not alive.any():
         raise NonPrimitive("no admissible bi-infinite words")
     keep = np.where(alive)[0]
-    sub = logW[np.ix_(keep, keep)]
-    _check_primitive(np.isfinite(sub))
+    lookup = np.full(A ** L, -1, dtype=np.int64)
+    lookup[keep] = np.arange(len(keep))
+    succ_code = (keep % A ** (L - 1))[:, None] * A + np.arange(A)[None, :]
+    successors = lookup[succ_code]
+    _check_primitive(successors)
 
-    m0 = sub[np.isfinite(sub)].max()
-    W = np.exp(sub - m0)
-    vals, vecs = np.linalg.eig(W)
-    i = int(np.argmax(np.abs(vals)))
-    rho = vals[i]
-    if abs(rho.imag) > 1e-9 * abs(rho.real) or rho.real <= 0:
-        raise NonPrimitive("Perron root not isolated and positive")
-    h = np.real(vecs[:, i])
-    h = h if h.sum() > 0 else -h
-    lvals, lvecs = np.linalg.eig(W.T)
-    j = int(np.argmax(np.abs(lvals)))
-    nu = np.real(lvecs[:, j])
-    nu = nu if nu.sum() > 0 else -nu
-    if (h <= 0).any() or (nu <= 0).any():
+    m0 = gram[keep].max()
+    w = np.zeros(A ** L)
+    w[keep] = np.exp(gram[keep] - m0)
+    h, nu, rho, iterations, res = _perron(w, alive, A)
+    if (h[keep] <= 0).any() or (nu[keep] <= 0).any():
         raise NonPrimitive("Perron eigenvectors not strictly positive")
-    rho = float(rho.real)
-    nu = nu / (nu @ h)
-    P = W * h[None, :] / (rho * h[:, None])
-    P = np.where(np.isfinite(sub), P, 0.0)
+    P = w[keep, None] * h[succ_code] / (rho * h[keep, None])
     P /= P.sum(axis=1, keepdims=True)
-    pi = nu * h
+    pi = nu[keep] * h[keep]
     pi /= pi.sum()
+    # pi P on full codes: the flow of edge (i, a) lands on (i mod A^(L-1)) A + a
+    flow = np.zeros((A ** L, A))
+    flow[keep] = pi[:, None] * P
+    stat_res = float(np.abs(flow.reshape(A, -1, A).sum(axis=0).ravel()[keep]
+                            - pi).sum())
+    for name, value in (("right Perron residual", res[0]),
+                        ("left Perron residual", res[1]),
+                        ("stationarity residual", stat_res)):
+        if not value <= HEALTH_TOL:
+            raise NonPrimitive(f"{name} {value:.3g} exceeds {HEALTH_TOL:g}")
 
     return GibbsApprox(
         max_digit=M, memory=L,
         log_pressure=float(np.log(rho) + m0),
-        states=keep, transition=P, stationary=pi,
+        states=keep, transition=P, successors=successors, stationary=pi,
         gram=gram, gram_base=base,
         potential_error=err, is_geometric=geo,
+        perron_iterations=iterations, perron_residual=res,
+        stationarity_residual=stat_res,
     )
 
 
@@ -590,9 +696,13 @@ def pressure_cylinder_sum(potential, max_digit: int, depth: int,
     if depth < 2:
         raise InvalidWord("need depth >= 2 to extrapolate")
     M = check_max_digit(max_digit)
-    table, err, _ = _realize(potential, M, memory)
-    L = max(memory or 1, table.memory)
     A = M * M
+    L = _table_memory(potential, memory)
+    if A ** (depth + L - 1) > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"(M^2)^{depth + L - 1} = {A**(depth + L - 1)} cylinder extensions "
+            "exceed the cap")
+    table, err, _ = _realize(potential, M, memory)
     gram = _scaled(_base_flat(table, L), table.scale)
     logZ = [_log_partition(gram, L, A, j) for j in range(1, depth + 1)]
     if not math.isfinite(logZ[0]):
@@ -637,48 +747,40 @@ class MarginalEntropyDetails:
     gap: float
 
 
-def _state_digit_codes(g: GibbsApprox, which: int) -> np.ndarray:
-    """Base-M digit-word code of each state's projected digits."""
-    A, M, L = g.alphabet_size, g.max_digit, g.memory
-    codes = np.zeros(g.n_states, dtype=np.int64)
-    for i in range(L):
-        sym = (g.states // A ** (L - 1 - i)) % A
-        d = sym // M if which == 1 else sym % M
-        codes = codes * M + d
-    return codes
-
-
 def marginal_entropy_details(g: GibbsApprox, which: int, depth: int
                              ) -> MarginalEntropyDetails:
     """Digit-marginal block entropies by the forward (hidden-Markov) sweep.
 
     Exact cylinder masses of the digit factor are accumulated per digit word
-    while summing over the hidden pair-symbol states.
+    while summing over the hidden pair-symbol states.  A digit word of length
+    n ends in the projected digits of the chain's last L symbols, so the
+    sweep keeps one row per (n - L)-digit prefix over the A^L word codes.
+    One step sums the prefix's new digit out of the dropped first symbol and
+    appends a successor slot: an einsum over (A, A^(L-1), A).
     """
     if which not in (1, 2):
         raise InvalidWord("marginal coordinate must be 1 or 2")
-    M, L = g.max_digit, g.memory
+    M, L, A = g.max_digit, g.memory, g.alphabet_size
     if depth < L + 1:
         raise InvalidWord(f"need depth >= {L + 1}")
-    if M ** depth * g.n_states > 5 * 10 ** 7:
+    if max(M ** depth * g.n_states, M ** (depth - L) * A ** L) > 5 * 10 ** 7:
         raise EnumerationCapExceeded("digit-word sweep exceeds the cap")
-    alpha = np.zeros((M ** L, g.n_states))
-    alpha[_state_digit_codes(g, which), np.arange(g.n_states)] = g.stationary
-    A = g.alphabet_size
-    last_sym = g.states % A
-    last_digit = last_sym // M if which == 1 else last_sym % M
+    R = A ** (L - 1)
+    P = np.zeros((A ** L, A))
+    P[g.states] = g.transition
+    P = P.reshape(M, M, R, A)
+    beta = np.zeros((1, A ** L))
+    beta[0, g.states] = g.stationary
+    # a code's pair digits are (m_1, n_1, ..., m_L, n_L); sum the other coordinate
+    other = tuple(range(2 if which == 1 else 1, 2 * L + 1, 2))
+    sweep = "pebr,ebra->pera" if which == 1 else "pber,bera->pera"
     H = []
     for n in range(L, depth + 1):
-        nu = alpha.sum(axis=1)
+        nu = beta.reshape((-1,) + (M,) * (2 * L)).sum(axis=other)
         nz = nu[nu > 0]
         H.append(float(-(nz * np.log(nz)).sum()))
         if n < depth:
-            T = alpha @ g.transition
-            alpha = np.zeros((T.shape[0], M, g.n_states))
-            for d in range(M):
-                cols = last_digit == d
-                alpha[:, d, cols] = T[:, cols]
-            alpha = alpha.reshape(-1, g.n_states)
+            beta = np.einsum(sweep, beta.reshape(-1, M, M, R), P).reshape(-1, A ** L)
     rates = tuple(b - a for a, b in zip(H, H[1:]))
     gap = abs(rates[-1] - rates[-2]) if len(rates) >= 2 else math.inf
     return MarginalEntropyDetails(which=which, depth=depth,

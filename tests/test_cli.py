@@ -150,6 +150,11 @@ class TestDimensionCommand:
             abs(results["branch_values"]["b"] - results["branch_values"]["c"]))
         assert results["global_dimension"] == results["branch_values"][
             results["branch"]]
+        chain = results["chain"]
+        assert chain["n_states"] == 4
+        assert chain["perron_iterations"] >= 1
+        assert max(chain["perron_residual"].values()) <= 1e-10
+        assert chain["stationarity_residual"] <= 1e-10
 
         lines = (out / "dimension_curve.csv").read_text().splitlines()
         assert lines[0] == "s,delta,flag"

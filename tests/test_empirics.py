@@ -8,6 +8,7 @@ import pytest
 from fiberdim.empirics import (
     BoxDimEstimate,
     PointCloud,
+    box_count,
     box_dimension,
     exactness_report,
     local_dimension,
@@ -200,6 +201,15 @@ class TestBoxDimension:
     def test_scale_guard(self, gauss2):
         with pytest.raises(ConfigError):
             box_dimension(gauss2, n_scales=4)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_packed_count_matches_row_unique(self, dim):
+        rng = np.random.default_rng(dim)
+        pts = rng.normal(-3.0, 2.0, size=(20000, dim))
+        pts[:50] = pts[50:100]  # exact repeats
+        for eps in (8.0, 0.5, 0.05, 1e-4, 1e-9):
+            expected = len(np.unique(np.floor(pts / eps), axis=0))
+            assert box_count(pts, eps) == expected
 
 
 class TestExactness:

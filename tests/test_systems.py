@@ -1,5 +1,6 @@
 """Fiber map families: formulas, enclosures, certified diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -122,6 +123,28 @@ class TestMakeSystem:
         sim = make_system("similarity")
         # geometric schedule: strongest branch has ratio 1/4, inner factor 1/2
         assert sim.contraction == pytest.approx(8.0)
+
+
+class TestSymbolSup:
+    def test_default_domains_keep_the_closed_forms(self, conj, square):
+        grid = np.arange(1, 65)
+        m, n = np.meshgrid(grid, grid, indexing="ij")
+        assert np.array_equal(conj.family.symbol_sup(conj, m, n),
+                              1.0 / (np.hypot(m + 0.5, n) - 0.5) ** 2)
+        zmax = abs(square.domain.center) + square.domain.radius
+        assert np.array_equal(square.family.symbol_sup(square, m, n),
+                              2.0 * zmax / (np.hypot(2 * m + 0.25, 2 * n) - 0.75) ** 2)
+
+    def test_follows_the_domain(self):
+        system = make_system("inverse_conjugate", center=0.5 + 0.1j, radius=0.4)
+        sup = system.family.symbol_sup(system, np.array(1), np.array(1))
+        assert sup == pytest.approx(1.0 / (abs(1.5 + 0.9j) - 0.4) ** 2, rel=1e-15)
+        assert sup == pytest.approx(0.5493, abs=1e-4)
+
+    def test_singular_preimage_rejected(self, conj):
+        bad = dataclasses.replace(conj, domain=Disk(-1.0 + 1.0j, 0.5))
+        with pytest.raises(ConfigError):
+            bad.family.symbol_sup(bad, np.array([1, 2]), np.array([1, 2]))
 
 
 class TestFiberFormulas:

@@ -11,6 +11,7 @@ from fiberdim.errors import (
     InvalidWord,
     NonPrimitive,
 )
+from fiberdim import thermo
 from fiberdim.systems import SimilaritySchedule, make_system
 from fiberdim.thermo import (
     ConstantPotential,
@@ -154,6 +155,45 @@ class TestGibbsChain:
     def test_state_cap(self, conj):
         with pytest.raises(EnumerationCapExceeded):
             gibbs_markov(GeometricPotential(conj, 1.0), 3, memory=4)
+
+    def test_caps_checked_before_realization(self, conj):
+        square = make_system("inverse_square")
+        misses = realized_table.cache_info().misses
+        with pytest.raises(EnumerationCapExceeded):
+            gibbs_markov(GeometricPotential(conj, 1.0), 8, 3)
+        with pytest.raises(EnumerationCapExceeded):
+            pressure_cylinder_sum(GeometricPotential(square, 0.7), 3,
+                                  depth=6, memory=3)
+        assert realized_table.cache_info().misses == misses
+
+    def test_largest_chain_closes_variational_gap(self, conj):
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 8, 2)
+        assert g.n_states == thermo.STATE_CAP
+        assert g.transition.shape == (g.n_states, g.alphabet_size)
+        assert variational_gap(g) <= 1e-12
+
+    def test_health_recorded(self, conj, bernoulli):
+        for g in (bernoulli, gibbs_markov(GeometricPotential(conj, 1.0), 4)):
+            health = g.health()
+            assert health["n_states"] == g.n_states
+            assert 1 <= health["perron_iterations"] < thermo.PERRON_MAX_ITER
+            assert max(g.perron_residual) <= thermo.HEALTH_TOL
+            assert g.stationarity_residual <= thermo.HEALTH_TOL
+            pi_P = np.zeros(g.n_states)
+            np.add.at(pi_P, g.successors.ravel(),
+                      (g.stationary[:, None] * g.transition).ravel())
+            assert np.abs(pi_P - g.stationary).sum() <= 1e-12
+
+    def test_health_gate_names_the_quantity(self, conj, monkeypatch):
+        build = gibbs_markov.__wrapped__
+        pot = GeometricPotential(conj, 1.0)
+        monkeypatch.setattr(thermo, "HEALTH_TOL", 0.0)
+        with pytest.raises(NonPrimitive, match="residual"):
+            build(pot, 4)
+        monkeypatch.undo()
+        monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 2)
+        with pytest.raises(NonPrimitive, match="2 iterations with residuals"):
+            build(pot, 4)
 
 
 class TestGibbsProperty:
@@ -304,6 +344,33 @@ class TestSampling:
         _, _, fm, fn = bernoulli.sample_two_sided(6, 6, 200,
                                                   np.random.default_rng(0))
         assert not np.any((fm == 2) & (fn == 2))
+
+    @pytest.mark.parametrize("u", [0.0, float(np.nextafter(1.0, 0.0))])
+    def test_extreme_draws_follow_allowed_edges(self, u):
+        # two forbidden 2-words leave zero-probability first and last slots
+        table = TablePotential.from_dict(2, {
+            (sym1, sym2): 0.0
+            for sym1 in ((1, 1), (1, 2), (2, 1), (2, 2))
+            for sym2 in ((1, 1), (1, 2), (2, 1), (2, 2))
+            if (sym1, sym2) not in (((2, 1), (1, 1)), ((1, 2), (2, 2)))})
+        g = gibbs_markov(table, 2)
+        assert (g.transition == 0).any()
+
+        class Fixed:
+            def random(self, n):
+                return np.full(n, u)
+
+        A, R = g.alphabet_size, g.alphabet_size ** (g.memory - 1)
+        fwd, bwd = g._cums()
+        src = np.arange(g.n_states)
+        nxt = g._step(fwd, src, Fixed())
+        assert (nxt >= 0).all()
+        assert (g.states[nxt] // A == g.states[src] % R).all()
+        assert (g.transition[src, g.states[nxt] % A] > 0).all()
+        prv = g._step(bwd, src, Fixed())
+        assert (prv >= 0).all()
+        assert (g.states[prv] % R == g.states[src] // A).all()
+        assert (g.transition[prv, g.states[src] % A] > 0).all()
 
     def test_forward_length_guard(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2, memory=2)
