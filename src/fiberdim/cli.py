@@ -19,8 +19,7 @@ import numpy as np
 
 from .config import (build_potential, build_system, config_hash, load_config,
                      resolve_s_grid)
-from .dimension import (branch_value, global_dimension, moran_root,
-                        summability_scan, variational_sweep)
+from .dimension import dimension_report, moran_root, summability_scan
 from .empirics import box_dimension, exactness_report, local_dimension, \
     sample_measure
 from .errors import ConfigError, FiberdimError, InsufficientScales, InvalidWord
@@ -106,11 +105,6 @@ def cmd_dimension(config: dict, out_dir: str):
         if verdict != "summable":
             warnings.append(
                 f"infinite-alphabet depth-1 sum at s={s:g}: {verdict}")
-    sweep = variational_sweep(system, M, s_grid, tr["memory"],
-                              config["dimension"]["bowen_tol"])
-    for s, _, flag in sweep.curve:
-        if flag != "ok":
-            warnings.append(f"sweep point s={s:g} {flag}")
     potential = build_potential(config, system, M)
     g = gibbs_markov(potential, M, tr["memory"])
     st_cfg = config["stats"]
@@ -119,7 +113,12 @@ def cmd_dimension(config: dict, out_dir: str):
                           orbit_len=st_cfg["orbit_len"],
                           past_depth=st_cfg["past_depth"],
                           rng_seed=config["seed"])
-    value, branch = global_dimension(stats)
+    report = dimension_report(system, M, s_grid, stats, tr["memory"],
+                              config["dimension"]["bowen_tol"])
+    sweep, values = report.sweep, report.branch_values
+    for s, _, flag in sweep.curve:
+        if flag != "ok":
+            warnings.append(f"sweep point s={s:g} {flag}")
     results = {
         "bowen_root": sweep.delta_T,
         "sup_curve": sweep.sup_value,
@@ -137,12 +136,10 @@ def cmd_dimension(config: dict, out_dir: str):
         },
         "stats": dataclasses.asdict(stats),
         "chain": g.health(),
-        "global_dimension": value,
-        "branch": branch,
-        "branch_values": {"b": branch_value(stats, "b"),
-                          "c": branch_value(stats, "c")},
-        "branch_agreement": abs(branch_value(stats, "b")
-                                - branch_value(stats, "c")),
+        "global_dimension": report.global_delta,
+        "branch": report.branch,
+        "branch_values": values,
+        "branch_agreement": abs(values["b"] - values["c"]),
     }
     moduli = system.family.moduli(system, M)
     if moduli is not None:

@@ -25,6 +25,9 @@ from .words import Box, cf_value_float, check_max_digit, check_pair_word, pair_a
 #: Tolerance for the image-containment check of fiber maps.
 ESCAPE_TOL = 1e-10
 
+#: Default number of forward symbols a word-dependent quantity reads.
+CONTEXT_DEPTH = 12
+
 
 # ---------------------------------------------------------------------------
 # geometry helpers
@@ -189,7 +192,8 @@ class FiberFamily:
         return None
 
     def image_disk(self, system, symbol, tail) -> Disk:
-        word = (symbol,) + (tuple(tail) if tail else (symbol,) * 11)
+        word = (symbol,) + (tuple(tail) if tail
+                            else (symbol,) * (CONTEXT_DEPTH - 1))
         p = FiberWordContext(word).pi_value
         return invert_disk(self._image_preimage(system.domain, p))
 
@@ -417,7 +421,7 @@ class FiberWordContext:
     """Forward word plus the depth at which its enclosure is evaluated."""
 
     forward_word: tuple
-    enclosure_depth: int = 12
+    enclosure_depth: int = CONTEXT_DEPTH
 
     def __post_init__(self):
         word = check_pair_word(self.forward_word)
@@ -457,7 +461,7 @@ class PastWord:
 
     symbols: tuple
     forward: tuple
-    enclosure_depth: int = 12
+    enclosure_depth: int = CONTEXT_DEPTH
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", check_pair_word(self.symbols))
@@ -469,7 +473,8 @@ class PastWord:
         return len(self.symbols)
 
     @classmethod
-    def constant(cls, symbol, depth: int, enclosure_depth: int = 12) -> "PastWord":
+    def constant(cls, symbol, depth: int,
+                 enclosure_depth: int = CONTEXT_DEPTH) -> "PastWord":
         sym = check_pair_word([symbol])[0]
         return cls(symbols=(sym,) * depth,
                    forward=(sym,) * max(enclosure_depth, 1),
@@ -560,7 +565,7 @@ def pi_values_bulk(m_digits: np.ndarray, n_digits: np.ndarray) -> np.ndarray:
 def fiber_points_bulk(system: SmaleSystem,
                       past_m: np.ndarray, past_n: np.ndarray,
                       fwd_m: np.ndarray, fwd_n: np.ndarray,
-                      ctx_depth: int = 12) -> np.ndarray:
+                      ctx_depth: int = CONTEXT_DEPTH) -> np.ndarray:
     """Vectorised fiber points for batches of past/forward digit rows.
 
     ``past_m[:, j]`` is the first digit coordinate at time -(j+1).  Uses the
@@ -660,8 +665,9 @@ def verify_system(system: SmaleSystem, max_digit: int,
     M = check_max_digit(max_digit)
     rng = np.random.default_rng(seed)
     alphabet = system.family.alphabet(system, M)
-    tails = [((1, 1),) * 11, ((M, M),) * 11,
-             tuple(map(tuple, rng.integers(1, M + 1, size=(11, 2))))]
+    tail_len = CONTEXT_DEPTH - 1
+    tails = [((1, 1),) * tail_len, ((M, M),) * tail_len,
+             tuple(map(tuple, rng.integers(1, M + 1, size=(tail_len, 2))))]
     min_gap = _osc_min_gap(system, alphabet, tails)
     osc_ok = bool(min_gap >= -ESCAPE_TOL)
 
@@ -672,7 +678,7 @@ def verify_system(system: SmaleSystem, max_digit: int,
     derivs = []
     for _ in range(6):
         sym = alphabet[rng.integers(len(alphabet))]
-        tail = tuple(map(tuple, rng.integers(1, M + 1, size=(11, 2))))
+        tail = tuple(map(tuple, rng.integers(1, M + 1, size=(tail_len, 2))))
         ctx = FiberWordContext((sym,) + tail)
         for w in pts[rng.integers(len(pts), size=24)]:
             derivs.append(fiber_derivative_mod(system, ctx, w))
@@ -682,7 +688,7 @@ def verify_system(system: SmaleSystem, max_digit: int,
 
     # measured Hoelder constant for log-derivative oscillation in the point
     alpha = system.distortion_alpha
-    ctx = FiberWordContext((alphabet[0],) + ((1, 1),) * 11)
+    ctx = FiberWordContext((alphabet[0],) + ((1, 1),) * tail_len)
     sel = pts[rng.integers(len(pts), size=min(200, len(pts)))]
     ld = np.array([math.log(fiber_derivative_mod(system, ctx, w)) for w in sel])
     d = np.abs(sel[None, :] - sel[:, None])

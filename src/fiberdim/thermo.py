@@ -6,10 +6,10 @@ chain built from Perron eigendata of the weighted transition operator over
 k-word states; its pressure is the log Perron root.  That operator is a de
 Bruijn graph: each k-word has at most A = M^2 successors and every edge
 weight depends on the source only, so the Perron vectors come from power
-iteration at O(A^k) per step and the chain is stored as an (n_states, A)
-successor table, never as an n x n matrix.  An independent pressure route
-sums exp(sup S_n psi) over depth-n cylinders directly, with the sup
-computed exactly for finite-memory potentials.
+iteration at O(A^k) per step and the chain is stored as an (A^k, A)
+slot-probability table over all k-word codes, never as an n x n matrix.
+An independent pressure route sums exp(sup S_n psi) over depth-n cylinders
+directly, with the sup computed exactly for finite-memory potentials.
 
 Geometric potentials (s * log of the fiber derivative modulus) have
 unbounded memory through the fiber point; they are realized as memory-k
@@ -40,9 +40,9 @@ from .errors import (
 )
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .systems import SmaleSystem, fiber_points_bulk
+from .systems import CONTEXT_DEPTH, SmaleSystem, fiber_points_bulk
 from .words import (ENUMERATION_CAP, cf_value_float, check_max_digit,
-                    check_pair_word, enumerate_pair_words, pair_alphabet)
+                    check_pair_word)
 
 #: Cap on the number of k-word states of the transfer matrix.
 STATE_CAP = 4096
@@ -179,7 +179,7 @@ def _digit_planes(codes: np.ndarray, n: int, max_digit: int):
 
 
 def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
-                             window: int = 12) -> np.ndarray:
+                             window: int = CONTEXT_DEPTH) -> np.ndarray:
     """log derivative modulus at the periodic limit point of every n-word.
 
     Entry ``code`` is log|T'| of the time-zero map of the two-sided periodic
@@ -210,15 +210,16 @@ def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
 
 
 @lru_cache(maxsize=64)
-def realized_table(system: SmaleSystem, max_digit: int, memory: int) -> TablePotential:
-    """Memory-k table of base log-derivative values (scale 1)."""
+def realized_table(system: SmaleSystem, max_digit: int, memory: int) -> np.ndarray:
+    """Base log-derivative values (scale 1) by memory-word code, read-only."""
     M = check_max_digit(max_digit)
     if memory < 1:
         raise ConfigError("realization memory must be >= 1")
     vals = periodic_log_derivatives(system, M, memory)
-    entries = tuple((w, float(v))
-                    for w, v in zip(enumerate_pair_words(M, memory), vals))
-    return TablePotential(max_digit=M, memory=memory, entries=entries)
+    if not np.isfinite(vals).all():
+        raise ConfigError("table values must be finite")
+    vals.flags.writeable = False
+    return vals
 
 
 def potential_approx_error(system: SmaleSystem, memory: int) -> float:
@@ -227,25 +228,26 @@ def potential_approx_error(system: SmaleSystem, memory: int) -> float:
     return system.distortion_bound * gap ** system.distortion_alpha
 
 
-def _realize(potential, max_digit: int, memory):
-    """(table, approx_error, base_is_log_derivative) for any potential kind."""
-    M = check_max_digit(max_digit)
+def _realize(potential, M: int, memory, L: int):
+    """(base values on L-word codes, scale, approx_error, base_is_log_derivative).
+
+    ``L`` is ``_table_memory(potential, memory)``; a geometric base is the
+    cached realization itself, never a copy.
+    """
     if isinstance(potential, ConstantPotential):
-        entries = tuple(((s,), potential.value) for s in pair_alphabet(M))
-        return TablePotential(M, 1, entries), 0.0, False
+        if not math.isfinite(potential.value):
+            raise ConfigError("table values must be finite")
+        return np.full((M * M) ** L, float(potential.value)), 1.0, 0.0, False
     if isinstance(potential, TablePotential):
         if potential.max_digit != M:
             raise ConfigError(
                 f"table truncation {potential.max_digit} does not match M={M}")
         if memory is not None and memory < potential.memory:
             raise ConfigError("requested memory below the table's own memory")
-        return potential, 0.0, False
+        return _base_flat(potential, L), potential.scale, 0.0, False
     if isinstance(potential, GeometricPotential):
-        k = potential.memory if memory is None else memory
-        base = realized_table(potential.system, M, k)
-        table = TablePotential(M, k, base.entries, scale=potential.s)
-        err = potential.s * potential_approx_error(potential.system, k)
-        return table, err, True
+        err = potential.s * potential_approx_error(potential.system, L)
+        return realized_table(potential.system, M, L), potential.s, err, True
     raise ConfigError(f"unknown potential kind {type(potential).__name__}")
 
 
@@ -268,22 +270,22 @@ class McEstimate:
 class GibbsApprox:
     """Stationary Markov Gibbs state on k-word states of the truncation.
 
-    States carry the full-alphabet word codes that survived support pruning.
-    Row i of ``transition`` holds the probabilities of the A = M^2 successor
-    slots of state i (slot a appends symbol a); ``successors`` holds the
-    state index of each slot, -1 where the slot is pruned, and such slots
-    carry probability zero.  ``stationary`` is the invariant law and
-    ``log_pressure`` the log Perron root of the weight operator.  The health
-    fields record the Perron solve: its iteration count, the relative right
-    and left eigen-residuals, and the l1 stationarity residual |pi P - pi|.
+    Arrays are indexed by the full-alphabet word code of the state.  Row i
+    of ``transition`` holds the probabilities of the A = M^2 successor slots
+    of code i: slot a moves to (i mod A^(k-1)) * A + a and appends symbol a.
+    Codes removed by support pruning have stationary mass zero and an
+    all-zero row; ``n_states`` counts the live codes.  ``stationary`` is the
+    invariant law and ``log_pressure`` the log Perron root of the weight
+    operator.  The health fields record the Perron solve: its iteration
+    count, the relative right and left eigen-residuals, and the l1
+    stationarity residual |pi P - pi|.
     """
 
     max_digit: int
     memory: int
     log_pressure: float
-    states: np.ndarray = field(repr=False)
+    n_states: int
     transition: np.ndarray = field(repr=False)
-    successors: np.ndarray = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
     gram_base: np.ndarray = field(repr=False)
@@ -292,17 +294,12 @@ class GibbsApprox:
     perron_iterations: int = 0
     perron_residual: tuple = (0.0, 0.0)
     stationarity_residual: float = 0.0
-    _lookup: np.ndarray = field(default=None, repr=False)
     _kernels: tuple = field(default=None, repr=False)
     _hat_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def alphabet_size(self) -> int:
         return self.max_digit * self.max_digit
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
 
     def health(self) -> dict:
         """Numerical health of the chain, as recorded in run records."""
@@ -311,14 +308,6 @@ class GibbsApprox:
                 "perron_iterations": self.perron_iterations,
                 "perron_residual": {"right": right, "left": left},
                 "stationarity_residual": self.stationarity_residual}
-
-    def lookup(self) -> np.ndarray:
-        """Full word-code -> pruned state index (-1 when pruned)."""
-        if self._lookup is None:
-            full = np.full(self.alphabet_size ** self.memory, -1, dtype=np.int64)
-            full[self.states] = np.arange(self.n_states)
-            self._lookup = full
-        return self._lookup
 
     # -- masses ------------------------------------------------------------
 
@@ -329,11 +318,10 @@ class GibbsApprox:
         if len(w) < L:
             code = _word_code(w, self.max_digit)
             reps = A ** (L - len(w))
-            sel = (self.states >= code * reps) & (self.states < (code + 1) * reps)
-            mass = float(self.stationary[sel].sum())
+            mass = float(self.stationary[code * reps:(code + 1) * reps].sum())
             return math.log(mass) if mass > 0 else -math.inf
-        cur = self.lookup()[_word_code(w[:L], self.max_digit)]
-        if cur < 0:
+        cur = _word_code(w[:L], self.max_digit)
+        if self.stationary[cur] <= 0:
             return -math.inf
         out = math.log(self.stationary[cur])
         for sym in w[L:]:
@@ -341,43 +329,36 @@ class GibbsApprox:
             if self.transition[cur, a] <= 0:
                 return -math.inf
             out += math.log(self.transition[cur, a])
-            cur = self.successors[cur, a]
+            cur = (cur % A ** (L - 1)) * A + a
         return out
 
     def symbol_marginal(self) -> np.ndarray:
         """Stationary law of the symbol at one position (full alphabet)."""
-        A = self.alphabet_size
-        first = self.states // A ** (self.memory - 1)
-        out = np.zeros(A)
-        np.add.at(out, first, self.stationary)
-        return out
+        return self.stationary.reshape(self.alphabet_size, -1).sum(axis=1)
 
     # -- sampling ----------------------------------------------------------
 
     def _cums(self):
-        """(cumulative slot law, next state) of the forward and reversed chains.
+        """Cumulative slot laws of the forward and reversed chains.
 
-        The reversed chain steps from state j to the A predecessors
+        Slot a of the reversed chain steps from code j to its predecessor
         a * A^(L-1) + j // A, with probability pi_i P(i, j) / pi_j.
         """
         if self._kernels is None:
             A, L = self.alphabet_size, self.memory
-            pred = self.lookup()[np.arange(A)[None, :] * A ** (L - 1)
-                                 + (self.states // A)[:, None]]
-            src = np.where(pred >= 0, pred, 0)
-            rev = np.where(pred >= 0, self.stationary[src]
-                           * self.transition[src, (self.states % A)[:, None]],
-                           0.0) / self.stationary[:, None]
-            rev /= rev.sum(axis=1, keepdims=True)
-            self._kernels = ((_cum_table(self.transition), self.successors),
-                             (_cum_table(rev), pred))
+            codes = np.arange(A ** L)
+            pred = np.arange(A)[None, :] * A ** (L - 1) + (codes // A)[:, None]
+            rev = _row_law(self.stationary[pred]
+                           * self.transition[pred, (codes % A)[:, None]],
+                           self.stationary)
+            self._kernels = (_cum_table(self.transition), _cum_table(rev))
         return self._kernels
 
     @staticmethod
-    def _step(kernel, state, rng):
-        cum, nxt = kernel
-        u = rng.random(len(state))
-        return nxt[state, (cum[state] <= u[:, None]).sum(axis=1)]
+    def _step(cum, code, rng):
+        """Slot drawn for each code from its cumulative slot law."""
+        u = rng.random(len(code))
+        return (cum[code] <= u[:, None]).sum(axis=1)
 
     def sample_forward(self, n_symbols: int, count: int, rng) -> np.ndarray:
         """Symbol codes of forward words drawn from the stationary chain."""
@@ -386,19 +367,17 @@ class GibbsApprox:
         if n_symbols < L:
             raise InvalidWord(f"need at least {L} symbols per draw")
         ahead, _ = self._cums()
-        state = rng.choice(self.n_states, size=count, p=self.stationary)
-        return self._emit_forward(state, n_symbols, ahead, rng)
+        code = rng.choice(len(self.stationary), size=count, p=self.stationary)
+        return self._emit_forward(code, n_symbols, ahead, rng)
 
-    def _emit_forward(self, state, n_symbols, ahead, rng):
+    def _emit_forward(self, code, n_symbols, ahead, rng):
         L, A = self.memory, self.alphabet_size
-        out = np.empty((len(state), n_symbols), dtype=np.int64)
-        code = self.states[state]
+        out = np.empty((len(code), n_symbols), dtype=np.int64)
         for i in range(L):
             out[:, i] = (code // A ** (L - 1 - i)) % A
-        cur = state
         for t in range(L, n_symbols):
-            cur = self._step(ahead, cur, rng)
-            out[:, t] = self.states[cur] % A
+            out[:, t] = self._step(ahead, code, rng)
+            code = (code % A ** (L - 1)) * A + out[:, t]
         return out
 
     def sample_two_sided(self, n_past: int, n_forward: int, count: int, rng):
@@ -410,14 +389,14 @@ class GibbsApprox:
         """
         rng = _rng(rng)
         ahead, back = self._cums()
-        A = self.alphabet_size
-        state0 = rng.choice(self.n_states, size=count, p=self.stationary)
+        A, L = self.alphabet_size, self.memory
+        code0 = rng.choice(len(self.stationary), size=count, p=self.stationary)
         past = np.empty((count, n_past), dtype=np.int64)
-        cur = state0
+        code = code0
         for j in range(n_past):
-            cur = self._step(back, cur, rng)
-            past[:, j] = self.states[cur] // A ** (self.memory - 1)
-        fwd = self._emit_forward(state0, n_forward, ahead, rng)
+            past[:, j] = self._step(back, code, rng)
+            code = past[:, j] * A ** (L - 1) + code // A
+        fwd = self._emit_forward(code0, n_forward, ahead, rng)
         M = self.max_digit
         return (past // M + 1, past % M + 1, fwd // M + 1, fwd % M + 1)
 
@@ -456,27 +435,19 @@ class GibbsApprox:
             rot = (rot % A ** (n - 1)) * A + rot // A ** (n - 1)
         return S
 
-    def _step_matrix(self) -> np.ndarray:
-        """log transition probability by (source full code, appended symbol)."""
-        step = np.full((self.alphabet_size ** self.memory, self.alphabet_size),
-                       -np.inf)
-        with np.errstate(divide="ignore"):
-            step[self.states] = np.log(self.transition)
-        return step
-
     def _hat_compute(self, depth: int) -> float:
         A, L = self.alphabet_size, self.memory
         if A ** depth > ENUMERATION_CAP:
             raise EnumerationCapExceeded(f"{A**depth} words exceed the cap")
-        logpi = np.full(A ** L, -np.inf)
-        logpi[self.states] = np.log(self.stationary)
-        step = self._step_matrix()
+        with np.errstate(divide="ignore"):
+            logm, step = np.log(self.stationary), np.log(self.transition)
         worst = 1.0
         codes = np.arange(A ** L, dtype=np.int64)
-        logm = logpi
         for n in range(L, depth + 1):
             S = self._rep_values(n)
-            ratio = logm - (S - n * self.log_pressure)
+            # a forbidden word has logm = S = -inf; its NaN ratio is dropped
+            with np.errstate(invalid="ignore"):
+                ratio = logm - (S - n * self.log_pressure)
             finite = np.isfinite(ratio)
             if finite.any():
                 worst = max(worst, float(np.exp(np.abs(ratio[finite]).max())))
@@ -485,6 +456,13 @@ class GibbsApprox:
                 logm = (logm[:, None] + step[end_code]).ravel()
                 codes = (codes[:, None] * A + np.arange(A)[None, :]).ravel()
         return worst
+
+
+def _row_law(flow: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Rows flow / mass normalised to sum 1; rows of zero mass stay zero."""
+    live = (mass > 0)[:, None]
+    law = np.divide(flow, mass[:, None], out=np.zeros_like(flow), where=live)
+    return np.divide(law, law.sum(axis=1, keepdims=True), out=law, where=live)
 
 
 def _cum_table(P: np.ndarray) -> np.ndarray:
@@ -537,18 +515,26 @@ def _prune_support(finite: np.ndarray, A: int) -> np.ndarray:
         alive = new
 
 
-def _check_primitive(successors: np.ndarray):
-    """Irreducible (one strong component) and aperiodic (BFS-level gcd 1)."""
-    n = len(successors)
-    src, slot = np.nonzero(successors >= 0)
-    dst = successors[src, slot]
+def _successors(A: int, L: int) -> np.ndarray:
+    """(A^L, A) table of the code each slot leads to."""
+    return (np.arange(A ** L) % A ** (L - 1))[:, None] * A + np.arange(A)
+
+
+def _check_primitive(alive: np.ndarray, succ: np.ndarray):
+    """Live codes form one strong component of period 1 (BFS-level gcd)."""
+    n = len(alive)
+    src, slot = np.nonzero(alive[:, None] & alive[succ])
+    dst = succ[src, slot]
     graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    n_comp = len(np.unique(labels[alive]))
     if n_comp > 1:
         raise NonPrimitive(
             f"transition support is reducible ({n_comp} strong components)")
-    level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
-    period = int(np.gcd.reduce(np.abs(level[src] + 1 - level[dst])))
+    # pruned codes are isolated: their level is inf, but no live edge reads it
+    level = shortest_path(graph, unweighted=True, indices=int(np.argmax(alive)))
+    gaps = np.abs(level[src] + 1 - level[dst]).astype(np.int64)
+    period = int(np.gcd.reduce(gaps))
     if period > 1:
         raise NonPrimitive(f"transition support has period {period}")
 
@@ -605,34 +591,26 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     if A ** L > STATE_CAP:
         raise EnumerationCapExceeded(
             f"{A**L} states exceed the cap {STATE_CAP}; lower the memory")
-    table, err, geo = _realize(potential, M, memory)
-    base = _base_flat(table, L)
-    gram = _scaled(base, table.scale)
+    base, scale, err, geo = _realize(potential, M, memory, L)
+    gram = _scaled(base, scale)
     alive = _prune_support(np.isfinite(gram), A)
     if not alive.any():
         raise NonPrimitive("no admissible bi-infinite words")
-    keep = np.where(alive)[0]
-    lookup = np.full(A ** L, -1, dtype=np.int64)
-    lookup[keep] = np.arange(len(keep))
-    succ_code = (keep % A ** (L - 1))[:, None] * A + np.arange(A)[None, :]
-    successors = lookup[succ_code]
-    _check_primitive(successors)
+    succ = _successors(A, L)
+    _check_primitive(alive, succ)
 
-    m0 = gram[keep].max()
+    m0 = gram[alive].max()
     w = np.zeros(A ** L)
-    w[keep] = np.exp(gram[keep] - m0)
+    w[alive] = np.exp(gram[alive] - m0)
     h, nu, rho, iterations, res = _perron(w, alive, A)
-    if (h[keep] <= 0).any() or (nu[keep] <= 0).any():
+    if (h[alive] <= 0).any() or (nu[alive] <= 0).any():
         raise NonPrimitive("Perron eigenvectors not strictly positive")
-    P = w[keep, None] * h[succ_code] / (rho * h[keep, None])
-    P /= P.sum(axis=1, keepdims=True)
-    pi = nu[keep] * h[keep]
+    P = _row_law(w[:, None] * h[succ], rho * h)
+    pi = nu * h
     pi /= pi.sum()
-    # pi P on full codes: the flow of edge (i, a) lands on (i mod A^(L-1)) A + a
-    flow = np.zeros((A ** L, A))
-    flow[keep] = pi[:, None] * P
-    stat_res = float(np.abs(flow.reshape(A, -1, A).sum(axis=0).ravel()[keep]
-                            - pi).sum())
+    # pi P: the flow of edge (i, a) lands on (i mod A^(L-1)) A + a
+    flow = (pi[:, None] * P).reshape(A, -1, A).sum(axis=0).ravel()
+    stat_res = float(np.abs(flow - pi).sum())
     for name, value in (("right Perron residual", res[0]),
                         ("left Perron residual", res[1]),
                         ("stationarity residual", stat_res)):
@@ -641,9 +619,8 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
 
     return GibbsApprox(
         max_digit=M, memory=L,
-        log_pressure=float(np.log(rho) + m0),
-        states=keep, transition=P, successors=successors, stationary=pi,
-        gram=gram, gram_base=base,
+        log_pressure=float(np.log(rho) + m0), n_states=int(alive.sum()),
+        transition=P, stationary=pi, gram=gram, gram_base=base,
         potential_error=err, is_geometric=geo,
         perron_iterations=iterations, perron_residual=res,
         stationarity_residual=stat_res,
@@ -702,8 +679,8 @@ def pressure_cylinder_sum(potential, max_digit: int, depth: int,
         raise EnumerationCapExceeded(
             f"(M^2)^{depth + L - 1} = {A**(depth + L - 1)} cylinder extensions "
             "exceed the cap")
-    table, err, _ = _realize(potential, M, memory)
-    gram = _scaled(_base_flat(table, L), table.scale)
+    base, scale, err, _ = _realize(potential, M, memory, L)
+    gram = _scaled(base, scale)
     logZ = [_log_partition(gram, L, A, j) for j in range(1, depth + 1)]
     if not math.isfinite(logZ[0]):
         raise SummabilityFailure("depth-1 cylinder sum is not finite")
@@ -729,7 +706,8 @@ def entropy(g: GibbsApprox) -> float:
 
 def potential_mean(g: GibbsApprox) -> float:
     """Integral of the potential against the Gibbs state."""
-    return float(g.stationary @ g.gram[g.states])
+    # a pruned code may hold -inf, and its zero mass times -inf is NaN
+    return float(g.stationary @ np.where(g.stationary > 0, g.gram, 0.0))
 
 
 def variational_gap(g: GibbsApprox) -> float:
@@ -766,11 +744,8 @@ def marginal_entropy_details(g: GibbsApprox, which: int, depth: int
     if max(M ** depth * g.n_states, M ** (depth - L) * A ** L) > 5 * 10 ** 7:
         raise EnumerationCapExceeded("digit-word sweep exceeds the cap")
     R = A ** (L - 1)
-    P = np.zeros((A ** L, A))
-    P[g.states] = g.transition
-    P = P.reshape(M, M, R, A)
-    beta = np.zeros((1, A ** L))
-    beta[0, g.states] = g.stationary
+    P = g.transition.reshape(M, M, R, A)
+    beta = g.stationary.reshape(1, A ** L)
     # a code's pair digits are (m_1, n_1, ..., m_L, n_L); sum the other coordinate
     other = tuple(range(2 if which == 1 else 1, 2 * L + 1, 2))
     sweep = "pebr,ebra->pera" if which == 1 else "pber,bera->pera"
@@ -798,7 +773,7 @@ def marginal_entropy(g: GibbsApprox, which: int, depth: int = 8) -> float:
 
 def lyapunov_marginal(g: GibbsApprox, which: int, n_samples: int = 2000,
                       orbit_len: int = 100, rng_seed=0,
-                      window: int = 12) -> McEstimate:
+                      window: int = CONTEXT_DEPTH) -> McEstimate:
     """Birkhoff average of -log of the digit-map derivative modulus.
 
     Each orbit contributes the average of 2 log(x_{t+1} + d_t) with x the
@@ -820,7 +795,7 @@ def lyapunov_marginal(g: GibbsApprox, which: int, n_samples: int = 2000,
 
 def lyapunov_fiber(g: GibbsApprox, system: SmaleSystem, n_samples: int = 4000,
                    past_depth: int = 40, rng_seed=0,
-                   window: int = 12) -> McEstimate:
+                   window: int = CONTEXT_DEPTH) -> McEstimate:
     """Monte Carlo -int log|T'| at fiber points from backward sampling."""
     if past_depth < 10:
         raise InvalidWord("past_depth must be >= 10")
@@ -848,7 +823,7 @@ def lyapunov_fiber_exact(g: GibbsApprox) -> float:
     """
     if not g.is_geometric:
         raise ConfigError("exact fiber exponent needs a geometric potential")
-    return float(-(g.stationary @ g.gram_base[g.states]))
+    return float(-(g.stationary @ g.gram_base))
 
 
 def lyapunov_fiber_table_mc(g: GibbsApprox, n_samples: int = 4000,
@@ -915,8 +890,7 @@ class MeasureStats:
 
 def measure_stats(g: GibbsApprox, system: SmaleSystem, depth: int = 8,
                   n_samples: int = 4000, orbit_len: int = 100,
-                  past_depth: int = 40, rng_seed=0,
-                  exact_fiber: bool = None) -> MeasureStats:
+                  past_depth: int = 40, rng_seed=0) -> MeasureStats:
     """Assemble the entropy/exponent summary of one Gibbs state.
 
     chi_T uses the exact table expectation when the potential is geometric
@@ -929,8 +903,7 @@ def measure_stats(g: GibbsApprox, system: SmaleSystem, depth: int = 8,
     h2 = marginal_entropy(g, 2, depth)
     chi1 = lyapunov_marginal(g, 1, n_samples, orbit_len, ss[0]).value
     chi2 = lyapunov_marginal(g, 2, n_samples, orbit_len, ss[1]).value
-    use_exact = g.is_geometric if exact_fiber is None else exact_fiber
-    if use_exact:
+    if g.is_geometric:
         chi_T = lyapunov_fiber_exact(g)
     else:
         chi_T = lyapunov_fiber(g, system, n_samples, past_depth, ss[2]).value

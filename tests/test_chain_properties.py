@@ -107,7 +107,7 @@ def test_perron_data_match_dense_eig(table):
     primitive, keep = oracle_verdict(logW)
     hypothesis.assume(primitive)
     g = gibbs_markov.__wrapped__(table, table.max_digit)
-    assert np.array_equal(g.states, keep)
+    assert np.array_equal(np.flatnonzero(g.stationary > 0), keep)
     W = np.exp(logW[np.ix_(keep, keep)])
     vals, vecs = np.linalg.eig(W)
     i = int(np.argmax(np.abs(vals)))
@@ -116,7 +116,7 @@ def test_perron_data_match_dense_eig(table):
     h, nu = np.abs(np.real(vecs[:, i])), np.abs(np.real(lvecs[:, j]))
     pi = nu * h / (nu @ h)
     assert g.log_pressure == pytest.approx(math.log(vals[i].real), abs=1e-12)
-    np.testing.assert_allclose(g.stationary, pi, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(g.stationary[keep], pi, rtol=0, atol=1e-10)
     assert g.perron_iterations >= 1
     assert max(g.perron_residual) <= 1e-10
     assert g.stationarity_residual <= 1e-10
@@ -133,8 +133,7 @@ def test_sampled_steps_are_allowed(table, seed):
     pm, pn, fm, fn = g.sample_two_sided(6, L + 4, 50, seed)
     past = ((pm - 1) * M + pn - 1)[:, ::-1]
     word = np.concatenate([past, (fm - 1) * M + fn - 1], axis=1)
-    alive = np.zeros(A ** L, dtype=bool)
-    alive[g.states] = True
+    alive = g.stationary > 0
     # every L-window of the two-sided word is a live state, so every step
     # between consecutive windows is an allowed edge
     for t in range(word.shape[1] - L + 1):

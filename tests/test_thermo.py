@@ -82,7 +82,8 @@ class TestPotentials:
                                    inner_factor=0.5)
         sim = make_system("similarity", schedule=sched)
         table = realized_table(sim, 2, 1)
-        assert all(v == pytest.approx(math.log(0.1)) for _, v in table.entries)
+        assert all(v == pytest.approx(math.log(0.1)) for v in table)
+        assert not table.flags.writeable
         assert potential_approx_error(sim, 1) == 0.0
 
     def test_realization_error_decays_with_memory(self, conj):
@@ -179,8 +180,12 @@ class TestGibbsChain:
             assert 1 <= health["perron_iterations"] < thermo.PERRON_MAX_ITER
             assert max(g.perron_residual) <= thermo.HEALTH_TOL
             assert g.stationarity_residual <= thermo.HEALTH_TOL
-            pi_P = np.zeros(g.n_states)
-            np.add.at(pi_P, g.successors.ravel(),
+            # slot a of code i leads to (i mod A^(L-1)) * A + a
+            A, L = g.alphabet_size, g.memory
+            succ = ((np.arange(A ** L) % A ** (L - 1))[:, None] * A
+                    + np.arange(A))
+            pi_P = np.zeros(A ** L)
+            np.add.at(pi_P, succ.ravel(),
                       (g.stationary[:, None] * g.transition).ravel())
             assert np.abs(pi_P - g.stationary).sum() <= 1e-12
 
@@ -197,12 +202,13 @@ class TestGibbsChain:
 
 
 class TestGibbsProperty:
-    def test_sandwich_constant_is_depth_stable(self, conj):
-        g = gibbs_markov(GeometricPotential(conj, 1.5), 2, memory=2)
-        c5 = g.gibbs_constant_hat(5)
-        c6 = g.gibbs_constant_hat(6)
-        assert c5 >= 1.0
-        assert c6 == pytest.approx(c5, rel=1e-9)
+    def test_sandwich_constant_is_depth_stable(self, conj, bernoulli):
+        for g in (gibbs_markov(GeometricPotential(conj, 1.5), 2, memory=2),
+                  bernoulli):
+            c5 = g.gibbs_constant_hat(5)
+            c6 = g.gibbs_constant_hat(6)
+            assert c5 >= 1.0
+            assert c6 == pytest.approx(c5, rel=1e-9)
 
     def test_sampled_ratios_inside_sandwich(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.5), 2, memory=2)
@@ -362,15 +368,13 @@ class TestSampling:
 
         A, R = g.alphabet_size, g.alphabet_size ** (g.memory - 1)
         fwd, bwd = g._cums()
-        src = np.arange(g.n_states)
-        nxt = g._step(fwd, src, Fixed())
-        assert (nxt >= 0).all()
-        assert (g.states[nxt] // A == g.states[src] % R).all()
-        assert (g.transition[src, g.states[nxt] % A] > 0).all()
-        prv = g._step(bwd, src, Fixed())
-        assert (prv >= 0).all()
-        assert (g.states[prv] % R == g.states[src] // A).all()
-        assert (g.transition[prv, g.states[src] % A] > 0).all()
+        src = np.flatnonzero(g.stationary > 0)
+        slot = g._step(fwd, src, Fixed())
+        assert (g.transition[src, slot] > 0).all()
+        # backward slot a leads to the predecessor a * A^(L-1) + src // A
+        prv = g._step(bwd, src, Fixed()) * R + src // A
+        assert (g.stationary[prv] > 0).all()
+        assert (g.transition[prv, src % A] > 0).all()
 
     def test_forward_length_guard(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2, memory=2)
