@@ -116,11 +116,9 @@ def cmd_dimension(config: dict, out_dir: str):
     report = dimension_report(system, M, s_grid, stats, tr["memory"],
                               config["dimension"]["bowen_tol"])
     sweep, values = report.sweep, report.branch_values
-    for s, _, flag in sweep.curve:
-        if flag != "ok":
-            warnings.append(f"sweep point s={s:g} {flag}")
     results = {
         "bowen_root": sweep.delta_T,
+        "bowen": dataclasses.asdict(sweep.bowen),
         "sup_curve": sweep.sup_value,
         "argmax": sweep.argmax,
         "gap": sweep.gap,

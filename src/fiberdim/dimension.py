@@ -13,13 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import BracketFailure, ConfigError, DegenerateExponent, SummabilityFailure
+from .errors import BracketFailure, ConfigError, DegenerateExponent
 from .systems import SmaleSystem
 from .thermo import (
     GeometricPotential,
-    GibbsApprox,
     MeasureStats,
     entropy,
     gibbs_markov,
@@ -27,8 +25,8 @@ from .thermo import (
 )
 from .words import check_max_digit
 
-#: Bisection bracket ceiling for the Bowen root.
-S_MAX = 10.0
+#: Newton step cap for the Bowen and Moran roots.
+BOWEN_MAX_ITER = 50
 
 #: Tail-exponent margin separating summable/divergent verdicts from
 #: inconclusive ones.
@@ -126,9 +124,14 @@ def summability_scan(system: SmaleSystem, s_grid, m_schedule=(4, 8, 16, 32, 64)
 # ---------------------------------------------------------------------------
 # fiber dimension and the Bowen root
 
-def fiber_gibbs(system: SmaleSystem, s: float, max_digit: int,
-                memory: int = None) -> GibbsApprox:
-    return gibbs_markov(GeometricPotential(system, float(s)), max_digit, memory)
+def _fiber_dimension(system: SmaleSystem, s: float, max_digit: int,
+                     memory: int = None) -> tuple:
+    """(h/chi, chi, log pressure) of the geometric Gibbs state at s."""
+    g = gibbs_markov(GeometricPotential(system, float(s)), max_digit, memory)
+    chi = lyapunov_fiber_exact(g)
+    if chi <= 0:
+        raise DegenerateExponent(f"fiber exponent {chi} not positive")
+    return entropy(g) / chi, chi, g.log_pressure
 
 
 def fiber_measure_dimension(system: SmaleSystem, s: float, max_digit: int,
@@ -139,15 +142,13 @@ def fiber_measure_dimension(system: SmaleSystem, s: float, max_digit: int,
     using the same expectation on both axes keeps the curve's maximum pinned
     to the Bowen root instead of floating on Monte Carlo noise.
     """
-    g = fiber_gibbs(system, s, max_digit, memory)
-    chi = lyapunov_fiber_exact(g)
-    if chi <= 0:
-        raise DegenerateExponent(f"fiber exponent {chi} not positive")
-    return entropy(g) / chi
+    return _fiber_dimension(system, s, max_digit, memory)[0]
 
 
 @dataclass(frozen=True)
 class BowenResult:
+    """Last Newton iterate, its pressure, the chain builds, and (root, h/chi)."""
+
     root: float
     residual: float
     iterations: int
@@ -156,69 +157,63 @@ class BowenResult:
 
 def bowen_dimension(system: SmaleSystem, max_digit: int, tol: float = 1e-4,
                     memory: int = None, details: bool = False):
-    """Root of s -> pressure(s geometric) by bisection on [0, S_MAX].
+    """Root of s -> pressure(s geometric) by Newton iteration from s = 0.
 
-    Pressure is strictly decreasing in s for uniformly contracting systems,
-    so a sign change brackets the unique root.
+    The realized pressure P(s) = h - s chi is convex with P' = -chi, so the
+    Newton step s + P/chi is the fiber dimension h/chi at s, and the
+    iterates increase to the root.  The iteration stops once the step is at
+    most ``tol``, or once it stops shrinking: in exact arithmetic a step
+    shrinks unless chi more than halves, so otherwise it has reached float
+    resolution.
     """
     M = check_max_digit(max_digit)
-
-    def P(s: float) -> float:
-        return fiber_gibbs(system, s, M, memory).log_pressure
-
-    lo, p_lo = 0.0, P(0.0)
-    if p_lo <= 0:
-        raise BracketFailure(f"pressure at s=0 is {p_lo}, expected positive")
-    hi = None
-    for cand in (1.0, 2.0, 4.0, 8.0, S_MAX):
-        if P(cand) <= 0:
-            hi = cand
+    s = 0.0
+    delta, chi, pressure = _fiber_dimension(system, s, M, memory)
+    if pressure <= 0:
+        raise BracketFailure(f"pressure at s=0 is {pressure}, expected positive")
+    step, builds = delta, 1
+    while step > tol:
+        if builds == BOWEN_MAX_ITER:
+            raise BracketFailure(
+                f"no Bowen root within {BOWEN_MAX_ITER} chain builds "
+                f"(last step {step:g})")
+        s, last_step, last_chi = delta, step, chi
+        delta, chi, pressure = _fiber_dimension(system, s, M, memory)
+        builds += 1
+        step = abs(delta - s)
+        if step >= last_step and 2.0 * chi > last_chi:
             break
-        lo = cand
-    if hi is None:
-        raise BracketFailure(f"no pressure sign change up to s={S_MAX}")
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if P(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    root = 0.5 * (lo + hi)
-    result = BowenResult(root=root, residual=P(root), iterations=iterations,
-                         bracket=(lo, hi))
+    result = BowenResult(root=s, residual=pressure, iterations=builds,
+                         bracket=tuple(sorted((s, delta))))
     return result if details else result.root
 
 
 def moran_root(moduli, tol: float = 1e-14) -> float:
-    """Independent scalar solve of sum(moduli^s) = 1."""
-    mods = [float(r) for r in moduli]
-    if not mods or any(not (0 < r < 1) for r in mods):
+    """Independent scalar solve of sum(moduli^s) = 1 by Newton from s = 0.
+
+    log sum r^s is convex with slope m1 < 0, the tilted mean of log r, so
+    the step -log(sum r^s)/m1 moves up to the root; it stops by the rule of
+    ``bowen_dimension`` with -m1 in place of chi.
+    """
+    mods = np.array([float(r) for r in moduli])
+    if not mods.size or not np.all((mods > 0) & (mods < 1)):
         raise ConfigError("moduli must lie in (0, 1)")
-
-    def f(s):
-        return sum(r ** s for r in mods) - 1.0
-
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > 1e4:
-            raise BracketFailure("no Moran root below s = 1e4")
-    return float(brentq(f, 0.0, hi, xtol=tol))
+    s, step, chi = 0.0, math.inf, math.inf
+    for _ in range(BOWEN_MAX_ITER):
+        log_z, m1, _, _ = _similarity_moments(mods, s)
+        last_step, last_chi = step, chi
+        step, chi = abs(log_z / m1), -m1
+        s -= log_z / m1
+        if step <= tol or (step >= last_step and 2.0 * chi > last_chi):
+            return s
+    raise BracketFailure(f"no Moran root within {BOWEN_MAX_ITER} Newton steps")
 
 
 # ---------------------------------------------------------------------------
 # global dimension branch formulas
 
-def _check_stats(stats):
-    if not (stats.chi1 > 0 and stats.chi2 > 0 and stats.chi_T > 0):
-        raise DegenerateExponent("branch formulas need positive exponents")
-
-
 def branch_value(stats, branch: str) -> float:
     """Evaluate one closed-form branch of the global dimension."""
-    _check_stats(stats)
     if branch == "b":
         z_part = (stats.h_mu - stats.h_mu1 * (1.0 - stats.chi2 / stats.chi1)) / stats.chi2
     elif branch == "c":
@@ -230,15 +225,13 @@ def branch_value(stats, branch: str) -> float:
 
 def z_marginal_dimension(stats, branch: str = None) -> float:
     """The z-marginal part of the selected branch formula."""
-    _check_stats(stats)
     if branch is None:
-        branch = "b" if stats.lambda1 < stats.lambda2 else "c"
+        branch = global_dimension(stats)[1]
     return branch_value(stats, branch) - stats.h_mu / stats.chi_T
 
 
 def global_dimension(stats) -> tuple:
     """(value, branch): branch b exactly when lambda1 < lambda2."""
-    _check_stats(stats)
     branch = "b" if stats.lambda1 < stats.lambda2 else "c"
     return branch_value(stats, branch), branch
 
@@ -251,7 +244,8 @@ class SweepResult:
     """Fiber-dimension curve over an s grid with self-consistency gauges.
 
     Iterating yields (curve, sup_value, argmax, delta_T, gap); the extra
-    fields carry the smoothness proxy and the measured exponent floor.
+    fields carry the smoothness proxy, the measured exponent floor, and the
+    Bowen solve whose root is delta_T.
     """
 
     curve: tuple  # rows (s, delta, flag)
@@ -262,6 +256,7 @@ class SweepResult:
     second_differences: tuple
     max_second_difference: float
     min_chi: float
+    bowen: BowenResult
 
     def __iter__(self):
         return iter((self.curve, self.sup_value, self.argmax,
@@ -285,42 +280,29 @@ def variational_sweep(system: SmaleSystem, max_digit: int, s_grid,
     s_vals = np.array(sorted(float(s) for s in s_grid))
     if s_vals.size < 3:
         raise ConfigError("need at least 3 grid points")
-    deltas = np.full(s_vals.size, np.nan)
-    chis = np.full(s_vals.size, np.nan)
-    flags = []
-    for i, s in enumerate(s_vals):
-        try:
-            g = fiber_gibbs(system, s, max_digit, memory)
-            chis[i] = lyapunov_fiber_exact(g)
-            deltas[i] = entropy(g) / chis[i]
-            flags.append("ok")
-        except SummabilityFailure as exc:
-            flags.append(f"skipped: {exc}")
-    delta_T = bowen_dimension(system, max_digit, tol=bowen_tol, memory=memory)
-    ok = np.isfinite(deltas)
-    if not ok.any():
-        raise SummabilityFailure("every grid point was skipped")
-    sup_value = float(np.nanmax(deltas))
-    argmax = float(s_vals[int(np.nanargmax(deltas))])
-    d2 = _second_differences(s_vals[ok], deltas[ok])
+    if not np.all(np.diff(s_vals) > 0):
+        raise ConfigError("grid points must be distinct")
+    deltas, chis, _ = np.array([_fiber_dimension(system, s, max_digit, memory)
+                                for s in s_vals]).T
+    bowen = bowen_dimension(system, max_digit, tol=bowen_tol, memory=memory,
+                            details=True)
+    sup_value = float(deltas.max())
+    d2 = _second_differences(s_vals, deltas)
     return SweepResult(
-        curve=tuple((float(s), float(d), f)
-                    for s, d, f in zip(s_vals, deltas, flags)),
-        sup_value=sup_value, argmax=argmax, delta_T=float(delta_T),
-        gap=abs(sup_value - delta_T),
+        curve=tuple((float(s), float(d), "ok") for s, d in zip(s_vals, deltas)),
+        sup_value=sup_value, argmax=float(s_vals[int(deltas.argmax())]),
+        delta_T=bowen.root, gap=abs(sup_value - bowen.root),
         second_differences=tuple(float(x) for x in d2),
-        max_second_difference=float(np.nanmax(np.abs(d2))) if np.isfinite(d2).any() else math.nan,
-        min_chi=float(np.nanmin(chis)),
+        max_second_difference=float(np.nanmax(np.abs(d2))),
+        min_chi=float(chis.min()), bowen=bowen,
     )
 
 
 # ---------------------------------------------------------------------------
 # closed forms for similarity systems
 
-def _similarity_moments(system: SmaleSystem, max_digit: int, s: float):
-    moduli = system.family.moduli(system, max_digit)
-    if moduli is None:
-        raise ConfigError("closed forms exist for similarity systems only")
+def _similarity_moments(moduli: np.ndarray, s: float):
+    """(log Z, m1, m2c, m3c) of log-moduli g under the weights exp(s g)."""
     g = np.log(moduli)
     w = np.exp(s * g)
     Z = w.sum()
@@ -339,7 +321,10 @@ def analytic_similarity_dimension(system: SmaleSystem, max_digit: int,
     delta = s + P/chi; the derivatives follow from the central moments of g
     under the tilted weights.
     """
-    P, m1, m2c, m3c = _similarity_moments(system, max_digit, s)
+    moduli = system.family.moduli(system, max_digit)
+    if moduli is None:
+        raise ConfigError("closed forms exist for similarity systems only")
+    P, m1, m2c, m3c = _similarity_moments(moduli, s)
     if order == 0:
         return s - P / m1
     if order == 1:

@@ -41,7 +41,7 @@ class NonPrimitive(FiberdimError):
 
 
 class BracketFailure(FiberdimError):
-    """Root bracketing for the pressure zero failed on [0, s_max]."""
+    """No pressure zero: P(0) is not positive, or Newton hit its step cap."""
 
 
 class DegenerateExponent(FiberdimError, ValueError):

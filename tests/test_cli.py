@@ -155,10 +155,23 @@ class TestDimensionCommand:
         assert chain["perron_iterations"] >= 1
         assert max(chain["perron_residual"].values()) <= 1e-10
         assert chain["stationarity_residual"] <= 1e-10
+        bowen = results["bowen"]
+        assert bowen["root"] == results["bowen_root"]
+        assert abs(bowen["residual"]) <= 1e-12
+        assert 0 < bowen["iterations"] <= 6
+        assert bowen["bracket"][0] <= bowen["root"] <= bowen["bracket"][1]
 
         lines = (out / "dimension_curve.csv").read_text().splitlines()
         assert lines[0] == "s,delta,flag"
         assert len(lines) == 6
+
+    def test_duplicate_grid_points_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "truncation": {"m_schedule": [2], "memory": 1},
+            "dimension": {"s_grid": [0.5, 0.5, 0.7, 0.9]},
+        })
+        assert run(["dimension", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
 
     def test_summability_warnings_for_small_s(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -93,6 +93,12 @@ class TestMoranRoots:
         want = moran_root([0.0625, 0.0625, 0.03125, 0.03125])
         assert abs(got - want) <= 1e-6
 
+    def test_moran_far_root(self):
+        # near-isometric moduli: the root is about 6.9e6, past any fixed ceiling
+        got = moran_root([0.999999] * 1000)
+        assert got == pytest.approx(math.log(1000) / -math.log(0.999999),
+                                    rel=1e-12)
+
     def test_moran_guards(self):
         with pytest.raises(ConfigError):
             moran_root([])
@@ -100,10 +106,17 @@ class TestMoranRoots:
             moran_root([1.2])
 
     def test_bowen_details(self, conj):
-        res = bowen_dimension(conj, 2, tol=1e-8, details=True)
-        assert res.bracket[0] <= res.root <= res.bracket[1]
-        assert abs(res.residual) <= 1e-6
-        assert res.iterations > 0
+        for M in (2, 3, 4):
+            res = bowen_dimension(conj, M, tol=1e-8, details=True)
+            assert res.bracket[0] <= res.root <= res.bracket[1]
+            assert abs(res.residual) <= 1e-6
+            assert 0 < res.iterations <= 6
+
+    def test_tiny_tol_stops_at_float_resolution(self, conj):
+        res = bowen_dimension(conj, 2, tol=1e-20, details=True)
+        assert res.iterations <= 6
+        assert res.root == pytest.approx(bowen_dimension(conj, 2, tol=1e-10),
+                                         abs=1e-14)
 
     def test_single_map_has_no_root(self):
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.05, 0.0, 0.0),))
@@ -174,8 +187,9 @@ class TestVariationalSweep:
         assert parts[0] is sweep.curve
 
     def test_grid_size_guard(self, conj):
-        with pytest.raises(ConfigError):
-            variational_sweep(conj, 2, (0.5, 1.0))
+        for grid in ((0.5, 1.0), (0.5, 0.5, 0.7, 0.9)):
+            with pytest.raises(ConfigError):
+                variational_sweep(conj, 2, grid)
 
 
 class TestAnalyticSimilarity:
