@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import (build_potential, build_system, config_hash, load_config,
                      resolve_s_grid)
-from .dimension import dimension_report, moran_root, summability_scan
+from .dimension import (check_s_grid, dimension_report, moran_root,
+                        summability_scan)
 from .empirics import box_dimension, exactness_report, local_dimension, \
     sample_measure
 from .errors import ConfigError, FiberdimError, InsufficientScales, InvalidWord
@@ -88,6 +89,9 @@ def cmd_pressure(config: dict, out_dir: str):
             "potential_error": est.potential_error,
             "transfer_log_pressure": g.log_pressure,
             "cross_method_diff": abs(g.log_pressure - est.extrapolated),
+            "successive_differences": [
+                b - a for a, b in zip(est.log_partition, est.log_partition[1:])],
+            "chain": g.health(),
         })
     csv_path = os.path.join(out_dir, "pressure.csv")
     _write_csv(csv_path, "M,n,P_n,extrapolated", rows)
@@ -99,6 +103,7 @@ def cmd_dimension(config: dict, out_dir: str):
     tr = config["truncation"]
     M = tr["m_schedule"][-1]
     s_grid = resolve_s_grid(config)
+    check_s_grid(s_grid)
     warnings = []
     scan = summability_scan(system, s_grid)
     for s, verdict in zip(scan.s_grid, scan.verdicts):

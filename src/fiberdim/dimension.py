@@ -274,14 +274,20 @@ def _second_differences(s: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def variational_sweep(system: SmaleSystem, max_digit: int, s_grid,
-                      memory: int = None, bowen_tol: float = 1e-6) -> SweepResult:
-    """Evaluate the fiber dimension curve and compare its peak to the root."""
+def check_s_grid(s_grid) -> np.ndarray:
+    """The sorted grid; ConfigError unless it has 3 or more distinct points."""
     s_vals = np.array(sorted(float(s) for s in s_grid))
     if s_vals.size < 3:
         raise ConfigError("need at least 3 grid points")
     if not np.all(np.diff(s_vals) > 0):
         raise ConfigError("grid points must be distinct")
+    return s_vals
+
+
+def variational_sweep(system: SmaleSystem, max_digit: int, s_grid,
+                      memory: int = None, bowen_tol: float = 1e-6) -> SweepResult:
+    """Evaluate the fiber dimension curve and compare its peak to the root."""
+    s_vals = check_s_grid(s_grid)
     deltas, chis, _ = np.array([_fiber_dimension(system, s, max_digit, memory)
                                 for s in s_vals]).T
     bowen = bowen_dimension(system, max_digit, tol=bowen_tol, memory=memory,

@@ -78,9 +78,12 @@ class PointCloud:
         return float(np.linalg.norm(hi - lo))
 
     def to_csv(self, path):
-        cols = ",".join(f"x{i + 1}" for i in range(self.dim))
-        np.savetxt(path, self.points, delimiter=",", header=cols,
-                   comments="", newline="\n", fmt="%.17g")
+        """Header x1..xd, then one comma-separated %.17g row per point."""
+        n, d = self.points.shape
+        row = ",".join(["%.17g"] * d) + "\n"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
+            fh.write(row * n % tuple(self.points.ravel().tolist()))
 
 
 def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,

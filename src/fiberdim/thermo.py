@@ -8,8 +8,12 @@ Bruijn graph: each k-word has at most A = M^2 successors and every edge
 weight depends on the source only, so the Perron vectors come from power
 iteration at O(A^k) per step and the chain is stored as an (A^k, A)
 slot-probability table over all k-word codes, never as an n x n matrix.
-An independent pressure route sums exp(sup S_n psi) over depth-n cylinders
-directly, with the sup computed exactly for finite-memory potentials.
+An independent pressure route sums exp(sup S_n psi) over depth-n cylinders,
+with the sup computed exactly for finite-memory potentials.  Because that
+sup reads only each cylinder's last L-1 symbols, one dynamic-programming
+sweep over L-word codes (max-plus for the boundary, log-sum-exp forward)
+gives every depth at O(depth * A^L) cost without enumerating words; it uses
+finite path sums of the table only, no eigenvector and no Perron iterate.
 
 Geometric potentials (s * log of the fiber derivative modulus) have
 unbounded memory through the fiber point; they are realized as memory-k
@@ -27,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
-from scipy.special import logsumexp
 
 from .errors import (
     ConfigError,
@@ -642,22 +645,40 @@ class PressureEstimate:
     potential_error: float
 
 
-def _log_partition(gram: np.ndarray, L: int, A: int, depth: int) -> float:
-    """log sum over depth-n cylinders of exp(exact sup of S_n psi)."""
-    N = depth + L - 1
-    if A ** N > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"(M^2)^{N} = {A**N} cylinder extensions exceed the cap")
-    codes = np.arange(A ** N, dtype=np.int64)
-    S = np.zeros(A ** N)
-    for i in range(depth):
-        win = (codes // A ** (N - i - L)) % A ** L
-        S = S + gram[win]
-    sup = S.reshape(A ** depth, A ** (N - depth)).max(axis=1)
-    finite = sup[np.isfinite(sup)]
-    if finite.size == 0:
-        raise SummabilityFailure("all depth cylinders forbidden")
-    return float(logsumexp(finite))
+def _logsumexp(x: np.ndarray, axis=None):
+    """Max-shifted log sum exp; an all -inf slice gives -inf without warnings."""
+    m = np.max(x, axis=axis, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+
+
+def _cylinder_sweep(gram: np.ndarray, L: int, A: int, depth: int) -> np.ndarray:
+    """log Z_1 .. log Z_depth; Z_n sums exp(sup S_n psi) over depth-n cylinders.
+
+    With K = L - 1, the sup over the K free extension symbols touches only the
+    last K windows, which read only the cylinder's last K symbols.  A max-plus
+    sweep from the right gives beta_j(y), the sup of j windows started at the
+    K-word y; beta_K is the boundary term of every depth n >= K.  A forward
+    log-sum-exp sweep alpha_n(v) over cylinders ending in the K-word v then
+    gives log Z_n = logsumexp_v(alpha_n(v) + beta_K(v)).  A depth n < K
+    cylinder is the first n symbols of a K-word y, so its sup is the max of
+    beta_n over the rest of y.  Each step costs O(A^L).
+    """
+    K = L - 1
+    step = gram.reshape(-1, A)  # row: the first K symbols, column: the last
+    beta = [np.zeros(A ** K)]
+    for _ in range(K):
+        tail = np.tile(beta[-1].reshape(-1, A), (A, 1))
+        beta.append((step + tail).max(axis=1))
+    # log Z_0 = 0 heads the list: the empty cylinder has the single value 0
+    logZ = [_logsumexp(b.reshape(A ** n, -1).max(axis=1))
+            for n, b in enumerate(beta[:min(depth + 1, K)])]
+    alpha = np.zeros(A ** K)
+    for n in range(K, depth + 1):
+        logZ.append(_logsumexp(alpha + beta[K]))
+        alpha = _logsumexp((np.repeat(alpha, A) + gram).reshape(A, -1), axis=0)
+    return np.array(logZ[1:])
 
 
 def pressure_cylinder_sum(potential, max_digit: int, depth: int,
@@ -666,22 +687,28 @@ def pressure_cylinder_sum(potential, max_digit: int, depth: int,
 
     The sup over each cylinder is exact for the realized finite-memory
     potential (max over the boundary extensions); the memory-realization
-    error of geometric potentials is reported, not bounded here.  The
-    extrapolated value is the successive difference log Z_n - log Z_{n-1},
-    which removes the O(1/n) bias of the naive quotient.
+    error of geometric potentials is reported, not bounded here.  All depths
+    come from one dynamic-programming sweep over L-word codes, a max-plus
+    pass for the boundary sup and a log-sum-exp pass for the cylinders, at
+    O(depth * A^L) cost.  It reads only the realized table through finite
+    path sums, so it shares nothing with the Perron solve of
+    ``gibbs_markov``.  The extrapolated value is the successive difference
+    log Z_n - log Z_{n-1}, which removes the O(1/n) bias of the naive
+    quotient.
     """
     if depth < 2:
         raise InvalidWord("need depth >= 2 to extrapolate")
     M = check_max_digit(max_digit)
     A = M * M
     L = _table_memory(potential, memory)
-    if A ** (depth + L - 1) > ENUMERATION_CAP:
+    if depth * A ** L > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"(M^2)^{depth + L - 1} = {A**(depth + L - 1)} cylinder extensions "
+            f"depth {depth} x (M^2)^{L} = {depth * A**L} sweep cells "
             "exceed the cap")
     base, scale, err, _ = _realize(potential, M, memory, L)
-    gram = _scaled(base, scale)
-    logZ = [_log_partition(gram, L, A, j) for j in range(1, depth + 1)]
+    logZ = _cylinder_sweep(_scaled(base, scale), L, A, depth).tolist()
+    if np.isneginf(logZ).any():
+        raise SummabilityFailure("all depth cylinders forbidden")
     if not math.isfinite(logZ[0]):
         raise SummabilityFailure("depth-1 cylinder sum is not finite")
     depth_values = tuple(z / j for j, z in enumerate(logZ, start=1))

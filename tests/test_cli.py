@@ -8,6 +8,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from fiberdim import cli
 from fiberdim.cli import ENV_THREADS, run
 
 
@@ -35,6 +36,11 @@ class TestPressureCommand:
         for value in block["depth_values"]:
             assert value == pytest.approx(math.log(9.0), abs=1e-12)
         assert block["cross_method_diff"] <= 1e-9
+        assert len(block["successive_differences"]) == 3  # n = 2..depth
+        for value in block["successive_differences"]:
+            assert value == pytest.approx(math.log(9.0), abs=1e-12)
+        assert block["chain"]["n_states"] == 9
+        assert max(block["chain"]["perron_residual"].values()) <= 1e-10
 
         lines = (out / "pressure.csv").read_text().splitlines()
         assert lines[0] == "M,n,P_n,extrapolated"
@@ -165,7 +171,12 @@ class TestDimensionCommand:
         assert lines[0] == "s,delta,flag"
         assert len(lines) == 6
 
-    def test_duplicate_grid_points_exit_2(self, tmp_path):
+    def test_duplicate_grid_points_exit_2(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the grid must be rejected before any work")
+
+        monkeypatch.setattr(cli, "summability_scan", forbidden)
+        monkeypatch.setattr(cli, "gibbs_markov", forbidden)
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.5, 0.5, 0.7, 0.9]},

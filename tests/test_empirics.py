@@ -61,6 +61,20 @@ class TestPointCloud:
         back = float(lines[2].split(",")[0])
         assert back == 1.0 / 3.0
 
+    def test_csv_bytes_match_savetxt(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 4):
+            pts = rng.normal(size=(500, d)) * 10.0 ** rng.integers(-300, 300,
+                                                                   (500, d))
+            pts[:3] = [[-0.0] * d, [5e-324] * d, [1.0 / 3.0] * d]
+            cloud = synthetic(pts)
+            cloud.to_csv(tmp_path / "fast.csv")
+            np.savetxt(tmp_path / "ref.csv", cloud.points, delimiter=",",
+                       header=",".join(f"x{i + 1}" for i in range(d)),
+                       comments="", newline="\n", fmt="%.17g")
+            assert ((tmp_path / "fast.csv").read_bytes()
+                    == (tmp_path / "ref.csv").read_bytes())
+
     def test_diameter(self):
         cloud = synthetic(np.array([[0.0, 0.0], [3.0, 4.0]]))
         assert cloud.diameter() == pytest.approx(5.0)

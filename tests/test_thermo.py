@@ -164,7 +164,7 @@ class TestGibbsChain:
             gibbs_markov(GeometricPotential(conj, 1.0), 8, 3)
         with pytest.raises(EnumerationCapExceeded):
             pressure_cylinder_sum(GeometricPotential(square, 0.7), 3,
-                                  depth=6, memory=3)
+                                  depth=20_000, memory=3)
         assert realized_table.cache_info().misses == misses
 
     def test_largest_chain_closes_variational_gap(self, conj):
@@ -260,7 +260,7 @@ class TestCylinderPressure:
     def test_enumeration_cap(self, conj):
         with pytest.raises(EnumerationCapExceeded):
             pressure_cylinder_sum(GeometricPotential(conj, 1.0), 3,
-                                  depth=8, memory=2)
+                                  depth=200_000, memory=2)
 
     def test_constant_depth_values_exact(self):
         est = pressure_cylinder_sum(ConstantPotential(0.3), 2, depth=4)
