@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, InsufficientScales
 from .systems import SmaleSystem, fiber_points_bulk, pi_values_bulk
@@ -188,6 +187,7 @@ def local_dimension(cloud: PointCloud, window=None, n_centers: int = 400,
     rng = _rng(seed)
     idx = rng.choice(cloud.n_points, size=n_centers, replace=False)
     centers = cloud.points[idx]
+    from scipy.spatial import cKDTree  # here, so start-up never loads scipy
     tree = cKDTree(cloud.points)
     counts = np.empty((radii.size, n_centers))
     for j, r in enumerate(radii):

@@ -6,8 +6,10 @@ chain built from Perron eigendata of the weighted transition operator over
 k-word states; its pressure is the log Perron root.  That operator is a de
 Bruijn graph: each k-word has at most A = M^2 successors and every edge
 weight depends on the source only, so the Perron vectors come from power
-iteration at O(A^k) per step and the chain is stored as an (A^k, A)
-slot-probability table over all k-word codes, never as an n x n matrix.
+iteration at O(A^k) per step.  The forward step law of a k-word then
+depends only on its last k-1 symbols and the reversed law only on its first
+k-1, so the chain is (h, nu, rho) stored as two (A^(k-1), A) slot tables,
+never as an n x n matrix.
 An independent pressure route sums exp(sup S_n psi) over depth-n cylinders,
 with the sup computed exactly for finite-memory potentials.  Because that
 sup reads only each cylinder's last L-1 symbols, one dynamic-programming
@@ -29,8 +31,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (
     ConfigError,
@@ -273,13 +273,13 @@ class McEstimate:
 class GibbsApprox:
     """Stationary Markov Gibbs state on k-word states of the truncation.
 
-    Arrays are indexed by the full-alphabet word code of the state.  Row i
-    of ``transition`` holds the probabilities of the A = M^2 successor slots
-    of code i: slot a moves to (i mod A^(k-1)) * A + a and appends symbol a.
-    Codes removed by support pruning have stationary mass zero and an
-    all-zero row; ``n_states`` counts the live codes.  ``stationary`` is the
-    invariant law and ``log_pressure`` the log Perron root of the weight
-    operator.  The health fields record the Perron solve: its iteration
+    ``stationary`` and ``gram`` are indexed by the full-alphabet word code;
+    pruned codes have stationary mass zero, and ``n_states`` counts the live
+    codes.  From code i, forward slot a of the A = M^2 symbols moves to
+    (i mod A^(k-1)) * A + a with probability ``transition[i mod A^(k-1), a]``
+    and reversed slot a to a * A^(k-1) + i // A with probability
+    ``reverse[i // A, a]``.  ``log_pressure`` is the log Perron root of the
+    weight operator.  The health fields record the Perron solve: its iteration
     count, the relative right and left eigen-residuals, and the l1
     stationarity residual |pi P - pi|.
     """
@@ -289,6 +289,7 @@ class GibbsApprox:
     log_pressure: float
     n_states: int
     transition: np.ndarray = field(repr=False)
+    reverse: np.ndarray = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
     gram_base: np.ndarray = field(repr=False)
@@ -297,7 +298,6 @@ class GibbsApprox:
     perron_iterations: int = 0
     perron_residual: tuple = (0.0, 0.0)
     stationarity_residual: float = 0.0
-    _kernels: tuple = field(default=None, repr=False)
     _hat_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -329,9 +329,10 @@ class GibbsApprox:
         out = math.log(self.stationary[cur])
         for sym in w[L:]:
             a = (sym[0] - 1) * self.max_digit + (sym[1] - 1)
-            if self.transition[cur, a] <= 0:
+            prob = self.transition[cur % A ** (L - 1), a]
+            if prob <= 0:
                 return -math.inf
-            out += math.log(self.transition[cur, a])
+            out += math.log(prob)
             cur = (cur % A ** (L - 1)) * A + a
         return out
 
@@ -342,26 +343,14 @@ class GibbsApprox:
     # -- sampling ----------------------------------------------------------
 
     def _cums(self):
-        """Cumulative slot laws of the forward and reversed chains.
-
-        Slot a of the reversed chain steps from code j to its predecessor
-        a * A^(L-1) + j // A, with probability pi_i P(i, j) / pi_j.
-        """
-        if self._kernels is None:
-            A, L = self.alphabet_size, self.memory
-            codes = np.arange(A ** L)
-            pred = np.arange(A)[None, :] * A ** (L - 1) + (codes // A)[:, None]
-            rev = _row_law(self.stationary[pred]
-                           * self.transition[pred, (codes % A)[:, None]],
-                           self.stationary)
-            self._kernels = (_cum_table(self.transition), _cum_table(rev))
-        return self._kernels
+        """Cumulative slot laws of the forward and reversed chains."""
+        return _cum_table(self.transition), _cum_table(self.reverse)
 
     @staticmethod
-    def _step(cum, code, rng):
-        """Slot drawn for each code from its cumulative slot law."""
-        u = rng.random(len(code))
-        return (cum[code] <= u[:, None]).sum(axis=1)
+    def _step(cum, row, rng):
+        """Slot drawn for each table row from its cumulative slot law."""
+        u = rng.random(len(row))
+        return (cum[row] <= u[:, None]).sum(axis=1)
 
     def sample_forward(self, n_symbols: int, count: int, rng) -> np.ndarray:
         """Symbol codes of forward words drawn from the stationary chain."""
@@ -379,7 +368,7 @@ class GibbsApprox:
         for i in range(L):
             out[:, i] = (code // A ** (L - 1 - i)) % A
         for t in range(L, n_symbols):
-            out[:, t] = self._step(ahead, code, rng)
+            out[:, t] = self._step(ahead, code % A ** (L - 1), rng)
             code = (code % A ** (L - 1)) * A + out[:, t]
         return out
 
@@ -397,7 +386,7 @@ class GibbsApprox:
         past = np.empty((count, n_past), dtype=np.int64)
         code = code0
         for j in range(n_past):
-            past[:, j] = self._step(back, code, rng)
+            past[:, j] = self._step(back, code // A, rng)
             code = past[:, j] * A ** (L - 1) + code // A
         fwd = self._emit_forward(code0, n_forward, ahead, rng)
         M = self.max_digit
@@ -455,17 +444,16 @@ class GibbsApprox:
             if finite.any():
                 worst = max(worst, float(np.exp(np.abs(ratio[finite]).max())))
             if n < depth:
-                end_code = codes % (A ** L)
-                logm = (logm[:, None] + step[end_code]).ravel()
+                logm = (logm[:, None] + step[codes % A ** (L - 1)]).ravel()
                 codes = (codes[:, None] * A + np.arange(A)[None, :]).ravel()
         return worst
 
 
-def _row_law(flow: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Rows flow / mass normalised to sum 1; rows of zero mass stay zero."""
-    live = (mass > 0)[:, None]
-    law = np.divide(flow, mass[:, None], out=np.zeros_like(flow), where=live)
-    return np.divide(law, law.sum(axis=1, keepdims=True), out=law, where=live)
+def _slot_law(weights: np.ndarray) -> np.ndarray:
+    """Rows of a slot table normalised to sum 1; all-zero rows stay zero."""
+    total = weights.sum(axis=1, keepdims=True)
+    return np.divide(weights, total, out=np.zeros_like(weights),
+                     where=total > 0)
 
 
 def _cum_table(P: np.ndarray) -> np.ndarray:
@@ -483,9 +471,9 @@ def _cum_table(P: np.ndarray) -> np.ndarray:
 # -- de Bruijn weight operator ------------------------------------------------
 #
 # Over full L-word codes i, the allowed successors of i are
-# (i mod A^(L-1)) * A + a, and every edge leaving i carries the weight w[i].
-# So W h and W^T nu are a multiply and a reshape-sum over (A^(L-1), A), each
-# O(A^L); no n x n array is formed.
+# (i mod A^(L-1)) * A + a, its predecessors a * A^(L-1) + i // A, and every
+# edge leaving i carries the weight w[i].  So W h and W^T nu are a multiply
+# and one of the two reshape-sums below, each O(A^L); no n x n array forms.
 
 #: Relative Perron residual at which the power iteration stops.
 PERRON_TOL = 1e-13
@@ -497,47 +485,57 @@ PERRON_MAX_ITER = 10_000
 HEALTH_TOL = 1e-10
 
 
-def _apply(w: np.ndarray, h: np.ndarray, A: int) -> np.ndarray:
-    """W h: weight of each source times the sum of h over its successors."""
-    return w * np.tile(h.reshape(-1, A).sum(axis=1), A)
+def _successor_sum(x: np.ndarray, A: int) -> np.ndarray:
+    """Per code i, the sum of x over the successors (i mod A^(L-1)) * A + a."""
+    return np.tile(x.reshape(-1, A).sum(axis=1), A)
 
 
-def _apply_transpose(w: np.ndarray, nu: np.ndarray, A: int) -> np.ndarray:
-    """W^T nu: sum of nu * w over the A predecessors of each target."""
-    return np.repeat((nu * w).reshape(A, -1).sum(axis=0), A)
+def _predecessor_sum(x: np.ndarray, A: int) -> np.ndarray:
+    """Per code i, the sum of x over the predecessors a * A^(L-1) + i // A."""
+    return np.repeat(x.reshape(A, -1).sum(axis=0), A)
 
 
 def _prune_support(finite: np.ndarray, A: int) -> np.ndarray:
     """Codes on a bi-infinite allowed path: some live successor and predecessor."""
     alive = finite.copy()
     while True:
-        new = (alive & np.tile(alive.reshape(-1, A).any(axis=1), A)
-               & np.repeat(alive.reshape(A, -1).any(axis=0), A))
+        new = (alive & (_successor_sum(alive, A) > 0)
+               & (_predecessor_sum(alive, A) > 0))
         if np.array_equal(new, alive):
             return alive
         alive = new
 
 
-def _successors(A: int, L: int) -> np.ndarray:
-    """(A^L, A) table of the code each slot leads to."""
-    return (np.arange(A ** L) % A ** (L - 1))[:, None] * A + np.arange(A)
+def _bfs_levels(alive: np.ndarray, start: int, reach, A: int) -> np.ndarray:
+    """BFS levels of live codes from ``start`` (-1: unreached) by ``reach``."""
+    level = np.full(len(alive), -1)
+    frontier, depth = np.arange(len(alive)) == start, 0
+    while frontier.any():
+        level[frontier] = depth
+        depth += 1
+        frontier = alive & (level < 0) & (reach(frontier, A) > 0)
+    return level
 
 
-def _check_primitive(alive: np.ndarray, succ: np.ndarray):
-    """Live codes form one strong component of period 1 (BFS-level gcd)."""
-    n = len(alive)
-    src, slot = np.nonzero(alive[:, None] & alive[succ])
-    dst = succ[src, slot]
-    graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
-    _, labels = connected_components(graph, directed=True, connection="strong")
-    n_comp = len(np.unique(labels[alive]))
-    if n_comp > 1:
-        raise NonPrimitive(
-            f"transition support is reducible ({n_comp} strong components)")
-    # pruned codes are isolated: their level is inf, but no live edge reads it
-    level = shortest_path(graph, unweighted=True, indices=int(np.argmax(alive)))
-    gaps = np.abs(level[src] + 1 - level[dst]).astype(np.int64)
-    period = int(np.gcd.reduce(gaps))
+def _check_primitive(alive: np.ndarray, A: int):
+    """Live codes form one strong component of period 1.
+
+    A forward and a backward breadth-first search from the first live code
+    must each reach every live code; the period is the gcd of the level
+    gaps |level[i] + 1 - level[j]| over the live edges i -> j.
+    """
+    start = int(np.argmax(alive))
+    # a predecessor in the frontier makes a code reachable in one more step
+    level = _bfs_levels(alive, start, _predecessor_sum, A)
+    back = _bfs_levels(alive, start, _successor_sum, A)
+    if (level[alive] < 0).any() or (back[alive] < 0).any():
+        raise NonPrimitive("transition support is reducible (some live code "
+                           f"and code {start} do not reach each other)")
+    # edge a * R + r -> r * A + a' pairs level.reshape(A, R) with (R, A)
+    R = len(alive) // A
+    src, dst = level.reshape(A, R, 1), level.reshape(1, R, A)
+    edges = alive.reshape(A, R, 1) & alive.reshape(1, R, A)
+    period = int(np.gcd.reduce(np.abs(src + 1 - dst)[edges]))
     if period > 1:
         raise NonPrimitive(f"transition support has period {period}")
 
@@ -552,8 +550,8 @@ def _perron(w: np.ndarray, alive: np.ndarray, A: int):
     h = alive / alive.sum()
     nu = h.copy()
     for iterations in range(1, PERRON_MAX_ITER + 1):
-        Wh = _apply(w, h, A)
-        Wnu = _apply_transpose(w, nu, A) * alive
+        Wh = w * _successor_sum(h, A)
+        Wnu = _predecessor_sum(nu * w, A) * alive
         rho_r, rho_l = Wh.sum(), Wnu.sum()
         res = (np.abs(Wh - rho_r * h).sum() / rho_r,
                np.abs(Wnu - rho_l * nu).sum() / rho_l)
@@ -564,8 +562,8 @@ def _perron(w: np.ndarray, alive: np.ndarray, A: int):
         raise NonPrimitive(
             f"Perron power iteration hit {PERRON_MAX_ITER} iterations with "
             f"residuals right {res[0]:.3g}, left {res[1]:.3g}")
-    Wh = _apply(w, h, A)
-    Wnu = _apply_transpose(w, nu, A) * alive
+    Wh = w * _successor_sum(h, A)
+    Wnu = _predecessor_sum(nu * w, A) * alive
     rho = float(nu @ Wh / (nu @ h))
     res = (float(np.abs(Wh - rho * h).sum() / rho),
            float(np.abs(Wnu - rho * nu).sum() / rho))
@@ -599,8 +597,7 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     alive = _prune_support(np.isfinite(gram), A)
     if not alive.any():
         raise NonPrimitive("no admissible bi-infinite words")
-    succ = _successors(A, L)
-    _check_primitive(alive, succ)
+    _check_primitive(alive, A)
 
     m0 = gram[alive].max()
     w = np.zeros(A ** L)
@@ -608,11 +605,14 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     h, nu, rho, iterations, res = _perron(w, alive, A)
     if (h[alive] <= 0).any() or (nu[alive] <= 0).any():
         raise NonPrimitive("Perron eigenvectors not strictly positive")
-    P = _row_law(w[:, None] * h[succ], rho * h)
+    # w[i] cancels from row i, leaving h over the suffix's successors; the
+    # reversed step to predecessor i has weight nu[i] w[i] over the prefix's
+    P = _slot_law(h.reshape(-1, A))
+    Q = _slot_law((nu * w).reshape(A, -1).T)
     pi = nu * h
     pi /= pi.sum()
     # pi P: the flow of edge (i, a) lands on (i mod A^(L-1)) A + a
-    flow = (pi[:, None] * P).reshape(A, -1, A).sum(axis=0).ravel()
+    flow = (pi.reshape(A, -1).sum(axis=0)[:, None] * P).ravel()
     stat_res = float(np.abs(flow - pi).sum())
     for name, value in (("right Perron residual", res[0]),
                         ("left Perron residual", res[1]),
@@ -623,7 +623,7 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     return GibbsApprox(
         max_digit=M, memory=L,
         log_pressure=float(np.log(rho) + m0), n_states=int(alive.sum()),
-        transition=P, stationary=pi, gram=gram, gram_base=base,
+        transition=P, reverse=Q, stationary=pi, gram=gram, gram_base=base,
         potential_error=err, is_geometric=geo,
         perron_iterations=iterations, perron_residual=res,
         stationarity_residual=stat_res,
@@ -724,11 +724,12 @@ def pressure_cylinder_sum(potential, max_digit: int, depth: int,
 # entropies
 
 def entropy(g: GibbsApprox) -> float:
-    """Entropy rate of the stationary chain."""
+    """Entropy rate of the stationary chain (pi summed per suffix row)."""
     P = g.transition
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(P > 0, P * np.log(P), 0.0)
-    return float(-(g.stationary @ plogp.sum(axis=1)))
+    suffix_mass = g.stationary.reshape(g.alphabet_size, -1).sum(axis=0)
+    return float(-(suffix_mass @ plogp.sum(axis=1)))
 
 
 def potential_mean(g: GibbsApprox) -> float:
@@ -760,29 +761,28 @@ def marginal_entropy_details(g: GibbsApprox, which: int, depth: int
     while summing over the hidden pair-symbol states.  A digit word of length
     n ends in the projected digits of the chain's last L symbols, so the
     sweep keeps one row per (n - L)-digit prefix over the A^L word codes.
-    One step sums the prefix's new digit out of the dropped first symbol and
-    appends a successor slot: an einsum over (A, A^(L-1), A).
+    One step sums the other digit out of the dropped first symbol, whose
+    kept digit joins the prefix, and multiplies by the suffix slot table.
     """
     if which not in (1, 2):
         raise InvalidWord("marginal coordinate must be 1 or 2")
     M, L, A = g.max_digit, g.memory, g.alphabet_size
     if depth < L + 1:
         raise InvalidWord(f"need depth >= {L + 1}")
-    if max(M ** depth * g.n_states, M ** (depth - L) * A ** L) > 5 * 10 ** 7:
+    # the largest array is the last sweep step's M^(depth-L) rows of A^L codes
+    if M ** (depth - L) * A ** L > 5 * 10 ** 7:
         raise EnumerationCapExceeded("digit-word sweep exceeds the cap")
-    R = A ** (L - 1)
-    P = g.transition.reshape(M, M, R, A)
     beta = g.stationary.reshape(1, A ** L)
     # a code's pair digits are (m_1, n_1, ..., m_L, n_L); sum the other coordinate
     other = tuple(range(2 if which == 1 else 1, 2 * L + 1, 2))
-    sweep = "pebr,ebra->pera" if which == 1 else "pber,bera->pera"
     H = []
     for n in range(L, depth + 1):
         nu = beta.reshape((-1,) + (M,) * (2 * L)).sum(axis=other)
         nz = nu[nu > 0]
         H.append(float(-(nz * np.log(nz)).sum()))
         if n < depth:
-            beta = np.einsum(sweep, beta.reshape(-1, M, M, R), P).reshape(-1, A ** L)
+            kept = beta.reshape(-1, M, M, A ** (L - 1)).sum(axis=3 - which)
+            beta = (kept[..., None] * g.transition).reshape(-1, A ** L)
     rates = tuple(b - a for a, b in zip(H, H[1:]))
     gap = abs(rates[-1] - rates[-2]) if len(rates) >= 2 else math.inf
     return MarginalEntropyDetails(which=which, depth=depth,

@@ -23,12 +23,12 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 @st.composite
-def tables(draw):
+def tables(draw, forbid_shares=(0.0, 0.1, 0.25, 0.5)):
     """Random (M, L) table potential with a random share of forbidden words."""
     M = draw(st.sampled_from([2, 3]))
     L = draw(st.sampled_from([1, 2, 3]))
     n = (M * M) ** L
-    forbid = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+    forbid = draw(st.sampled_from(list(forbid_shares)))
     # values come from a drawn seed: hypothesis cannot draw 2 * 729 floats
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     values, drops = rng.uniform(-1.0, 1.0, n), rng.random(n)
@@ -90,14 +90,16 @@ def oracle_verdict(logW: np.ndarray):
 
 
 @PROPERTY
-@given(tables())
-def test_verdict_matches_boolean_squaring(table):
-    primitive, _ = oracle_verdict(dense_log_weights(table))
-    if primitive:
-        gibbs_markov.__wrapped__(table, table.max_digit)
-    else:
-        with pytest.raises(NonPrimitive):
-            gibbs_markov.__wrapped__(table, table.max_digit)
+@given(tables(), tables(forbid_shares=(0.6, 0.7, 0.8, 0.9)))
+def test_verdict_matches_boolean_squaring(table, sparse):
+    # sparse tables reach the reducible, periodic and empty supports
+    for t in (table, sparse):
+        primitive, _ = oracle_verdict(dense_log_weights(t))
+        if primitive:
+            gibbs_markov.__wrapped__(t, t.max_digit)
+        else:
+            with pytest.raises(NonPrimitive):
+                gibbs_markov.__wrapped__(t, t.max_digit)
 
 
 @PROPERTY

@@ -4,6 +4,8 @@ import json
 import math
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +326,17 @@ class TestThreads:
         })
         assert run(["pressure", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # a fresh interpreter, run from the directory that holds the package
+        src = Path(cli.__file__).parents[1]
+        probe = ("import sys, fiberdim.cli; print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestConsoleScript:

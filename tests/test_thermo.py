@@ -153,6 +153,12 @@ class TestGibbsChain:
         with pytest.raises(NonPrimitive):
             gibbs_markov(table, 2)
 
+    def test_periodic_support_rejected(self):
+        table = TablePotential.from_dict(2, {((1, 1), (2, 2)): 0.0,
+                                             ((2, 2), (1, 1)): 0.0})
+        with pytest.raises(NonPrimitive, match="period 2"):
+            gibbs_markov(table, 2)
+
     def test_state_cap(self, conj):
         with pytest.raises(EnumerationCapExceeded):
             gibbs_markov(GeometricPotential(conj, 1.0), 3, memory=4)
@@ -170,7 +176,8 @@ class TestGibbsChain:
     def test_largest_chain_closes_variational_gap(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 8, 2)
         assert g.n_states == thermo.STATE_CAP
-        assert g.transition.shape == (g.n_states, g.alphabet_size)
+        A, L = g.alphabet_size, g.memory
+        assert g.transition.shape == g.reverse.shape == (A ** (L - 1), A)
         assert variational_gap(g) <= 1e-12
 
     def test_health_recorded(self, conj, bernoulli):
@@ -182,11 +189,12 @@ class TestGibbsChain:
             assert g.stationarity_residual <= thermo.HEALTH_TOL
             # slot a of code i leads to (i mod A^(L-1)) * A + a
             A, L = g.alphabet_size, g.memory
-            succ = ((np.arange(A ** L) % A ** (L - 1))[:, None] * A
-                    + np.arange(A))
+            codes = np.arange(A ** L)
+            succ = (codes % A ** (L - 1))[:, None] * A + np.arange(A)
             pi_P = np.zeros(A ** L)
             np.add.at(pi_P, succ.ravel(),
-                      (g.stationary[:, None] * g.transition).ravel())
+                      (g.stationary[:, None]
+                       * g.transition[codes % A ** (L - 1)]).ravel())
             assert np.abs(pi_P - g.stationary).sum() <= 1e-12
 
     def test_health_gate_names_the_quantity(self, conj, monkeypatch):
@@ -283,6 +291,14 @@ class TestMarginalEntropy:
         assert det.gap <= 1e-12
         assert det.value <= entropy(g) + 1e-12
 
+    def test_cap_bounds_the_sweep_array(self, conj):
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 4, 2)
+        # depth 9 allocates 4^7 * 16^2 = 4.2e6 cells, depth 11 6.7e7
+        det = marginal_entropy_details(g, 1, 9)
+        assert len(det.block_entropies) == 8
+        with pytest.raises(EnumerationCapExceeded):
+            marginal_entropy_details(g, 1, 11)
+
     def test_coordinate_validation(self, bernoulli):
         with pytest.raises(InvalidWord):
             marginal_entropy(bernoulli, 3, 6)
@@ -369,12 +385,12 @@ class TestSampling:
         A, R = g.alphabet_size, g.alphabet_size ** (g.memory - 1)
         fwd, bwd = g._cums()
         src = np.flatnonzero(g.stationary > 0)
-        slot = g._step(fwd, src, Fixed())
-        assert (g.transition[src, slot] > 0).all()
+        slot = g._step(fwd, src % R, Fixed())
+        assert (g.transition[src % R, slot] > 0).all()
         # backward slot a leads to the predecessor a * A^(L-1) + src // A
-        prv = g._step(bwd, src, Fixed()) * R + src // A
+        prv = g._step(bwd, src // A, Fixed()) * R + src // A
         assert (g.stationary[prv] > 0).all()
-        assert (g.transition[prv, src % A] > 0).all()
+        assert (g.transition[prv % R, src % A] > 0).all()
 
     def test_forward_length_guard(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2, memory=2)
