@@ -251,18 +251,13 @@ COMMANDS = {
 def _resolve_threads(flag_value, config_value):
     """Precedence: --threads flag, then environment, then config."""
     if flag_value is not None:
-        if flag_value < 1:
-            raise ConfigError("--threads must be >= 1")
         return flag_value
     env = os.environ.get(ENV_THREADS)
     if env is not None:
         try:
-            value = int(env)
+            return int(env)
         except ValueError:
             raise ConfigError(f"{ENV_THREADS}={env!r} is not an integer")
-        if value < 1:
-            raise ConfigError(f"{ENV_THREADS} must be >= 1")
-        return value
     return config_value
 
 
@@ -291,10 +286,11 @@ def run(argv=None) -> int:
                 raise ConfigError("config document must be a JSON object")
         if args.seed is not None:
             user["seed"] = args.seed
+        user["threads"] = _resolve_threads(args.threads, user.get("threads"))
         config = load_config(user)
-        config["threads"] = _resolve_threads(args.threads, config["threads"])
         os.makedirs(args.out, exist_ok=True)
-    except (OSError, json.JSONDecodeError, ConfigError, InvalidWord) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, ConfigError,
+            InvalidWord) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     started = _now()

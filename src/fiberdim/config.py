@@ -1,8 +1,9 @@
-"""Run configuration: schema, defaults, canonical hashing, builders.
+"""Run configuration: one field table, defaults, canonical hashing, builders.
 
 One JSON document drives every command.  User files are deep-merged over the
-embedded defaults, validated against the schema, and the merged result is
-echoed into each output record so a record is reproducible on its own.
+embedded defaults, every leaf of the result is checked against `FIELDS`, and
+the merged result is echoed into each output record so a record is
+reproducible on its own.
 """
 
 from __future__ import annotations
@@ -10,198 +11,160 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-
-import jsonschema
+import math
+import operator
 
 from .errors import ConfigError
 from .systems import FAMILIES, SimilaritySchedule, SmaleSystem, make_system
 from .thermo import ConstantPotential, GeometricPotential, TablePotential
 
-DEFAULTS = {
+
+def _fail(path: str, message: str):
+    raise ConfigError(f"config invalid at {path or '<root>'}: {message}")
+
+
+def number(integer: bool = False, gt=None, ge=None, lt=None, le=None):
+    """A finite JSON number (a JSON integer if `integer`) within the given
+    bounds; NaN and infinities are rejected because no record can hold them."""
+    kind = "an integer" if integer else "a number"
+    tests = [(bound, sym, op) for bound, sym, op in (
+        (gt, ">", operator.gt), (ge, ">=", operator.ge),
+        (lt, "<", operator.lt), (le, "<=", operator.le)) if bound is not None]
+
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(
+                value, int if integer else (int, float)):
+            _fail(path, f"{value!r} is not {kind}")
+        if isinstance(value, float) and not math.isfinite(value):
+            _fail(path, f"{value!r} is not finite")
+        for bound, sym, op in tests:
+            if not op(value, bound):
+                _fail(path, f"{value!r} is not {sym} {bound}")
+    return check
+
+
+def one_of(*names):
+    """One of the given strings."""
+    def check(value, path):
+        if value not in names:
+            _fail(path, f"{value!r} is not one of {list(names)}")
+    return check
+
+
+def array(item, min_items: int = 0, max_items: int = None):
+    """A JSON array of min_items..max_items entries that each pass `item`;
+    a tuple of checks instead checks the entries position by position."""
+    def check(value, path):
+        if not isinstance(value, list):
+            _fail(path, f"{value!r} is not an array")
+        if len(value) < min_items:
+            _fail(path, f"has {len(value)} items, fewer than {min_items}")
+        if max_items is not None and len(value) > max_items:
+            _fail(path, f"has {len(value)} items, more than {max_items}")
+        checks = item if isinstance(item, tuple) else (item,) * len(value)
+        for i, (entry, entry_check) in enumerate(zip(value, checks)):
+            entry_check(entry, f"{path}/{i}")
+    return check
+
+
+def or_null(inner):
+    """null, or a value that passes `inner`."""
+    def check(value, path):
+        if value is not None:
+            inner(value, path)
+    return check
+
+
+# every config key once: sections are dicts, leaves are (default, check)
+FIELDS = {
     "system": {
-        "variant": "inverse_conjugate",
+        "variant": ("inverse_conjugate", one_of(*FAMILIES)),
         "schedule": {
-            "kind": "geometric",
-            "base": 2.0,
-            "ratio": 0.125,
-            "ratio_a": 0.125,
-            "ratio_b": 0.0625,
-            "grid_digit": 2,
-            "inner_factor": 0.5,
-            "table": [],
+            "kind": ("geometric",
+                     one_of("geometric", "equal", "two_ratio", "custom")),
+            "base": (2.0, number(gt=1)),
+            "ratio": (0.125, number(gt=0, lt=1)),
+            "ratio_a": (0.125, number(gt=0, lt=1)),
+            "ratio_b": (0.0625, number(gt=0, lt=1)),
+            "grid_digit": (2, number(integer=True, ge=1)),
+            "inner_factor": (0.5, number(gt=0, le=0.5)),
+            "table": ([], array(array(number(), 5, 5))),  # [m, n, ratio, re, im]
         },
-        "center": None,
-        "radius": None,
+        "center": (None, or_null(array(number(), 2, 2))),
+        "radius": (None, or_null(number(gt=0))),
     },
     "potential": {
-        "kind": "geometric",
-        "s": 1.0,
-        "value": 0.0,
-        "table": [],
-        "scale": 1.0,
+        "kind": ("geometric", one_of("geometric", "constant", "table")),
+        "s": (1.0, number(ge=0)),
+        "value": (0.0, number()),
+        "table": ([], array(array((  # rows [word, value]
+            array(array(number(integer=True, ge=1), 2, 2), 1),  # [m, n] pairs
+            number()), 2, 2))),
+        "scale": (1.0, number()),
     },
     "truncation": {
-        "m_schedule": [2, 3],
-        "memory": None,
-        "depth": 6,
+        "m_schedule": ([2, 3], array(number(integer=True, ge=1), 1)),
+        "memory": (None, or_null(number(integer=True, ge=1))),
+        "depth": (6, number(integer=True, ge=2)),
     },
     "dimension": {
-        "s_grid": None,
-        "s_range": {"start": 0.1, "stop": 2.0, "count": 20},
-        "bowen_tol": 1e-6,
+        "s_grid": (None, or_null(array(number(ge=0), 3))),
+        "s_range": {
+            "start": (0.1, number(ge=0)),
+            "stop": (2.0, number(gt=0)),
+            "count": (20, number(integer=True, ge=3)),
+        },
+        "bowen_tol": (1e-6, number(gt=0)),
     },
     "stats": {
-        "depth": 8,
-        "n_samples": 4000,
-        "orbit_len": 100,
-        "past_depth": 40,
+        "depth": (8, number(integer=True, ge=2)),
+        "n_samples": (4000, number(integer=True, ge=100)),
+        "orbit_len": (100, number(integer=True, ge=50)),
+        "past_depth": (40, number(integer=True, ge=10)),
     },
     "sample": {
-        "target": "fiber",
-        "n_points": None,
-        "depth": 30,
-        "chart": "unit_square",
-        "n_centers": 400,
-        "window": None,
-        "predicted": None,
-        "box_scales": 8,
+        "target": ("fiber", one_of("fiber", "z_marginal", "global")),
+        "n_points": (None, or_null(number(integer=True, ge=1000))),
+        "depth": (30, number(integer=True, ge=20)),
+        "chart": ("unit_square", one_of("unit_square", "raw")),
+        "n_centers": (400, number(integer=True, ge=10)),
+        "window": (None, or_null(array(number(), 3, 3))),  # r_min, r_max, n
+        "predicted": (None, or_null(number())),
+        "box_scales": (8, number(integer=True, ge=5)),
     },
     "verify": {
-        "samples": 4000,
-        "s": 1.0,
-        "h_step": 1e-3,
-        "induced_k_max": 3,
-        "subdivisions": 256,
+        "samples": (4000, number(integer=True, ge=100)),
+        "s": (1.0, number(ge=0)),
+        "h_step": (1e-3, number(gt=0)),
+        "induced_k_max": (3, number(integer=True, ge=0)),
+        "subdivisions": (256, number(integer=True, ge=16)),
     },
-    "seed": 0,
-    "threads": None,
+    "seed": (0, number(integer=True, ge=0)),
+    "threads": (None, or_null(number(integer=True, ge=1))),
 }
 
-_NUM = {"type": "number"}
-_POS_INT = {"type": "integer", "minimum": 1}
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "variant": {"enum": list(FAMILIES)},
-                "schedule": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["geometric", "equal", "two_ratio",
-                                          "custom"]},
-                        "base": {"type": "number", "exclusiveMinimum": 1},
-                        "ratio": {"type": "number", "exclusiveMinimum": 0,
-                                  "exclusiveMaximum": 1},
-                        "ratio_a": {"type": "number", "exclusiveMinimum": 0,
-                                    "exclusiveMaximum": 1},
-                        "ratio_b": {"type": "number", "exclusiveMinimum": 0,
-                                    "exclusiveMaximum": 1},
-                        "grid_digit": _POS_INT,
-                        "inner_factor": {"type": "number",
-                                         "exclusiveMinimum": 0,
-                                         "maximum": 0.5},
-                        "table": {"type": "array", "items": {
-                            "type": "array", "minItems": 5, "maxItems": 5,
-                            "items": {"type": "number"}}},
-                    },
-                },
-                "center": {"anyOf": [{"type": "null"}, {
-                    "type": "array", "minItems": 2, "maxItems": 2,
-                    "items": _NUM}]},
-                "radius": {"anyOf": [{"type": "null"},
-                                     {"type": "number",
-                                      "exclusiveMinimum": 0}]},
-            },
-        },
-        "potential": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["geometric", "constant", "table"]},
-                "s": {"type": "number", "minimum": 0},
-                "value": _NUM,
-                "table": {"type": "array", "items": {
-                    "type": "array", "minItems": 2, "maxItems": 2}},
-                "scale": _NUM,
-            },
-        },
-        "truncation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "m_schedule": {"type": "array", "minItems": 1,
-                               "items": _POS_INT},
-                "memory": {"anyOf": [{"type": "null"}, _POS_INT]},
-                "depth": {"type": "integer", "minimum": 2},
-            },
-        },
-        "dimension": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "s_grid": {"anyOf": [{"type": "null"}, {
-                    "type": "array", "minItems": 3,
-                    "items": {"type": "number", "minimum": 0}}]},
-                "s_range": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "start": {"type": "number", "minimum": 0},
-                        "stop": {"type": "number", "exclusiveMinimum": 0},
-                        "count": {"type": "integer", "minimum": 3},
-                    },
-                },
-                "bowen_tol": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "stats": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "depth": {"type": "integer", "minimum": 2},
-                "n_samples": {"type": "integer", "minimum": 100},
-                "orbit_len": {"type": "integer", "minimum": 50},
-                "past_depth": {"type": "integer", "minimum": 10},
-            },
-        },
-        "sample": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "target": {"enum": ["fiber", "z_marginal", "global"]},
-                "n_points": {"anyOf": [{"type": "null"},
-                                       {"type": "integer", "minimum": 1000}]},
-                "depth": {"type": "integer", "minimum": 20},
-                "chart": {"enum": ["unit_square", "raw"]},
-                "n_centers": {"type": "integer", "minimum": 10},
-                "window": {"anyOf": [{"type": "null"}, {
-                    "type": "array", "minItems": 3, "maxItems": 3,
-                    "items": _NUM}]},
-                "predicted": {"anyOf": [{"type": "null"}, _NUM]},
-                "box_scales": {"type": "integer", "minimum": 5},
-            },
-        },
-        "verify": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "samples": {"type": "integer", "minimum": 100},
-                "s": {"type": "number", "minimum": 0},
-                "h_step": {"type": "number", "exclusiveMinimum": 0},
-                "induced_k_max": {"type": "integer", "minimum": 0},
-                "subdivisions": {"type": "integer", "minimum": 16},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "threads": {"anyOf": [{"type": "null"}, _POS_INT]},
-    },
-}
+def _defaults(fields: dict) -> dict:
+    return {key: _defaults(spec) if isinstance(spec, dict) else spec[0]
+            for key, spec in fields.items()}
+
+
+DEFAULTS = _defaults(FIELDS)
+
+
+def _check(doc, fields: dict, path: str = ""):
+    """ConfigError at the first unknown key, non-object section or bad leaf."""
+    if not isinstance(doc, dict):
+        _fail(path, f"{doc!r} is not an object")
+    for key, value in doc.items():
+        spec = fields.get(key)
+        if spec is None:
+            _fail(path, f"unknown key {key!r}")
+        where = f"{path}/{key}" if path else key
+        if isinstance(spec, dict):
+            _check(value, spec, where)
+        else:
+            spec[1](value, where)
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -215,13 +178,9 @@ def deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(user: dict = None) -> dict:
-    """Merge a user document over the defaults and validate the result."""
+    """Merge a user document over the defaults and check it against FIELDS."""
     merged = deep_merge(DEFAULTS, user or {})
-    try:
-        jsonschema.validate(merged, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    _check(merged, FIELDS)
     return merged
 
 
@@ -260,14 +219,10 @@ def build_potential(config: dict, system: SmaleSystem, max_digit: int = None):
         return GeometricPotential(system, float(sec["s"]))
     mapping = {}
     for word, value in sec["table"]:
-        key = tuple(tuple(int(d) for d in sym) for sym in word)
-        for sym in key:
-            if not (1 <= min(sym) and max(sym) <= max_digit):
-                raise ConfigError(
-                    f"table word {key} has digits outside 1..{max_digit}")
-        mapping[key] = float(value)
-    if not mapping:
-        raise ConfigError("table potential needs at least one entry")
+        key = tuple(tuple(sym) for sym in word)
+        if key in mapping:
+            raise ConfigError(f"table word {key} is repeated")
+        mapping[key] = value
     return TablePotential.from_dict(max_digit, mapping, scale=float(sec["scale"]))
 
 

@@ -91,6 +91,34 @@ class TestPressureCommand:
         json.dumps(json.loads(text), allow_nan=False)
 
 
+def _table(rows):
+    return json.dumps({"potential": {"kind": "table", "table": rows},
+                       "truncation": {"m_schedule": [2], "depth": 3}})
+
+
+# one document per kind of check; JSON text, so NaN and 1e400 stay as written
+INVALID_DOCUMENTS = {
+    "exclusive_minimum": '{"dimension": {"bowen_tol": 0}}',
+    "inclusive_maximum": '{"system": {"schedule": {"inner_factor": 0.6}}}',
+    "enum": '{"sample": {"chart": "polar"}}',
+    "or_null": '{"sample": {"predicted": "high"}}',
+    "too_few_items": '{"system": {"center": [0.5]}}',
+    "too_many_items": '{"sample": {"window": [0.01, 0.1, 8, 9]}}',
+    "nested_unknown_key": '{"dimension": {"s_range": {"step": 0.1}}}',
+    "non_object_section": '{"stats": 5}',
+    "true_as_number": '{"potential": {"value": true}}',
+    "float_depth": '{"truncation": {"depth": 6.0}}',
+    "float_seed": '{"seed": 1.0}',
+    "nan": '{"dimension": {"bowen_tol": NaN}}',
+    "infinity": '{"potential": {"scale": Infinity}}',
+    "overflow": '{"verify": {"s": 1e400}}',
+    "table_row_without_word": _table([[5, 1.0]]),
+    "table_value_not_number": _table([[[[1, 1]], "abc"]]),
+    "table_float_digit": _table([[[[1.7, 1]], 0.0]]),
+    "table_repeated_word": _table([[[[1, 1]], 1.0], [[[1, 1]], 5.0]]),
+}
+
+
 class TestConfigErrors:
     def test_invalid_truncation_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"truncation": {"m_schedule": [0]}})
@@ -104,7 +132,22 @@ class TestConfigErrors:
 
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        for content in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+            path.write_bytes(content)
+            assert run(["pressure", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("text", list(INVALID_DOCUMENTS.values()),
+                             ids=list(INVALID_DOCUMENTS))
+    def test_invalid_document_exits_2_before_work(self, tmp_path, monkeypatch,
+                                                  text):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the config must be rejected before any work")
+
+        for name in ("summability_scan", "gibbs_markov", "pressure_cylinder_sum"):
+            monkeypatch.setattr(cli, name, forbidden)
+        path = tmp_path / "config.json"
+        path.write_text(text)
         assert run(["pressure", "--config", str(path),
                     "--out", str(tmp_path / "out")]) == 2
 
@@ -333,7 +376,7 @@ class TestStartup:
         # a fresh interpreter, run from the directory that holds the package
         src = Path(cli.__file__).parents[1]
         probe = ("import sys, fiberdim.cli; print(sorted(m for m in sys.modules "
-                 "if m == 'scipy' or m.startswith('scipy.')))")
+                 "if m.split('.')[0] in ('scipy', 'jsonschema')))")
         proc = subprocess.run([sys.executable, "-c", probe], cwd=src,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
