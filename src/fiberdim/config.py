@@ -128,7 +128,8 @@ FIELDS = {
         "depth": (30, number(integer=True, ge=20)),
         "chart": ("unit_square", one_of("unit_square", "raw")),
         "n_centers": (400, number(integer=True, ge=10)),
-        "window": (None, or_null(array(number(), 3, 3))),  # r_min, r_max, n
+        "window": (None, or_null(array((  # r_min, r_max, n_scales
+            number(gt=0), number(gt=0), number(integer=True, ge=4)), 3, 3))),
         "predicted": (None, or_null(number())),
         "box_scales": (8, number(integer=True, ge=5)),
     },

@@ -150,7 +150,8 @@ class LocalDimEstimate:
 def _radius_ladder(cloud: PointCloud, window) -> np.ndarray:
     if window is not None:
         r_min, r_max, n_scales = window
-        n_scales = int(n_scales)
+        if not isinstance(n_scales, (int, np.integer)) or isinstance(n_scales, bool):
+            raise ConfigError(f"window scale count {n_scales!r} is not an integer")
     else:
         r_max = cloud.diameter() / 4.0
         n_scales = DEFAULT_SCALES

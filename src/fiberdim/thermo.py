@@ -265,6 +265,12 @@ class McEstimate:
     se: float
     n: int
 
+    @classmethod
+    def from_samples(cls, values: np.ndarray) -> "McEstimate":
+        """Mean of independent per-sample values with se = std / sqrt(n)."""
+        n = len(values)
+        return cls(float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)), n)
+
     def __float__(self):
         return float(self.value)
 
@@ -298,7 +304,6 @@ class GibbsApprox:
     perron_iterations: int = 0
     perron_residual: tuple = (0.0, 0.0)
     stationarity_residual: float = 0.0
-    _hat_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def alphabet_size(self) -> int:
@@ -400,53 +405,51 @@ class GibbsApprox:
     # -- Gibbs constant ------------------------------------------------------
 
     def gibbs_constant_hat(self, depth: int = None) -> float:
-        """Max Gibbs ratio deviation over all words of depth <= k+4.
+        """Max Gibbs ratio deviation over all words of depth L .. depth (L + 4).
 
         The ratio compares chain cylinder masses against exp(S_n psi - n P)
-        for the realized memory-k potential, whose Birkhoff sums are
-        cylinder-constant.  The separate ``potential_error`` field bounds how
-        far that realization can sit from the un-truncated potential; folding
-        the realization drift into the ratio itself would grow the constant
-        exponentially in depth and certify nothing.
+        for the realized memory-k potential, whose cyclic Birkhoff sums are
+        cylinder-constant; ``potential_error`` bounds the realization apart,
+        since folding its drift into the ratio would grow the constant
+        exponentially in depth and certify nothing.  Along the L-word codes
+        c_0 .. c_k of a word, the log ratio is log pi[c_0], plus log P(c_t ->
+        c_(t+1)) - psi[c_t] + P per step, plus L P - psi[c_k] less psi on the
+        L - 1 windows wrapping from c_k into c_0.  Max-plus sweeps over
+        (first, last) code pairs, one for the ratio and one for its negative,
+        give its extremes at every depth in O(depth * A^(2L)).
         """
-        depth = self.memory + 4 if depth is None else int(depth)
-        if depth < self.memory:
+        L, A = self.memory, self.alphabet_size
+        depth = L + 4 if depth is None else depth
+        if not isinstance(depth, (int, np.integer)) or isinstance(depth, bool):
+            raise InvalidWord(f"depth must be an integer, got {depth!r}")
+        if depth < L:
             raise InvalidWord("depth below the chain memory")
-        if depth not in self._hat_cache:
-            self._hat_cache[depth] = self._hat_compute(depth)
-        return self._hat_cache[depth]
-
-    def _rep_values(self, n: int) -> np.ndarray:
-        """S_n psi of the realized potential on every depth-n word."""
-        A = self.alphabet_size
-        codes = np.arange(A ** n, dtype=np.int64)
-        S = np.zeros(A ** n)
-        rot = codes
-        for _ in range(n):
-            S = S + self.gram[rot // A ** (n - self.memory)]
-            rot = (rot % A ** (n - 1)) * A + rot // A ** (n - 1)
-        return S
-
-    def _hat_compute(self, depth: int) -> float:
-        A, L = self.alphabet_size, self.memory
-        if A ** depth > ENUMERATION_CAP:
-            raise EnumerationCapExceeded(f"{A**depth} words exceed the cap")
+        N = A ** L
+        if (depth - L + 1) * N * N > ENUMERATION_CAP:
+            raise EnumerationCapExceeded(
+                f"{(depth - L + 1) * N * N} (first, last) sweep cells exceed the cap")
+        P, psi = self.log_pressure, self.gram
+        first, last = np.arange(N)[:, None], np.arange(N)[None, :]
+        end = L * P - psi[last] - sum(psi[(last % A ** (L - j)) * A ** j
+                                          + first // A ** (L - j)] for j in range(1, L))
         with np.errstate(divide="ignore"):
-            logm, step = np.log(self.stationary), np.log(self.transition)
-        worst = 1.0
-        codes = np.arange(A ** L, dtype=np.int64)
-        for n in range(L, depth + 1):
-            S = self._rep_values(n)
-            # a forbidden word has logm = S = -inf; its NaN ratio is dropped
-            with np.errstate(invalid="ignore"):
-                ratio = logm - (S - n * self.log_pressure)
-            finite = np.isfinite(ratio)
-            if finite.any():
-                worst = max(worst, float(np.exp(np.abs(ratio[finite]).max())))
-            if n < depth:
-                logm = (logm[:, None] + step[codes % A ** (L - 1)]).ravel()
-                codes = (codes[:, None] * A + np.arange(A)[None, :]).ravel()
-        return worst
+            log_pi, log_step = np.log(self.stationary), np.log(self.transition)
+        worst = 0.0
+        for sign in (1.0, -1.0):
+            stay, move, tail = (_signed(x, sign) for x in (P - psi, log_step, end))
+            V = np.where(np.eye(N, dtype=bool), _signed(log_pi, sign), -np.inf)
+            for n in range(L, depth + 1):
+                worst = max(worst, float((V + tail).max()))
+                if n < depth:
+                    # the max-plus twin of _predecessor_sum, then one slot step
+                    best = (V + stay).reshape(N, A, -1).max(axis=1)
+                    V = (best[:, :, None] + move).reshape(N, N)
+        return math.exp(worst)
+
+
+def _signed(x: np.ndarray, sign: float) -> np.ndarray:
+    """sign * x where finite and -inf elsewhere, so a dead word never wins."""
+    return np.where(np.isfinite(x), sign * x, -np.inf)
 
 
 def _slot_law(weights: np.ndarray) -> np.ndarray:
@@ -815,9 +818,7 @@ def lyapunov_marginal(g: GibbsApprox, which: int, n_samples: int = 2000,
     d = m_d if which == 1 else n_d
     x = cf_value_float(sliding_window_view(d[:, 1:], window, axis=1)[:, :orbit_len])
     per_orbit = (2.0 * np.log(x + d[:, :orbit_len])).mean(axis=1)
-    return McEstimate(value=float(per_orbit.mean()),
-                      se=float(per_orbit.std(ddof=1) / math.sqrt(n_samples)),
-                      n=n_samples)
+    return McEstimate.from_samples(per_orbit)
 
 
 def lyapunov_fiber(g: GibbsApprox, system: SmaleSystem, n_samples: int = 4000,
@@ -836,9 +837,7 @@ def lyapunov_fiber(g: GibbsApprox, system: SmaleSystem, n_samples: int = 4000,
     family = system.family
     coeff = family.coefficients(system, fwd_m[:, :window], fwd_n[:, :window])
     vals = -np.log(family.derivative_mod(pts, coeff))
-    return McEstimate(value=float(vals.mean()),
-                      se=float(vals.std(ddof=1) / math.sqrt(n_samples)),
-                      n=n_samples)
+    return McEstimate.from_samples(vals)
 
 
 def lyapunov_fiber_exact(g: GibbsApprox) -> float:
@@ -865,9 +864,7 @@ def lyapunov_fiber_table_mc(g: GibbsApprox, n_samples: int = 4000,
     for i in range(L):
         word = word * A + codes[:, i : i + orbit_len]
     per_orbit = (-g.gram_base[word]).mean(axis=1)
-    return McEstimate(value=float(per_orbit.mean()),
-                      se=float(per_orbit.std(ddof=1) / math.sqrt(n_samples)),
-                      n=n_samples)
+    return McEstimate.from_samples(per_orbit)
 
 
 # ---------------------------------------------------------------------------

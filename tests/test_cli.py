@@ -104,6 +104,7 @@ INVALID_DOCUMENTS = {
     "or_null": '{"sample": {"predicted": "high"}}',
     "too_few_items": '{"system": {"center": [0.5]}}',
     "too_many_items": '{"sample": {"window": [0.01, 0.1, 8, 9]}}',
+    "float_scale_count": '{"sample": {"window": [0.01, 0.1, 8.7]}}',
     "nested_unknown_key": '{"dimension": {"s_range": {"step": 0.1}}}',
     "non_object_section": '{"stats": 5}',
     "true_as_number": '{"potential": {"value": true}}',
@@ -380,6 +381,29 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", probe], cwd=src,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+
+class TestModuleEntryPoint:
+    def test_smoke(self, tmp_path):
+        # a fresh interpreter, run from the directory that holds the package
+        src = Path(cli.__file__).parents[1]
+        cfg = write_config(tmp_path, {
+            "potential": {"kind": "constant", "value": 0.0},
+            "truncation": {"m_schedule": [2], "depth": 3},
+        })
+        out = tmp_path / "out"
+        command = [sys.executable, "-m", "fiberdim.cli", "pressure",
+                   "--config", cfg, "--out", str(out)]
+        proc = subprocess.run(command, cwd=src, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == str(out / "pressure_record.json")
+        assert (out / "pressure_record.json").exists()
+
+        bad = write_config(tmp_path, {"truncation": {"depth": 1}}, "bad.json")
+        command[command.index(cfg)] = bad
+        proc = subprocess.run(command, cwd=src, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
 
 
 class TestConsoleScript:

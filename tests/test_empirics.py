@@ -180,6 +180,8 @@ class TestLocalDimension:
             local_dimension(gauss2, window=(0.0, 0.1, 6))
         with pytest.raises(ConfigError):
             local_dimension(gauss2, window=(0.01, 0.1, 3))
+        with pytest.raises(ConfigError, match="not an integer"):
+            local_dimension(gauss2, window=(0.01, 0.1, 8.7))
 
     def test_estimate_unpacks(self, gauss2):
         est = local_dimension(gauss2, window=(0.05, 0.4, 9), n_centers=100,

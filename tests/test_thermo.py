@@ -239,10 +239,22 @@ class TestGibbsProperty:
         with pytest.raises(InvalidWord):
             g.gibbs_constant_hat(1)
 
+    @pytest.mark.parametrize("depth", [5.7, 6.0, True, "6"])
+    def test_non_integer_depth_rejected(self, conj, depth):
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2, memory=2)
+        with pytest.raises(InvalidWord, match="integer"):
+            g.gibbs_constant_hat(depth)
+
     def test_hat_enumeration_cap(self, conj):
+        # memory 2 at M = 3: 1999 depths x 9^4 pairs > ENUMERATION_CAP
         g = gibbs_markov(GeometricPotential(conj, 1.0), 3)
         with pytest.raises(EnumerationCapExceeded):
-            g.gibbs_constant_hat(9)
+            g.gibbs_constant_hat(2000)
+
+    def test_default_depth_runs_at_m4(self, conj):
+        g = gibbs_markov(GeometricPotential(conj, 1.5), 4, memory=2)
+        C = g.gibbs_constant_hat()
+        assert math.isfinite(C) and C >= 1.0
 
 
 class TestCylinderPressure:
