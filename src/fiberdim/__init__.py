@@ -27,12 +27,11 @@ from .thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
                      marginal_entropy, measure_stats, potential_mean,
                      pressure_cylinder_sum, pressure_derivative_check,
                      variational_gap)
-from .dimension import (BowenResult, DimensionReport, SummabilityReport,
-                        SweepResult, analytic_similarity_dimension,
-                        bowen_dimension, branch_value, dimension_report,
-                        fiber_measure_dimension, global_dimension,
-                        moran_root, summability_scan, variational_sweep,
-                        z_marginal_dimension)
+from .dimension import (BowenResult, SummabilityReport, SweepResult,
+                        analytic_similarity_dimension, bowen_dimension,
+                        branch_value, fiber_measure_dimension,
+                        global_dimension, moran_root, summability_scan,
+                        variational_sweep, z_marginal_dimension)
 from .empirics import (BoxDimEstimate, ExactnessReport, LocalDimEstimate,
                        PointCloud, box_dimension, exactness_report,
                        local_dimension, sample_measure)

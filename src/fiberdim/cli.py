@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import (build_potential, build_system, config_hash, load_config,
                      resolve_s_grid)
-from .dimension import (check_s_grid, dimension_report, moran_root,
-                        summability_scan)
+from .dimension import (branch_value, check_s_grid, global_dimension,
+                        moran_root, summability_scan, variational_sweep)
 from .empirics import box_dimension, exactness_report, local_dimension, \
     sample_measure
 from .errors import ConfigError, FiberdimError, InsufficientScales, InvalidWord
@@ -118,9 +118,10 @@ def cmd_dimension(config: dict, out_dir: str):
                           orbit_len=st_cfg["orbit_len"],
                           past_depth=st_cfg["past_depth"],
                           rng_seed=config["seed"])
-    report = dimension_report(system, M, s_grid, stats, tr["memory"],
+    sweep = variational_sweep(system, M, s_grid, tr["memory"],
                               config["dimension"]["bowen_tol"])
-    sweep, values = report.sweep, report.branch_values
+    delta, branch = global_dimension(stats)
+    values = {b: branch_value(stats, b) for b in "bc"}
     results = {
         "bowen_root": sweep.delta_T,
         "bowen": dataclasses.asdict(sweep.bowen),
@@ -139,8 +140,8 @@ def cmd_dimension(config: dict, out_dir: str):
         },
         "stats": dataclasses.asdict(stats),
         "chain": g.health(),
-        "global_dimension": report.global_delta,
-        "branch": report.branch,
+        "global_dimension": delta,
+        "branch": branch,
         "branch_values": values,
         "branch_agreement": abs(values["b"] - values["c"]),
     }

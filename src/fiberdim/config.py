@@ -209,11 +209,9 @@ def build_system(config: dict) -> SmaleSystem:
                        radius=sec["radius"])
 
 
-def build_potential(config: dict, system: SmaleSystem, max_digit: int = None):
+def build_potential(config: dict, system: SmaleSystem, max_digit: int):
     """Build the configured potential; table kinds bind to one truncation."""
     sec = config["potential"]
-    if max_digit is None:
-        max_digit = max(config["truncation"]["m_schedule"])
     if sec["kind"] == "constant":
         return ConstantPotential(float(sec["value"]))
     if sec["kind"] == "geometric":

@@ -18,7 +18,6 @@ from .errors import BracketFailure, ConfigError, DegenerateExponent
 from .systems import SmaleSystem
 from .thermo import (
     GeometricPotential,
-    MeasureStats,
     entropy,
     gibbs_markov,
     lyapunov_fiber_exact,
@@ -81,28 +80,23 @@ def summability_scan(system: SmaleSystem, s_grid, m_schedule=(4, 8, 16, 32, 64)
             boundary_estimate=0.0,
         )
     sup_flat, shell_flat = _symbol_sups(system, m_schedule[-1])
-    sums, slopes, verdicts = [], [], []
+    half = [m for m in m_schedule if m >= m_schedule[-1] // 4]
+    logm = np.array([math.log(m) for m in half])
+    sums, slopes = [], []
     for s in s_grid:
         shells = np.zeros(m_schedule[-1])
         np.add.at(shells, shell_flat - 1, sup_flat ** s)
         partial = np.cumsum(shells)
         sums.append(tuple(float(partial[m - 1]) for m in m_schedule))
-        half = [m for m in m_schedule if m >= m_schedule[-1] // 4]
-        logm = np.array([math.log(m) for m in half])
         with np.errstate(divide="ignore"):
             logd = np.log([shells[m - 1] for m in half])
         fit_ok = np.isfinite(logd)
-        if fit_ok.sum() >= 2:
-            slope = float(np.polyfit(logm[fit_ok], logd[fit_ok], 1)[0])
-        else:
-            slope = -math.inf  # tail underflowed to zero: certainly summable
-        slopes.append(slope)
-        if slope <= -1.0 - VERDICT_MARGIN:
-            verdicts.append("summable")
-        elif slope >= -1.0 + VERDICT_MARGIN:
-            verdicts.append("divergent")
-        else:
-            verdicts.append("inconclusive")
+        # a tail that underflowed to zero is certainly summable
+        slopes.append(float(np.polyfit(logm[fit_ok], logd[fit_ok], 1)[0])
+                      if fit_ok.sum() >= 2 else -math.inf)
+    verdicts = tuple("summable" if x <= -1.0 - VERDICT_MARGIN
+                     else "divergent" if x >= -1.0 + VERDICT_MARGIN
+                     else "inconclusive" for x in slopes)
     order = np.argsort(s_grid)
     s_arr = np.array(s_grid)[order]
     sl_arr = np.array(slopes)[order]
@@ -116,7 +110,7 @@ def summability_scan(system: SmaleSystem, s_grid, m_schedule=(4, 8, 16, 32, 64)
         boundary = math.nan
     return SummabilityReport(
         s_grid=s_grid, m_schedule=m_schedule, depth1_sums=tuple(sums),
-        tail_slopes=tuple(slopes), verdicts=tuple(verdicts),
+        tail_slopes=tuple(slopes), verdicts=verdicts,
         boundary_estimate=boundary,
     )
 
@@ -265,12 +259,10 @@ class SweepResult:
 
 def _second_differences(s: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Three-point second-derivative estimates on a possibly uneven grid."""
+    h1, h2 = s[1:-1] - s[:-2], s[2:] - s[1:-1]
     out = np.full(len(s), np.nan)
-    for i in range(1, len(s) - 1):
-        h1, h2 = s[i] - s[i - 1], s[i + 1] - s[i]
-        out[i] = 2.0 * (d[i - 1] / (h1 * (h1 + h2))
-                        - d[i] / (h1 * h2)
-                        + d[i + 1] / (h2 * (h1 + h2)))
+    out[1:-1] = 2.0 * (d[:-2] / (h1 * (h1 + h2)) - d[1:-1] / (h1 * h2)
+                       + d[2:] / (h2 * (h1 + h2)))
     return out
 
 
@@ -338,33 +330,3 @@ def analytic_similarity_dimension(system: SmaleSystem, max_digit: int,
     if order == 2:
         return m2c / m1 + P * (m3c * m1 - 2.0 * m2c ** 2) / m1 ** 3
     raise ConfigError("order must be 0, 1, or 2")
-
-
-# ---------------------------------------------------------------------------
-# assembled report
-
-@dataclass(frozen=True)
-class DimensionReport:
-    bowen_root: float
-    curve: tuple
-    global_delta: float
-    branch: str
-    components: tuple  # (h_mu, h_mu1, h_mu2, chi1, chi2, chi_T)
-    sweep: SweepResult
-    branch_values: dict
-
-
-def dimension_report(system: SmaleSystem, max_digit: int, s_grid,
-                     stats: MeasureStats, memory: int = None,
-                     bowen_tol: float = 1e-6) -> DimensionReport:
-    sweep = variational_sweep(system, max_digit, s_grid, memory, bowen_tol)
-    value, branch = global_dimension(stats)
-    return DimensionReport(
-        bowen_root=sweep.delta_T, curve=sweep.curve, global_delta=value,
-        branch=branch,
-        components=(stats.h_mu, stats.h_mu1, stats.h_mu2,
-                    stats.chi1, stats.chi2, stats.chi_T),
-        sweep=sweep,
-        branch_values={"b": branch_value(stats, "b"),
-                       "c": branch_value(stats, "c")},
-    )

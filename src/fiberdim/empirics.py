@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigError, InsufficientScales
 from .systems import SmaleSystem, fiber_points_bulk, pi_values_bulk
 from .thermo import GibbsApprox, _rng
+from .words import is_integer
 
-PROVENANCES = ("fiber", "z_marginal", "global", "synthetic")
 CHARTS = ("unit_square", "raw")
 
 #: Radius ladder ratio and default scale count for local estimates.
@@ -38,7 +38,7 @@ CODING_FLOOR_FACTOR = 10.0
 
 @dataclass(eq=False)
 class PointCloud:
-    """Sampled points with the provenance needed to interpret radii.
+    """Sampled points with the chart and coding error that radii need.
 
     ``chart`` records the z-coordinate convention: ``unit_square`` means each
     continued fraction value x in (1, inf) is stored as 1/x in (0, 1), a
@@ -47,19 +47,13 @@ class PointCloud:
     """
 
     points: np.ndarray
-    provenance: str
     chart: str
-    seed: int
-    truncation: int
-    depth: int
     coding_error: float
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] not in (1, 2, 4):
             raise ConfigError("points must be (N, d) with d in {1, 2, 4}")
-        if self.provenance not in PROVENANCES:
-            raise ConfigError(f"unknown provenance {self.provenance!r}")
         if self.chart not in CHARTS:
             raise ConfigError(f"unknown chart {self.chart!r}")
 
@@ -125,9 +119,8 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
         err = z_err
     else:
         err = max(z_err, fiber_err)
-    return PointCloud(points=np.column_stack(cols), provenance=target,
+    return PointCloud(points=np.column_stack(cols),
                       chart=chart if target != "fiber" else "raw",
-                      seed=int(seed), truncation=g.max_digit, depth=int(depth),
                       coding_error=float(err))
 
 
@@ -150,7 +143,7 @@ class LocalDimEstimate:
 def _radius_ladder(cloud: PointCloud, window) -> np.ndarray:
     if window is not None:
         r_min, r_max, n_scales = window
-        if not isinstance(n_scales, (int, np.integer)) or isinstance(n_scales, bool):
+        if not is_integer(n_scales):
             raise ConfigError(f"window scale count {n_scales!r} is not an integer")
     else:
         r_max = cloud.diameter() / 4.0
@@ -175,6 +168,8 @@ def local_dimension(cloud: PointCloud, window=None, n_centers: int = 400,
     the qualifying ladder scales; a scale qualifies when its median count
     over centers reaches MIN_SCALE_COUNT, and at least 4 scales must qualify.
     """
+    if not is_integer(n_centers):
+        raise ConfigError(f"center count {n_centers!r} is not an integer")
     n_centers = int(min(n_centers, cloud.n_points // 10))
     if n_centers < 10:
         raise ConfigError("cloud too small for a local estimate")
@@ -264,8 +259,8 @@ def box_dimension(cloud: PointCloud, n_scales: int = 8) -> BoxDimEstimate:
     A cloud with zero extent (all samples resolve to one point) reports
     dimension 0 directly instead of failing on a degenerate ladder.
     """
-    if n_scales < 5:
-        raise ConfigError("need at least 5 dyadic scales")
+    if not is_integer(n_scales) or n_scales < 5:
+        raise ConfigError(f"need an integer >= 5 dyadic scales, got {n_scales!r}")
     diam = cloud.diameter()
     floor = max(CODING_FLOOR_FACTOR * cloud.coding_error, 1e-300)
     if diam <= floor:

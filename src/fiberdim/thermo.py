@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .systems import CONTEXT_DEPTH, SmaleSystem, fiber_points_bulk
 from .words import (ENUMERATION_CAP, cf_value_float, check_max_digit,
-                    check_pair_word)
+                    check_pair_word, is_integer)
 
 #: Cap on the number of k-word states of the transfer matrix.
 STATE_CAP = 4096
@@ -232,7 +232,7 @@ def potential_approx_error(system: SmaleSystem, memory: int) -> float:
 
 
 def _realize(potential, M: int, memory, L: int):
-    """(base values on L-word codes, scale, approx_error, base_is_log_derivative).
+    """(base values on L-word codes, scale, approx_error).
 
     ``L`` is ``_table_memory(potential, memory)``; a geometric base is the
     cached realization itself, never a copy.
@@ -240,17 +240,17 @@ def _realize(potential, M: int, memory, L: int):
     if isinstance(potential, ConstantPotential):
         if not math.isfinite(potential.value):
             raise ConfigError("table values must be finite")
-        return np.full((M * M) ** L, float(potential.value)), 1.0, 0.0, False
+        return np.full((M * M) ** L, float(potential.value)), 1.0, 0.0
     if isinstance(potential, TablePotential):
         if potential.max_digit != M:
             raise ConfigError(
                 f"table truncation {potential.max_digit} does not match M={M}")
         if memory is not None and memory < potential.memory:
             raise ConfigError("requested memory below the table's own memory")
-        return _base_flat(potential, L), potential.scale, 0.0, False
+        return _base_flat(potential, L), potential.scale, 0.0
     if isinstance(potential, GeometricPotential):
         err = potential.s * potential_approx_error(potential.system, L)
-        return realized_table(potential.system, M, L), potential.s, err, True
+        return realized_table(potential.system, M, L), potential.s, err
     raise ConfigError(f"unknown potential kind {type(potential).__name__}")
 
 
@@ -285,9 +285,10 @@ class GibbsApprox:
     (i mod A^(k-1)) * A + a with probability ``transition[i mod A^(k-1), a]``
     and reversed slot a to a * A^(k-1) + i // A with probability
     ``reverse[i // A, a]``.  ``log_pressure`` is the log Perron root of the
-    weight operator.  The health fields record the Perron solve: its iteration
-    count, the relative right and left eigen-residuals, and the l1
-    stationarity residual |pi P - pi|.
+    weight operator.  ``log_derivative`` is the realized log|T'| table for a
+    geometric potential and None otherwise.  The health fields record the
+    Perron solve: its iteration count, the relative right and left
+    eigen-residuals, and the l1 stationarity residual |pi P - pi|.
     """
 
     max_digit: int
@@ -298,9 +299,8 @@ class GibbsApprox:
     reverse: np.ndarray = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
-    gram_base: np.ndarray = field(repr=False)
+    log_derivative: np.ndarray | None = field(repr=False)
     potential_error: float = 0.0
-    is_geometric: bool = False
     perron_iterations: int = 0
     perron_residual: tuple = (0.0, 0.0)
     stationarity_residual: float = 0.0
@@ -420,7 +420,7 @@ class GibbsApprox:
         """
         L, A = self.memory, self.alphabet_size
         depth = L + 4 if depth is None else depth
-        if not isinstance(depth, (int, np.integer)) or isinstance(depth, bool):
+        if not is_integer(depth):
             raise InvalidWord(f"depth must be an integer, got {depth!r}")
         if depth < L:
             raise InvalidWord("depth below the chain memory")
@@ -595,7 +595,7 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     if A ** L > STATE_CAP:
         raise EnumerationCapExceeded(
             f"{A**L} states exceed the cap {STATE_CAP}; lower the memory")
-    base, scale, err, geo = _realize(potential, M, memory, L)
+    base, scale, err = _realize(potential, M, memory, L)
     gram = _scaled(base, scale)
     alive = _prune_support(np.isfinite(gram), A)
     if not alive.any():
@@ -626,8 +626,9 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     return GibbsApprox(
         max_digit=M, memory=L,
         log_pressure=float(np.log(rho) + m0), n_states=int(alive.sum()),
-        transition=P, reverse=Q, stationary=pi, gram=gram, gram_base=base,
-        potential_error=err, is_geometric=geo,
+        transition=P, reverse=Q, stationary=pi, gram=gram,
+        log_derivative=base if isinstance(potential, GeometricPotential) else None,
+        potential_error=err,
         perron_iterations=iterations, perron_residual=res,
         stationarity_residual=stat_res,
     )
@@ -708,7 +709,7 @@ def pressure_cylinder_sum(potential, max_digit: int, depth: int,
         raise EnumerationCapExceeded(
             f"depth {depth} x (M^2)^{L} = {depth * A**L} sweep cells "
             "exceed the cap")
-    base, scale, err, _ = _realize(potential, M, memory, L)
+    base, scale, err = _realize(potential, M, memory, L)
     logZ = _cylinder_sweep(_scaled(base, scale), L, A, depth).tolist()
     if np.isneginf(logZ).any():
         raise SummabilityFailure("all depth cylinders forbidden")
@@ -847,15 +848,15 @@ def lyapunov_fiber_exact(g: GibbsApprox) -> float:
     dimension formulas use so that pressure, entropy, and the exponent obey
     the exact chain identities.
     """
-    if not g.is_geometric:
+    if g.log_derivative is None:
         raise ConfigError("exact fiber exponent needs a geometric potential")
-    return float(-(g.stationary @ g.gram_base))
+    return float(-(g.stationary @ g.log_derivative))
 
 
 def lyapunov_fiber_table_mc(g: GibbsApprox, n_samples: int = 4000,
                             orbit_len: int = 50, rng_seed=0) -> McEstimate:
     """Monte Carlo of the realized table integrand along chain orbits."""
-    if not g.is_geometric:
+    if g.log_derivative is None:
         raise ConfigError("table Monte Carlo needs a geometric potential")
     rng = _rng(rng_seed)
     codes = g.sample_forward(orbit_len + g.memory - 1, n_samples, rng)
@@ -863,7 +864,7 @@ def lyapunov_fiber_table_mc(g: GibbsApprox, n_samples: int = 4000,
     word = np.zeros((n_samples, orbit_len), dtype=np.int64)
     for i in range(L):
         word = word * A + codes[:, i : i + orbit_len]
-    per_orbit = (-g.gram_base[word]).mean(axis=1)
+    per_orbit = (-g.log_derivative[word]).mean(axis=1)
     return McEstimate.from_samples(per_orbit)
 
 
@@ -927,7 +928,7 @@ def measure_stats(g: GibbsApprox, system: SmaleSystem, depth: int = 8,
     h2 = marginal_entropy(g, 2, depth)
     chi1 = lyapunov_marginal(g, 1, n_samples, orbit_len, ss[0]).value
     chi2 = lyapunov_marginal(g, 2, n_samples, orbit_len, ss[1]).value
-    if g.is_geometric:
+    if g.log_derivative is not None:
         chi_T = lyapunov_fiber_exact(g)
     else:
         chi_T = lyapunov_fiber(g, system, n_samples, past_depth, ss[2]).value

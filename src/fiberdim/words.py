@@ -35,8 +35,13 @@ ENUMERATION_CAP = 10_000_000
 # ---------------------------------------------------------------------------
 # word validation and alphabets
 
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer; a bool is not a count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_digit(d) -> int:
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
+    if not is_integer(d) or d < 1:
         raise InvalidWord(f"digit must be an integer >= 1, got {d!r}")
     return int(d)
 
@@ -58,7 +63,7 @@ def check_pair_word(word) -> tuple[tuple[int, int], ...]:
 
 
 def check_max_digit(max_digit) -> int:
-    if not isinstance(max_digit, (int, np.integer)) or max_digit < 1:
+    if not is_integer(max_digit) or max_digit < 1:
         raise InvalidWord(f"digit truncation must be an integer >= 1, got {max_digit!r}")
     return int(max_digit)
 
@@ -118,10 +123,6 @@ class Interval:
     def mid(self) -> float:
         return float((self.lo + self.hi) / 2)
 
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class Box:
@@ -134,9 +135,6 @@ class Box:
     def mid(self) -> complex:
         return complex(self.re.mid, self.im.mid)
 
-    def contains(self, z: complex) -> bool:
-        return self.re.contains(z.real) and self.im.contains(z.imag)
-
 
 # ---------------------------------------------------------------------------
 # base contraction family
@@ -144,10 +142,6 @@ class Box:
 def cf_map(digit: int, x) -> float:
     """One branch of the base family, x -> 1/(x + digit) on [0, 1)."""
     d = check_digit(digit)
-    if isinstance(x, Fraction):
-        if not (0 <= x < 1):
-            raise DomainError(f"argument {x} outside [0, 1)")
-        return 1 / (x + d)
     xf = float(x)
     if not (0.0 <= xf < 1.0):
         raise DomainError(f"argument {xf} outside [0, 1)")
@@ -157,10 +151,6 @@ def cf_map(digit: int, x) -> float:
 def cf_map_derivative_mod(digit: int, x) -> float:
     """Modulus of the branch derivative, 1/(x + digit)^2."""
     d = check_digit(digit)
-    if isinstance(x, Fraction):
-        if not (0 <= x < 1):
-            raise DomainError(f"argument {x} outside [0, 1)")
-        return 1 / (x + d) ** 2
     xf = float(x)
     if not (0.0 <= xf < 1.0):
         raise DomainError(f"argument {xf} outside [0, 1)")
@@ -271,16 +261,6 @@ class ComposedMap:
     branch: int
     derivative_sup: float
     contraction_ok: bool
-
-    def __call__(self, x) -> float:
-        y = x
-        for d in reversed(self.digits):
-            y = cf_map(d, y)
-        return y
-
-    def derivative_mod(self, x) -> float:
-        prod, _ = orbit_derivative_product(self.digits, x)
-        return prod
 
 
 def certify_derivative_sup(word, subdivisions: int = 256) -> Fraction:

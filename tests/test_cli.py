@@ -217,6 +217,20 @@ class TestDimensionCommand:
         assert lines[0] == "s,delta,flag"
         assert len(lines) == 6
 
+    def test_constant_potential_uses_monte_carlo_fiber_exponent(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "potential": {"kind": "constant", "value": 0.0},
+            "truncation": {"m_schedule": [2], "memory": 1},
+            "dimension": {"s_grid": [0.6, 0.9, 1.2]},
+            "stats": {"depth": 6, "n_samples": 300, "orbit_len": 50,
+                      "past_depth": 30},
+        })
+        out = tmp_path / "out"
+        assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
+        stats = read_record(out, "dimension")["results"]["stats"]
+        assert stats["h_mu"] == pytest.approx(math.log(4), abs=1e-12)
+        assert stats["chi_T"] > 0
+
     def test_duplicate_grid_points_exit_2(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the grid must be rejected before any work")
@@ -306,6 +320,19 @@ class TestSampleCommand:
         assert results["exactness"]["predicted"] == 1.0
         assert results["exactness"]["bias"] == pytest.approx(
             results["local_dimension"]["mean"] - 1.0)
+
+    def test_window_below_every_count_skips_local_dimension(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "truncation": {"m_schedule": [2], "memory": 1},
+            "sample": {"target": "z_marginal", "n_points": 1000, "depth": 30,
+                       "window": [0.001, 0.002, 4]},
+        })
+        out = tmp_path / "out"
+        assert run(["sample", "--config", cfg, "--out", str(out)]) == 0
+        record = read_record(out, "sample")
+        assert record["results"]["local_dimension"] is None
+        assert any(w.startswith("local dimension skipped")
+                   for w in record["warnings"])
 
 
 class TestVerifyCommand:

@@ -9,7 +9,6 @@ from fiberdim.dimension import (
     analytic_similarity_dimension,
     bowen_dimension,
     branch_value,
-    dimension_report,
     fiber_measure_dimension,
     global_dimension,
     moran_root,
@@ -19,12 +18,7 @@ from fiberdim.dimension import (
 )
 from fiberdim.errors import BracketFailure, ConfigError, DegenerateExponent
 from fiberdim.systems import SimilaritySchedule, make_system
-from fiberdim.thermo import (
-    GeometricPotential,
-    MeasureStats,
-    gibbs_markov,
-    measure_stats,
-)
+from fiberdim.thermo import MeasureStats
 
 
 @pytest.fixture(scope="module")
@@ -213,16 +207,3 @@ class TestAnalyticSimilarity:
     def test_needs_similarity_variant(self, conj):
         with pytest.raises(ConfigError):
             analytic_similarity_dimension(conj, 3, 1.0)
-
-
-class TestDimensionReport:
-    def test_report_consistency(self, conj):
-        g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
-        st = measure_stats(g, conj, depth=6, n_samples=400, orbit_len=60,
-                           rng_seed=0)
-        report = dimension_report(conj, 2, tuple(np.linspace(0.4, 1.4, 11)), st)
-        assert report.bowen_root == pytest.approx(
-            bowen_dimension(conj, 2, tol=1e-6), abs=1e-5)
-        assert report.global_delta == report.branch_values[report.branch]
-        assert set(report.branch_values) == {"b", "c"}
-        assert len(report.components) == 6

@@ -20,8 +20,7 @@ from fiberdim.thermo import ConstantPotential, GeometricPotential, gibbs_markov
 
 
 def synthetic(points):
-    return PointCloud(points=points, provenance="synthetic", chart="raw",
-                      seed=0, truncation=0, depth=0, coding_error=0.0)
+    return PointCloud(points=points, chart="raw", coding_error=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +41,7 @@ class TestPointCloud:
         with pytest.raises(ConfigError):
             synthetic(np.zeros((100, 3)))
         with pytest.raises(ConfigError):
-            PointCloud(points=np.zeros((10, 2)), provenance="bootstrap",
-                       chart="raw", seed=0, truncation=0, depth=0,
-                       coding_error=0.0)
-        with pytest.raises(ConfigError):
-            PointCloud(points=np.zeros((10, 2)), provenance="synthetic",
-                       chart="polar", seed=0, truncation=0, depth=0,
+            PointCloud(points=np.zeros((10, 2)), chart="polar",
                        coding_error=0.0)
 
     def test_csv_format(self, tmp_path):
@@ -157,9 +151,8 @@ class TestLocalDimension:
 
     def test_coding_floor_starves_ladder(self):
         rng = np.random.default_rng(0)
-        cloud = PointCloud(points=rng.random((2000, 2)),
-                           provenance="synthetic", chart="raw", seed=0,
-                           truncation=0, depth=0, coding_error=0.1)
+        cloud = PointCloud(points=rng.random((2000, 2)), chart="raw",
+                           coding_error=0.1)
         with pytest.raises(InsufficientScales):
             local_dimension(cloud, n_centers=100, seed=0)
 
@@ -182,6 +175,11 @@ class TestLocalDimension:
             local_dimension(gauss2, window=(0.01, 0.1, 3))
         with pytest.raises(ConfigError, match="not an integer"):
             local_dimension(gauss2, window=(0.01, 0.1, 8.7))
+
+    @pytest.mark.parametrize("n_centers", [400.7, 100.0, True])
+    def test_center_count_must_be_integer(self, gauss2, n_centers):
+        with pytest.raises(ConfigError, match="not an integer"):
+            local_dimension(gauss2, n_centers=n_centers)
 
     def test_estimate_unpacks(self, gauss2):
         est = local_dimension(gauss2, window=(0.05, 0.4, 9), n_centers=100,
@@ -217,6 +215,11 @@ class TestBoxDimension:
     def test_scale_guard(self, gauss2):
         with pytest.raises(ConfigError):
             box_dimension(gauss2, n_scales=4)
+
+    @pytest.mark.parametrize("n_scales", [7.5, 8.0, True])
+    def test_scale_count_must_be_integer(self, gauss2, n_scales):
+        with pytest.raises(ConfigError, match="integer"):
+            box_dimension(gauss2, n_scales=n_scales)
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_packed_count_matches_row_unique(self, dim):

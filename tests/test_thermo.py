@@ -122,6 +122,13 @@ class TestGibbsChain:
             assert total == pytest.approx(math.exp(bernoulli.word_log_mass(word)),
                                           abs=1e-12)
 
+    def test_word_shorter_than_memory_is_symbol_marginal(self, conj):
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2, memory=2)
+        marg = g.symbol_marginal()
+        for code, sym in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
+            assert g.word_log_mass((sym,)) == pytest.approx(
+                math.log(marg[code]), abs=1e-12)
+
     def test_symbol_marginal_sums_to_one(self, bernoulli):
         marg = bernoulli.symbol_marginal()
         assert marg.sum() == pytest.approx(1.0)

@@ -10,9 +10,10 @@ from fiberdim.errors import (DomainError, EnumerationCapExceeded, InvalidWord,
                              RationalTermination)
 from fiberdim.words import (Interval, cf_map, cf_map_derivative_mod,
                             cf_value_float, certify_derivative_sup,
+                            check_digit, check_max_digit,
                             enumerate_pair_words, induced_ifs_maps,
-                            orbit_derivative_product, pair_alphabet, pi_tilde,
-                            rho0_digits, rho0_value)
+                            is_integer, orbit_derivative_product,
+                            pair_alphabet, pi_tilde, rho0_digits, rho0_value)
 
 
 def newton_sqrt(n: int, iterations: int = 8) -> Fraction:
@@ -25,6 +26,22 @@ def newton_sqrt(n: int, iterations: int = 8) -> Fraction:
 
 GOLDEN = (newton_sqrt(5) - 1) / 2  # (sqrt5 - 1)/2, error < 1e-30
 SILVER = newton_sqrt(2) - 1
+
+
+class TestIntegerChecks:
+    def test_is_integer(self):
+        assert is_integer(3) and is_integer(np.int64(3)) and is_integer(np.int32(3))
+        assert not any(is_integer(x) for x in (True, np.bool_(True), 3.0, "3"))
+
+    @pytest.mark.parametrize("digit", [True, 2.0, 0, "2"])
+    def test_check_digit_rejects(self, digit):
+        with pytest.raises(InvalidWord):
+            check_digit(digit)
+
+    @pytest.mark.parametrize("max_digit", [True, False, 3.0, 0])
+    def test_check_max_digit_rejects(self, max_digit):
+        with pytest.raises(InvalidWord):
+            check_max_digit(max_digit)
 
 
 class TestCfMap:
