@@ -11,11 +11,10 @@ from .errors import (BracketFailure, ConfigError, DegenerateExponent,
                      DomainError, DomainEscape, EnumerationCapExceeded,
                      FiberdimError, InsufficientScales, InvalidWord,
                      NonPrimitive, RationalTermination, SummabilityFailure)
-from .words import (Box, ComposedMap, Interval, cf_map,
-                    cf_map_derivative_mod, cf_value_float,
-                    certify_derivative_sup, enumerate_pair_words,
-                    induced_ifs_maps, orbit_derivative_product,
-                    pair_alphabet, pi_tilde, rho0_digits, rho0_value)
+from .words import (Box, ComposedMap, Interval, cf_map_derivative_mod,
+                    cf_value_float, certify_derivative_sup,
+                    enumerate_pair_words, induced_ifs_maps, pair_alphabet,
+                    pi_tilde, rho0_digits, rho0_value)
 from .systems import (Disk, FiberWordContext, PastWord, SimilaritySchedule,
                       SmaleSystem, SystemReport, fiber_derivative_mod,
                       fiber_map, image_disk, make_system, pi2_hat,

@@ -29,8 +29,6 @@ from .thermo import gibbs_markov, measure_stats, pressure_cylinder_sum, \
     pressure_derivative_check
 from .words import induced_ifs_maps
 
-ENV_THREADS = "FIBERDIM_THREADS"
-
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -249,19 +247,6 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 # entry point
 
-def _resolve_threads(flag_value, config_value):
-    """Precedence: --threads flag, then environment, then config."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(ENV_THREADS)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_THREADS}={env!r} is not an integer")
-    return config_value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fiberdim",
@@ -272,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, help="override config seed")
     parser.add_argument("--threads", type=int,
-                        help="worker threads (overrides environment)")
+                        help="worker threads (overrides config)")
     return parser
 
 
@@ -287,7 +272,8 @@ def run(argv=None) -> int:
                 raise ConfigError("config document must be a JSON object")
         if args.seed is not None:
             user["seed"] = args.seed
-        user["threads"] = _resolve_threads(args.threads, user.get("threads"))
+        if args.threads is not None:
+            user["threads"] = args.threads
         config = load_config(user)
         os.makedirs(args.out, exist_ok=True)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError, ConfigError,

@@ -491,28 +491,12 @@ class PastWord:
 # ---------------------------------------------------------------------------
 # fiber maps
 
-def fiber_map_at(system: SmaleSystem, pi_value: complex, w: complex,
-                 symbol=None) -> complex:
-    """Formula layer: apply the time-zero map given the translate value.
-
-    Similarity systems ignore ``pi_value`` and need ``symbol`` instead.
-    """
-    family = system.family
-    return family.map(w, family.coeff_at(system, pi_value, symbol))
-
-
-def fiber_derivative_mod_at(system: SmaleSystem, pi_value: complex, w: complex,
-                            symbol=None) -> float:
-    """Formula layer: one-step derivative modulus of the time-zero map."""
-    family = system.family
-    return family.derivative_mod(w, family.coeff_at(system, pi_value, symbol))
-
-
 def fiber_map(system: SmaleSystem, ctx: FiberWordContext, w: complex) -> complex:
     """Apply the time-zero fiber map of the word in ``ctx`` to a domain point."""
     if not system.domain.contains(w, tol=ESCAPE_TOL):
         raise DomainEscape(f"argument {w} outside the fiber domain")
-    img = fiber_map_at(system, ctx.pi_value, w, ctx.first_symbol)
+    family = system.family
+    img = family.map(w, family.coeff_at(system, ctx.pi_value, ctx.first_symbol))
     if not system.domain.contains(img, tol=ESCAPE_TOL):
         raise DomainEscape(f"image {img} escaped the fiber domain")
     return img
@@ -523,7 +507,9 @@ def fiber_derivative_mod(system: SmaleSystem, ctx: FiberWordContext,
     """One-step derivative modulus at a domain point."""
     if not system.domain.contains(w, tol=ESCAPE_TOL):
         raise DomainEscape(f"argument {w} outside the fiber domain")
-    return fiber_derivative_mod_at(system, ctx.pi_value, w, ctx.first_symbol)
+    family = system.family
+    return family.derivative_mod(
+        w, family.coeff_at(system, ctx.pi_value, ctx.first_symbol))
 
 
 def pi2_hat(system: SmaleSystem, past: PastWord):
@@ -568,6 +554,9 @@ def fiber_points_bulk(system: SmaleSystem,
                       ctx_depth: int = CONTEXT_DEPTH) -> np.ndarray:
     """Vectorised fiber points for batches of past/forward digit rows.
 
+    This is the one bulk composition of fiber maps: point clouds,
+    ``lyapunov_fiber`` and the periodic potential realization
+    (``periodic_log_derivatives``) all call it.
     ``past_m[:, j]`` is the first digit coordinate at time -(j+1).  Uses the
     float continued-fraction path: each level reads its translate value off
     ``ctx_depth`` symbols with a fixed tail, where ``pi2_hat`` takes the

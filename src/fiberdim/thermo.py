@@ -187,29 +187,25 @@ def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
 
     Entry ``code`` is log|T'| of the time-zero map of the two-sided periodic
     extension of the word, evaluated at the fiber point pinned by its past.
-    The composition depth makes the point accurate to the POINT_TOL scale.
-    Translate values are read off ``window`` symbols as in
-    ``fiber_points_bulk``, so against the exact-cylinder evaluation of
-    ``pi2_hat`` an entry is off by at most ``distortion_bound`` times the sum
-    of the point bound stated there and the translate coding error
-    sqrt(2) * 2**(1 - window).
+    The point is ``fiber_points_bulk`` of a past of ``_composition_depth``
+    symbols and a ``window``-symbol forward word, time t reading symbol
+    t mod n; that depth makes it accurate to the POINT_TOL scale.  So against
+    the exact-cylinder evaluation of ``pi2_hat`` an entry is off by at most
+    ``distortion_bound`` times the sum of the point bound stated there and
+    the translate coding error sqrt(2) * 2**(1 - window).
     """
     M = check_max_digit(max_digit)
     count = (M * M) ** n
     if count > ENUMERATION_CAP:
         raise EnumerationCapExceeded(f"{count} periodic words exceed the cap")
     m_dig, n_dig = _digit_planes(np.arange(count, dtype=np.int64), n, M)
+    past = -np.arange(1, _composition_depth(system) + 1) % n
+    fwd = np.arange(window) % n
+    w = fiber_points_bulk(system, m_dig[:, past], n_dig[:, past],
+                          m_dig[:, fwd], n_dig[:, fwd], ctx_depth=window)
     family = system.family
-    # context windows of the n rotations, read off the periodic continuation
-    cols = np.arange(n + window - 1) % n
-    m_win = sliding_window_view(m_dig[:, cols], window, axis=1)
-    n_win = sliding_window_view(n_dig[:, cols], window, axis=1)
-    coeffs = [family.coefficients(system, m_win[:, r], n_win[:, r])
-              for r in range(n)]
-    w = np.full(count, system.domain.center, dtype=complex)
-    for lev in range(_composition_depth(system), 0, -1):
-        w = family.map(w, coeffs[(-lev) % n])
-    return np.log(family.derivative_mod(w, coeffs[0]))
+    coeff = family.coefficients(system, m_dig[:, fwd], n_dig[:, fwd])
+    return np.log(family.derivative_mod(w, coeff))
 
 
 @lru_cache(maxsize=64)
@@ -385,8 +381,10 @@ class GibbsApprox:
         the conditional measures on fibers.
         """
         rng = _rng(rng)
-        ahead, back = self._cums()
         A, L = self.alphabet_size, self.memory
+        if n_forward < L:
+            raise InvalidWord(f"need at least {L} symbols per draw")
+        ahead, back = self._cums()
         code0 = rng.choice(len(self.stationary), size=count, p=self.stationary)
         past = np.empty((count, n_past), dtype=np.int64)
         code = code0
@@ -396,11 +394,6 @@ class GibbsApprox:
         fwd = self._emit_forward(code0, n_forward, ahead, rng)
         M = self.max_digit
         return (past // M + 1, past % M + 1, fwd // M + 1, fwd % M + 1)
-
-    def sample_forward_digits(self, n_symbols: int, count: int, rng):
-        codes = self.sample_forward(n_symbols, count, rng)
-        M = self.max_digit
-        return codes // M + 1, codes % M + 1
 
     # -- Gibbs constant ------------------------------------------------------
 
@@ -803,8 +796,7 @@ def marginal_entropy(g: GibbsApprox, which: int, depth: int = 8) -> float:
 # Lyapunov exponents
 
 def lyapunov_marginal(g: GibbsApprox, which: int, n_samples: int = 2000,
-                      orbit_len: int = 100, rng_seed=0,
-                      window: int = CONTEXT_DEPTH) -> McEstimate:
+                      orbit_len: int = 100, rng_seed=0) -> McEstimate:
     """Birkhoff average of -log of the digit-map derivative modulus.
 
     Each orbit contributes the average of 2 log(x_{t+1} + d_t) with x the
@@ -815,28 +807,29 @@ def lyapunov_marginal(g: GibbsApprox, which: int, n_samples: int = 2000,
     if orbit_len < 50:
         raise InvalidWord("orbit_len must be >= 50")
     rng = _rng(rng_seed)
-    m_d, n_d = g.sample_forward_digits(orbit_len + window, n_samples, rng)
+    _, _, m_d, n_d = g.sample_two_sided(0, orbit_len + CONTEXT_DEPTH,
+                                        n_samples, rng)
     d = m_d if which == 1 else n_d
-    x = cf_value_float(sliding_window_view(d[:, 1:], window, axis=1)[:, :orbit_len])
+    x = cf_value_float(
+        sliding_window_view(d[:, 1:], CONTEXT_DEPTH, axis=1)[:, :orbit_len])
     per_orbit = (2.0 * np.log(x + d[:, :orbit_len])).mean(axis=1)
     return McEstimate.from_samples(per_orbit)
 
 
 def lyapunov_fiber(g: GibbsApprox, system: SmaleSystem, n_samples: int = 4000,
-                   past_depth: int = 40, rng_seed=0,
-                   window: int = CONTEXT_DEPTH) -> McEstimate:
+                   past_depth: int = 40, rng_seed=0) -> McEstimate:
     """Monte Carlo -int log|T'| at fiber points from backward sampling."""
     if past_depth < 10:
         raise InvalidWord("past_depth must be >= 10")
     rng = _rng(rng_seed)
     past_m, past_n, fwd_m, fwd_n = g.sample_two_sided(
-        past_depth, max(window, g.memory), n_samples, rng)
-    pts = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n,
-                            ctx_depth=window)
+        past_depth, max(CONTEXT_DEPTH, g.memory), n_samples, rng)
+    pts = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
     if (np.abs(pts - system.domain.center) > system.domain.radius + 1e-6).any():
         raise DomainEscape("sampled fiber points left the domain")
     family = system.family
-    coeff = family.coefficients(system, fwd_m[:, :window], fwd_n[:, :window])
+    coeff = family.coefficients(system, fwd_m[:, :CONTEXT_DEPTH],
+                                fwd_n[:, :CONTEXT_DEPTH])
     vals = -np.log(family.derivative_mod(pts, coeff))
     return McEstimate.from_samples(vals)
 

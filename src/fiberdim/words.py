@@ -139,15 +139,6 @@ class Box:
 # ---------------------------------------------------------------------------
 # base contraction family
 
-def cf_map(digit: int, x) -> float:
-    """One branch of the base family, x -> 1/(x + digit) on [0, 1)."""
-    d = check_digit(digit)
-    xf = float(x)
-    if not (0.0 <= xf < 1.0):
-        raise DomainError(f"argument {xf} outside [0, 1)")
-    return 1.0 / (xf + d)
-
-
 def cf_map_derivative_mod(digit: int, x) -> float:
     """Modulus of the branch derivative, 1/(x + digit)^2."""
     d = check_digit(digit)
@@ -155,21 +146,6 @@ def cf_map_derivative_mod(digit: int, x) -> float:
     if not (0.0 <= xf < 1.0):
         raise DomainError(f"argument {xf} outside [0, 1)")
     return 1.0 / (xf + d) ** 2
-
-
-def orbit_derivative_product(word, x0: float = 0.0):
-    """Chain-rule product of branch derivative moduli along a composition.
-
-    The word is applied inside out to ``x0``; returns (product, final point).
-    Used to compare cylinder widths against contraction products.
-    """
-    w = check_digit_word(word)
-    y = float(x0)
-    prod = 1.0
-    for d in reversed(w):
-        prod *= cf_map_derivative_mod(d, y)
-        y = cf_map(d, y)
-    return prod, y
 
 
 def rho0_value(word) -> Interval:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fiberdim import cli
-from fiberdim.cli import ENV_THREADS, run
+from fiberdim.cli import run
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -359,21 +359,11 @@ class TestVerifyCommand:
 
 
 class TestThreads:
-    def test_env_sets_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "3")
+    def test_flag_beats_config(self, tmp_path):
         cfg = write_config(tmp_path, {
             "potential": {"kind": "constant", "value": 0.0},
             "truncation": {"m_schedule": [2], "depth": 3},
-        })
-        out = tmp_path / "out"
-        assert run(["pressure", "--config", cfg, "--out", str(out)]) == 0
-        assert read_record(out, "pressure")["config"]["threads"] == 3
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "3")
-        cfg = write_config(tmp_path, {
-            "potential": {"kind": "constant", "value": 0.0},
-            "truncation": {"m_schedule": [2], "depth": 3},
+            "threads": 3,
         })
         out = tmp_path / "out"
         assert run(["pressure", "--config", cfg, "--out", str(out),
@@ -388,15 +378,6 @@ class TestThreads:
         })
         assert run(["pressure", "--config", cfg, "--out", str(tmp_path / "out"),
                     "--threads", threads]) == 2
-
-    def test_invalid_env_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "many")
-        cfg = write_config(tmp_path, {
-            "potential": {"kind": "constant", "value": 0.0},
-            "truncation": {"m_schedule": [2], "depth": 3},
-        })
-        assert run(["pressure", "--config", cfg,
-                    "--out", str(tmp_path / "out")]) == 2
 
 
 class TestStartup:

@@ -13,9 +13,7 @@ from fiberdim.systems import (
     PastWord,
     SimilaritySchedule,
     fiber_derivative_mod,
-    fiber_derivative_mod_at,
     fiber_map,
-    fiber_map_at,
     fiber_points_bulk,
     image_disk,
     invert_disk,
@@ -149,27 +147,29 @@ class TestSymbolSup:
 
 class TestFiberFormulas:
     def test_conjugate_map_value(self, conj):
-        assert fiber_map_at(conj, 2 + 2j, 0j) == pytest.approx(0.25 - 0.25j)
+        assert conj.family.map(0j, 2 + 2j) == pytest.approx(0.25 - 0.25j)
 
     def test_square_map_value(self, square):
-        assert fiber_map_at(square, 2 + 2j, 0j) == pytest.approx(0.125 - 0.125j)
+        assert square.family.map(0j, 2 + 2j) == pytest.approx(0.125 - 0.125j)
 
     def test_similarity_map_value(self):
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.25, 0.5, 0.0),))
         sim = make_system("similarity", schedule=sched)
-        assert fiber_map_at(sim, 0j, 1 + 0j, (1, 1)) == pytest.approx(0.625 + 0j)
+        coeff = sim.family.coeff_at(sim, 0j, (1, 1))
+        assert sim.family.map(1 + 0j, coeff) == pytest.approx(0.625 + 0j)
 
     def test_conjugate_derivative_value(self, conj):
-        assert fiber_derivative_mod_at(conj, 2 + 2j, 0j) == pytest.approx(0.125)
+        assert conj.family.derivative_mod(0j, 2 + 2j) == pytest.approx(0.125)
 
     def test_square_derivative_value(self, square):
-        got = fiber_derivative_mod_at(square, 2 + 2j, 0.5 + 0j)
+        got = square.family.derivative_mod(0.5 + 0j, 2 + 2j)
         assert got == pytest.approx(1.0 / 34.0625)
 
     def test_derivative_matches_finite_differences(self, conj, square):
         rng = np.random.default_rng(3)
         h = 1e-7
         for system in (conj, square):
+            family = system.family
             checked = 0
             while checked < 200:
                 u = rng.random() + 1j * rng.random()
@@ -178,9 +178,9 @@ class TestFiberFormulas:
                     continue
                 theta = rng.random() * 2 * math.pi
                 e = complex(math.cos(theta), math.sin(theta))
-                fd = abs(fiber_map_at(system, 1.6 + 1.6j, w + h * e)
-                         - fiber_map_at(system, 1.6 + 1.6j, w - h * e)) / (2 * h)
-                ref = fiber_derivative_mod_at(system, 1.6 + 1.6j, w)
+                fd = abs(family.map(w + h * e, 1.6 + 1.6j)
+                         - family.map(w - h * e, 1.6 + 1.6j)) / (2 * h)
+                ref = family.derivative_mod(w, 1.6 + 1.6j)
                 assert abs(fd - ref) <= 1e-6 * ref
                 checked += 1
 
@@ -194,7 +194,7 @@ class TestFiberFormulas:
     def test_checked_layer_matches_formula(self, conj):
         ctx = FiberWordContext(((2, 3),) * 12)
         w = 0.4 + 0.1j
-        assert fiber_map(conj, ctx, w) == fiber_map_at(conj, ctx.pi_value, w)
+        assert fiber_map(conj, ctx, w) == conj.family.map(w, ctx.pi_value)
 
 
 class TestPastSelection:
@@ -387,3 +387,10 @@ class TestBulkMatchesScalar:
                 ref = math.log(fiber_derivative_mod(
                     system, FiberWordContext(fwd, self.CTX), w))
                 assert abs(vals[code] - ref) <= log_tol + 1e-12
+
+
+class TestBulkMatchesScalarCtx8(TestBulkMatchesScalar):
+    """The same bounds at a shorter context depth, the ``ctx_depth`` and
+    ``window`` arguments the defaults never set."""
+
+    CTX = 8

@@ -416,6 +416,19 @@ class TestSampling:
         with pytest.raises(InvalidWord):
             g.sample_forward(1, 5, np.random.default_rng(0))
 
+    def test_two_sided_forward_length_guard(self, conj):
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2, memory=2)
+        with pytest.raises(InvalidWord, match="need at least 2 symbols per draw"):
+            g.sample_two_sided(5, 1, 10, 0)
+
+    def test_two_sided_without_past_draws_the_forward_words(self, conj):
+        # lyapunov_marginal reads its digits this way
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2, memory=2)
+        codes = g.sample_forward(9, 15, np.random.default_rng(4))
+        _, _, fm, fn = g.sample_two_sided(0, 9, 15, np.random.default_rng(4))
+        assert np.array_equal(fm, codes // 2 + 1)
+        assert np.array_equal(fn, codes % 2 + 1)
+
 
 class TestMeasureStats:
     def test_summary_consistency(self, conj):

@@ -6,14 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fiberdim.errors import (DomainError, EnumerationCapExceeded, InvalidWord,
+from fiberdim.errors import (EnumerationCapExceeded, InvalidWord,
                              RationalTermination)
-from fiberdim.words import (Interval, cf_map, cf_map_derivative_mod,
-                            cf_value_float, certify_derivative_sup,
-                            check_digit, check_max_digit,
-                            enumerate_pair_words, induced_ifs_maps,
-                            is_integer, orbit_derivative_product,
-                            pair_alphabet, pi_tilde, rho0_digits, rho0_value)
+from fiberdim.words import (Interval, cf_map_derivative_mod, cf_value_float,
+                            certify_derivative_sup, check_digit,
+                            check_max_digit, enumerate_pair_words,
+                            induced_ifs_maps, is_integer, pair_alphabet,
+                            pi_tilde, rho0_digits, rho0_value)
 
 
 def newton_sqrt(n: int, iterations: int = 8) -> Fraction:
@@ -26,6 +25,15 @@ def newton_sqrt(n: int, iterations: int = 8) -> Fraction:
 
 GOLDEN = (newton_sqrt(5) - 1) / 2  # (sqrt5 - 1)/2, error < 1e-30
 SILVER = newton_sqrt(2) - 1
+
+
+def derivative_product(word, x0: float) -> float:
+    """Chain-rule product of branch derivative moduli, word applied inside out."""
+    prod, y = 1.0, x0
+    for d in reversed(word):
+        prod *= cf_map_derivative_mod(d, y)
+        y = 1.0 / (y + d)
+    return prod
 
 
 class TestIntegerChecks:
@@ -42,22 +50,6 @@ class TestIntegerChecks:
     def test_check_max_digit_rejects(self, max_digit):
         with pytest.raises(InvalidWord):
             check_max_digit(max_digit)
-
-
-class TestCfMap:
-    def test_values(self):
-        assert cf_map(1, 0.0) == 1.0
-        assert cf_map(2, 0.5) == pytest.approx(0.4)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            cf_map(1, 1.0)
-        with pytest.raises(DomainError):
-            cf_map(1, -0.1)
-
-    def test_invalid_digit(self):
-        with pytest.raises(InvalidWord):
-            cf_map(0, 0.5)
 
 
 class TestCfDerivative:
@@ -140,7 +132,7 @@ class TestMonotoneAndDisjoint:
             width = float(iv.hi - iv.lo)
             # interior base point: branch images of 0 can hit the right
             # endpoint 1, which the half-open domain of the next map rejects
-            prod, _ = orbit_derivative_product(word, 0.5)
+            prod = derivative_product(word, 0.5)
             assert width <= 4.0 * prod and prod <= 4.0 * width
 
 
@@ -178,7 +170,7 @@ class TestInducedMaps:
     def test_phi1_phi2_composite_contracts(self):
         sup = float(certify_derivative_sup((1, 2)))
         assert 0 < sup < 1
-        prod, _ = orbit_derivative_product((1, 2), 0.3)
+        prod = derivative_product((1, 2), 0.3)
         assert prod <= sup + 1e-12
 
 
