@@ -268,13 +268,9 @@ def run(argv=None) -> int:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 user = json.load(fh)
-            if not isinstance(user, dict):
-                raise ConfigError("config document must be a JSON object")
-        if args.seed is not None:
-            user["seed"] = args.seed
-        if args.threads is not None:
-            user["threads"] = args.threads
-        config = load_config(user)
+        flags = {"seed": args.seed, "threads": args.threads}
+        config = load_config(user, {key: value for key, value in flags.items()
+                                    if value is not None})
         os.makedirs(args.out, exist_ok=True)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError, ConfigError,
             InvalidWord) as exc:

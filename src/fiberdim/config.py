@@ -178,9 +178,13 @@ def deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def load_config(user: dict = None) -> dict:
-    """Merge a user document over the defaults and check it against FIELDS."""
-    merged = deep_merge(DEFAULTS, user or {})
+def load_config(user: dict = None, overrides: dict = None) -> dict:
+    """Merge a user document, then top-level overrides, over the defaults and
+    check the result against FIELDS."""
+    user = {} if user is None else user
+    if not isinstance(user, dict):
+        raise ConfigError("config document must be a JSON object")
+    merged = deep_merge(DEFAULTS, {**user, **(overrides or {})})
     _check(merged, FIELDS)
     return merged
 

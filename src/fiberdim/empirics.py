@@ -32,6 +32,13 @@ MIN_SCALE_COUNT = 50
 #: Lower radii are floored at this multiple of the cloud's coding error.
 CODING_FLOOR_FACTOR = 10.0
 
+#: Most sample elements, points times 2 * depth, that one cloud may draw.  A
+#: `sample` command peaks at about 16 bytes per element over a 50 MB base
+#: (global and fiber clouds of 100k-400k points at depth 30 on a 2-vCPU,
+#: 7 GB host), so the cap keeps a cloud near 1.6 GB, a quarter of that host.
+#: The default 200k-point global cloud at depth 30 draws 1.2e7 elements.
+SAMPLE_ELEMENT_CAP = 100_000_000
+
 
 # ---------------------------------------------------------------------------
 # clouds
@@ -88,7 +95,9 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     evaluated through the continued fraction coordinates at the cylinder
     midpoint and the past word through the fiber composition at the same
     context, so the two parts of a joint sample share their randomness the
-    way the invariant measure couples them.
+    way the invariant measure couples them.  A cloud of more than
+    ``SAMPLE_ELEMENT_CAP`` elements (points times 2 * depth) raises
+    ``ConfigError`` before any draw.
     """
     if target not in ("fiber", "z_marginal", "global"):
         raise ConfigError(f"unknown target {target!r}")
@@ -98,6 +107,11 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
         raise ConfigError("need at least 1000 points")
     if depth < 20:
         raise ConfigError("need depth >= 20 for usable coding resolution")
+    if n_points * 2 * depth > SAMPLE_ELEMENT_CAP:
+        raise ConfigError(
+            f"n_points {n_points} x 2 x depth {depth} = {n_points * 2 * depth} "
+            f"sample elements exceed the cap {SAMPLE_ELEMENT_CAP}; lower "
+            "sample.n_points or sample.depth")
     rng = _rng(seed)
     past_m, past_n, fwd_m, fwd_n = g.sample_two_sided(depth, depth,
                                                       n_points, rng)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainEscape, InvalidWord
 from .words import Box, cf_value_float, check_max_digit, check_pair_word, pair_alphabet, pi_tilde
@@ -27,6 +28,10 @@ ESCAPE_TOL = 1e-10
 
 #: Default number of forward symbols a word-dependent quantity reads.
 CONTEXT_DEPTH = 12
+
+#: Digit elements, rows times (depth + forward symbols), that one block of
+#: ``fiber_points_bulk`` composes at once.
+COMPOSITION_BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +548,10 @@ def image_disk(system: SmaleSystem, symbol, tail=None) -> Disk:
 
 def pi_values_bulk(m_digits: np.ndarray, n_digits: np.ndarray) -> np.ndarray:
     """Translate values for rows of pair digits, float continued fractions."""
-    re = m_digits[..., 0] + cf_value_float(m_digits[..., 1:])
-    im = n_digits[..., 0] + cf_value_float(n_digits[..., 1:])
-    return re + 1j * im
+    out = np.empty(m_digits.shape[:-1], dtype=complex)
+    out.real = m_digits[..., 0] + cf_value_float(m_digits[..., 1:])
+    out.imag = n_digits[..., 0] + cf_value_float(n_digits[..., 1:])
+    return out
 
 
 def fiber_points_bulk(system: SmaleSystem,
@@ -565,26 +571,44 @@ def fiber_points_bulk(system: SmaleSystem,
     for maps 1-Lipschitz in the translate value the points therefore agree
     with ``pi2_hat`` to within
     sqrt(2) * 2**(1 - ctx_depth) * contraction / (contraction - 1).
+
+    Rows run in blocks of at most ``COMPOSITION_BLOCK`` digit elements, rows
+    times (depth plus the forward symbols a context reads), so deep pasts
+    take fewer rows per block.  A block is one time-major two-sided digit
+    array, the past reversed and then the forward symbols; one
+    ``family.coefficients`` call on its sliding windows gives every level
+    whose context is a whole window.  A level nearer time 0 than a short
+    forward word allows reads a shorter context, as a slice would.
     """
     family = system.family
     width = ctx_depth if family.reads_tail else 1
-    w = np.full(past_m.shape[0], system.domain.center, dtype=complex)
-    for level in range(past_m.shape[1], 0, -1):
-        coeff = family.coefficients(system,
-                                    _context_rows(past_m, fwd_m, level, width),
-                                    _context_rows(past_n, fwd_n, level, width))
-        w = family.map(w, coeff)
+    count, depth = past_m.shape
+    ahead = min(fwd_m.shape[1], width - 1)  # forward symbols level 1 reads
+    w = np.full(count, system.domain.center, dtype=complex)
+    if depth == 0:
+        return w
+    block = max(1, COMPOSITION_BLOCK // (depth + ahead))
+    for lo in range(0, count, block):
+        rows = slice(lo, lo + block)
+        two_m, two_n = (np.concatenate([p[rows, ::-1].T, f[rows, :ahead].T])
+                        for p, f in ((past_m, fwd_m), (past_n, fwd_n)))
+        whole = max(0, len(two_m) - width + 1)  # levels depth .. depth - whole + 1
+        if whole:
+            coeff = family.coefficients(
+                system, sliding_window_view(two_m, width, axis=0),
+                sliding_window_view(two_n, width, axis=0))
+        point = w[rows]
+        for t in range(depth):  # the level depth - t acts at time t - depth
+            c = (_level(coeff, t) if t < whole else
+                 family.coefficients(system, two_m[t:].T, two_n[t:].T))
+            point = family.map(point, c)
+        w[rows] = point
     return w
 
 
-def _context_rows(past: np.ndarray, fwd: np.ndarray, level: int,
-                  width: int) -> np.ndarray:
-    """``width`` digits of each two-sided row from time -level on; a view
-    into ``past`` unless the window reaches time 0."""
-    rows = past[:, level - 1::-1][:, :width]
-    if rows.shape[1] < width:
-        rows = np.concatenate([rows, fwd[:, :width - rows.shape[1]]], axis=1)
-    return rows
+def _level(coeff, t):
+    """Entry t of a coefficient array, or of each array of a tuple."""
+    return tuple(c[t] for c in coeff) if isinstance(coeff, tuple) else coeff[t]
 
 
 def sample_fiber_limit_set(system: SmaleSystem, forward, max_digit: int,

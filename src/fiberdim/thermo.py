@@ -43,7 +43,8 @@ from .errors import (
 )
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .systems import CONTEXT_DEPTH, SmaleSystem, fiber_points_bulk
+from .systems import (COMPOSITION_BLOCK, CONTEXT_DEPTH, SmaleSystem,
+                      fiber_points_bulk)
 from .words import (ENUMERATION_CAP, cf_value_float, check_max_digit,
                     check_pair_word, is_integer)
 
@@ -52,6 +53,10 @@ STATE_CAP = 4096
 
 #: Relative contraction target for limit-point composition depths.
 POINT_TOL = 1e-13
+
+#: Draws per chunk of one chain step: 64 KB int64 arrays stay in cache and
+#: under the allocator's mmap threshold, so a step allocates no fresh pages.
+DRAW_CHUNK = 1 << 13
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -175,10 +180,12 @@ def _composition_depth(system: SmaleSystem) -> int:
 
 
 def _digit_planes(codes: np.ndarray, n: int, max_digit: int):
-    """Digit arrays (values 1..M) of shape (len(codes), n) for base-A word codes."""
+    """Digit arrays (values 1..M, the least dtype that holds M) of shape
+    (len(codes), n) for base-A word codes."""
     A = max_digit * max_digit
     sym = (codes[:, None] // A ** np.arange(n - 1, -1, -1)) % A
-    return sym // max_digit + 1, sym % max_digit + 1
+    dtype = np.min_scalar_type(max_digit)
+    return (sym // max_digit + 1).astype(dtype), (sym % max_digit + 1).astype(dtype)
 
 
 def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
@@ -198,14 +205,22 @@ def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
     count = (M * M) ** n
     if count > ENUMERATION_CAP:
         raise EnumerationCapExceeded(f"{count} periodic words exceed the cap")
-    m_dig, n_dig = _digit_planes(np.arange(count, dtype=np.int64), n, M)
-    past = -np.arange(1, _composition_depth(system) + 1) % n
+    depth = _composition_depth(system)
+    past = -np.arange(1, depth + 1) % n
     fwd = np.arange(window) % n
-    w = fiber_points_bulk(system, m_dig[:, past], n_dig[:, past],
-                          m_dig[:, fwd], n_dig[:, fwd], ctx_depth=window)
     family = system.family
-    coeff = family.coefficients(system, m_dig[:, fwd], n_dig[:, fwd])
-    return np.log(family.derivative_mod(w, coeff))
+    out = np.empty(count)
+    # one composition block of codes at a time: no count x depth digit copy
+    block = max(1, COMPOSITION_BLOCK // (depth + window))
+    for lo in range(0, count, block):
+        m_dig, n_dig = _digit_planes(
+            np.arange(lo, min(lo + block, count), dtype=np.int64), n, M)
+        # pasts gathered time-major, as the sampler lays them out
+        w = fiber_points_bulk(system, m_dig.T[past].T, n_dig.T[past].T,
+                              m_dig[:, fwd], n_dig[:, fwd], ctx_depth=window)
+        coeff = family.coefficients(system, m_dig[:, fwd], n_dig[:, fwd])
+        out[lo:lo + block] = np.log(family.derivative_mod(w, coeff))
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -344,14 +359,50 @@ class GibbsApprox:
     # -- sampling ----------------------------------------------------------
 
     def _cums(self):
-        """Cumulative slot laws of the forward and reversed chains."""
-        return _cum_table(self.transition), _cum_table(self.reverse)
+        """(cumulative table, guide table) of the forward and reversed chains."""
+        return tuple((cum, _guide_table(cum)) for cum in (
+            _cum_table(self.transition), _cum_table(self.reverse)))
 
     @staticmethod
-    def _step(cum, row, rng):
-        """Slot drawn for each table row from its cumulative slot law."""
-        u = rng.random(len(row))
-        return (cum[row] <= u[:, None]).sum(axis=1)
+    def _step(law, row, u):
+        """Slot drawn for each table row from its cumulative slot law.
+
+        ``law`` is a ``(cum, guide)`` pair from ``_cums`` and ``u`` holds one
+        uniform per row.  The slot is the count of entries of ``cum[row]`` at
+        most u, exactly as summing ``cum[row] <= u`` gives.  The guide table
+        starts each draw at or below that count and the walk steps forward
+        while ``cum <= u``, so a step gathers O(count) entries, not count * A.
+        """
+        cum, guide = law
+        A, G = cum.shape[1], guide.shape[1]
+        flat = guide.ravel()[row * G + (u * G).astype(np.intp)]
+        cum = cum.ravel()
+        walk = np.flatnonzero(cum[flat] <= u)
+        while walk.size:
+            flat[walk] += 1
+            walk = walk[cum[flat[walk]] <= u[walk]]
+        return flat - row * A
+
+    def _run(self, law, code, out, rng, backward: bool):
+        """Fill each row of the time-major ``out`` with one chain step.
+
+        From the L-word codes ``code``, the forward chain draws from the row
+        of the suffix and appends the slot; the reversed chain draws from the
+        row of the prefix and prepends it.  Each step makes one
+        ``rng.random(count)`` call and then works through ``DRAW_CHUNK``
+        draws at a time, so its arrays stay cache-sized.
+        """
+        A = self.alphabet_size
+        R = A ** (self.memory - 1)
+        code = code.copy()
+        for slots in out:
+            u = rng.random(len(code))
+            for lo in range(0, len(code), DRAW_CHUNK):
+                part = slice(lo, lo + DRAW_CHUNK)
+                row = code[part] // A if backward else code[part] % R
+                slots[part] = self._step(law, row, u[part])
+                code[part] = (slots[part] * R + row if backward
+                              else row * A + slots[part])
 
     def sample_forward(self, n_symbols: int, count: int, rng) -> np.ndarray:
         """Symbol codes of forward words drawn from the stationary chain."""
@@ -361,16 +412,15 @@ class GibbsApprox:
             raise InvalidWord(f"need at least {L} symbols per draw")
         ahead, _ = self._cums()
         code = rng.choice(len(self.stationary), size=count, p=self.stationary)
-        return self._emit_forward(code, n_symbols, ahead, rng)
+        return self._emit_forward(code, n_symbols, ahead, rng).T
 
     def _emit_forward(self, code, n_symbols, ahead, rng):
+        """Time-major ``(n_symbols, count)`` forward symbols from codes ``code``."""
         L, A = self.memory, self.alphabet_size
-        out = np.empty((len(code), n_symbols), dtype=np.int64)
+        out = np.empty((n_symbols, len(code)), dtype=np.int64)
         for i in range(L):
-            out[:, i] = (code // A ** (L - 1 - i)) % A
-        for t in range(L, n_symbols):
-            out[:, t] = self._step(ahead, code % A ** (L - 1), rng)
-            code = (code % A ** (L - 1)) * A + out[:, t]
+            out[i] = (code // A ** (L - 1 - i)) % A
+        self._run(ahead, code, out[L:], rng, backward=False)
         return out
 
     def sample_two_sided(self, n_past: int, n_forward: int, count: int, rng):
@@ -378,22 +428,29 @@ class GibbsApprox:
 
         Past rows are most recent first; the reversed chain of the stationary
         Markov measure generates the past, which is the computable form of
-        the conditional measures on fibers.
+        the conditional measures on fibers.  Draws run time-major: each step
+        fills one row of a ``(steps, count)`` buffer, the past first and then
+        the forward word, one ``rng.random(count)`` per step.  The returned
+        ``(count, n)`` digit arrays are transposed views of those buffers.
         """
         rng = _rng(rng)
-        A, L = self.alphabet_size, self.memory
+        L = self.memory
         if n_forward < L:
             raise InvalidWord(f"need at least {L} symbols per draw")
         ahead, back = self._cums()
         code0 = rng.choice(len(self.stationary), size=count, p=self.stationary)
-        past = np.empty((count, n_past), dtype=np.int64)
-        code = code0
-        for j in range(n_past):
-            past[:, j] = self._step(back, code // A, rng)
-            code = past[:, j] * A ** (L - 1) + code // A
+        past = np.empty((n_past, count), dtype=np.int64)
+        self._run(back, code0, past, rng, backward=True)
         fwd = self._emit_forward(code0, n_forward, ahead, rng)
-        M = self.max_digit
-        return (past // M + 1, past % M + 1, fwd // M + 1, fwd % M + 1)
+        return (*self._digits(past.T), *self._digits(fwd.T))
+
+    def _digits(self, codes):
+        """(first, second) digit arrays of symbol codes; ``codes`` becomes the second."""
+        first = codes // self.max_digit
+        first += 1
+        codes %= self.max_digit
+        codes += 1
+        return first, codes
 
     # -- Gibbs constant ------------------------------------------------------
 
@@ -456,12 +513,32 @@ def _cum_table(P: np.ndarray) -> np.ndarray:
     """Row cumsums of a slot law, pinned to 1 from the last allowed slot on.
 
     With the draw counting entries <= u for u in [0, 1), a zero-probability
-    slot is never chosen, so every step follows an allowed transition.
+    slot is never chosen, so every step follows an allowed transition.  Every
+    entry below 1 precedes every entry at or above 1 (a cumsum rounding past
+    1 included), so ``cum <= u`` holds on a prefix of each row, all-zero rows
+    of pruned codes too.
     """
     cum = np.cumsum(P, axis=1)
     last = P.shape[1] - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
     cum[np.arange(P.shape[1])[None, :] >= last[:, None]] = 1.0
     return cum
+
+
+def _guide_table(cum: np.ndarray) -> np.ndarray:
+    """Flat start index of the draw per (row, bucket) of a cumulative table.
+
+    G is the least power of two >= 2A.  Bucket g of row r holds r * A plus
+    the count of slots with cum[r, a] <= g / G; that count is at most the
+    slot of any u in [g / G, (g + 1) / G), since ``cum <= u`` holds on a row
+    prefix.  Scaling by G is exact, so u * G picks that bucket without
+    rounding and cum * G, rounded up, is the first bucket each slot counts in.
+    """
+    n_rows, A = cum.shape
+    G = 1 << (2 * A - 1).bit_length()
+    first = np.minimum(np.ceil(cum * G), G).astype(np.intp)
+    counts = np.zeros((n_rows, G + 1), dtype=np.intp)
+    np.add.at(counts, (np.arange(n_rows)[:, None], first), 1)
+    return np.cumsum(counts[:, :G], axis=1) + A * np.arange(n_rows)[:, None]
 
 
 # -- de Bruijn weight operator ------------------------------------------------

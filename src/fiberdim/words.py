@@ -215,8 +215,9 @@ def cf_value_float(digits: np.ndarray, tail: float = 0.5) -> np.ndarray:
         raise InvalidWord("digits must have a word axis")
     x = np.full(digits.shape[:-1], float(tail))
     for i in range(digits.shape[-1] - 1, -1, -1):
-        x = 1.0 / (digits[..., i] + x)
-    return x
+        np.add(digits[..., i], x, out=x)
+        np.divide(1.0, x, out=x)
+    return x[()]  # a scalar for a single word
 
 
 # ---------------------------------------------------------------------------

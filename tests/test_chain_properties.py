@@ -3,7 +3,8 @@
 The oracles rebuild the n x n weight matrix of a random small table: the
 Perron data come from a dense ``np.linalg.eig`` and the primitivity verdict
 from boolean squaring up to the Wielandt exponent.  Neither exists in the
-package itself.
+package itself.  The draw oracle counts the entries of a whole cumulative
+row at most u, the draw the guide table must reproduce exactly.
 """
 
 import math
@@ -14,8 +15,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from fiberdim import thermo  # noqa: E402
 from fiberdim.errors import NonPrimitive  # noqa: E402
-from fiberdim.thermo import TablePotential, gibbs_markov  # noqa: E402
+from fiberdim.systems import make_system  # noqa: E402
+from fiberdim.thermo import (  # noqa: E402
+    GeometricPotential,
+    GibbsApprox,
+    TablePotential,
+    _cum_table,
+    _guide_table,
+    _rng,
+    gibbs_markov,
+)
 from fiberdim.words import enumerate_pair_words  # noqa: E402
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -143,3 +154,148 @@ def test_sampled_steps_are_allowed(table, seed):
         for i in range(L):
             code = code * A + word[:, t + i]
         assert alive[code].all()
+
+
+# -- draws: the guide table against counting the whole cumulative row -------
+
+def oracle_step(cum, row, u):
+    return (cum[row] <= u[:, None]).sum(axis=1)
+
+
+def edge_draws(cum, G, rng):
+    """(row, u) covering every bucket edge g / G and every entry of the row
+    below 1, each with its two float neighbours, plus u = 0, u = 1 - 2**-53
+    and random u."""
+    edges = np.arange(G) / G
+    common = np.concatenate([edges, [0.0, 1.0 - 2.0 ** -53], rng.random(64)])
+    row, u = [], []
+    for r, entries in enumerate(cum):
+        own = np.concatenate([common, entries[entries < 1.0]])
+        own = np.concatenate([own, np.nextafter(own, 1.0)[own < 1.0 - 2.0 ** -53],
+                              np.nextafter(own, 0.0)[own > 0.0]])
+        row.append(np.full(len(own), r))
+        u.append(own)
+    return np.concatenate(row), np.concatenate(u)
+
+
+def check_draws(cum, guide, rng):
+    row, u = edge_draws(cum, guide.shape[1], rng)
+    slot = GibbsApprox._step((cum, guide), row, u)
+    assert np.array_equal(slot, oracle_step(cum, row, u))
+
+
+@PROPERTY
+@given(tables(), st.integers(0, 2 ** 32 - 1))
+def test_guide_draw_matches_cumulative_count(table, seed):
+    # forbidden words leave zero-probability slots and pruned all-zero rows
+    try:
+        g = gibbs_markov.__wrapped__(table, table.max_digit)
+    except NonPrimitive:
+        hypothesis.assume(False)
+    rng = np.random.default_rng(seed)
+    for cum, guide in g._cums():
+        assert guide.shape[1] >= 2 * g.alphabet_size
+        check_draws(cum, guide, rng)
+
+
+def test_guide_draw_on_edge_rows():
+    P = np.array([
+        # the cumsum rounds above 1 before the last allowed slot
+        [0.487919297975474, 0.12449485185888864, 0.3415408221722164,
+         0.04604502799342105, 5.480549865069544e-19],
+        [0.0, 0.5, 0.0, 0.5, 0.0],       # zero slots first, inside and last
+        [0.0, 0.0, 0.0, 0.0, 0.0],       # a pruned code's all-zero row
+        [0.0, 0.0, 1.0, 0.0, 0.0],       # one allowed slot
+        [0.25, 1e-17, 1e-17, 1e-17, 0.75],  # several slots in one bucket
+        [0.2, 0.2, 0.2, 0.2, 0.2],
+    ])
+    assert (np.cumsum(P[0])[:-1] > 1.0).any()
+    cum = _cum_table(P)
+    guide = _guide_table(cum)
+    assert guide.shape == (6, 16)
+    check_draws(cum, guide, np.random.default_rng(0))
+    # a slot of zero probability is never drawn
+    row, u = edge_draws(cum, 16, np.random.default_rng(1))
+    slot = GibbsApprox._step((cum, guide), row, u)
+    live = row != 2
+    assert (P[row[live], slot[live]] > 0).all()
+
+
+# in-test copies of the samplers before the guide table: a (count, A) gather
+# per step, written into (count, n) columns
+
+def reference_step(cum, row, rng):
+    return oracle_step(cum, row, rng.random(len(row)))
+
+
+def reference_forward(g, code, n_symbols, ahead, rng):
+    L, A = g.memory, g.alphabet_size
+    out = np.empty((len(code), n_symbols), dtype=np.int64)
+    for i in range(L):
+        out[:, i] = (code // A ** (L - 1 - i)) % A
+    for t in range(L, n_symbols):
+        out[:, t] = reference_step(ahead, code % A ** (L - 1), rng)
+        code = (code % A ** (L - 1)) * A + out[:, t]
+    return out
+
+
+def reference_sample_forward(g, n_symbols, count, rng):
+    rng = _rng(rng)
+    code = rng.choice(len(g.stationary), size=count, p=g.stationary)
+    return reference_forward(g, code, n_symbols, _cum_table(g.transition), rng)
+
+
+def reference_two_sided(g, n_past, n_forward, count, rng):
+    rng = _rng(rng)
+    A, L, M = g.alphabet_size, g.memory, g.max_digit
+    ahead, back = _cum_table(g.transition), _cum_table(g.reverse)
+    code0 = rng.choice(len(g.stationary), size=count, p=g.stationary)
+    past = np.empty((count, n_past), dtype=np.int64)
+    code = code0
+    for j in range(n_past):
+        past[:, j] = reference_step(back, code // A, rng)
+        code = past[:, j] * A ** (L - 1) + code // A
+    fwd = reference_forward(g, code0, n_forward, ahead, rng)
+    return (past // M + 1, past % M + 1, fwd // M + 1, fwd % M + 1)
+
+
+def sparse_chain(M, L):
+    """The first primitive chain, over table seeds 0, 1, ..., of a table
+    that forbids some words (each with probability 0.2)."""
+    words = list(enumerate_pair_words(M, L))
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        values, keep = rng.uniform(-1, 1, len(words)), rng.random(len(words))
+        if keep.min() >= 0.2:
+            continue
+        table = TablePotential(max_digit=M, memory=L, entries=tuple(
+            (w, float(v)) for w, v, k in zip(words, values, keep) if k >= 0.2))
+        try:
+            return gibbs_markov.__wrapped__(table, M)
+        except NonPrimitive:
+            continue
+    raise AssertionError("no primitive sparse table")
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["geometric", "sparse_table"])
+@pytest.mark.parametrize("chunk", [None, 37])
+def test_samplers_match_reference_copies(L, kind, chunk, monkeypatch):
+    if chunk is not None:  # many draw chunks per step, the last one ragged
+        monkeypatch.setattr(thermo, "DRAW_CHUNK", chunk)
+    if kind == "geometric":
+        g = gibbs_markov(GeometricPotential(make_system("inverse_conjugate"), 0.8),
+                         3 if L < 3 else 2, L)
+    else:
+        g = sparse_chain(2, L)
+        assert (g.transition == 0).any()
+    for seed in (0, 1, 7, 2 ** 31 - 1):
+        new = g.sample_two_sided(9, L + 7, 500, seed)
+        ref = reference_two_sided(g, 9, L + 7, 500, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(new, ref))
+        assert np.array_equal(g.sample_forward(L + 5, 400, seed),
+                              reference_sample_forward(g, L + 5, 400, seed))
+        # no past at all: the draws begin with the forward word
+        new = g.sample_two_sided(0, L + 3, 300, seed)
+        ref = reference_two_sided(g, 0, L + 3, 300, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(new, ref))

@@ -1,5 +1,6 @@
 """End-to-end command runs against temp directories."""
 
+import hashlib
 import json
 import math
 import shutil
@@ -12,6 +13,11 @@ import pytest
 
 from fiberdim import cli
 from fiberdim.cli import run
+from fiberdim.config import load_config
+from fiberdim.errors import ConfigError
+from fiberdim.thermo import GibbsApprox
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -151,6 +157,19 @@ class TestConfigErrors:
         path.write_text(text)
         assert run(["pressure", "--config", str(path),
                     "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("doc", ["x", [], 5, [{"seed": 1}]])
+    def test_load_config_rejects_non_object(self, doc):
+        with pytest.raises(ConfigError, match="config document must be a JSON object"):
+            load_config(doc)
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3", "--threads", "2"]])
+    def test_non_object_document_exits_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert run(["pressure", "--config", str(path),
+                    "--out", str(tmp_path / "out")] + flags) == 2
+        assert "config document must be a JSON object" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["pressure", "--config", str(tmp_path / "absent.json"),
@@ -321,6 +340,19 @@ class TestSampleCommand:
         assert results["exactness"]["bias"] == pytest.approx(
             results["local_dimension"]["mean"] - 1.0)
 
+    def test_sample_element_cap_exits_2_before_any_draw(self, tmp_path,
+                                                        monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sample must be rejected before any draw")
+
+        monkeypatch.setattr(GibbsApprox, "sample_two_sided", forbidden)
+        cfg = write_config(tmp_path, {
+            "truncation": {"m_schedule": [2]},
+            "sample": {"n_points": 2_000_000_000, "depth": 30}})
+        assert run(["sample", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "sample elements exceed the cap" in capsys.readouterr().err
+
     def test_window_below_every_count_skips_local_dimension(self, tmp_path):
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [2], "memory": 1},
@@ -333,6 +365,41 @@ class TestSampleCommand:
         assert record["results"]["local_dimension"] is None
         assert any(w.startswith("local dimension skipped")
                    for w in record["warnings"])
+
+
+# sha256 of cloud CSVs that these configs wrote before the guide-table draws
+# and blocked composition (commit 237e712); a change that moves one changes
+# the clouds themselves
+CLOUD_DIGESTS = {
+    "sample_fiber_2000":
+        "9c8091bf37ec3bab5fe37c6f82abc5b25f3c44fff22856b4f4fb0326dfa6dcac",
+    "global_conjugate_2000":
+        "f6cabbb7754902cd7b2e9adf7b7b9e697478fe3323b52a4f97db7d6d4d6e734d",
+}
+
+
+def _guard_config(name):
+    if name == "sample_fiber_2000":
+        doc = json.loads((ROOT / "run_configs" / "sample_fiber.json").read_text())
+        doc["sample"]["n_points"] = 2000
+        return doc
+    return {"system": {"variant": "inverse_conjugate"},
+            "truncation": {"m_schedule": [3]},
+            "sample": {"target": "global", "n_points": 2000, "depth": 30},
+            "seed": 1}
+
+
+class TestCloudBytes:
+    """Same seed, same bytes: clouds match digests recorded earlier."""
+
+    @pytest.mark.parametrize("name", sorted(CLOUD_DIGESTS))
+    def test_cloud_csv_digest(self, tmp_path, name):
+        doc = _guard_config(name)
+        out = tmp_path / "out"
+        assert run(["sample", "--config", write_config(tmp_path, doc),
+                    "--out", str(out)]) == 0
+        csv = out / f"cloud_{doc['sample']['target']}.csv"
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == CLOUD_DIGESTS[name]
 
 
 class TestVerifyCommand:

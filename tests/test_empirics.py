@@ -1,11 +1,15 @@
 """Point clouds and dimension estimators on known benchmarks."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fiberdim.config import DEFAULTS
 from fiberdim.empirics import (
+    SAMPLE_ELEMENT_CAP,
     BoxDimEstimate,
     PointCloud,
     box_count,
@@ -16,7 +20,10 @@ from fiberdim.empirics import (
 )
 from fiberdim.errors import ConfigError, InsufficientScales
 from fiberdim.systems import make_system
-from fiberdim.thermo import ConstantPotential, GeometricPotential, gibbs_markov
+from fiberdim.thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
+                             gibbs_markov)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def synthetic(points):
@@ -83,6 +90,33 @@ class TestSampling:
             sample_measure(g, conj, "fiber", n_points=100)
         with pytest.raises(ConfigError):
             sample_measure(g, conj, "fiber", n_points=2000, depth=10)
+
+    def test_sample_element_cap(self, conj, monkeypatch):
+        # the cap is checked before any draw: the sampler here only reports
+        # that it was reached, so nothing of the rejected size is allocated
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
+        monkeypatch.setattr(GibbsApprox, "sample_two_sided", reached)
+        at_cap = SAMPLE_ELEMENT_CAP // (2 * 25)
+        with pytest.raises(Reached):
+            sample_measure(g, conj, "fiber", n_points=at_cap, depth=25)
+        for n_points, depth in ((at_cap + 1, 25), (2_000_000_000, 30)):
+            with pytest.raises(ConfigError, match="sample elements exceed the cap"):
+                sample_measure(g, conj, "global", n_points=n_points, depth=depth)
+
+    def test_defaults_fit_the_cap(self):
+        # the default global cloud, and every cloud the run configs draw
+        assert 200_000 * 2 * DEFAULTS["sample"]["depth"] <= SAMPLE_ELEMENT_CAP
+        for path in (ROOT / "run_configs").glob("*.json"):
+            sample = {**DEFAULTS["sample"],
+                      **json.loads(path.read_text()).get("sample", {})}
+            n_points = sample["n_points"] or 200_000
+            assert n_points * 2 * sample["depth"] <= SAMPLE_ELEMENT_CAP
 
     def test_shapes_and_charts(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2)

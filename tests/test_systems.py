@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fiberdim import systems, words
 from fiberdim.errors import ConfigError, DomainEscape, InvalidWord
 from fiberdim.systems import (
     Disk,
@@ -387,6 +388,60 @@ class TestBulkMatchesScalar:
                 ref = math.log(fiber_derivative_mod(
                     system, FiberWordContext(fwd, self.CTX), w))
                 assert abs(vals[code] - ref) <= log_tol + 1e-12
+
+
+def reference_points_bulk(system, past_m, past_n, fwd_m, fwd_n, ctx_depth):
+    """In-test copy of the per-level composition before blocking: each level
+    slices its context out of the past and forward rows."""
+    family = system.family
+    width = ctx_depth if family.reads_tail else 1
+
+    def context(past, fwd, level):
+        rows = past[:, level - 1::-1][:, :width]
+        if rows.shape[1] < width:
+            rows = np.concatenate([rows, fwd[:, :width - rows.shape[1]]], axis=1)
+        return rows
+
+    w = np.full(past_m.shape[0], system.domain.center, dtype=complex)
+    for level in range(past_m.shape[1], 0, -1):
+        w = family.map(w, family.coefficients(
+            system, context(past_m, fwd_m, level), context(past_n, fwd_n, level)))
+    return w
+
+
+class TestBulkBlocks:
+    """Blocked composition against the per-level reference, bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["inverse_conjugate", "inverse_square",
+                                         "similarity"])
+    @pytest.mark.parametrize("block", [None, 7, 100])
+    def test_matches_per_level_reference(self, variant, block, monkeypatch):
+        if block is not None:  # many blocks, the last one ragged
+            monkeypatch.setattr(systems, "COMPOSITION_BLOCK", block)
+        system = make_system(variant)
+        rng = np.random.default_rng(3)
+        for depth, n_fwd, ctx in [(25, 12, 12), (25, 1, 12), (25, 3, 12),
+                                  (5, 2, 12), (3, 20, 8), (1, 1, 12), (0, 4, 12)]:
+            past_m, past_n = rng.integers(1, 4, size=(2, 37, depth))
+            fwd_m, fwd_n = rng.integers(1, 4, size=(2, 37, n_fwd))
+            got = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n, ctx)
+            ref = reference_points_bulk(system, past_m, past_n, fwd_m, fwd_n, ctx)
+            assert np.array_equal(got, ref), (depth, n_fwd, ctx)
+
+
+    def test_translate_values_match_formula(self):
+        # the float continued fraction and the complex assembly, against
+        # the fresh-array formulas they replace
+        def cf(digits, tail=0.5):
+            x = np.full(digits.shape[:-1], tail)
+            for i in range(digits.shape[-1] - 1, -1, -1):
+                x = 1.0 / (digits[..., i] + x)
+            return x
+
+        m, n = np.random.default_rng(5).integers(1, 40, size=(2, 50, 9, 12))
+        assert np.array_equal(words.cf_value_float(m), cf(m))
+        ref = (m[..., 0] + cf(m[..., 1:])) + 1j * (n[..., 0] + cf(n[..., 1:]))
+        assert np.array_equal(systems.pi_values_bulk(m, n), ref)
 
 
 class TestBulkMatchesScalarCtx8(TestBulkMatchesScalar):

@@ -397,17 +397,14 @@ class TestSampling:
         g = gibbs_markov(table, 2)
         assert (g.transition == 0).any()
 
-        class Fixed:
-            def random(self, n):
-                return np.full(n, u)
-
         A, R = g.alphabet_size, g.alphabet_size ** (g.memory - 1)
         fwd, bwd = g._cums()
         src = np.flatnonzero(g.stationary > 0)
-        slot = g._step(fwd, src % R, Fixed())
+        draws = np.full(len(src), u)
+        slot = g._step(fwd, src % R, draws)
         assert (g.transition[src % R, slot] > 0).all()
         # backward slot a leads to the predecessor a * A^(L-1) + src // A
-        prv = g._step(bwd, src // A, Fixed()) * R + src // A
+        prv = g._step(bwd, src // A, draws) * R + src // A
         assert (g.stationary[prv] > 0).all()
         assert (g.transition[prv % R, src % A] > 0).all()
 
