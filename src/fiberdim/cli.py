@@ -179,10 +179,8 @@ def cmd_sample(config: dict, out_dir: str):
                                 "scales": list(box.scales),
                                 "counts": list(box.counts)}
     window = tuple(sm["window"]) if sm["window"] is not None else None
-    threads = config["threads"] or -1
     try:
-        loc = local_dimension(cloud, window, sm["n_centers"],
-                              config["seed"], workers=threads)
+        loc = local_dimension(cloud, window, sm["n_centers"], config["seed"])
         results["local_dimension"] = {
             "mean": loc.mean, "stddev": loc.stddev,
             "window": list(loc.window), "n_centers": loc.n_centers,
@@ -257,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, help="override config seed")
     parser.add_argument("--threads", type=int,
-                        help="worker threads (overrides config)")
+                        help="threads key of the config, at least 1 (overrides "
+                             "config); echoed in the record and its hash, "
+                             "no stage is threaded")
     return parser
 
 
@@ -285,6 +285,10 @@ def run(argv=None) -> int:
     except FiberdimError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
+        return 1
+    except (MemoryError, FloatingPointError) as exc:
+        print(f"numeric failure: {type(exc).__name__} in {args.command}: "
+              f"{exc}", file=sys.stderr)
         return 1
     record = {
         "command": args.command,

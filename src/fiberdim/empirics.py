@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientScales
 from .systems import SmaleSystem, fiber_points_bulk, pi_values_bulk
-from .thermo import GibbsApprox, _rng
+from .thermo import SAMPLE_ELEMENT_CAP, GibbsApprox, _rng
 from .words import is_integer
 
 CHARTS = ("unit_square", "raw")
@@ -31,13 +31,6 @@ MIN_SCALE_COUNT = 50
 
 #: Lower radii are floored at this multiple of the cloud's coding error.
 CODING_FLOOR_FACTOR = 10.0
-
-#: Most sample elements, points times 2 * depth, that one cloud may draw.  A
-#: `sample` command peaks at about 16 bytes per element over a 50 MB base
-#: (global and fiber clouds of 100k-400k points at depth 30 on a 2-vCPU,
-#: 7 GB host), so the cap keeps a cloud near 1.6 GB, a quarter of that host.
-#: The default 200k-point global cloud at depth 30 draws 1.2e7 elements.
-SAMPLE_ELEMENT_CAP = 100_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +167,43 @@ def _radius_ladder(cloud: PointCloud, window) -> np.ndarray:
     return radii
 
 
+def neighbour_counts(points: np.ndarray, centers: np.ndarray,
+                     radii: np.ndarray) -> np.ndarray:
+    """(radii, centers) counts of points within distance r, centers included.
+
+    A point counts when its squared distance, summed over the columns from
+    left to right, is at most r * r.  The points are sorted once along their
+    widest axis, so the candidates of each radius lie in one contiguous slab
+    of that axis; squared distances are computed once per center, over the
+    largest slab, and each radius counts on its own sub-slab.  The slab
+    bounds are padded far beyond float rounding, so a point outside them has
+    a squared distance above r * r and only the distance test decides.
+    """
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    order = np.argsort(points[:, axis], kind="stable")
+    cols = [np.ascontiguousarray(points[order, k])
+            for k in range(points.shape[1])]
+    key = cols[axis]
+    pad = radii + 1e-9 * (radii + np.abs(key).max())
+    c_axis = centers[:, axis]
+    lo = np.searchsorted(key, c_axis - pad[:, None], side="left")
+    hi = np.searchsorted(key, c_axis + pad[:, None], side="right")
+    widest = int(np.argmax(radii))
+    r2 = radii * radii
+    counts = np.empty((radii.size, len(centers)), dtype=np.int64)
+    for i, c in enumerate(centers):
+        start, stop = lo[widest, i], hi[widest, i]
+        d2 = (cols[0][start:stop] - c[0]) ** 2
+        for k in range(1, len(cols)):
+            d2 += (cols[k][start:stop] - c[k]) ** 2
+        for j in range(radii.size):
+            counts[j, i] = np.count_nonzero(
+                d2[lo[j, i] - start:hi[j, i] - start] <= r2[j])
+    return counts
+
+
 def local_dimension(cloud: PointCloud, window=None, n_centers: int = 400,
-                    seed: int = 0, workers: int = -1) -> LocalDimEstimate:
+                    seed: int = 0) -> LocalDimEstimate:
     """Mean local scaling exponent of neighbour counts around random centers.
 
     For each center the slope of log count versus log radius is fitted over
@@ -196,14 +224,8 @@ def local_dimension(cloud: PointCloud, window=None, n_centers: int = 400,
     radii = _radius_ladder(cloud, window)
     rng = _rng(seed)
     idx = rng.choice(cloud.n_points, size=n_centers, replace=False)
-    centers = cloud.points[idx]
-    from scipy.spatial import cKDTree  # here, so start-up never loads scipy
-    tree = cKDTree(cloud.points)
-    counts = np.empty((radii.size, n_centers))
-    for j, r in enumerate(radii):
-        raw = tree.query_ball_point(centers, r, return_length=True,
-                                    workers=workers)
-        counts[j] = np.asarray(raw, dtype=float) - 1.0  # exclude the center
+    # exclude the center itself
+    counts = neighbour_counts(cloud.points, cloud.points[idx], radii) - 1.0
     qualifying = np.median(counts, axis=1) >= MIN_SCALE_COUNT
     if qualifying.sum() < 4:
         raise InsufficientScales(

@@ -58,6 +58,14 @@ POINT_TOL = 1e-13
 #: under the allocator's mmap threshold, so a step allocates no fresh pages.
 DRAW_CHUNK = 1 << 13
 
+#: Most sample elements that one chain draw may hold: points times 2 * depth
+#: for a cloud, samples times steps for each `measure_stats` draw.  A
+#: `sample` command peaks at about 16 bytes per element over a 50 MB base
+#: (global and fiber clouds of 100k-400k points at depth 30 on a 2-vCPU,
+#: 7 GB host), so the cap keeps a draw near 1.6 GB, a quarter of that host.
+#: The default 200k-point global cloud at depth 30 draws 1.2e7 elements.
+SAMPLE_ELEMENT_CAP = 100_000_000
+
 
 def _rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
@@ -990,8 +998,18 @@ def measure_stats(g: GibbsApprox, system: SmaleSystem, depth: int = 8,
 
     chi_T uses the exact table expectation when the potential is geometric
     (keeping the summary consistent with the dimension formulas) and falls
-    back to the Monte Carlo fiber estimate otherwise.
+    back to the Monte Carlo fiber estimate otherwise.  A draw of more than
+    ``SAMPLE_ELEMENT_CAP`` elements raises ``ConfigError`` before any draw.
     """
+    draws = (("orbit_len", orbit_len, CONTEXT_DEPTH),
+             ("past_depth", past_depth, max(CONTEXT_DEPTH, g.memory)))
+    for knob, steps, context in draws:
+        elements = n_samples * (steps + context)
+        if elements > SAMPLE_ELEMENT_CAP:
+            raise ConfigError(
+                f"n_samples {n_samples} x ({knob} {steps} + {context}) = "
+                f"{elements} sample elements exceed the cap "
+                f"{SAMPLE_ELEMENT_CAP}; lower stats.n_samples or stats.{knob}")
     ss = np.random.SeedSequence(rng_seed).spawn(3)
     h = entropy(g)
     h1 = marginal_entropy(g, 1, depth)

@@ -197,6 +197,25 @@ class TestConfigErrors:
                     "--out", str(tmp_path / "out")]) == 1
 
 
+class TestResourceFailures:
+    @pytest.mark.parametrize("error", [MemoryError, FloatingPointError])
+    def test_exits_1_naming_type_and_command(self, tmp_path, monkeypatch,
+                                             capsys, error):
+        def fail(*args, **kwargs):
+            raise error("stage failed")
+
+        monkeypatch.setattr(cli, "pressure_cylinder_sum", fail)
+        cfg = write_config(tmp_path, {
+            "potential": {"kind": "constant", "value": 0.0},
+            "truncation": {"m_schedule": [2], "depth": 3},
+        })
+        out = tmp_path / "out"
+        assert run(["pressure", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"numeric failure: {error.__name__} in pressure: stage failed\n")
+        assert not (out / "pressure_record.json").exists()
+
+
 class TestDimensionCommand:
     def test_similarity_record_matches_moran(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -262,6 +281,23 @@ class TestDimensionCommand:
         })
         assert run(["dimension", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2
+
+    def test_stats_element_cap_exits_2_before_any_draw(self, tmp_path,
+                                                       monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the stats must be rejected before any draw")
+
+        monkeypatch.setattr(GibbsApprox, "sample_two_sided", forbidden)
+        monkeypatch.setattr(GibbsApprox, "sample_forward", forbidden)
+        cfg = write_config(tmp_path, {
+            "truncation": {"m_schedule": [2], "memory": 1},
+            "dimension": {"s_grid": [0.6, 0.9, 1.2]},
+            "stats": {"n_samples": 10 ** 9},
+        })
+        assert run(["dimension", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "lower stats.n_samples or stats.orbit_len" in err
 
     def test_summability_warnings_for_small_s(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -456,6 +492,27 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", probe], cwd=src,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_sample_command_loads_no_scipy(self, tmp_path):
+        # a fresh interpreter runs a sample command through cli.run, local
+        # dimension included, and then lists the scipy modules it holds
+        src = Path(cli.__file__).parents[1]
+        cfg = write_config(tmp_path, {
+            "truncation": {"m_schedule": [2], "memory": 1},
+            "sample": {"target": "z_marginal", "n_points": 2000, "depth": 25,
+                       "n_centers": 50},
+        })
+        out = tmp_path / "out"
+        probe = ("import sys; from fiberdim.cli import run; "
+                 f"code = run(['sample', '--config', {cfg!r}, "
+                 f"'--out', {str(out)!r}]); "
+                 "print(code, sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"
+        record = read_record(out, "sample")
+        assert record["results"]["local_dimension"] is not None
 
 
 class TestModuleEntryPoint:

@@ -16,6 +16,7 @@ from fiberdim.empirics import (
     box_dimension,
     exactness_report,
     local_dimension,
+    neighbour_counts,
     sample_measure,
 )
 from fiberdim.errors import ConfigError, InsufficientScales
@@ -149,6 +150,72 @@ class TestSampling:
         golden = (math.sqrt(5) - 1) / 2  # unit-square chart of [1;1,1,...]
         assert np.abs(cloud.points - golden).max() <= cloud.coding_error
         assert cloud.diameter() == 0.0
+
+
+def brute_counts(points, centers, radii):
+    """Points within each radius of each center: d2 summed left to right."""
+    d2 = np.zeros((len(centers), len(points)))
+    for k in range(points.shape[1]):
+        d2 = d2 + (points[None, :, k] - centers[:, None, k]) ** 2
+    return np.array([np.count_nonzero(d2 <= r * r, axis=1) for r in radii])
+
+
+class TestNeighbourCounts:
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_matches_brute_force(self, dim):
+        rng = np.random.default_rng(dim)
+        pts = rng.normal(size=(3000, dim))
+        centers = pts[rng.choice(3000, size=60, replace=False)]
+        radii = np.geomspace(1.5, 0.05, 9)
+        counts = neighbour_counts(pts, centers, radii)
+        assert counts.shape == (9, 60)
+        assert np.array_equal(counts, brute_counts(pts, centers, radii))
+
+    @pytest.mark.parametrize("dim, axis", [(2, 1), (4, 2), (4, 3)])
+    def test_widest_axis_not_first(self, dim, axis):
+        rng = np.random.default_rng(10 + axis)
+        pts = rng.random((4000, dim))
+        pts[:, axis] *= 50.0
+        centers = pts[rng.choice(4000, size=40, replace=False)]
+        radii = np.array([0.1, 0.3, 1.0, 3.0, 20.0])
+        assert np.array_equal(neighbour_counts(pts, centers, radii),
+                              brute_counts(pts, centers, radii))
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(3)
+        pts = rng.random((2000, 2))
+        pts[:600] = pts[600:1200]  # exact repeats
+        pts[1200:1300] = pts[0]  # pts[0] == pts[600], now 102 times
+        centers = np.vstack([pts[:20], pts[:20], pts[1200:1205]])
+        radii = np.array([1e-9, 0.01, 0.05, 0.2])
+        counts = neighbour_counts(pts, centers, radii)
+        assert np.array_equal(counts, brute_counts(pts, centers, radii))
+        assert counts[0, 1] == 2 and counts[0, 0] == counts[0, -1] == 102
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lattice_boundary_is_inclusive(self, dim):
+        # integer points at exact distance r: d2 == r * r, so only <= keeps
+        # them; the Gauss circle counts 5, 13, 29, 49, 81 in the plane
+        axes = np.meshgrid(*[np.arange(-7.0, 8.0)] * dim, indexing="ij")
+        pts = np.column_stack([a.ravel() for a in axes])
+        centers = np.zeros((1, dim))
+        radii = np.arange(1.0, 6.0)
+        counts = neighbour_counts(pts, centers, radii)[:, 0]
+        assert np.array_equal(counts[:, None],
+                              brute_counts(pts, centers, radii))
+        expected = [3, 5, 7, 9, 11] if dim == 1 else [5, 13, 29, 49, 81]
+        assert counts.tolist() == expected
+
+    def test_matches_kd_tree(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(8)
+        pts = rng.normal(size=(20000, 4)) * [1.0, 3.0, 0.5, 2.0]
+        centers = pts[rng.choice(20000, size=100, replace=False)]
+        radii = np.geomspace(3.0, 0.2, 8)
+        tree = spatial.cKDTree(pts)
+        expected = [tree.query_ball_point(centers, r, return_length=True)
+                    for r in radii]
+        assert np.array_equal(neighbour_counts(pts, centers, radii), expected)
 
 
 class TestLocalDimension:

@@ -14,8 +14,10 @@ from fiberdim.errors import (
 from fiberdim import thermo
 from fiberdim.systems import SimilaritySchedule, make_system
 from fiberdim.thermo import (
+    SAMPLE_ELEMENT_CAP,
     ConstantPotential,
     GeometricPotential,
+    GibbsApprox,
     TablePotential,
     entropy,
     gibbs_markov,
@@ -437,3 +439,25 @@ class TestMeasureStats:
         assert stats.chi_T == pytest.approx(lyapunov_fiber_exact(g))
         assert stats.lambda1 == pytest.approx(math.exp(-stats.chi1))
         assert stats.lambda2 == pytest.approx(math.exp(-stats.chi2))
+
+    def test_sample_element_cap(self, conj, monkeypatch):
+        # the cap is checked before any draw: the sampler here only reports
+        # that it was reached, so nothing of the rejected size is allocated
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
+        monkeypatch.setattr(GibbsApprox, "sample_two_sided", reached)
+        at_cap = SAMPLE_ELEMENT_CAP // (88 + thermo.CONTEXT_DEPTH)
+        with pytest.raises(Reached):
+            measure_stats(g, conj, depth=4, n_samples=at_cap, orbit_len=88)
+        for kwargs, knob in (
+                ({"n_samples": at_cap + 1, "orbit_len": 88}, "orbit_len"),
+                ({"n_samples": 1000, "past_depth": 10 ** 5}, "past_depth"),
+                ({"n_samples": 10 ** 9}, "orbit_len")):
+            with pytest.raises(ConfigError, match=f"lower stats.n_samples "
+                                                  f"or stats.{knob}"):
+                measure_stats(g, conj, **kwargs)
