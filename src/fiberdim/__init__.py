@@ -15,10 +15,10 @@ from .words import (Box, ComposedMap, Interval, cf_map_derivative_mod,
                     cf_value_float, certify_derivative_sup,
                     enumerate_pair_words, induced_ifs_maps, pair_alphabet,
                     pi_tilde, rho0_digits, rho0_value)
-from .systems import (Disk, FiberWordContext, PastWord, SimilaritySchedule,
-                      SmaleSystem, SystemReport, fiber_derivative_mod,
-                      fiber_map, image_disk, make_system, pi2_hat,
-                      sample_fiber_limit_set, verify_system)
+from .systems import (Disk, SimilaritySchedule, SmaleSystem, SystemReport,
+                      fiber_derivative_mod, fiber_map, image_disk,
+                      make_system, pi2_hat, sample_fiber_limit_set,
+                      verify_system)
 from .thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
                      McEstimate, MeasureStats, PressureEstimate,
                      TablePotential, entropy, gibbs_markov, lyapunov_fiber,

@@ -40,8 +40,6 @@ class SummabilityReport:
     """Tail behaviour of the depth-1 derivative sums as the truncation grows."""
 
     s_grid: tuple
-    m_schedule: tuple
-    depth1_sums: tuple  # rows per s, columns per M
     tail_slopes: tuple  # fitted log shell-sum vs log M slope per s
     verdicts: tuple     # 'summable' | 'divergent' | 'inconclusive'
     boundary_estimate: float
@@ -73,8 +71,7 @@ def summability_scan(system: SmaleSystem, s_grid, m_schedule=(4, 8, 16, 32, 64)
     if system.family.digit_limit(system) < m_schedule[-1]:
         # grid-limited alphabet: the full sum is a finite sum
         return SummabilityReport(
-            s_grid=s_grid, m_schedule=m_schedule,
-            depth1_sums=tuple(() for _ in s_grid),
+            s_grid=s_grid,
             tail_slopes=tuple(-math.inf for _ in s_grid),
             verdicts=tuple("summable" for _ in s_grid),
             boundary_estimate=0.0,
@@ -82,12 +79,10 @@ def summability_scan(system: SmaleSystem, s_grid, m_schedule=(4, 8, 16, 32, 64)
     sup_flat, shell_flat = _symbol_sups(system, m_schedule[-1])
     half = [m for m in m_schedule if m >= m_schedule[-1] // 4]
     logm = np.array([math.log(m) for m in half])
-    sums, slopes = [], []
+    slopes = []
     for s in s_grid:
         shells = np.zeros(m_schedule[-1])
         np.add.at(shells, shell_flat - 1, sup_flat ** s)
-        partial = np.cumsum(shells)
-        sums.append(tuple(float(partial[m - 1]) for m in m_schedule))
         with np.errstate(divide="ignore"):
             logd = np.log([shells[m - 1] for m in half])
         fit_ok = np.isfinite(logd)
@@ -109,8 +104,7 @@ def summability_scan(system: SmaleSystem, s_grid, m_schedule=(4, 8, 16, 32, 64)
     else:
         boundary = math.nan
     return SummabilityReport(
-        s_grid=s_grid, m_schedule=m_schedule, depth1_sums=tuple(sums),
-        tail_slopes=tuple(slopes), verdicts=verdicts,
+        s_grid=s_grid, tail_slopes=tuple(slopes), verdicts=verdicts,
         boundary_estimate=boundary,
     )
 
@@ -237,9 +231,9 @@ def global_dimension(stats) -> tuple:
 class SweepResult:
     """Fiber-dimension curve over an s grid with self-consistency gauges.
 
-    Iterating yields (curve, sup_value, argmax, delta_T, gap); the extra
-    fields carry the smoothness proxy, the measured exponent floor, and the
-    Bowen solve whose root is delta_T.
+    Besides the curve, its sup and the Bowen root delta_T, the fields carry
+    the smoothness proxy, the measured exponent floor, and the Bowen solve
+    whose root is delta_T.
     """
 
     curve: tuple  # rows (s, delta, flag)
@@ -251,10 +245,6 @@ class SweepResult:
     max_second_difference: float
     min_chi: float
     bowen: BowenResult
-
-    def __iter__(self):
-        return iter((self.curve, self.sup_value, self.argmax,
-                     self.delta_T, self.gap))
 
 
 def _second_differences(s: np.ndarray, d: np.ndarray) -> np.ndarray:

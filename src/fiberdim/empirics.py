@@ -136,15 +136,10 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
 
 @dataclass(frozen=True)
 class LocalDimEstimate:
-    per_point_slopes: tuple
     mean: float
     stddev: float
     window: tuple  # (r_min, r_max, n_scales)
     n_centers: int
-
-    def __iter__(self):
-        return iter((self.per_point_slopes, self.mean, self.stddev,
-                     self.window))
 
 
 def _radius_ladder(cloud: PointCloud, window) -> np.ndarray:
@@ -218,8 +213,7 @@ def local_dimension(cloud: PointCloud, window=None, n_centers: int = 400,
     if window is None and cloud.diameter() <= CODING_FLOOR_FACTOR * cloud.coding_error:
         # degenerate cloud (all samples resolve to one point): slope 0 at
         # every center, zero dispersion
-        return LocalDimEstimate(per_point_slopes=(0.0,) * n_centers,
-                                mean=0.0, stddev=0.0,
+        return LocalDimEstimate(mean=0.0, stddev=0.0,
                                 window=(0.0, 0.0, 0), n_centers=n_centers)
     radii = _radius_ladder(cloud, window)
     rng = _rng(seed)
@@ -243,7 +237,6 @@ def local_dimension(cloud: PointCloud, window=None, n_centers: int = 400,
     if usable.sum() < max(10, n_centers // 10):
         raise InsufficientScales("too few centers had enough occupied scales")
     return LocalDimEstimate(
-        per_point_slopes=tuple(float(s) for s in slopes),
         mean=float(np.mean(slopes[usable])),
         stddev=float(np.std(slopes[usable])),
         window=(float(radii[qualifying].min()), float(radii[qualifying].max()),

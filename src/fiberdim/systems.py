@@ -7,21 +7,26 @@ first symbol.  Composing maps along the past of a two-sided word pins the
 fiber point; ``pi2_hat`` performs that composition with an explicit error
 bound from the certified contraction factor.
 
-Word-dependent quantities are always evaluated at the midpoint of the exact
-cylinder enclosure truncated at the context depth.
+Word contexts are plain tuples of pair symbols.  The scalar reference layer
+(``FiberFamily.coeff_at`` and the ``fiber_map``, ``pi2_hat``, ``image_disk``
+and ``verify_system`` that call it) reads the translate value of a context
+at the midpoint of the exact cylinder of its first ``CONTEXT_DEPTH``
+symbols.  The bulk path (``pi_values_bulk``, ``fiber_points_bulk``) reads
+float continued fractions of the same symbols with tail 0.5, a point of the
+same cylinder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainEscape, InvalidWord
-from .words import Box, cf_value_float, check_max_digit, check_pair_word, pair_alphabet, pi_tilde
+from .words import (cf_value_float, check_max_digit, check_pair_symbol,
+                    check_pair_word, pair_alphabet, pi_tilde)
 
 #: Tolerance for the image-containment check of fiber maps.
 ESCAPE_TOL = 1e-10
@@ -176,9 +181,10 @@ class FiberFamily:
         """Coefficients of digit rows; ``[..., i]`` is context symbol i."""
         return pi_values_bulk(m_rows, n_rows)
 
-    def coeff_at(self, system, pi_value, symbol):
-        """Coefficient of one context given its translate value and first symbol."""
-        return pi_value
+    def coeff_at(self, system, word, depth=CONTEXT_DEPTH):
+        """Coefficient of one context word: the exact translate value of its
+        first ``depth`` symbols, the midpoint of their cylinder."""
+        return pi_tilde(word[:depth]).mid
 
     def digit_limit(self, system) -> float:
         return math.inf
@@ -199,7 +205,7 @@ class FiberFamily:
     def image_disk(self, system, symbol, tail) -> Disk:
         word = (symbol,) + (tuple(tail) if tail
                             else (symbol,) * (CONTEXT_DEPTH - 1))
-        p = FiberWordContext(word).pi_value
+        p = self.coeff_at(system, word)
         return invert_disk(self._image_preimage(system.domain, p))
 
     def _preimage_gap(self, system, m, n):
@@ -304,7 +310,7 @@ class _Similarity(FiberFamily):
         mod = np.zeros((max_digit + 1, max_digit + 1))
         tr = np.zeros_like(mod, dtype=complex)
         for sym in symbols:
-            mod[sym], tr[sym] = self.coeff_at(system, None, sym)
+            mod[sym], tr[sym] = self.coeff_at(system, (sym,))
         return mod, tr
 
     def coefficients(self, system, m_rows, n_rows):
@@ -312,7 +318,11 @@ class _Similarity(FiberFamily):
         mod, tr = self._tables(system, int(max(m.max(), n.max())))
         return mod[m, n], tr[m, n]
 
-    def coeff_at(self, system, pi_value, symbol):
+    def coeff_at(self, system, word, depth=CONTEXT_DEPTH):
+        """(modulus, translation) of the word's first symbol."""
+        if not word:
+            raise InvalidWord("pair word must be nonempty")
+        symbol = check_pair_symbol(word[0])
         return system.schedule.modulus_of(symbol), system.schedule.translation_of(symbol)
 
     def digit_limit(self, system):
@@ -331,7 +341,7 @@ class _Similarity(FiberFamily):
         return self._tables(system, int(max(m.max(), n.max())))[0][m, n]
 
     def image_disk(self, system, symbol, tail) -> Disk:
-        rc, t = self.coeff_at(system, None, symbol)
+        rc, t = self.coeff_at(system, (symbol,))
         return Disk(t + rc * system.domain.center, rc * system.domain.radius)
 
     def validate(self, system, probe_digit: int = 4):
@@ -419,117 +429,48 @@ def make_system(variant: str,
 
 
 # ---------------------------------------------------------------------------
-# word contexts
-
-@dataclass(frozen=True)
-class FiberWordContext:
-    """Forward word plus the depth at which its enclosure is evaluated."""
-
-    forward_word: tuple
-    enclosure_depth: int = CONTEXT_DEPTH
-
-    def __post_init__(self):
-        word = check_pair_word(self.forward_word)
-        if not word:
-            raise InvalidWord("forward word must be nonempty")
-        object.__setattr__(self, "forward_word", word)
-        depth = min(int(self.enclosure_depth), len(word))
-        if depth < 1:
-            raise InvalidWord("enclosure depth must be >= 1")
-        object.__setattr__(self, "enclosure_depth", depth)
-
-    @property
-    def first_symbol(self):
-        return self.forward_word[0]
-
-    def enclosure(self) -> Box:
-        return _pi_tilde_cached(self.forward_word[: self.enclosure_depth])
-
-    @property
-    def pi_value(self) -> complex:
-        return self.enclosure().mid
-
-
-@lru_cache(maxsize=200_000)
-def _pi_tilde_cached(word) -> Box:
-    return pi_tilde(word)
-
-
-@dataclass(frozen=True)
-class PastWord:
-    """Finite past of a two-sided word, most recent symbol first.
-
-    ``symbols[j - 1]`` is the symbol at time -j.  The forward word supplies
-    the continuation every level's context needs; contexts are rebuilt by
-    slicing the concatenated two-sided word.
-    """
-
-    symbols: tuple
-    forward: tuple
-    enclosure_depth: int = CONTEXT_DEPTH
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", check_pair_word(self.symbols))
-        object.__setattr__(self, "forward", check_pair_word(self.forward))
-        if not self.forward:
-            raise InvalidWord("a forward word is required to build contexts")
-
-    def __len__(self):
-        return len(self.symbols)
-
-    @classmethod
-    def constant(cls, symbol, depth: int,
-                 enclosure_depth: int = CONTEXT_DEPTH) -> "PastWord":
-        sym = check_pair_word([symbol])[0]
-        return cls(symbols=(sym,) * depth,
-                   forward=(sym,) * max(enclosure_depth, 1),
-                   enclosure_depth=enclosure_depth)
-
-    def context(self, level: int) -> FiberWordContext:
-        """Context of the map applied at time -level (1 <= level <= len)."""
-        if not (1 <= level <= len(self.symbols)):
-            raise InvalidWord(f"level {level} outside 1..{len(self.symbols)}")
-        word = tuple(self.symbols[level - 1 :: -1][: level]) + self.forward
-        return FiberWordContext(word, self.enclosure_depth)
-
-
-# ---------------------------------------------------------------------------
 # fiber maps
 
-def fiber_map(system: SmaleSystem, ctx: FiberWordContext, w: complex) -> complex:
-    """Apply the time-zero fiber map of the word in ``ctx`` to a domain point."""
+def fiber_map(system: SmaleSystem, word, w: complex,
+              depth: int = CONTEXT_DEPTH) -> complex:
+    """Apply the time-zero fiber map of a context word to a domain point."""
     if not system.domain.contains(w, tol=ESCAPE_TOL):
         raise DomainEscape(f"argument {w} outside the fiber domain")
     family = system.family
-    img = family.map(w, family.coeff_at(system, ctx.pi_value, ctx.first_symbol))
+    img = family.map(w, family.coeff_at(system, word, depth))
     if not system.domain.contains(img, tol=ESCAPE_TOL):
         raise DomainEscape(f"image {img} escaped the fiber domain")
     return img
 
 
-def fiber_derivative_mod(system: SmaleSystem, ctx: FiberWordContext,
-                         w: complex) -> float:
-    """One-step derivative modulus at a domain point."""
+def fiber_derivative_mod(system: SmaleSystem, word, w: complex,
+                         depth: int = CONTEXT_DEPTH) -> float:
+    """One-step derivative modulus of a context word's map at a domain point."""
     if not system.domain.contains(w, tol=ESCAPE_TOL):
         raise DomainEscape(f"argument {w} outside the fiber domain")
     family = system.family
-    return family.derivative_mod(
-        w, family.coeff_at(system, ctx.pi_value, ctx.first_symbol))
+    return family.derivative_mod(w, family.coeff_at(system, word, depth))
 
 
-def pi2_hat(system: SmaleSystem, past: PastWord):
+def pi2_hat(system: SmaleSystem, past, forward, depth: int = CONTEXT_DEPTH):
     """Fiber point selected by a finite past, with its contraction error bound.
 
-    Composes the maps indexed by the past from the deepest level inward,
-    starting at the domain center.  The result lies within
-    contraction^-depth * diam(domain) of the true limit point; that bound is
-    returned alongside the point.
+    ``past[j - 1]`` is the symbol at time -j.  The map at time -level reads
+    the context ``past[level-1::-1] + forward``, the two-sided word from
+    that time on, at ``depth`` symbols.  The maps compose from the deepest
+    level inward, starting at the domain center.  The result lies within
+    contraction^-len(past) * diam(domain) of the true limit point; that
+    bound is returned alongside the point.
     """
+    past, forward = check_pair_word(past), check_pair_word(forward)
+    if not forward:
+        raise InvalidWord("a forward word is required to build contexts")
+    if depth < 1:
+        raise InvalidWord("context depth must be >= 1")
     w = system.domain.center
-    n = len(past)
-    for level in range(n, 0, -1):
-        w = fiber_map(system, past.context(level), w)
-    err = system.contraction ** (-n) * system.domain.diameter
+    for level in range(len(past), 0, -1):
+        w = fiber_map(system, past[level - 1::-1] + forward, w, depth)
+    err = system.contraction ** (-len(past)) * system.domain.diameter
     return w, err
 
 
@@ -677,7 +618,8 @@ def verify_system(system: SmaleSystem, max_digit: int,
     """
     M = check_max_digit(max_digit)
     rng = np.random.default_rng(seed)
-    alphabet = system.family.alphabet(system, M)
+    family = system.family
+    alphabet = family.alphabet(system, M)
     tail_len = CONTEXT_DEPTH - 1
     tails = [((1, 1),) * tail_len, ((M, M),) * tail_len,
              tuple(map(tuple, rng.integers(1, M + 1, size=(tail_len, 2))))]
@@ -692,18 +634,18 @@ def verify_system(system: SmaleSystem, max_digit: int,
     for _ in range(6):
         sym = alphabet[rng.integers(len(alphabet))]
         tail = tuple(map(tuple, rng.integers(1, M + 1, size=(tail_len, 2))))
-        ctx = FiberWordContext((sym,) + tail)
+        c = family.coeff_at(system, (sym,) + tail)
         for w in pts[rng.integers(len(pts), size=24)]:
-            derivs.append(fiber_derivative_mod(system, ctx, w))
+            derivs.append(family.derivative_mod(w, c))
     derivs = np.asarray(derivs)
     band = (float(derivs.min()), float(derivs.max()))
     lambda_hat = 1.0 / band[1]
 
     # measured Hoelder constant for log-derivative oscillation in the point
     alpha = system.distortion_alpha
-    ctx = FiberWordContext((alphabet[0],) + ((1, 1),) * tail_len)
+    c = family.coeff_at(system, (alphabet[0],) + ((1, 1),) * tail_len)
     sel = pts[rng.integers(len(pts), size=min(200, len(pts)))]
-    ld = np.array([math.log(fiber_derivative_mod(system, ctx, w)) for w in sel])
+    ld = np.array([math.log(family.derivative_mod(w, c)) for w in sel])
     d = np.abs(sel[None, :] - sel[:, None])
     far = d > 1e-9
     H_hat = np.max(np.abs(ld[None, :] - ld[:, None])[far] / d[far] ** alpha, initial=0.0)

@@ -66,6 +66,9 @@ DRAW_CHUNK = 1 << 13
 #: The default 200k-point global cloud at depth 30 draws 1.2e7 elements.
 SAMPLE_ELEMENT_CAP = 100_000_000
 
+#: Most entries of the digit-marginal sweep's last step, an 8-byte float each.
+MARGINAL_SWEEP_CAP = 5 * 10 ** 7
+
 
 def _rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
@@ -835,6 +838,12 @@ class MarginalEntropyDetails:
     gap: float
 
 
+def _marginal_sweep_entries(g: GibbsApprox, depth: int) -> int:
+    """Entries of the marginal sweep's largest array, the last step's
+    M^(depth-L) digit-word rows of A^L codes."""
+    return g.max_digit ** (depth - g.memory) * g.alphabet_size ** g.memory
+
+
 def marginal_entropy_details(g: GibbsApprox, which: int, depth: int
                              ) -> MarginalEntropyDetails:
     """Digit-marginal block entropies by the forward (hidden-Markov) sweep.
@@ -851,8 +860,7 @@ def marginal_entropy_details(g: GibbsApprox, which: int, depth: int
     M, L, A = g.max_digit, g.memory, g.alphabet_size
     if depth < L + 1:
         raise InvalidWord(f"need depth >= {L + 1}")
-    # the largest array is the last sweep step's M^(depth-L) rows of A^L codes
-    if M ** (depth - L) * A ** L > 5 * 10 ** 7:
+    if _marginal_sweep_entries(g, depth) > MARGINAL_SWEEP_CAP:
         raise EnumerationCapExceeded("digit-word sweep exceeds the cap")
     beta = g.stationary.reshape(1, A ** L)
     # a code's pair digits are (m_1, n_1, ..., m_L, n_L); sum the other coordinate
@@ -999,7 +1007,8 @@ def measure_stats(g: GibbsApprox, system: SmaleSystem, depth: int = 8,
     chi_T uses the exact table expectation when the potential is geometric
     (keeping the summary consistent with the dimension formulas) and falls
     back to the Monte Carlo fiber estimate otherwise.  A draw of more than
-    ``SAMPLE_ELEMENT_CAP`` elements raises ``ConfigError`` before any draw.
+    ``SAMPLE_ELEMENT_CAP`` elements, or a marginal sweep of more than
+    ``MARGINAL_SWEEP_CAP`` entries, raises ``ConfigError`` before any draw.
     """
     draws = (("orbit_len", orbit_len, CONTEXT_DEPTH),
              ("past_depth", past_depth, max(CONTEXT_DEPTH, g.memory)))
@@ -1010,6 +1019,11 @@ def measure_stats(g: GibbsApprox, system: SmaleSystem, depth: int = 8,
                 f"n_samples {n_samples} x ({knob} {steps} + {context}) = "
                 f"{elements} sample elements exceed the cap "
                 f"{SAMPLE_ELEMENT_CAP}; lower stats.n_samples or stats.{knob}")
+    entries = _marginal_sweep_entries(g, depth)
+    if entries > MARGINAL_SWEEP_CAP:
+        raise ConfigError(
+            f"stats.depth {depth} needs {entries} digit-word sweep entries, "
+            f"above the cap {MARGINAL_SWEEP_CAP}; lower stats.depth")
     ss = np.random.SeedSequence(rng_seed).spawn(3)
     h = entropy(g)
     h1 = marginal_entropy(g, 1, depth)

@@ -299,6 +299,22 @@ class TestDimensionCommand:
         err = capsys.readouterr().err
         assert "lower stats.n_samples or stats.orbit_len" in err
 
+    def test_stats_depth_cap_exits_2_before_any_draw(self, tmp_path,
+                                                     monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the stats must be rejected before any draw")
+
+        monkeypatch.setattr(GibbsApprox, "sample_two_sided", forbidden)
+        monkeypatch.setattr(GibbsApprox, "sample_forward", forbidden)
+        cfg = write_config(tmp_path, {
+            "truncation": {"m_schedule": [3]},
+            "dimension": {"s_grid": [0.5, 0.7, 0.9]},
+            "stats": {"depth": 20, "n_samples": 100},
+        })
+        assert run(["dimension", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "lower stats.depth" in capsys.readouterr().err
+
     def test_summability_warnings_for_small_s(self, tmp_path):
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [2], "memory": 1},
@@ -436,6 +452,45 @@ class TestCloudBytes:
                     "--out", str(out)]) == 0
         csv = out / f"cloud_{doc['sample']['target']}.csv"
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == CLOUD_DIGESTS[name]
+
+
+VERIFY_DIGESTS = {
+    "verify_conjugate":
+        "0b6ca411b8835c15c4dbfd96ab3dbe70d0c92271a0933474b0d3aee937afa284",
+    "square_3":
+        "1479bafce1fd9af5de8eb604cd97ef1b0a8a9798c33788c9a6d513d0cd864b75",
+    "similarity_3":
+        "1e38f03ca7a4e2d9aa72ad9b7cefb46c347779e368c6838b3454bbe290db7985",
+}
+
+
+def _verify_config(name):
+    if name == "verify_conjugate":
+        return json.loads((ROOT / "run_configs" / "verify_conjugate.json")
+                          .read_text())
+    small = {"verify": {"samples": 500, "induced_k_max": 1,
+                        "subdivisions": 32},
+             "seed": 2}
+    if name == "square_3":
+        return {"system": {"variant": "inverse_square"},
+                "truncation": {"m_schedule": [3]}, **small}
+    return {"system": {"variant": "similarity"},
+            "truncation": {"m_schedule": [3], "memory": 1}, **small}
+
+
+class TestVerifyBytes:
+    """Same seed, same bytes: verify results match digests recorded earlier."""
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_DIGESTS))
+    def test_results_digest(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert run(["verify", "--config",
+                    write_config(tmp_path, _verify_config(name)),
+                    "--out", str(out)]) == 0
+        canonical = json.dumps(read_record(out, "verify")["results"],
+                               sort_keys=True)
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        assert digest == VERIFY_DIGESTS[name]
 
 
 class TestVerifyCommand:

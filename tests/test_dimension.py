@@ -174,12 +174,6 @@ class TestVariationalSweep:
         assert fiber_measure_dimension(conj, root, 3) == pytest.approx(root,
                                                                        abs=1e-6)
 
-    def test_result_unpacks(self, conj):
-        sweep = variational_sweep(conj, 2, (0.6, 0.8, 1.0))
-        parts = tuple(sweep)
-        assert len(parts) == 5
-        assert parts[0] is sweep.curve
-
     def test_grid_size_guard(self, conj):
         for grid in ((0.5, 1.0), (0.5, 0.5, 0.7, 0.9)):
             with pytest.raises(ConfigError):

@@ -282,13 +282,6 @@ class TestLocalDimension:
         with pytest.raises(ConfigError, match="not an integer"):
             local_dimension(gauss2, n_centers=n_centers)
 
-    def test_estimate_unpacks(self, gauss2):
-        est = local_dimension(gauss2, window=(0.05, 0.4, 9), n_centers=100,
-                              seed=1)
-        slopes, mean, stddev, window = est
-        assert len(slopes) == 100
-        assert mean == est.mean
-
 
 class TestBoxDimension:
     def test_regular_grid_plane(self):

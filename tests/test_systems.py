@@ -10,8 +10,6 @@ from fiberdim import systems, words
 from fiberdim.errors import ConfigError, DomainEscape, InvalidWord
 from fiberdim.systems import (
     Disk,
-    FiberWordContext,
-    PastWord,
     SimilaritySchedule,
     fiber_derivative_mod,
     fiber_map,
@@ -156,7 +154,7 @@ class TestFiberFormulas:
     def test_similarity_map_value(self):
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.25, 0.5, 0.0),))
         sim = make_system("similarity", schedule=sched)
-        coeff = sim.family.coeff_at(sim, 0j, (1, 1))
+        coeff = sim.family.coeff_at(sim, ((1, 1),))
         assert sim.family.map(1 + 0j, coeff) == pytest.approx(0.625 + 0j)
 
     def test_conjugate_derivative_value(self, conj):
@@ -186,23 +184,29 @@ class TestFiberFormulas:
                 checked += 1
 
     def test_checked_layer_rejects_escapes(self, conj):
-        ctx = FiberWordContext(((1, 1),) * 12)
+        word = ((1, 1),) * 12
         with pytest.raises(DomainEscape):
-            fiber_map(conj, ctx, 2.0 + 0j)
+            fiber_map(conj, word, 2.0 + 0j)
         with pytest.raises(DomainEscape):
-            fiber_derivative_mod(conj, ctx, -1.0 + 0j)
+            fiber_derivative_mod(conj, word, -1.0 + 0j)
+
+    @pytest.mark.parametrize("variant", ["inverse_conjugate", "similarity"])
+    def test_checked_layer_rejects_empty_word(self, variant):
+        system = make_system(variant)
+        with pytest.raises(InvalidWord):
+            fiber_map(system, (), system.domain.center)
 
     def test_checked_layer_matches_formula(self, conj):
-        ctx = FiberWordContext(((2, 3),) * 12)
+        word = ((2, 3),) * 12
         w = 0.4 + 0.1j
-        assert fiber_map(conj, ctx, w) == conj.family.map(w, ctx.pi_value)
+        assert fiber_map(conj, word, w) == conj.family.map(
+            w, words.pi_tilde(word).mid)
 
 
 class TestPastSelection:
     def test_constant_past_converges_to_fixed_point(self, conj):
-        past = PastWord.constant((1, 1), 40)
-        w, err = pi2_hat(conj, past)
-        p = past.context(1).pi_value
+        w, err = pi2_hat(conj, ((1, 1),) * 40, ((1, 1),) * 12)
+        p = words.pi_tilde(((1, 1),) * 12).mid
         z = conj.domain.center
         for _ in range(300):
             z = 1.0 / (np.conj(z) + p)
@@ -210,26 +214,37 @@ class TestPastSelection:
         assert err == pytest.approx(conj.contraction ** -40 * conj.domain.diameter)
 
     def test_error_bound_decays_geometrically(self, conj):
-        past = PastWord.constant((1, 1), 40)
-        ref, _ = pi2_hat(conj, past)
+        forward = ((1, 1),) * 12
+        ref, _ = pi2_hat(conj, ((1, 1),) * 40, forward)
         prev = math.inf
         for depth in (5, 10, 20):
-            w, err = pi2_hat(conj, PastWord.constant((1, 1), depth))
+            w, err = pi2_hat(conj, ((1, 1),) * depth, forward)
             assert abs(w - ref) <= err
             assert err < prev
             prev = err
 
-    def test_context_slices_two_sided_word(self):
-        past = PastWord(symbols=((1, 2), (3, 4)), forward=((5, 5),) * 12)
-        # level 1 applies the most recent symbol
-        assert past.context(1).first_symbol == (1, 2)
-        assert past.context(2).forward_word[:2] == ((3, 4), (1, 2))
-        with pytest.raises(InvalidWord):
-            past.context(3)
+    def test_context_slices_two_sided_word(self, conj):
+        forward = ((5, 5),) * 12
+        w, _ = pi2_hat(conj, ((1, 2), (3, 4)), forward)
+        # level 2 acts first on the context from time -2 on; level 1, the
+        # most recent symbol, acts last
+        inner = fiber_map(conj, ((3, 4), (1, 2)) + forward, conj.domain.center)
+        assert w == fiber_map(conj, ((1, 2),) + forward, inner)
+        swapped = fiber_map(conj, ((1, 2), (3, 4)) + forward, conj.domain.center)
+        assert w != fiber_map(conj, ((3, 4),) + forward, swapped)
 
-    def test_forward_word_required(self):
+    def test_forward_word_required(self, conj):
         with pytest.raises(InvalidWord):
-            PastWord(symbols=((1, 1),), forward=())
+            pi2_hat(conj, ((1, 1),), ())
+
+    @pytest.mark.parametrize("past, forward, depth", [
+        (((0, 1),), ((1, 1),) * 12, 12),
+        (((1, 1),), ((1, 1), (2, 1.5)), 12),
+        (((1, 1),), ((1, 1),) * 12, 0),
+    ])
+    def test_invalid_words_rejected(self, conj, past, forward, depth):
+        with pytest.raises(InvalidWord):
+            pi2_hat(conj, past, forward, depth)
 
 
 class TestImageGeometry:
@@ -257,14 +272,14 @@ class TestImageGeometry:
         # the enclosure is exact for this family, so sampled images stay inside
         tail = ((2, 1),) * 11
         img = image_disk(conj, (1, 3), tail)
-        ctx = FiberWordContext(((1, 3),) + tail)
+        word = ((1, 3),) + tail
         rng = np.random.default_rng(1)
         for _ in range(100):
             u = rng.random() + 1j * rng.random()
             w = conj.domain.center + conj.domain.radius * (2 * u - (1 + 1j))
             if abs(w - conj.domain.center) > conj.domain.radius:
                 continue
-            assert img.contains(fiber_map(conj, ctx, w), tol=1e-9)
+            assert img.contains(fiber_map(conj, word, w), tol=1e-9)
 
 
 class TestLimitSetSampling:
@@ -368,10 +383,8 @@ class TestBulkMatchesScalar:
         bulk = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n,
                                  ctx_depth=self.CTX)
         for i in range(count):
-            past = PastWord(symbols=tuple(zip(past_m[i], past_n[i])),
-                            forward=tuple(zip(fwd_m[i], fwd_n[i])),
-                            enclosure_depth=self.CTX)
-            ref, _ = pi2_hat(system, past)
+            ref, _ = pi2_hat(system, tuple(zip(past_m[i], past_n[i])),
+                             tuple(zip(fwd_m[i], fwd_n[i])), self.CTX)
             assert abs(bulk[i] - ref) <= self.point_tol(system)
 
         # periodic realization: log|T'| at the pi2_hat point of each
@@ -382,11 +395,9 @@ class TestBulkMatchesScalar:
             vals = periodic_log_derivatives(system, 2, memory, window=self.CTX)
             for code, word in enumerate(enumerate_pair_words(2, memory)):
                 fwd = word * self.CTX
-                past = PastWord(symbols=tuple(word[-j % memory] for j in range(1, 61)),
-                                forward=fwd, enclosure_depth=self.CTX)
-                w, _ = pi2_hat(system, past)
-                ref = math.log(fiber_derivative_mod(
-                    system, FiberWordContext(fwd, self.CTX), w))
+                past = tuple(word[-j % memory] for j in range(1, 61))
+                w, _ = pi2_hat(system, past, fwd, self.CTX)
+                ref = math.log(fiber_derivative_mod(system, fwd, w, self.CTX))
                 assert abs(vals[code] - ref) <= log_tol + 1e-12
 
 
