@@ -17,8 +17,7 @@ from .words import (Box, ComposedMap, Interval, cf_map_derivative_mod,
                     pi_tilde, rho0_digits, rho0_value)
 from .systems import (Disk, SimilaritySchedule, SmaleSystem, SystemReport,
                       fiber_derivative_mod, fiber_map, image_disk,
-                      make_system, pi2_hat, sample_fiber_limit_set,
-                      verify_system)
+                      make_system, pi2_hat, verify_system)
 from .thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
                      McEstimate, MeasureStats, PressureEstimate,
                      TablePotential, entropy, gibbs_markov, lyapunov_fiber,
@@ -33,7 +32,8 @@ from .dimension import (BowenResult, SummabilityReport, SweepResult,
                         variational_sweep, z_marginal_dimension)
 from .empirics import (BoxDimEstimate, ExactnessReport, LocalDimEstimate,
                        PointCloud, box_dimension, exactness_report,
-                       local_dimension, sample_measure)
+                       local_dimension, sample_fiber_limit_set,
+                       sample_measure)
 
 __version__ = "0.1.0"
 

@@ -212,10 +212,8 @@ def cmd_verify(config: dict, out_dir: str):
         warnings.append("an induced composite is not certified contracting")
     fd, integral = pressure_derivative_check(
         system, vf["s"], vf["h_step"], max_digit=M, memory=tr["memory"])
-    integral_value = float(integral)
-    diff = abs(fd - integral_value)
-    se = getattr(integral, "se", 0.0)
-    if diff > max(1e-3, 2.0 * se):
+    diff = abs(fd - integral.value)
+    if diff > max(1e-3, 2.0 * integral.se):
         warnings.append(f"derivative check residual {diff:g} is large")
     results = {
         "system_report": dataclasses.asdict(report),
@@ -227,8 +225,8 @@ def cmd_verify(config: dict, out_dir: str):
         },
         "derivative_check": {
             "s": vf["s"], "h_step": vf["h_step"],
-            "finite_difference": fd, "integral": integral_value,
-            "integral_se": se, "diff": diff,
+            "finite_difference": fd, "integral": integral.value,
+            "integral_se": integral.se, "diff": diff,
         },
     }
     return results, warnings, []

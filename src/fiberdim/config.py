@@ -14,6 +14,7 @@ import json
 import math
 import operator
 
+from .empirics import CHARTS, TARGETS
 from .errors import ConfigError
 from .systems import FAMILIES, SimilaritySchedule, SmaleSystem, make_system
 from .thermo import ConstantPotential, GeometricPotential, TablePotential
@@ -80,15 +81,16 @@ FIELDS = {
     "system": {
         "variant": ("inverse_conjugate", one_of(*FAMILIES)),
         "schedule": {
-            "kind": ("geometric",
-                     one_of("geometric", "equal", "two_ratio", "custom")),
+            "kind": ("geometric", one_of(*SimilaritySchedule.KINDS)),
             "base": (2.0, number(gt=1)),
             "ratio": (0.125, number(gt=0, lt=1)),
             "ratio_a": (0.125, number(gt=0, lt=1)),
             "ratio_b": (0.0625, number(gt=0, lt=1)),
             "grid_digit": (2, number(integer=True, ge=1)),
             "inner_factor": (0.5, number(gt=0, le=0.5)),
-            "table": ([], array(array(number(), 5, 5))),  # [m, n, ratio, re, im]
+            "table": ([], array(array((  # rows [m, n, ratio, re, im]
+                number(integer=True, ge=1), number(integer=True, ge=1),
+                number(), number(), number()), 5, 5))),
         },
         "center": (None, or_null(array(number(), 2, 2))),
         "radius": (None, or_null(number(gt=0))),
@@ -123,10 +125,10 @@ FIELDS = {
         "past_depth": (40, number(integer=True, ge=10)),
     },
     "sample": {
-        "target": ("fiber", one_of("fiber", "z_marginal", "global")),
+        "target": ("fiber", one_of(*TARGETS)),
         "n_points": (None, or_null(number(integer=True, ge=1000))),
         "depth": (30, number(integer=True, ge=20)),
-        "chart": ("unit_square", one_of("unit_square", "raw")),
+        "chart": ("unit_square", one_of(*CHARTS)),
         "n_centers": (400, number(integer=True, ge=10)),
         "window": (None, or_null(array((  # r_min, r_max, n_scales
             number(gt=0), number(gt=0), number(integer=True, ge=4)), 3, 3))),

@@ -31,6 +31,9 @@ BOWEN_MAX_ITER = 50
 #: inconclusive ones.
 VERDICT_MARGIN = 0.15
 
+#: Truncations whose depth-1 shell sums ``summability_scan`` fits.
+SUMMABILITY_SCHEDULE = (4, 8, 16, 32, 64)
+
 
 # ---------------------------------------------------------------------------
 # summability of the one-step derivative sum
@@ -54,21 +57,21 @@ def _symbol_sups(system: SmaleSystem, m_max: int):
     return sup.ravel(), shell.ravel()
 
 
-def summability_scan(system: SmaleSystem, s_grid, m_schedule=(4, 8, 16, 32, 64)
-                     ) -> SummabilityReport:
+def summability_scan(system: SmaleSystem, s_grid) -> SummabilityReport:
     """Verdict per s on convergence of the infinite-alphabet depth-1 sum.
 
-    Shell increments of sum(sup-derivative^s) are fitted against log M; a
-    tail slope clearly below -1 means the full sum converges, clearly above
-    means it diverges, and the strip in between is reported inconclusive
-    because partial sums alone cannot separate the two.  The boundary
-    estimate interpolates the slope fit to the critical exponent -1.
+    Shell increments of sum(sup-derivative^s) at the largest truncations of
+    ``SUMMABILITY_SCHEDULE`` are fitted against log M; a tail slope clearly
+    below -1 means the full sum converges, clearly above means it diverges,
+    and the strip in between is reported inconclusive because partial sums
+    alone cannot separate the two.  The boundary estimate interpolates the
+    slope fit to the critical exponent -1.
     """
     s_grid = tuple(float(s) for s in s_grid)
     if not s_grid:
         raise ConfigError("empty s grid")
-    m_schedule = tuple(sorted(int(m) for m in m_schedule))
-    if system.family.digit_limit(system) < m_schedule[-1]:
+    m_max = SUMMABILITY_SCHEDULE[-1]
+    if system.family.digit_limit(system) < m_max:
         # grid-limited alphabet: the full sum is a finite sum
         return SummabilityReport(
             s_grid=s_grid,
@@ -76,12 +79,12 @@ def summability_scan(system: SmaleSystem, s_grid, m_schedule=(4, 8, 16, 32, 64)
             verdicts=tuple("summable" for _ in s_grid),
             boundary_estimate=0.0,
         )
-    sup_flat, shell_flat = _symbol_sups(system, m_schedule[-1])
-    half = [m for m in m_schedule if m >= m_schedule[-1] // 4]
+    sup_flat, shell_flat = _symbol_sups(system, m_max)
+    half = [m for m in SUMMABILITY_SCHEDULE if m >= m_max // 4]
     logm = np.array([math.log(m) for m in half])
     slopes = []
     for s in s_grid:
-        shells = np.zeros(m_schedule[-1])
+        shells = np.zeros(m_max)
         np.add.at(shells, shell_flat - 1, sup_flat ** s)
         with np.errstate(divide="ignore"):
             logd = np.log([shells[m - 1] for m in half])
@@ -144,7 +147,7 @@ class BowenResult:
 
 
 def bowen_dimension(system: SmaleSystem, max_digit: int, tol: float = 1e-4,
-                    memory: int = None, details: bool = False):
+                    memory: int = None) -> BowenResult:
     """Root of s -> pressure(s geometric) by Newton iteration from s = 0.
 
     The realized pressure P(s) = h - s chi is convex with P' = -chi, so the
@@ -171,9 +174,8 @@ def bowen_dimension(system: SmaleSystem, max_digit: int, tol: float = 1e-4,
         step = abs(delta - s)
         if step >= last_step and 2.0 * chi > last_chi:
             break
-    result = BowenResult(root=s, residual=pressure, iterations=builds,
-                         bracket=tuple(sorted((s, delta))))
-    return result if details else result.root
+    return BowenResult(root=s, residual=pressure, iterations=builds,
+                       bracket=tuple(sorted((s, delta))))
 
 
 def moran_root(moduli, tol: float = 1e-14) -> float:
@@ -272,8 +274,7 @@ def variational_sweep(system: SmaleSystem, max_digit: int, s_grid,
     s_vals = check_s_grid(s_grid)
     deltas, chis, _ = np.array([_fiber_dimension(system, s, max_digit, memory)
                                 for s in s_vals]).T
-    bowen = bowen_dimension(system, max_digit, tol=bowen_tol, memory=memory,
-                            details=True)
+    bowen = bowen_dimension(system, max_digit, tol=bowen_tol, memory=memory)
     sup_value = float(deltas.max())
     d2 = _second_differences(s_vals, deltas)
     return SweepResult(

@@ -2,10 +2,11 @@
 
 Clouds are drawn from the realized Gibbs chain: the forward word fixes the
 base point through the continued fraction coordinates, the reversed chain
-fixes the past word and with it the fiber point.  Dimension estimates use
-correlation-style neighbour counting on a sqrt(2) radius ladder, with the
-lower radii floored above the coding resolution so the fit never reads the
-truncation artifacts as structure.
+fixes the past word and with it the fiber point.  Fiber limit sets over a
+fixed forward word take their pasts from the uniform chain.  Dimension
+estimates use correlation-style neighbour counting on a sqrt(2) radius
+ladder, with the lower radii floored above the coding resolution so the fit
+never reads the truncation artifacts as structure.
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientScales
+from .errors import ConfigError, InsufficientScales, InvalidWord
 from .systems import SmaleSystem, fiber_points_bulk, pi_values_bulk
-from .thermo import SAMPLE_ELEMENT_CAP, GibbsApprox, _rng
-from .words import is_integer
+from .thermo import (SAMPLE_ELEMENT_CAP, ConstantPotential, GibbsApprox, _rng,
+                     gibbs_markov)
+from .words import check_pair_word, is_integer
 
+#: Cloud targets of ``sample_measure`` and z-coordinate charts of a cloud.
+TARGETS = ("fiber", "z_marginal", "global")
 CHARTS = ("unit_square", "raw")
 
 #: Radius ladder ratio and default scale count for local estimates.
@@ -92,7 +96,7 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     ``SAMPLE_ELEMENT_CAP`` elements (points times 2 * depth) raises
     ``ConfigError`` before any draw.
     """
-    if target not in ("fiber", "z_marginal", "global"):
+    if target not in TARGETS:
         raise ConfigError(f"unknown target {target!r}")
     if n_points is None:
         n_points = 200_000 if target == "global" else 100_000
@@ -105,9 +109,8 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
             f"n_points {n_points} x 2 x depth {depth} = {n_points * 2 * depth} "
             f"sample elements exceed the cap {SAMPLE_ELEMENT_CAP}; lower "
             "sample.n_points or sample.depth")
-    rng = _rng(seed)
     past_m, past_n, fwd_m, fwd_n = g.sample_two_sided(depth, depth,
-                                                      n_points, rng)
+                                                      n_points, seed)
     z_err = 2.0 ** (1 - depth)
     fiber_err = system.domain.diameter * system.contraction ** (-depth)
     cols = []
@@ -129,6 +132,23 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     return PointCloud(points=np.column_stack(cols),
                       chart=chart if target != "fiber" else "raw",
                       coding_error=float(err))
+
+
+def sample_fiber_limit_set(system: SmaleSystem, forward, max_digit: int,
+                           depth: int, count: int, seed: int) -> np.ndarray:
+    """Points of the fiber limit set over a forward word, one per random past.
+
+    Pasts come from the zero-potential chain on the symbols with digits <=
+    max_digit, uniform and independent; each returned point is within
+    contraction^-depth * diam of the limit set.
+    """
+    fwd = check_pair_word(forward)
+    if not fwd:
+        raise InvalidWord("forward word must be nonempty")
+    chain = gibbs_markov(ConstantPotential(0.0), max_digit, 1)
+    past_m, past_n, _, _ = chain.sample_two_sided(depth, 1, count, seed)
+    fwd_m, fwd_n = np.tile(np.array(fwd).T[:, None], (1, count, 1))
+    return fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +338,6 @@ class ExactnessReport:
     bias: float
     dispersion: float
     flags: tuple
-
-    def __iter__(self):
-        return iter((self.bias, self.dispersion, self.flags))
 
 
 def exactness_report(estimate: LocalDimEstimate, predicted: float,

@@ -13,7 +13,7 @@ and ``verify_system`` that call it) reads the translate value of a context
 at the midpoint of the exact cylinder of its first ``CONTEXT_DEPTH``
 symbols.  The bulk path (``pi_values_bulk``, ``fiber_points_bulk``) reads
 float continued fractions of the same symbols with tail 0.5, a point of the
-same cylinder.
+same cylinder, and ``fiber_log_derivatives`` is the one log|T'| at them.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ class Disk:
     def contains(self, z: complex, tol: float = 0.0) -> bool:
         return abs(z - self.center) <= self.radius + tol
 
-    def contains_disk(self, other: "Disk", tol: float = 0.0) -> bool:
-        return abs(other.center - self.center) + other.radius <= self.radius + tol
-
     @property
     def diameter(self) -> float:
         return 2.0 * self.radius
@@ -80,10 +77,13 @@ class SimilaritySchedule:
       * ``equal``: one ratio for all pairs with digits <= grid_digit, centers
         on a uniform grid.
       * ``two_ratio``: ratio_a for m == 1, ratio_b otherwise, same grid.
-      * ``custom``: explicit (symbol, ratio, translation) table.
+      * ``custom``: explicit (symbol, ratio, translation) table whose rows
+        are the K x K symbols with digits <= K, each listed once.
 
     Ratios must stay in (0, 1/3).
     """
+
+    KINDS = ("geometric", "equal", "two_ratio", "custom")
 
     kind: str = "geometric"
     base: float = 2.0
@@ -95,8 +95,14 @@ class SimilaritySchedule:
     table: tuple = ()  # custom: ((m, n, ratio, re, im), ...)
 
     def __post_init__(self):
-        if self.kind not in ("geometric", "equal", "two_ratio", "custom"):
+        if self.kind not in self.KINDS:
             raise ConfigError(f"unknown similarity schedule kind {self.kind!r}")
+        if self.kind == "custom":
+            symbols = sorted(tuple(row[:2]) for row in self.table)
+            if not symbols or symbols != list(pair_alphabet(self.digit_limit)):
+                raise ConfigError(
+                    "custom schedule rows must be the K x K symbols with digits "
+                    f"<= K, each listed once, not {symbols}")
         if not (0.0 < self.inner_factor <= 0.5):
             raise ConfigError("inner factor must lie in (0, 1/2]")
         for r in map(self.ratio_of, self.ratio_symbols()):
@@ -105,9 +111,7 @@ class SimilaritySchedule:
 
     def ratio_symbols(self):
         """Symbols that carry every ratio the schedule uses."""
-        if self.kind == "custom":
-            return [row[:2] for row in self.table]
-        return pair_alphabet(2)
+        return pair_alphabet(self.digit_limit if self.kind == "custom" else 2)
 
     def _custom_row(self, symbol):
         for row in self.table:
@@ -154,7 +158,7 @@ class SimilaritySchedule:
         if self.kind == "geometric":
             return math.inf
         if self.kind == "custom":
-            return max((row[0] for row in self.table), default=1)
+            return math.isqrt(len(self.table))
         return self.grid_digit
 
 
@@ -174,7 +178,6 @@ class FiberFamily:
 
     center, radius = 0.5 + 0j, 0.5  # default domain
     memory = 2  # default realization memory of log|T'|
-    reads_tail = True  # the coefficient reads past the first symbol
     uses_schedule = False  # the family takes a SimilaritySchedule
 
     def coefficients(self, system, m_rows, n_rows):
@@ -295,7 +298,6 @@ class _Similarity(FiberFamily):
 
     center, radius = 0j, 1.0
     memory = 1
-    reads_tail = False
     uses_schedule = True
 
     def map(self, w, c):
@@ -345,11 +347,17 @@ class _Similarity(FiberFamily):
         return Disk(t + rc * system.domain.center, rc * system.domain.radius)
 
     def validate(self, system, probe_digit: int = 4):
-        """Images of the domain must stay inside the domain."""
-        for sym in pair_alphabet(min(probe_digit, system.schedule.digit_limit)):
-            if not system.domain.contains_disk(self.image_disk(system, sym, None),
-                                               tol=1e-12):
-                raise ConfigError(f"similarity image for symbol {sym} escapes the domain")
+        """Images of the domain must stay inside it, on every symbol of a
+        finite schedule; the infinite geometric kind is probed on the digits
+        <= ``probe_digit`` only."""
+        limit = system.schedule.digit_limit
+        mod, tr = self._tables(system, probe_digit if limit == math.inf else limit)
+        c, r = system.domain.center, system.domain.radius
+        escape = np.abs(tr + mod * c - c) + mod * r > r + 1e-12
+        escape[0, :] = escape[:, 0] = False  # no symbol has digit 0
+        if escape.any():
+            sym = tuple(int(d) for d in np.argwhere(escape)[0])
+            raise ConfigError(f"similarity image for symbol {sym} escapes the domain")
 
 
 #: Variant name -> formula table.  A new family is one entry here.
@@ -501,9 +509,8 @@ def fiber_points_bulk(system: SmaleSystem,
                       ctx_depth: int = CONTEXT_DEPTH) -> np.ndarray:
     """Vectorised fiber points for batches of past/forward digit rows.
 
-    This is the one bulk composition of fiber maps: point clouds,
-    ``lyapunov_fiber`` and the periodic potential realization
-    (``periodic_log_derivatives``) all call it.
+    This is the one bulk composition of fiber maps: point clouds and
+    ``fiber_log_derivatives`` call it.
     ``past_m[:, j]`` is the first digit coordinate at time -(j+1).  Uses the
     float continued-fraction path: each level reads its translate value off
     ``ctx_depth`` symbols with a fixed tail, where ``pi2_hat`` takes the
@@ -517,14 +524,13 @@ def fiber_points_bulk(system: SmaleSystem,
     times (depth plus the forward symbols a context reads), so deep pasts
     take fewer rows per block.  A block is one time-major two-sided digit
     array, the past reversed and then the forward symbols; one
-    ``family.coefficients`` call on its sliding windows gives every level
-    whose context is a whole window.  A level nearer time 0 than a short
-    forward word allows reads a shorter context, as a slice would.
+    ``family.coefficients`` call on its ``ctx_depth``-wide sliding windows
+    gives every level whose context is a whole window.  A level nearer time 0
+    than a short forward word allows reads a shorter context, as a slice would.
     """
     family = system.family
-    width = ctx_depth if family.reads_tail else 1
     count, depth = past_m.shape
-    ahead = min(fwd_m.shape[1], width - 1)  # forward symbols level 1 reads
+    ahead = min(fwd_m.shape[1], ctx_depth - 1)  # forward symbols level 1 reads
     w = np.full(count, system.domain.center, dtype=complex)
     if depth == 0:
         return w
@@ -533,11 +539,11 @@ def fiber_points_bulk(system: SmaleSystem,
         rows = slice(lo, lo + block)
         two_m, two_n = (np.concatenate([p[rows, ::-1].T, f[rows, :ahead].T])
                         for p, f in ((past_m, fwd_m), (past_n, fwd_n)))
-        whole = max(0, len(two_m) - width + 1)  # levels depth .. depth - whole + 1
+        whole = max(0, len(two_m) - ctx_depth + 1)  # levels on whole windows
         if whole:
             coeff = family.coefficients(
-                system, sliding_window_view(two_m, width, axis=0),
-                sliding_window_view(two_n, width, axis=0))
+                system, sliding_window_view(two_m, ctx_depth, axis=0),
+                sliding_window_view(two_n, ctx_depth, axis=0))
         point = w[rows]
         for t in range(depth):  # the level depth - t acts at time t - depth
             c = (_level(coeff, t) if t < whole else
@@ -552,23 +558,18 @@ def _level(coeff, t):
     return tuple(c[t] for c in coeff) if isinstance(coeff, tuple) else coeff[t]
 
 
-def sample_fiber_limit_set(system: SmaleSystem, forward, max_digit: int,
-                           depth: int, count: int, seed: int) -> np.ndarray:
-    """Points of the fiber limit set over a forward word, one per random past.
-
-    Pasts are drawn uniformly over symbols with digits <= max_digit; each
-    returned point is within contraction^-depth * diam of the limit set.
-    """
-    fwd = check_pair_word(forward)
-    if not fwd:
-        raise InvalidWord("forward word must be nonempty")
-    M = check_max_digit(max_digit)
-    rng = np.random.default_rng(seed)
-    past_m = rng.integers(1, M + 1, size=(count, depth))
-    past_n = rng.integers(1, M + 1, size=(count, depth))
-    fwd_m = np.tile([s[0] for s in fwd], (count, 1))
-    fwd_n = np.tile([s[1] for s in fwd], (count, 1))
-    return fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
+def fiber_log_derivatives(system: SmaleSystem, past_m: np.ndarray,
+                          past_n: np.ndarray, fwd_m: np.ndarray,
+                          fwd_n: np.ndarray, ctx_depth: int) -> np.ndarray:
+    """log|T'| of the time-zero map, reading the first ``ctx_depth`` forward
+    symbols, at the ``fiber_points_bulk`` point of each row; DomainEscape
+    for a point more than 1e-6 off the domain."""
+    pts = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n, ctx_depth)
+    if (np.abs(pts - system.domain.center) > system.domain.radius + 1e-6).any():
+        raise DomainEscape("fiber points left the domain")
+    family = system.family
+    return np.log(family.derivative_mod(pts, family.coefficients(
+        system, fwd_m[:, :ctx_depth], fwd_n[:, :ctx_depth])))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +597,7 @@ def _osc_min_gap(system: SmaleSystem, symbols, tails) -> float:
     for the reciprocal families, so sharing the tail is the honest check.
     """
     worst = math.inf
-    for tail in tails if system.family.reads_tail else tails[:1]:
+    for tail in tails:
         disks = [image_disk(system, s, tail) for s in symbols]
         for i in range(len(disks)):
             for j in range(i + 1, len(disks)):

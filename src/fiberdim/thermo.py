@@ -35,7 +35,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateExponent,
-    DomainEscape,
     EnumerationCapExceeded,
     InvalidWord,
     NonPrimitive,
@@ -44,7 +43,7 @@ from .errors import (
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .systems import (COMPOSITION_BLOCK, CONTEXT_DEPTH, SmaleSystem,
-                      fiber_points_bulk)
+                      fiber_log_derivatives)
 from .words import (ENUMERATION_CAP, cf_value_float, check_max_digit,
                     check_pair_word, is_integer)
 
@@ -148,14 +147,6 @@ class TablePotential:
         return cls(max_digit=max_digit, memory=len(entries[0][0]) if entries else 1,
                    entries=tuple(entries), scale=scale)
 
-    def value(self, word) -> float:
-        """Scaled value on a memory-word; -inf when forbidden."""
-        w = check_pair_word(word)[: self.memory]
-        for entry_word, value in self.entries:
-            if entry_word == w:
-                return self.scale * value
-        return -math.inf
-
 
 def _word_code(word, max_digit: int) -> int:
     A = max_digit * max_digit
@@ -204,11 +195,11 @@ def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
     """log derivative modulus at the periodic limit point of every n-word.
 
     Entry ``code`` is log|T'| of the time-zero map of the two-sided periodic
-    extension of the word, evaluated at the fiber point pinned by its past.
-    The point is ``fiber_points_bulk`` of a past of ``_composition_depth``
-    symbols and a ``window``-symbol forward word, time t reading symbol
-    t mod n; that depth makes it accurate to the POINT_TOL scale.  So against
-    the exact-cylinder evaluation of ``pi2_hat`` an entry is off by at most
+    extension of the word, evaluated at the fiber point pinned by its past:
+    ``fiber_log_derivatives`` of a past of ``_composition_depth`` symbols and
+    a ``window``-symbol forward word, time t reading symbol t mod n, a depth
+    that makes the point accurate to the POINT_TOL scale.  So against the
+    exact-cylinder evaluation of ``pi2_hat`` an entry is off by at most
     ``distortion_bound`` times the sum of the point bound stated there and
     the translate coding error sqrt(2) * 2**(1 - window).
     """
@@ -219,7 +210,6 @@ def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
     depth = _composition_depth(system)
     past = -np.arange(1, depth + 1) % n
     fwd = np.arange(window) % n
-    family = system.family
     out = np.empty(count)
     # one composition block of codes at a time: no count x depth digit copy
     block = max(1, COMPOSITION_BLOCK // (depth + window))
@@ -227,10 +217,9 @@ def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
         m_dig, n_dig = _digit_planes(
             np.arange(lo, min(lo + block, count), dtype=np.int64), n, M)
         # pasts gathered time-major, as the sampler lays them out
-        w = fiber_points_bulk(system, m_dig.T[past].T, n_dig.T[past].T,
-                              m_dig[:, fwd], n_dig[:, fwd], ctx_depth=window)
-        coeff = family.coefficients(system, m_dig[:, fwd], n_dig[:, fwd])
-        out[lo:lo + block] = np.log(family.derivative_mod(w, coeff))
+        out[lo:lo + block] = fiber_log_derivatives(
+            system, m_dig.T[past].T, n_dig.T[past].T,
+            m_dig[:, fwd], n_dig[:, fwd], window)
     return out
 
 
@@ -285,16 +274,12 @@ class McEstimate:
 
     value: float
     se: float
-    n: int
 
     @classmethod
     def from_samples(cls, values: np.ndarray) -> "McEstimate":
         """Mean of independent per-sample values with se = std / sqrt(n)."""
-        n = len(values)
-        return cls(float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)), n)
-
-    def __float__(self):
-        return float(self.value)
+        return cls(float(values.mean()),
+                   float(values.std(ddof=1) / math.sqrt(len(values))))
 
 
 @dataclass(eq=False)
@@ -415,44 +400,39 @@ class GibbsApprox:
                 code[part] = (slots[part] * R + row if backward
                               else row * A + slots[part])
 
+    def _draw(self, n_past: int, n_forward: int, count: int, rng):
+        """Time-major ``(past, forward)`` symbol-code buffers of one draw.
+
+        One ``rng.choice`` of the time-zero L-words, then one
+        ``rng.random(count)`` per step: the reversed chain fills the past,
+        most recent first, and the forward chain the forward word after its
+        first L symbols."""
+        rng = _rng(rng)
+        L, A = self.memory, self.alphabet_size
+        if n_forward < L:
+            raise InvalidWord(f"need at least {L} symbols per draw")
+        ahead, back = self._cums()
+        code = rng.choice(len(self.stationary), size=count, p=self.stationary)
+        past = np.empty((n_past, count), dtype=np.int64)
+        self._run(back, code, past, rng, backward=True)
+        fwd = np.empty((n_forward, count), dtype=np.int64)
+        fwd[:L] = code // A ** np.arange(L - 1, -1, -1)[:, None] % A
+        self._run(ahead, code, fwd[L:], rng, backward=False)
+        return past, fwd
+
     def sample_forward(self, n_symbols: int, count: int, rng) -> np.ndarray:
         """Symbol codes of forward words drawn from the stationary chain."""
-        rng = _rng(rng)
-        L = self.memory
-        if n_symbols < L:
-            raise InvalidWord(f"need at least {L} symbols per draw")
-        ahead, _ = self._cums()
-        code = rng.choice(len(self.stationary), size=count, p=self.stationary)
-        return self._emit_forward(code, n_symbols, ahead, rng).T
-
-    def _emit_forward(self, code, n_symbols, ahead, rng):
-        """Time-major ``(n_symbols, count)`` forward symbols from codes ``code``."""
-        L, A = self.memory, self.alphabet_size
-        out = np.empty((n_symbols, len(code)), dtype=np.int64)
-        for i in range(L):
-            out[i] = (code // A ** (L - 1 - i)) % A
-        self._run(ahead, code, out[L:], rng, backward=False)
-        return out
+        return self._draw(0, n_symbols, count, rng)[1].T
 
     def sample_two_sided(self, n_past: int, n_forward: int, count: int, rng):
         """Coupled past and forward words through the time-zero state.
 
         Past rows are most recent first; the reversed chain of the stationary
         Markov measure generates the past, which is the computable form of
-        the conditional measures on fibers.  Draws run time-major: each step
-        fills one row of a ``(steps, count)`` buffer, the past first and then
-        the forward word, one ``rng.random(count)`` per step.  The returned
-        ``(count, n)`` digit arrays are transposed views of those buffers.
+        the conditional measures on fibers.  The ``(count, n)`` digit arrays
+        returned are transposed views of the time-major ``_draw`` buffers.
         """
-        rng = _rng(rng)
-        L = self.memory
-        if n_forward < L:
-            raise InvalidWord(f"need at least {L} symbols per draw")
-        ahead, back = self._cums()
-        code0 = rng.choice(len(self.stationary), size=count, p=self.stationary)
-        past = np.empty((n_past, count), dtype=np.int64)
-        self._run(back, code0, past, rng, backward=True)
-        fwd = self._emit_forward(code0, n_forward, ahead, rng)
+        past, fwd = self._draw(n_past, n_forward, count, rng)
         return (*self._digits(past.T), *self._digits(fwd.T))
 
     def _digits(self, codes):
@@ -899,9 +879,8 @@ def lyapunov_marginal(g: GibbsApprox, which: int, n_samples: int = 2000,
         raise InvalidWord("marginal coordinate must be 1 or 2")
     if orbit_len < 50:
         raise InvalidWord("orbit_len must be >= 50")
-    rng = _rng(rng_seed)
     _, _, m_d, n_d = g.sample_two_sided(0, orbit_len + CONTEXT_DEPTH,
-                                        n_samples, rng)
+                                        n_samples, rng_seed)
     d = m_d if which == 1 else n_d
     x = cf_value_float(
         sliding_window_view(d[:, 1:], CONTEXT_DEPTH, axis=1)[:, :orbit_len])
@@ -914,17 +893,10 @@ def lyapunov_fiber(g: GibbsApprox, system: SmaleSystem, n_samples: int = 4000,
     """Monte Carlo -int log|T'| at fiber points from backward sampling."""
     if past_depth < 10:
         raise InvalidWord("past_depth must be >= 10")
-    rng = _rng(rng_seed)
     past_m, past_n, fwd_m, fwd_n = g.sample_two_sided(
-        past_depth, max(CONTEXT_DEPTH, g.memory), n_samples, rng)
-    pts = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
-    if (np.abs(pts - system.domain.center) > system.domain.radius + 1e-6).any():
-        raise DomainEscape("sampled fiber points left the domain")
-    family = system.family
-    coeff = family.coefficients(system, fwd_m[:, :CONTEXT_DEPTH],
-                                fwd_n[:, :CONTEXT_DEPTH])
-    vals = -np.log(family.derivative_mod(pts, coeff))
-    return McEstimate.from_samples(vals)
+        past_depth, max(CONTEXT_DEPTH, g.memory), n_samples, rng_seed)
+    return McEstimate.from_samples(-fiber_log_derivatives(
+        system, past_m, past_n, fwd_m, fwd_n, CONTEXT_DEPTH))
 
 
 def lyapunov_fiber_exact(g: GibbsApprox) -> float:
@@ -944,8 +916,7 @@ def lyapunov_fiber_table_mc(g: GibbsApprox, n_samples: int = 4000,
     """Monte Carlo of the realized table integrand along chain orbits."""
     if g.log_derivative is None:
         raise ConfigError("table Monte Carlo needs a geometric potential")
-    rng = _rng(rng_seed)
-    codes = g.sample_forward(orbit_len + g.memory - 1, n_samples, rng)
+    codes = g.sample_forward(orbit_len + g.memory - 1, n_samples, rng_seed)
     A, L = g.alphabet_size, g.memory
     word = np.zeros((n_samples, orbit_len), dtype=np.int64)
     for i in range(L):
@@ -963,10 +934,10 @@ def pressure_derivative_check(system: SmaleSystem, s: float,
                               orbit_len: int = 50, rng_seed=0):
     """(fd, integral): centered pressure difference vs int log|T'| d mu.
 
-    ``fd`` differentiates the realized pressure in s.  The integral is the
-    chain expectation of the realized log-derivative (exact when n_samples
-    is None, Monte Carlo over chain orbits otherwise); both sides therefore
-    refer to the same realized potential.
+    ``fd`` differentiates the realized pressure in s.  The integral is an
+    ``McEstimate`` of the chain expectation of the realized log-derivative:
+    exact with se 0.0 when n_samples is None, Monte Carlo over chain orbits
+    otherwise.  Both sides therefore refer to the same realized potential.
     """
     if s - h_step < 0:
         raise ConfigError("s - h_step must stay nonnegative")
@@ -975,10 +946,9 @@ def pressure_derivative_check(system: SmaleSystem, s: float,
     fd = (p_hi.log_pressure - p_lo.log_pressure) / (2.0 * h_step)
     g = gibbs_markov(GeometricPotential(system, s), max_digit, memory)
     if n_samples is None:
-        integral = -lyapunov_fiber_exact(g)
-        return fd, integral
+        return fd, McEstimate(-lyapunov_fiber_exact(g), 0.0)
     mc = lyapunov_fiber_table_mc(g, n_samples, orbit_len, rng_seed)
-    return fd, McEstimate(value=-mc.value, se=mc.se, n=mc.n)
+    return fd, McEstimate(-mc.value, mc.se)
 
 
 @dataclass(frozen=True)

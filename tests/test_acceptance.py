@@ -112,12 +112,12 @@ def test_criterion_03_bowen_vs_moran():
     t0 = time.perf_counter()
     equal = make_system("similarity", schedule=SimilaritySchedule(
         kind="equal", ratio=0.2, grid_digit=2, inner_factor=0.5))
-    diff_eq = abs(bowen_dimension(equal, 2, tol=1e-9)
+    diff_eq = abs(bowen_dimension(equal, 2, tol=1e-9).root
                   - moran_root([0.1] * 4))
     two = make_system("similarity", schedule=SimilaritySchedule(
         kind="two_ratio", ratio_a=0.125, ratio_b=0.0625, grid_digit=2,
         inner_factor=0.5))
-    diff_two = abs(bowen_dimension(two, 2, tol=1e-9)
+    diff_two = abs(bowen_dimension(two, 2, tol=1e-9).root
                    - moran_root([0.0625, 0.0625, 0.03125, 0.03125]))
     elapsed = time.perf_counter() - t0
     ok = diff_eq <= 1e-6 and diff_two <= 1e-6 and elapsed < 10.0
@@ -128,7 +128,7 @@ def test_criterion_03_bowen_vs_moran():
 def test_criterion_04_variational_peak(conj):
     """21-point sweep around the M=3 root: argmax within one grid step of the
     root, sup within 1e-2 of it, the whole curve below root + 1e-2."""
-    root = bowen_dimension(conj, 3, tol=1e-8)
+    root = bowen_dimension(conj, 3, tol=1e-8).root
     grid = tuple(np.linspace(root - 0.5, root + 0.5, 21))
     sweep = variational_sweep(conj, 3, grid)
     step = grid[1] - grid[0]

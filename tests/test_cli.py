@@ -126,6 +126,36 @@ INVALID_DOCUMENTS = {
 }
 
 
+_GRID = [[1, 1, 0.25, -0.5, -0.5], [1, 2, 0.25, -0.5, 0.5],
+         [2, 1, 0.25, 0.5, -0.5], [2, 2, 0.25, 0.5, 0.5]]
+_FIVE = [[m, n, 0.1, -0.6 + 0.3 * (m - 1), -0.6 + 0.3 * (n - 1)]
+         for m in range(1, 6) for n in range(1, 6)]
+
+# case -> (command, similarity system keys, truncation, error text)
+SCHEDULE_CASES = {
+    "repeated_symbol": (
+        "dimension",
+        {"schedule": {"kind": "custom", "table": _GRID + [[1, 1, 0.05, 0, 0]]}},
+        2, "each listed once, not [(1, 1), (1, 1), (1, 2),"),
+    "fractional_digit": (
+        "dimension",
+        {"schedule": {"kind": "custom", "table": _GRID + [[2, 2.5, 0.1, 0, 0]]}},
+        2, "2.5 is not an integer"),
+    # only the (5, 5) image leaves the unit disk, past the digits <= 4
+    "custom_escape_past_digit_4": (
+        "sample",
+        {"schedule": {"kind": "custom",
+                      "table": _FIVE[:-1] + [[5, 5, 0.1, 1.5, 1.5]]}},
+        5, "symbol (5, 5) escapes the domain"),
+    "grid_escape_past_digit_4": (
+        "sample",
+        {"schedule": {"kind": "two_ratio", "ratio_a": 0.05, "ratio_b": 0.3,
+                      "grid_digit": 6},
+         "radius": 0.78},
+        6, "symbol (6, 1) escapes the domain"),
+}
+
+
 class TestConfigErrors:
     def test_invalid_truncation_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"truncation": {"m_schedule": [0]}})
@@ -185,6 +215,16 @@ class TestConfigErrors:
         })
         assert run([command, "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+    def test_bad_similarity_schedule_exits_2(self, tmp_path, capsys, case):
+        command, system, M, message = SCHEDULE_CASES[case]
+        cfg = write_config(tmp_path, {
+            "system": {"variant": "similarity", **system},
+            "truncation": {"m_schedule": [M], "memory": 1}})
+        assert run([command, "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_reducible_table_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -491,6 +531,59 @@ class TestVerifyBytes:
                                sort_keys=True)
         digest = hashlib.sha256(canonical.encode()).hexdigest()
         assert digest == VERIFY_DIGESTS[name]
+
+
+# (command, sha256 of the sorted-key results JSON followed by the CSV bytes)
+RECORD_DIGESTS = {
+    "pressure_geometric": (
+        "pressure",
+        "14556fb39cd6a79284d9e506d48a034c9d36c1dc67d8387cb3990557a62c1d8f"),
+    "dimension_similarity": (
+        "dimension",
+        "a9709a98a6923aa62668d658f72fcb4d5233d9c9871693d8ccfa80c6f04a9be3"),
+    "dimension_conjugate_small": (
+        "dimension",
+        "4768ef840c3204a9e12aee4702eb4f3a7c016a8f8f5fd5a656b6909174ff7b18"),
+    "dimension_constant_small": (
+        "dimension",
+        "a75f02af71faca297aeeb8da0fa180f5ff9b9be8333ca2deef4787b51c7b1a14"),
+}
+
+
+def _record_config(name):
+    path = ROOT / "run_configs" / f"{name}.json"
+    if path.exists():
+        return json.loads(path.read_text())
+    small = {"truncation": {"m_schedule": [2], "memory": 2},
+             "dimension": {"s_grid": [0.6, 0.9, 1.2]},
+             "stats": {"depth": 6, "n_samples": 300, "orbit_len": 50,
+                       "past_depth": 30},
+             "seed": 3}
+    if name == "dimension_conjugate_small":
+        # realizes log|T'| and draws the digit-marginal exponents
+        return {"system": {"variant": "inverse_conjugate"}, **small}
+    # no realized table: chi_T comes from lyapunov_fiber
+    return {"system": {"variant": "inverse_square"},
+            "potential": {"kind": "constant", "value": 0.0}, **small}
+
+
+class TestRecordBytes:
+    """Same seed, same bytes: pressure and dimension results and CSVs match
+    digests recorded earlier."""
+
+    @pytest.mark.parametrize("name", sorted(RECORD_DIGESTS))
+    def test_results_and_csv_digest(self, tmp_path, name):
+        command, expected = RECORD_DIGESTS[name]
+        out = tmp_path / "out"
+        assert run([command, "--config",
+                    write_config(tmp_path, _record_config(name)),
+                    "--out", str(out)]) == 0
+        record = read_record(out, command)
+        digest = hashlib.sha256(
+            json.dumps(record["results"], sort_keys=True).encode())
+        for csv in record["files"]:
+            digest.update((out / csv).read_bytes())
+        assert digest.hexdigest() == expected
 
 
 class TestVerifyCommand:

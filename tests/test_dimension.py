@@ -74,7 +74,7 @@ class TestMoranRoots:
                                                       abs=1e-12)
 
     def test_bowen_matches_moran_equal(self, sim_equal):
-        got = bowen_dimension(sim_equal, 2, tol=1e-9)
+        got = bowen_dimension(sim_equal, 2, tol=1e-9).root
         want = moran_root([0.1] * 4)
         assert abs(got - want) <= 1e-6
 
@@ -83,7 +83,7 @@ class TestMoranRoots:
                                    ratio_b=0.0625, grid_digit=2,
                                    inner_factor=0.5)
         system = make_system("similarity", schedule=sched)
-        got = bowen_dimension(system, 2, tol=1e-9)
+        got = bowen_dimension(system, 2, tol=1e-9).root
         want = moran_root([0.0625, 0.0625, 0.03125, 0.03125])
         assert abs(got - want) <= 1e-6
 
@@ -101,16 +101,16 @@ class TestMoranRoots:
 
     def test_bowen_details(self, conj):
         for M in (2, 3, 4):
-            res = bowen_dimension(conj, M, tol=1e-8, details=True)
+            res = bowen_dimension(conj, M, tol=1e-8)
             assert res.bracket[0] <= res.root <= res.bracket[1]
             assert abs(res.residual) <= 1e-6
             assert 0 < res.iterations <= 6
 
     def test_tiny_tol_stops_at_float_resolution(self, conj):
-        res = bowen_dimension(conj, 2, tol=1e-20, details=True)
+        res = bowen_dimension(conj, 2, tol=1e-20)
         assert res.iterations <= 6
-        assert res.root == pytest.approx(bowen_dimension(conj, 2, tol=1e-10),
-                                         abs=1e-14)
+        assert res.root == pytest.approx(
+            bowen_dimension(conj, 2, tol=1e-10).root, abs=1e-14)
 
     def test_single_map_has_no_root(self):
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.05, 0.0, 0.0),))
@@ -159,7 +159,7 @@ class TestBranchFormulas:
 
 class TestVariationalSweep:
     def test_peak_sits_at_bowen_root(self, conj):
-        root = bowen_dimension(conj, 3, tol=1e-8)
+        root = bowen_dimension(conj, 3, tol=1e-8).root
         grid = tuple(np.linspace(root - 0.5, root + 0.5, 21))
         sweep = variational_sweep(conj, 3, grid)
         step = grid[1] - grid[0]
@@ -170,7 +170,7 @@ class TestVariationalSweep:
         assert sweep.min_chi > 0.0
 
     def test_value_at_root_is_root(self, conj):
-        root = bowen_dimension(conj, 3, tol=1e-8)
+        root = bowen_dimension(conj, 3, tol=1e-8).root
         assert fiber_measure_dimension(conj, root, 3) == pytest.approx(root,
                                                                        abs=1e-6)
 
@@ -183,7 +183,7 @@ class TestVariationalSweep:
 class TestAnalyticSimilarity:
     def test_root_is_fixed_point_with_flat_derivative(self):
         sim = make_system("similarity")
-        root = bowen_dimension(sim, 3, tol=1e-10)
+        root = bowen_dimension(sim, 3, tol=1e-10).root
         assert analytic_similarity_dimension(sim, 3, root, order=0) == (
             pytest.approx(root, abs=1e-8))
         assert abs(analytic_similarity_dimension(sim, 3, root, order=1)) <= 1e-8

@@ -343,5 +343,5 @@ class TestExactness:
     def test_report_unpacks(self, gauss2):
         est = local_dimension(gauss2, window=(0.05, 0.4, 9), n_centers=400,
                               seed=1)
-        bias, dispersion, flags = exactness_report(est, 2.0)
-        assert dispersion == est.stddev
+        report = exactness_report(est, 2.0)
+        assert report.dispersion == est.stddev

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from fiberdim.systems import (
     invert_disk,
     make_system,
     pi2_hat,
-    sample_fiber_limit_set,
     verify_system,
 )
+from fiberdim.empirics import sample_fiber_limit_set
 from fiberdim.thermo import periodic_log_derivatives
 from fiberdim.words import enumerate_pair_words, pair_alphabet
 
@@ -61,8 +62,6 @@ class TestDiskGeometry:
         big = Disk(0j, 1.0)
         assert big.contains(0.5 + 0.5j)
         assert not big.contains(1.2 + 0j)
-        assert big.contains_disk(Disk(0.25j, 0.5))
-        assert not big.contains_disk(Disk(0.75 + 0j, 0.5))
 
 
 class TestScheduleValidation:
@@ -89,6 +88,23 @@ class TestScheduleValidation:
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.25, 0.0, 0.0),))
         with pytest.raises(InvalidWord):
             sched.ratio_of((1, 2))
+
+    GRID = ((1, 1, 0.25, -0.5, -0.5), (1, 2, 0.25, -0.5, 0.5),
+            (2, 1, 0.25, 0.5, -0.5), (2, 2, 0.25, 0.5, 0.5))
+
+    @pytest.mark.parametrize("table", [
+        GRID + ((1, 1, 0.05, 0.0, 0.0),),  # a symbol listed twice
+        GRID[:3] + ((2, 2.5, 0.25, 0.5, 0.5),),  # a fractional digit
+        GRID[:3],  # (2, 2) missing
+        GRID[:2] + ((1, 3, 0.25, 0.0, 0.0),),  # (1, 3) in place of (2, 1)
+        ()])
+    def test_custom_table_checked_whole(self, table):
+        symbols = sorted(row[:2] for row in table)
+        with pytest.raises(ConfigError, match=re.escape(f"once, not {symbols}")):
+            SimilaritySchedule(kind="custom", table=table)
+
+    def test_custom_digit_limit_is_table_side(self):
+        assert SimilaritySchedule(kind="custom", table=self.GRID).digit_limit == 2
 
     def test_two_ratio_dispatch(self):
         sched = SimilaritySchedule(kind="two_ratio", ratio_a=0.125, ratio_b=0.0625)
@@ -387,17 +403,23 @@ class TestBulkMatchesScalar:
                              tuple(zip(fwd_m[i], fwd_n[i])), self.CTX)
             assert abs(bulk[i] - ref) <= self.point_tol(system)
 
-        # periodic realization: log|T'| at the pi2_hat point of each
-        # periodic word, forward word and past both repeating it
+        # periodic realization: log|T'| at the exact-cylinder point of each
+        # periodic word, forward word and 60-symbol past both repeating it.
+        # The map at time -j reads the word from phase -j mod memory on, so
+        # the composition needs the coefficients of memory contexts only.
         coding = math.sqrt(2) * 2.0 ** (1 - self.CTX)
         log_tol = system.distortion_bound * (self.point_tol(system) + coding)
+        family = system.family
         for memory in (1, 2):
             vals = periodic_log_derivatives(system, 2, memory, window=self.CTX)
             for code, word in enumerate(enumerate_pair_words(2, memory)):
-                fwd = word * self.CTX
-                past = tuple(word[-j % memory] for j in range(1, 61))
-                w, _ = pi2_hat(system, past, fwd, self.CTX)
-                ref = math.log(fiber_derivative_mod(system, fwd, w, self.CTX))
+                coeff = [family.coeff_at(system, tuple(
+                    word[(phase + i) % memory] for i in range(self.CTX)))
+                    for phase in range(memory)]
+                w = system.domain.center
+                for level in range(60, 0, -1):
+                    w = family.map(w, coeff[-level % memory])
+                ref = math.log(family.derivative_mod(w, coeff[0]))
                 assert abs(vals[code] - ref) <= log_tol + 1e-12
 
 
@@ -405,12 +427,12 @@ def reference_points_bulk(system, past_m, past_n, fwd_m, fwd_n, ctx_depth):
     """In-test copy of the per-level composition before blocking: each level
     slices its context out of the past and forward rows."""
     family = system.family
-    width = ctx_depth if family.reads_tail else 1
 
     def context(past, fwd, level):
-        rows = past[:, level - 1::-1][:, :width]
-        if rows.shape[1] < width:
-            rows = np.concatenate([rows, fwd[:, :width - rows.shape[1]]], axis=1)
+        rows = past[:, level - 1::-1][:, :ctx_depth]
+        if rows.shape[1] < ctx_depth:
+            rows = np.concatenate([rows, fwd[:, :ctx_depth - rows.shape[1]]],
+                                  axis=1)
         return rows
 
     w = np.full(past_m.shape[0], system.domain.center, dtype=complex)
