@@ -14,7 +14,7 @@ from .errors import (BracketFailure, ConfigError, DegenerateExponent,
 from .words import (Box, ComposedMap, Interval, cf_map_derivative_mod,
                     cf_value_float, certify_derivative_sup,
                     enumerate_pair_words, induced_ifs_maps, pair_alphabet,
-                    pi_tilde, rho0_digits, rho0_value)
+                    pi_tilde, rho0_value)
 from .systems import (Disk, SimilaritySchedule, SmaleSystem, SystemReport,
                       fiber_derivative_mod, fiber_map, image_disk,
                       make_system, pi2_hat, verify_system)
@@ -22,14 +22,13 @@ from .thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
                      McEstimate, MeasureStats, PressureEstimate,
                      TablePotential, entropy, gibbs_markov, lyapunov_fiber,
                      lyapunov_fiber_exact, lyapunov_marginal,
-                     marginal_entropy, measure_stats, potential_mean,
-                     pressure_cylinder_sum, pressure_derivative_check,
-                     variational_gap)
+                     marginal_entropy, measure_stats,
+                     pressure_cylinder_sum, pressure_derivative_check)
 from .dimension import (BowenResult, SummabilityReport, SweepResult,
                         analytic_similarity_dimension, bowen_dimension,
-                        branch_value, fiber_measure_dimension,
+                        branch_value,
                         global_dimension, moran_root, summability_scan,
-                        variational_sweep, z_marginal_dimension)
+                        variational_sweep)
 from .empirics import (BoxDimEstimate, ExactnessReport, LocalDimEstimate,
                        PointCloud, box_dimension, exactness_report,
                        local_dimension, sample_fiber_limit_set,

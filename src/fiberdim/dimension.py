@@ -125,17 +125,6 @@ def _fiber_dimension(system: SmaleSystem, s: float, max_digit: int,
     return entropy(g) / chi, chi, g.log_pressure
 
 
-def fiber_measure_dimension(system: SmaleSystem, s: float, max_digit: int,
-                            memory: int = None) -> float:
-    """h/chi of the geometric Gibbs state on the truncation.
-
-    chi is the exact chain expectation of the realized log-derivative table;
-    using the same expectation on both axes keeps the curve's maximum pinned
-    to the Bowen root instead of floating on Monte Carlo noise.
-    """
-    return _fiber_dimension(system, s, max_digit, memory)[0]
-
-
 @dataclass(frozen=True)
 class BowenResult:
     """Last Newton iterate, its pressure, the chain builds, and (root, h/chi)."""
@@ -211,13 +200,6 @@ def branch_value(stats, branch: str) -> float:
     else:
         raise ConfigError(f"unknown branch {branch!r}")
     return z_part + stats.h_mu / stats.chi_T
-
-
-def z_marginal_dimension(stats, branch: str = None) -> float:
-    """The z-marginal part of the selected branch formula."""
-    if branch is None:
-        branch = global_dimension(stats)[1]
-    return branch_value(stats, branch) - stats.h_mu / stats.chi_T
 
 
 def global_dimension(stats) -> tuple:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientScales, InvalidWord
-from .systems import SmaleSystem, fiber_points_bulk, pi_values_bulk
+from .systems import (CONTEXT_DEPTH, SmaleSystem, fiber_points_bulk,
+                      pi_values_bulk)
 from .thermo import (SAMPLE_ELEMENT_CAP, ConstantPotential, GibbsApprox, _rng,
                      gibbs_markov)
 from .words import check_pair_word, is_integer
@@ -109,7 +110,12 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
             f"n_points {n_points} x 2 x depth {depth} = {n_points * 2 * depth} "
             f"sample elements exceed the cap {SAMPLE_ELEMENT_CAP}; lower "
             "sample.n_points or sample.depth")
-    past_m, past_n, fwd_m, fwd_n = g.sample_two_sided(depth, depth,
+    # a fiber point reads only the CONTEXT_DEPTH - 1 forward symbols of the
+    # context at time -1; forward steps are drawn last, so the shorter draw
+    # leaves the past and those symbols as they are
+    forward = (max(g.memory, CONTEXT_DEPTH - 1) if target == "fiber"
+               else depth)
+    past_m, past_n, fwd_m, fwd_n = g.sample_two_sided(depth, forward,
                                                       n_points, seed)
     z_err = 2.0 ** (1 - depth)
     fiber_err = system.domain.diameter * system.contraction ** (-depth)
@@ -281,32 +287,74 @@ def _ranks(x: np.ndarray):
     return inverse.astype(np.int64), len(distinct)
 
 
-def box_count(points: np.ndarray, eps: float) -> int:
-    """Number of distinct eps-boxes the points fall in.
-
-    Floor indices are shifted by their minimum and packed by their ranges
-    into one int64 key per point.  A column whose range exceeds the point
-    count, or a key prefix whose packing would overflow, is first replaced
-    by its ranks.
-    """
-    key, size = np.zeros(len(points), dtype=np.int64), 1
-    for col in np.floor(points / eps).T:
-        col = col - col.min()
-        span = int(col.max()) + 1
-        if span > len(points):
-            col, span = _ranks(col)
+def _distinct_rows(cols: np.ndarray) -> int:
+    """Number of distinct rows, packing each column's ranks into one int64
+    key and re-ranking the key before it would pass 62 bits."""
+    key, size = np.zeros(len(cols), dtype=np.int64), 1
+    for col in cols.T:
+        col, span = _ranks(col)
         if size * span >= 2 ** 62:
             key, size = _ranks(key)
-        key = key * span + col.astype(np.int64)
+        key = key * span + col
         size *= span
     return len(np.unique(key))
+
+
+def _spread(x: np.ndarray, d: int, bits: int) -> np.ndarray:
+    """Bit i of each entry of x moved to bit i * d (x < 2**bits, bits * d <= 62)."""
+    x = x.astype(np.uint64)
+    group = 1 << max(0, bits - 1).bit_length()
+    while group > 1:  # groups of ``group`` bits at stride group * d, halved
+        group //= 2
+        mask = sum(1 << (i // group * group * d + i % group) for i in range(bits))
+        x = (x | x << np.uint64(group * (d - 1))) & np.uint64(mask)
+    return x
+
+
+def dyadic_box_counts(points: np.ndarray, eps: float, n: int) -> list:
+    """Distinct boxes of side eps * 2**s the points fall in, s = n - 1 .. 0.
+
+    Scaling by a power of two is exact, so the box index at side eps * 2**s
+    is the finest index floor(p / eps) shifted right by s.  The finest
+    indices are offset by a multiple of 2**(n - 1), which every shift
+    divides, and their bits interleaved into one Morton key whose right
+    shift by d * s is the key at side eps * 2**s.  One sort of the keys
+    then gives every count as the number of distinct shifted keys.  The
+    finest sides whose key would pass 62 bits, or all sides when the
+    offset indices pass 2**53 and floats no longer hold them exactly, are
+    counted by dense ranks of their float indices instead.
+    """
+    fine = np.floor(points / eps)
+    align = 2.0 ** (n - 1)
+    offset = fine - np.floor(fine.min(axis=0) / align) * align
+    top, d = int(offset.max()), points.shape[1]
+    # the least shift whose Morton key fits in 62 bits
+    cut = max(0, top.bit_length() - 62 // d) if top < 2 ** 53 else n
+    if cut < n:
+        idx = offset.astype(np.int64) >> cut
+        bits = int(idx.max()).bit_length()
+        key = _spread(idx[:, 0], d, bits) << np.uint64(d - 1)
+        for k in range(1, d):
+            key |= _spread(idx[:, k], d, bits) << np.uint64(d - 1 - k)
+        key.sort()
+    counts = []
+    for s in range(n - 1, -1, -1):
+        if s >= cut:
+            shifted = key >> np.uint64(d * (s - cut))
+            counts.append(1 + int(np.count_nonzero(shifted[1:] != shifted[:-1])))
+        else:
+            counts.append(_distinct_rows(np.floor(fine / 2.0 ** s)))
+    return counts
 
 
 def box_dimension(cloud: PointCloud, n_scales: int = 8) -> BoxDimEstimate:
     """Slope of log box count over a dyadic mesh ladder.
 
-    A cloud with zero extent (all samples resolve to one point) reports
-    dimension 0 directly instead of failing on a degenerate ladder.
+    The sides are diam / 2**j for j = 1 .. n_scales, stopping before the
+    first side below the coding floor; ``dyadic_box_counts`` counts them
+    all at once.  A cloud with zero extent (all samples resolve to one
+    point) reports dimension 0 directly instead of failing on a degenerate
+    ladder.
     """
     if not is_integer(n_scales) or n_scales < 5:
         raise ConfigError(f"need an integer >= 5 dyadic scales, got {n_scales!r}")
@@ -314,14 +362,15 @@ def box_dimension(cloud: PointCloud, n_scales: int = 8) -> BoxDimEstimate:
     floor = max(CODING_FLOOR_FACTOR * cloud.coding_error, 1e-300)
     if diam <= floor:
         return BoxDimEstimate(value=0.0, scales=(), counts=())
-    eps_list, counts = [], []
+    eps_list = []
     for j in range(1, n_scales + 1):
         eps = diam / 2.0 ** j
         if eps < floor:
             break
-        counts.append(box_count(cloud.points, eps))
         eps_list.append(eps)
-    if len(eps_list) < 2:
+    n = len(eps_list)
+    counts = dyadic_box_counts(cloud.points, eps_list[-1], n) if n else []
+    if n < 2:
         return BoxDimEstimate(value=0.0, scales=tuple(eps_list),
                               counts=tuple(counts))
     slope = np.polyfit(np.log(1.0 / np.array(eps_list)),

@@ -347,10 +347,18 @@ class _Similarity(FiberFamily):
         return Disk(t + rc * system.domain.center, rc * system.domain.radius)
 
     def validate(self, system, probe_digit: int = 4):
-        """Images of the domain must stay inside it, on every symbol of a
-        finite schedule; the infinite geometric kind is probed on the digits
-        <= ``probe_digit`` only."""
-        limit = system.schedule.digit_limit
+        """Images of the domain must stay inside it, on every symbol.
+
+        A finite schedule is checked symbol by symbol.  The infinite
+        geometric kind is checked on the digits <= ``probe_digit``, and on
+        every symbol with a larger digit through one bound: its translation
+        lies in the square [-0.3, 0.3]^2 of ``translation_of`` and its
+        modulus is at most base^-(probe_digit + 2) * inner_factor, so its
+        image lies within the farthest corner of that square from the center
+        c plus that modulus times |c| + r.
+        """
+        schedule = system.schedule
+        limit = schedule.digit_limit
         mod, tr = self._tables(system, probe_digit if limit == math.inf else limit)
         c, r = system.domain.center, system.domain.radius
         escape = np.abs(tr + mod * c - c) + mod * r > r + 1e-12
@@ -358,6 +366,15 @@ class _Similarity(FiberFamily):
         if escape.any():
             sym = tuple(int(d) for d in np.argwhere(escape)[0])
             raise ConfigError(f"similarity image for symbol {sym} escapes the domain")
+        if limit == math.inf:
+            corner = max(abs(complex(x, y) - c)
+                         for x in (-0.3, 0.3) for y in (-0.3, 0.3))
+            reach = corner + (schedule.base ** -(probe_digit + 2)
+                              * schedule.inner_factor * (abs(c) + r))
+            if reach > r + 1e-12:
+                raise ConfigError(
+                    f"similarity images of symbols with a digit above {probe_digit} "
+                    f"may reach {reach:.6g} from the center, past the radius {r:g}")
 
 
 #: Variant name -> formula table.  A new family is one entry here.

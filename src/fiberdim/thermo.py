@@ -53,16 +53,17 @@ STATE_CAP = 4096
 #: Relative contraction target for limit-point composition depths.
 POINT_TOL = 1e-13
 
-#: Draws per chunk of one chain step: 64 KB int64 arrays stay in cache and
-#: under the allocator's mmap threshold, so a step allocates no fresh pages.
+#: Draws per chunk of one chain step: its intp rows and slots and float64
+#: uniforms, 64 KB each (the uint8 codes it stores take 8 KB), stay in cache
+#: and under the allocator's mmap threshold, so a step allocates no fresh pages.
 DRAW_CHUNK = 1 << 13
 
 #: Most sample elements that one chain draw may hold: points times 2 * depth
 #: for a cloud, samples times steps for each `measure_stats` draw.  A
-#: `sample` command peaks at about 16 bytes per element over a 50 MB base
-#: (global and fiber clouds of 100k-400k points at depth 30 on a 2-vCPU,
-#: 7 GB host), so the cap keeps a draw near 1.6 GB, a quarter of that host.
-#: The default 200k-point global cloud at depth 30 draws 1.2e7 elements.
+#: `sample` command peaks at 3.6-5.2 bytes per element over a 50 MB base for
+#: global clouds and 1.4-3.1 for fiber clouds (100k-400k points at depth 30
+#: on a 2-vCPU, 8 GB host), so the cap keeps a command near 0.6 GB.  The
+#: default 200k-point global cloud at depth 30 draws 1.2e7 elements.
 SAMPLE_ELEMENT_CAP = 100_000_000
 
 #: Most entries of the digit-marginal sweep's last step, an 8-byte float each.
@@ -324,34 +325,6 @@ class GibbsApprox:
                 "perron_residual": {"right": right, "left": left},
                 "stationarity_residual": self.stationarity_residual}
 
-    # -- masses ------------------------------------------------------------
-
-    def word_log_mass(self, word) -> float:
-        """log mu of the cylinder of a word (any length >= 1)."""
-        w = check_pair_word(word)
-        L, A = self.memory, self.alphabet_size
-        if len(w) < L:
-            code = _word_code(w, self.max_digit)
-            reps = A ** (L - len(w))
-            mass = float(self.stationary[code * reps:(code + 1) * reps].sum())
-            return math.log(mass) if mass > 0 else -math.inf
-        cur = _word_code(w[:L], self.max_digit)
-        if self.stationary[cur] <= 0:
-            return -math.inf
-        out = math.log(self.stationary[cur])
-        for sym in w[L:]:
-            a = (sym[0] - 1) * self.max_digit + (sym[1] - 1)
-            prob = self.transition[cur % A ** (L - 1), a]
-            if prob <= 0:
-                return -math.inf
-            out += math.log(prob)
-            cur = (cur % A ** (L - 1)) * A + a
-        return out
-
-    def symbol_marginal(self) -> np.ndarray:
-        """Stationary law of the symbol at one position (full alphabet)."""
-        return self.stationary.reshape(self.alphabet_size, -1).sum(axis=1)
-
     # -- sampling ----------------------------------------------------------
 
     def _cums(self):
@@ -379,26 +352,29 @@ class GibbsApprox:
             walk = walk[cum[flat[walk]] <= u[walk]]
         return flat - row * A
 
-    def _run(self, law, code, out, rng, backward: bool):
+    def _run(self, law, row, out, rng, backward: bool):
         """Fill each row of the time-major ``out`` with one chain step.
 
-        From the L-word codes ``code``, the forward chain draws from the row
-        of the suffix and appends the slot; the reversed chain draws from the
-        row of the prefix and prepends it.  Each step makes one
-        ``rng.random(count)`` call and then works through ``DRAW_CHUNK``
-        draws at a time, so its arrays stay cache-sized.
+        ``row`` holds each draw's table row, the (L-1)-symbol suffix of its
+        last L-word for the forward chain and the prefix of its first for the
+        reversed chain.  The forward chain appends the slot drawn from that
+        row, the reversed chain prepends it, and the row moves along with
+        them.  Each step makes one ``rng.random(count)`` call and then works
+        through ``DRAW_CHUNK`` draws at a time, so its arrays stay cache-sized.
         """
         A = self.alphabet_size
         R = A ** (self.memory - 1)
-        code = code.copy()
+        row = row.copy()
         for slots in out:
-            u = rng.random(len(code))
-            for lo in range(0, len(code), DRAW_CHUNK):
+            u = rng.random(len(row))
+            for lo in range(0, len(row), DRAW_CHUNK):
                 part = slice(lo, lo + DRAW_CHUNK)
-                row = code[part] // A if backward else code[part] % R
-                slots[part] = self._step(law, row, u[part])
-                code[part] = (slots[part] * R + row if backward
-                              else row * A + slots[part])
+                slot = self._step(law, row[part], u[part])
+                slots[part] = slot
+                # the L-word of the new slot and the old row, less its last
+                # (reversed) or first (forward) symbol
+                row[part] = ((slot * R + row[part]) // A if backward
+                             else (row[part] * A + slot) % R)
 
     def _draw(self, n_past: int, n_forward: int, count: int, rng):
         """Time-major ``(past, forward)`` symbol-code buffers of one draw.
@@ -406,22 +382,25 @@ class GibbsApprox:
         One ``rng.choice`` of the time-zero L-words, then one
         ``rng.random(count)`` per step: the reversed chain fills the past,
         most recent first, and the forward chain the forward word after its
-        first L symbols."""
+        first L symbols.  Codes are stored in the least unsigned dtype that
+        holds A - 1 (uint8 up to M = 16)."""
         rng = _rng(rng)
         L, A = self.memory, self.alphabet_size
         if n_forward < L:
             raise InvalidWord(f"need at least {L} symbols per draw")
         ahead, back = self._cums()
         code = rng.choice(len(self.stationary), size=count, p=self.stationary)
-        past = np.empty((n_past, count), dtype=np.int64)
-        self._run(back, code, past, rng, backward=True)
-        fwd = np.empty((n_forward, count), dtype=np.int64)
+        dtype = np.min_scalar_type(A - 1)
+        past = np.empty((n_past, count), dtype=dtype)
+        self._run(back, code // A, past, rng, backward=True)
+        fwd = np.empty((n_forward, count), dtype=dtype)
         fwd[:L] = code // A ** np.arange(L - 1, -1, -1)[:, None] % A
-        self._run(ahead, code, fwd[L:], rng, backward=False)
+        self._run(ahead, code % A ** (L - 1), fwd[L:], rng, backward=False)
         return past, fwd
 
     def sample_forward(self, n_symbols: int, count: int, rng) -> np.ndarray:
-        """Symbol codes of forward words drawn from the stationary chain."""
+        """Symbol codes of forward words drawn from the stationary chain, in
+        the least unsigned dtype that holds A - 1."""
         return self._draw(0, n_symbols, count, rng)[1].T
 
     def sample_two_sided(self, n_past: int, n_forward: int, count: int, rng):
@@ -430,10 +409,11 @@ class GibbsApprox:
         Past rows are most recent first; the reversed chain of the stationary
         Markov measure generates the past, which is the computable form of
         the conditional measures on fibers.  The ``(count, n)`` digit arrays
-        returned are transposed views of the time-major ``_draw`` buffers.
+        returned are transposed views of the time-major ``_draw`` buffers and
+        keep their dtype, the least unsigned one that holds A - 1.
         """
-        past, fwd = self._draw(n_past, n_forward, count, rng)
-        return (*self._digits(past.T), *self._digits(fwd.T))
+        return tuple(digits.T for codes in self._draw(n_past, n_forward, count, rng)
+                     for digits in self._digits(codes))
 
     def _digits(self, codes):
         """(first, second) digit arrays of symbol codes; ``codes`` becomes the second."""
@@ -795,17 +775,6 @@ def entropy(g: GibbsApprox) -> float:
         plogp = np.where(P > 0, P * np.log(P), 0.0)
     suffix_mass = g.stationary.reshape(g.alphabet_size, -1).sum(axis=0)
     return float(-(suffix_mass @ plogp.sum(axis=1)))
-
-
-def potential_mean(g: GibbsApprox) -> float:
-    """Integral of the potential against the Gibbs state."""
-    # a pruned code may hold -inf, and its zero mass times -inf is NaN
-    return float(g.stationary @ np.where(g.stationary > 0, g.gram, 0.0))
-
-
-def variational_gap(g: GibbsApprox) -> float:
-    """|h + int psi - P|; zero up to eigensolver precision for Gibbs states."""
-    return abs(entropy(g) + potential_mean(g) - g.log_pressure)
 
 
 @dataclass(frozen=True)

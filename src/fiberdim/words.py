@@ -8,10 +8,8 @@ inside out yields the cylinder image of [0, 1].
 
 Cylinder enclosures are computed with exact rational endpoints (stdlib
 fractions), because depth-30 cylinders are far narrower than one double
-spacing and float endpoints would collapse them.  Digit extraction likewise
-runs on exact rationals; a float Gauss iteration loses the word after roughly
-a dozen steps.  Float fast paths for bulk numerics live in
-:func:`cf_value_float`.
+spacing and float endpoints would collapse them.  Float fast paths for bulk
+numerics live in :func:`cf_value_float`.
 """
 
 from __future__ import annotations
@@ -22,11 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DomainError, EnumerationCapExceeded, InvalidWord,
-                     RationalTermination)
-
-#: Gauss iterates below this are treated as exactly rational.
-RATIONAL_EPS = Fraction(1, 10**12)
+from .errors import DomainError, EnumerationCapExceeded, InvalidWord
 
 #: Hard cap on enumerated pair words.
 ENUMERATION_CAP = 10_000_000
@@ -160,29 +154,6 @@ def rho0_value(word) -> Interval:
         # each branch is decreasing, so the image endpoints swap
         lo, hi = 1 / (hi + d), 1 / (lo + d)
     return Interval(lo, hi)
-
-
-def rho0_digits(x, depth: int) -> tuple[int, ...]:
-    """First ``depth`` digits of the continued-fraction expansion of x.
-
-    Runs exact rational Gauss steps on the input (floats are taken at their
-    exact binary value).  Raises RationalTermination, carrying the digits
-    found so far, when an iterate drops below RATIONAL_EPS.
-    """
-    if depth < 1:
-        raise InvalidWord("depth must be >= 1")
-    r = Fraction(x)
-    if not (0 < r < 1):
-        raise DomainError(f"argument {float(r)} outside (0, 1)")
-    digits = []
-    for _ in range(depth):
-        inv = 1 / r
-        d = inv.numerator // inv.denominator
-        digits.append(int(d))
-        r = inv - d
-        if r < RATIONAL_EPS:
-            raise RationalTermination(digits)
-    return tuple(digits)
 
 
 def pi_tilde(word) -> Box:

@@ -1,0 +1,101 @@
+"""Test-only oracles: chain masses, digit extraction and dimension parts.
+
+Each is a short formula over the package's public data that no program
+path needs; the tests that check the package against them import them
+from here.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from fiberdim.dimension import branch_value, global_dimension
+from fiberdim.errors import DomainError, InvalidWord, RationalTermination
+from fiberdim.thermo import (GeometricPotential, entropy, gibbs_markov,
+                             lyapunov_fiber_exact)
+from fiberdim.words import check_pair_word
+
+#: Gauss iterates below this are treated as exactly rational.
+RATIONAL_EPS = Fraction(1, 10**12)
+
+
+def symbol_code(sym, max_digit: int) -> int:
+    return (sym[0] - 1) * max_digit + (sym[1] - 1)
+
+
+def word_log_mass(g, word) -> float:
+    """log mu of the cylinder of a word (any length >= 1) under chain g."""
+    w = check_pair_word(word)
+    L, A, M = g.memory, g.alphabet_size, g.max_digit
+    code = 0
+    for sym in w[:L]:
+        code = code * A + symbol_code(sym, M)
+    if len(w) < L:
+        reps = A ** (L - len(w))
+        mass = float(g.stationary[code * reps:(code + 1) * reps].sum())
+        return math.log(mass) if mass > 0 else -math.inf
+    if g.stationary[code] <= 0:
+        return -math.inf
+    out = math.log(g.stationary[code])
+    for sym in w[L:]:
+        a = symbol_code(sym, M)
+        prob = g.transition[code % A ** (L - 1), a]
+        if prob <= 0:
+            return -math.inf
+        out += math.log(prob)
+        code = (code % A ** (L - 1)) * A + a
+    return out
+
+
+def symbol_marginal(g) -> np.ndarray:
+    """Stationary law of the symbol at one position (full alphabet)."""
+    return g.stationary.reshape(g.alphabet_size, -1).sum(axis=1)
+
+
+def potential_mean(g) -> float:
+    """Integral of the potential against the Gibbs state."""
+    # a pruned code may hold -inf, and its zero mass times -inf is NaN
+    return float(g.stationary @ np.where(g.stationary > 0, g.gram, 0.0))
+
+
+def variational_gap(g) -> float:
+    """|h + int psi - P|; zero up to eigensolver precision for Gibbs states."""
+    return abs(entropy(g) + potential_mean(g) - g.log_pressure)
+
+
+def rho0_digits(x, depth: int) -> tuple:
+    """First ``depth`` digits of the continued-fraction expansion of x.
+
+    Runs exact rational Gauss steps on the input (floats are taken at their
+    exact binary value).  Raises RationalTermination, carrying the digits
+    found so far, when an iterate drops below RATIONAL_EPS.
+    """
+    if depth < 1:
+        raise InvalidWord("depth must be >= 1")
+    r = Fraction(x)
+    if not (0 < r < 1):
+        raise DomainError(f"argument {float(r)} outside (0, 1)")
+    digits = []
+    for _ in range(depth):
+        inv = 1 / r
+        d = inv.numerator // inv.denominator
+        digits.append(int(d))
+        r = inv - d
+        if r < RATIONAL_EPS:
+            raise RationalTermination(digits)
+    return tuple(digits)
+
+
+def fiber_measure_dimension(system, s: float, max_digit: int,
+                            memory: int = None) -> float:
+    """h/chi of the geometric Gibbs state on the truncation, chi exact."""
+    g = gibbs_markov(GeometricPotential(system, float(s)), max_digit, memory)
+    return entropy(g) / lyapunov_fiber_exact(g)
+
+
+def z_marginal_dimension(stats, branch: str = None) -> float:
+    """The z-marginal part of the selected branch formula."""
+    if branch is None:
+        branch = global_dimension(stats)[1]
+    return branch_value(stats, branch) - stats.h_mu / stats.chi_T

@@ -284,18 +284,25 @@ def test_samplers_match_reference_copies(L, kind, chunk, monkeypatch):
     if chunk is not None:  # many draw chunks per step, the last one ragged
         monkeypatch.setattr(thermo, "DRAW_CHUNK", chunk)
     if kind == "geometric":
-        g = gibbs_markov(GeometricPotential(make_system("inverse_conjugate"), 0.8),
-                         3 if L < 3 else 2, L)
+        conj = make_system("inverse_conjugate")
+        chains = [gibbs_markov(GeometricPotential(conj, 0.8), 3 if L < 3 else 2, L)]
+        if L == 1:  # 289 symbols: codes need uint16
+            chains.append(gibbs_markov(GeometricPotential(conj, 0.8), 17, 1))
     else:
-        g = sparse_chain(2, L)
-        assert (g.transition == 0).any()
-    for seed in (0, 1, 7, 2 ** 31 - 1):
-        new = g.sample_two_sided(9, L + 7, 500, seed)
-        ref = reference_two_sided(g, 9, L + 7, 500, seed)
-        assert all(np.array_equal(a, b) for a, b in zip(new, ref))
-        assert np.array_equal(g.sample_forward(L + 5, 400, seed),
-                              reference_sample_forward(g, L + 5, 400, seed))
-        # no past at all: the draws begin with the forward word
-        new = g.sample_two_sided(0, L + 3, 300, seed)
-        ref = reference_two_sided(g, 0, L + 3, 300, seed)
-        assert all(np.array_equal(a, b) for a, b in zip(new, ref))
+        chains = [sparse_chain(2, L)]
+        assert (chains[0].transition == 0).any()
+    for g in chains:
+        dtype = np.uint16 if g.alphabet_size > 256 else np.uint8
+        for seed in (0, 1, 7, 2 ** 31 - 1):
+            new = g.sample_two_sided(9, L + 7, 500, seed)
+            ref = reference_two_sided(g, 9, L + 7, 500, seed)
+            assert all(a.dtype == dtype for a in new)
+            assert all(np.array_equal(a, b) for a, b in zip(new, ref))
+            codes = g.sample_forward(L + 5, 400, seed)
+            assert codes.dtype == dtype
+            assert np.array_equal(codes,
+                                  reference_sample_forward(g, L + 5, 400, seed))
+            # no past at all: the draws begin with the forward word
+            new = g.sample_two_sided(0, L + 3, 300, seed)
+            ref = reference_two_sided(g, 0, L + 3, 300, seed)
+            assert all(np.array_equal(a, b) for a, b in zip(new, ref))

@@ -153,6 +153,13 @@ SCHEDULE_CASES = {
                       "grid_digit": 6},
          "radius": 0.78},
         6, "symbol (6, 1) escapes the domain"),
+    # every digit <= 4 stays inside, but the translations of larger digits
+    # tend to (0.3, 0.3), 0.566 from the center
+    "geometric_limit_escape": (
+        "sample",
+        {"schedule": {"kind": "geometric"}, "center": [-0.1, -0.1],
+         "radius": 0.5},
+        3, "with a digit above 4 may reach"),
 }
 
 

@@ -9,16 +9,16 @@ from fiberdim.dimension import (
     analytic_similarity_dimension,
     bowen_dimension,
     branch_value,
-    fiber_measure_dimension,
     global_dimension,
     moran_root,
     summability_scan,
     variational_sweep,
-    z_marginal_dimension,
 )
 from fiberdim.errors import BracketFailure, ConfigError, DegenerateExponent
 from fiberdim.systems import SimilaritySchedule, make_system
 from fiberdim.thermo import MeasureStats
+
+from oracles import fiber_measure_dimension, z_marginal_dimension
 
 
 @pytest.fixture(scope="module")

@@ -12,15 +12,15 @@ from fiberdim.empirics import (
     SAMPLE_ELEMENT_CAP,
     BoxDimEstimate,
     PointCloud,
-    box_count,
     box_dimension,
+    dyadic_box_counts,
     exactness_report,
     local_dimension,
     neighbour_counts,
     sample_measure,
 )
 from fiberdim.errors import ConfigError, InsufficientScales
-from fiberdim.systems import make_system
+from fiberdim.systems import fiber_points_bulk, make_system
 from fiberdim.thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
                              gibbs_markov)
 
@@ -142,6 +142,18 @@ class TestSampling:
         assert np.array_equal(a.points, b.points)
         c = sample_measure(g, conj, "global", n_points=1000, depth=25, seed=8)
         assert not np.array_equal(a.points, c.points)
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["inverse_conjugate", "inverse_square"])
+    def test_fiber_cloud_reads_short_forward_draw(self, variant, L):
+        # the fiber target draws only the forward symbols a point reads; its
+        # points are those of a full depth-symbol forward draw
+        system = make_system(variant)
+        g = gibbs_markov(GeometricPotential(system, 1.0), 2, L)
+        cloud = sample_measure(g, system, "fiber", n_points=2000, depth=25,
+                               seed=5)
+        w = fiber_points_bulk(system, *g.sample_two_sided(25, 25, 2000, 5))
+        assert np.array_equal(cloud.points, np.column_stack([w.real, w.imag]))
 
     def test_single_digit_collapses_to_golden_point(self, conj):
         g = gibbs_markov(ConstantPotential(0.0), 1)
@@ -315,14 +327,36 @@ class TestBoxDimension:
         with pytest.raises(ConfigError, match="integer"):
             box_dimension(gauss2, n_scales=n_scales)
 
-    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 4])
     def test_packed_count_matches_row_unique(self, dim):
         rng = np.random.default_rng(dim)
-        pts = rng.normal(-3.0, 2.0, size=(20000, dim))
+        pts = rng.normal(-3.0, 2.0, size=(4000, dim))
         pts[:50] = pts[50:100]  # exact repeats
-        for eps in (8.0, 0.5, 0.05, 1e-4, 1e-9):
-            expected = len(np.unique(np.floor(pts / eps), axis=0))
-            assert box_count(pts, eps) == expected
+        # adjacent boxes of side 1e-15 near 0, more than 2**53 boxes above
+        # the least point: offset float indices would merge them
+        pts[100:104] = (np.arange(4) + 0.5)[:, None] * 1e-15
+        # 1e-9 passes 62 key bits at d >= 2, 1e-15 passes 2**53 box indices
+        for eps, n in ((8.0, 1), (0.5, 4), (0.05, 9), (1e-4, 20), (1e-9, 36),
+                       (1e-15, 50)):
+            assert dyadic_box_counts(pts, eps, n) == row_unique_counts(pts, eps, n)
+
+    def test_fiber_cloud_key_past_62_bits(self):
+        system = make_system("similarity")
+        g = gibbs_markov(GeometricPotential(system, 1.0), 3)
+        cloud = sample_measure(g, system, "fiber", n_points=5000, depth=30,
+                               seed=2)
+        est = box_dimension(cloud, n_scales=40)
+        # 40 scales: 41-bit indices per coordinate, an 82-bit Morton key
+        assert len(est.scales) == 40
+        assert list(est.counts) == [
+            len(np.unique(np.floor(cloud.points / eps), axis=0))
+            for eps in est.scales]
+
+
+def row_unique_counts(pts, eps, n):
+    """Distinct floor-index rows at the sides eps * 2**s, s = n - 1 .. 0."""
+    return [len(np.unique(np.floor(pts / (eps * 2.0 ** s)), axis=0))
+            for s in range(n - 1, -1, -1)]
 
 
 class TestExactness:

@@ -103,6 +103,13 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError, match=re.escape(f"once, not {symbols}")):
             SimilaritySchedule(kind="custom", table=table)
 
+    def test_geometric_digits_past_probe_bounded(self):
+        # the digits <= 4 stay inside; the images of (6, 6) and beyond reach
+        # 0.539 and more from the center
+        with pytest.raises(ConfigError, match="with a digit above 4"):
+            make_system("similarity", center=-0.1 - 0.1j, radius=0.5)
+        make_system("similarity")  # the unit disk holds every image
+
     def test_custom_digit_limit_is_table_side(self):
         assert SimilaritySchedule(kind="custom", table=self.GRID).digit_limit == 2
 
