@@ -10,7 +10,7 @@ operator Gibbs states and pressure (``thermo``), dimension formulas
 from .errors import (BracketFailure, ConfigError, DegenerateExponent,
                      DomainError, DomainEscape, EnumerationCapExceeded,
                      FiberdimError, InsufficientScales, InvalidWord,
-                     NonPrimitive, RationalTermination, SummabilityFailure)
+                     NonPrimitive, SummabilityFailure)
 from .words import (Box, ComposedMap, Interval, cf_map_derivative_mod,
                     cf_value_float, certify_derivative_sup,
                     enumerate_pair_words, induced_ifs_maps, pair_alphabet,

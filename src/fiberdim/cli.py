@@ -118,6 +118,11 @@ def cmd_dimension(config: dict, out_dir: str):
                           rng_seed=config["seed"])
     sweep = variational_sweep(system, M, s_grid, tr["memory"],
                               config["dimension"]["bowen_tol"])
+    if sweep.delta_T < scan.threshold:
+        warnings.append(
+            f"Bowen root {sweep.delta_T:g} of the M={M} truncation lies below "
+            f"the summability threshold theta={scan.threshold:g}; the infinite "
+            "system has delta_T >= theta, further than the root shows")
     delta, branch = global_dimension(stats)
     values = {b: branch_value(stats, b) for b in "bc"}
     results = {
@@ -129,12 +134,9 @@ def cmd_dimension(config: dict, out_dir: str):
         "max_second_difference": sweep.max_second_difference,
         "min_chi": sweep.min_chi,
         "summability": {
+            "threshold": (scan.threshold if math.isfinite(scan.threshold)
+                          else None),
             "verdicts": list(scan.verdicts),
-            "tail_slopes": [x if math.isfinite(x) else None
-                            for x in scan.tail_slopes],
-            "boundary_estimate": (scan.boundary_estimate
-                                  if math.isfinite(scan.boundary_estimate)
-                                  else None),
         },
         "stats": dataclasses.asdict(stats),
         "chain": g.health(),
@@ -149,8 +151,7 @@ def cmd_dimension(config: dict, out_dir: str):
         results["moran_root"] = oracle
         results["moran_diff"] = abs(oracle - sweep.delta_T)
     csv_path = os.path.join(out_dir, "dimension_curve.csv")
-    _write_csv(csv_path, "s,delta,flag",
-               [(s, d, flag) for s, d, flag in sweep.curve])
+    _write_csv(csv_path, "s,delta", sweep.curve)
     return results, warnings, [csv_path]
 
 

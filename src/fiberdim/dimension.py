@@ -27,88 +27,33 @@ from .words import check_max_digit
 #: Newton step cap for the Bowen and Moran roots.
 BOWEN_MAX_ITER = 50
 
-#: Tail-exponent margin separating summable/divergent verdicts from
-#: inconclusive ones.
-VERDICT_MARGIN = 0.15
-
-#: Truncations whose depth-1 shell sums ``summability_scan`` fits.
-SUMMABILITY_SCHEDULE = (4, 8, 16, 32, 64)
-
 
 # ---------------------------------------------------------------------------
 # summability of the one-step derivative sum
 
 @dataclass(frozen=True)
 class SummabilityReport:
-    """Tail behaviour of the depth-1 derivative sums as the truncation grows."""
+    """Convergence verdict per s of the infinite-alphabet depth-1 sum."""
 
     s_grid: tuple
-    tail_slopes: tuple  # fitted log shell-sum vs log M slope per s
-    verdicts: tuple     # 'summable' | 'divergent' | 'inconclusive'
-    boundary_estimate: float
-
-
-def _symbol_sups(system: SmaleSystem, m_max: int):
-    """(per-symbol sup, shell index) over the truncation to max digit m_max."""
-    grid = np.arange(1, m_max + 1)
-    mm, nn = np.meshgrid(grid, grid, indexing="ij")
-    sup = system.family.symbol_sup(system, mm, nn)
-    shell = np.maximum(mm, nn)
-    return sup.ravel(), shell.ravel()
+    verdicts: tuple   # 'summable' | 'divergent'
+    threshold: float  # theta of ``FiberFamily.summability_threshold``
 
 
 def summability_scan(system: SmaleSystem, s_grid) -> SummabilityReport:
-    """Verdict per s on convergence of the infinite-alphabet depth-1 sum.
+    """Verdict per s on convergence of sum(sup-derivative^s) over all symbols.
 
-    Shell increments of sum(sup-derivative^s) at the largest truncations of
-    ``SUMMABILITY_SCHEDULE`` are fitted against log M; a tail slope clearly
-    below -1 means the full sum converges, clearly above means it diverges,
-    and the strip in between is reported inconclusive because partial sums
-    alone cannot separate the two.  The boundary estimate interpolates the
-    slope fit to the critical exponent -1.
+    The sum converges exactly when s exceeds the family's threshold theta,
+    so the verdict is 'summable' for s > theta and 'divergent' otherwise.
     """
     s_grid = tuple(float(s) for s in s_grid)
     if not s_grid:
         raise ConfigError("empty s grid")
-    m_max = SUMMABILITY_SCHEDULE[-1]
-    if system.family.digit_limit(system) < m_max:
-        # grid-limited alphabet: the full sum is a finite sum
-        return SummabilityReport(
-            s_grid=s_grid,
-            tail_slopes=tuple(-math.inf for _ in s_grid),
-            verdicts=tuple("summable" for _ in s_grid),
-            boundary_estimate=0.0,
-        )
-    sup_flat, shell_flat = _symbol_sups(system, m_max)
-    half = [m for m in SUMMABILITY_SCHEDULE if m >= m_max // 4]
-    logm = np.array([math.log(m) for m in half])
-    slopes = []
-    for s in s_grid:
-        shells = np.zeros(m_max)
-        np.add.at(shells, shell_flat - 1, sup_flat ** s)
-        with np.errstate(divide="ignore"):
-            logd = np.log([shells[m - 1] for m in half])
-        fit_ok = np.isfinite(logd)
-        # a tail that underflowed to zero is certainly summable
-        slopes.append(float(np.polyfit(logm[fit_ok], logd[fit_ok], 1)[0])
-                      if fit_ok.sum() >= 2 else -math.inf)
-    verdicts = tuple("summable" if x <= -1.0 - VERDICT_MARGIN
-                     else "divergent" if x >= -1.0 + VERDICT_MARGIN
-                     else "inconclusive" for x in slopes)
-    order = np.argsort(s_grid)
-    s_arr = np.array(s_grid)[order]
-    sl_arr = np.array(slopes)[order]
-    finite = np.isfinite(sl_arr)
-    if finite.sum() >= 2 and (sl_arr[finite] + 1.0).min() < 0 < (sl_arr[finite] + 1.0).max():
-        boundary = float(np.interp(-1.0, sl_arr[finite][np.argsort(sl_arr[finite])],
-                                   s_arr[finite][np.argsort(sl_arr[finite])]))
-    elif np.all(sl_arr[finite] < -1.0):
-        boundary = 0.0
-    else:
-        boundary = math.nan
+    theta = system.family.summability_threshold(system)
     return SummabilityReport(
-        s_grid=s_grid, tail_slopes=tuple(slopes), verdicts=verdicts,
-        boundary_estimate=boundary,
+        s_grid=s_grid,
+        verdicts=tuple("summable" if s > theta else "divergent" for s in s_grid),
+        threshold=theta,
     )
 
 
@@ -220,7 +165,7 @@ class SweepResult:
     whose root is delta_T.
     """
 
-    curve: tuple  # rows (s, delta, flag)
+    curve: tuple  # rows (s, delta)
     sup_value: float
     argmax: float
     delta_T: float
@@ -260,7 +205,7 @@ def variational_sweep(system: SmaleSystem, max_digit: int, s_grid,
     sup_value = float(deltas.max())
     d2 = _second_differences(s_vals, deltas)
     return SweepResult(
-        curve=tuple((float(s), float(d), "ok") for s, d in zip(s_vals, deltas)),
+        curve=tuple((float(s), float(d)) for s, d in zip(s_vals, deltas)),
         sup_value=sup_value, argmax=float(s_vals[int(deltas.argmax())]),
         delta_T=bowen.root, gap=abs(sup_value - bowen.root),
         second_differences=tuple(float(x) for x in d2),

@@ -13,17 +13,6 @@ class DomainError(FiberdimError, ValueError):
     """Argument of a base map lies outside [0, 1)."""
 
 
-class RationalTermination(FiberdimError):
-    """Digit extraction hit a (numerically) rational point.
-
-    Carries the digits recovered before termination in ``digits``.
-    """
-
-    def __init__(self, digits, message="continued fraction terminated"):
-        self.digits = tuple(digits)
-        super().__init__(f"{message} after {len(self.digits)} digit(s)")
-
-
 class EnumerationCapExceeded(FiberdimError):
     """A word enumeration would produce more items than the configured cap."""
 

@@ -211,17 +211,22 @@ class FiberFamily:
         p = self.coeff_at(system, word)
         return invert_disk(self._image_preimage(system.domain, p))
 
-    def _preimage_gap(self, system, m, n):
-        """Least modulus |c| - r of the map's denominator over the domain, per symbol.
+    def summability_threshold(self, system) -> float:
+        """Exponent theta past which the depth-1 sum of sup|T'|^s converges.
 
-        The map of symbol (m, n) inverts the preimage disk of translate
-        m + ni; the per-symbol derivative sup follows from this distance.
+        The maps of symbol (m, n) read translate values c in the unit square
+        above p = m + ni.  The margin of ``one_step_sup`` bounds their
+        denominators away from 0 on the domain, uniformly in the symbol, and
+        the denominators grow like |c|.  So sup|T'| over the symbol lies
+        between two constant multiples of |p|^-2: at c = p it is
+        1 / (|p + conj(center)| - r)^2 for the conjugate family and
+        2 zmax / (|center^2 + 2p| - r2)^2 for the square family.  The depth-1
+        sum therefore converges exactly when sum |p|^(-2s) over m, n >= 1
+        does, that is for s > 1; at s = 1 the symbols with |p| near k number
+        about k and weigh about k^-2 each, and the sum diverges like the
+        harmonic series.
         """
-        disk = self._image_preimage(system.domain, m + 1j * n)
-        gap = np.hypot(disk.center.real, disk.center.imag) - disk.radius
-        if np.any(gap <= 0):
-            raise ConfigError("a symbol's preimage disk reaches the singularity")
-        return gap
+        return 1.0
 
     def validate(self, system):
         """Hard requirements on a constructed system (none by default)."""
@@ -237,11 +242,20 @@ class _InverseConjugate(FiberFamily):
         return 1.0 / abs(np.conj(w) + c) ** 2
 
     def _min_modulus(self, domain: Disk) -> float:
-        # minimum of |conj(z) + p| over the domain and p in [1, inf)^2, which
-        # sits at p = 1 + 1i
-        return abs(domain.center.conjugate() + (1 + 1j)) - domain.radius
+        # minimum of |conj(z) + c| over the domain and every translate value
+        # c in [1, inf)^2: the distance from -conj(center) to that quadrant,
+        # less the radius
+        c = domain.center
+        gap = math.hypot(max(0.0, 1.0 + c.real), max(0.0, 1.0 - c.imag))
+        return gap - domain.radius
 
     def one_step_sup(self, domain, schedule):
+        """1 / (least |conj(z) + c|)^2 over the domain and translate values.
+
+        A positive margin ``_min_modulus`` bounds |conj(center) + c| - r, the
+        preimage gap of every symbol's translate value c, from below, so no
+        symbol's map meets its singularity on the domain.
+        """
         m = self._min_modulus(domain)
         if m <= 0:
             raise ConfigError("domain touches the singular translate")
@@ -249,9 +263,6 @@ class _InverseConjugate(FiberFamily):
 
     def distortion(self, domain):
         return 2.0 / self._min_modulus(domain), 1.0
-
-    def symbol_sup(self, system, m, n):
-        return 1.0 / self._preimage_gap(system, m, n) ** 2
 
     def _image_preimage(self, domain, p):
         return Disk(domain.center.conjugate() + p, domain.radius)
@@ -270,6 +281,12 @@ class _InverseSquare(FiberFamily):
         return abs(domain.center) + domain.radius
 
     def one_step_sup(self, domain, schedule):
+        """2 zmax / (2 sqrt(2) - zmax^2)^2 with zmax = |center| + r.
+
+        Every translate value c has |c| >= sqrt(2), so the margin
+        2 sqrt(2) - zmax^2 bounds |z^2 + 2c| from below on the domain: a
+        positive margin keeps every symbol's preimage gap positive.
+        """
         zmax = self._zmax(domain)
         m = 2.0 * abs(1 + 1j) - zmax ** 2
         if m <= 0:
@@ -283,9 +300,6 @@ class _InverseSquare(FiberFamily):
         pts = pts[np.abs(pts) > 1e-3]
         g = 1.0 / np.abs(pts) + 4.0 * np.abs(pts) / (2.0 * abs(1 + 1j) - np.abs(pts) ** 2)
         return float(np.max(g)), 1.0
-
-    def symbol_sup(self, system, m, n):
-        return 2.0 * self._zmax(system.domain) / self._preimage_gap(system, m, n) ** 2
 
     def _image_preimage(self, domain, p):
         # z^2 over the domain sits inside a disk around center^2
@@ -339,8 +353,14 @@ class _Similarity(FiberFamily):
     def distortion(self, domain):
         return 0.0, 1.0
 
-    def symbol_sup(self, system, m, n):
-        return self._tables(system, int(max(m.max(), n.max())))[0][m, n]
+    def summability_threshold(self, system) -> float:
+        """0 for the infinite geometric schedule, -inf for a finite one.
+
+        The geometric sum of (inner * base^-(m+n))^s over m, n >= 1 is
+        inner^s * (base^-s / (1 - base^-s))^2, finite exactly when s > 0; a
+        finite schedule's sum has finitely many terms and converges at every s.
+        """
+        return 0.0 if system.schedule.digit_limit == math.inf else -math.inf
 
     def image_disk(self, system, symbol, tail) -> Disk:
         rc, t = self.coeff_at(system, (symbol,))

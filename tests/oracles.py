@@ -1,4 +1,5 @@
-"""Test-only oracles: chain masses, digit extraction and dimension parts.
+"""Test-only oracles: chain masses, digit extraction, dimension parts and
+the shell-sum fit of the summability threshold.
 
 Each is a short formula over the package's public data that no program
 path needs; the tests that check the package against them import them
@@ -11,13 +12,27 @@ from fractions import Fraction
 import numpy as np
 
 from fiberdim.dimension import branch_value, global_dimension
-from fiberdim.errors import DomainError, InvalidWord, RationalTermination
+from fiberdim.errors import DomainError, InvalidWord
 from fiberdim.thermo import (GeometricPotential, entropy, gibbs_markov,
                              lyapunov_fiber_exact)
 from fiberdim.words import check_pair_word
 
 #: Gauss iterates below this are treated as exactly rational.
 RATIONAL_EPS = Fraction(1, 10**12)
+
+#: Truncations whose depth-1 shell sums ``shell_tail_slopes`` fits.
+SHELL_SCHEDULE = (4, 8, 16, 32, 64)
+
+
+class RationalTermination(Exception):
+    """Digit extraction hit a (numerically) rational point.
+
+    Carries the digits recovered before termination in ``digits``.
+    """
+
+    def __init__(self, digits, message="continued fraction terminated"):
+        self.digits = tuple(digits)
+        super().__init__(f"{message} after {len(self.digits)} digit(s)")
 
 
 def symbol_code(sym, max_digit: int) -> int:
@@ -99,3 +114,51 @@ def z_marginal_dimension(stats, branch: str = None) -> float:
     if branch is None:
         branch = global_dimension(stats)[1]
     return branch_value(stats, branch) - stats.h_mu / stats.chi_T
+
+
+# ---------------------------------------------------------------------------
+# shell-sum fit of the summability threshold
+
+def default_symbol_sup(variant: str, m, n):
+    """sup|T'| over the default domain (center 1/2, radius 1/2) at the
+    translate p = m + ni, in closed form for the two reciprocal families.
+
+    The conjugate map inverts the disk of center 1/2 + p and radius 1/2;
+    the square map inverts a disk of center 1/4 + 2p and radius 3/4 that
+    holds z^2 + 2p, with |z| at most zmax = 1.
+    """
+    m, n = np.asarray(m, dtype=float), np.asarray(n, dtype=float)
+    if variant == "inverse_conjugate":
+        return 1.0 / (np.hypot(m + 0.5, n) - 0.5) ** 2
+    if variant == "inverse_square":
+        return 2.0 / (np.hypot(2 * m + 0.25, 2 * n) - 0.75) ** 2
+    raise ValueError(f"no closed-form symbol sup for {variant!r}")
+
+
+def shell_tail_slopes(variant: str, s_grid) -> tuple:
+    """Slope of log shell sum against log M per s, over the largest
+    truncations of ``SHELL_SCHEDULE``.
+
+    The shell of M holds the symbols whose larger digit is M.  A slope below
+    -1 means the shells sum to a finite total, a slope above -1 that they do
+    not.
+    """
+    m_max = SHELL_SCHEDULE[-1]
+    grid = np.arange(1, m_max + 1)
+    mm, nn = np.meshgrid(grid, grid, indexing="ij")
+    sup = default_symbol_sup(variant, mm, nn).ravel()
+    shell = np.maximum(mm, nn).ravel() - 1
+    fitted = np.array([m for m in SHELL_SCHEDULE if m >= m_max // 4])
+    slopes = []
+    for s in s_grid:
+        shells = np.bincount(shell, weights=sup ** s, minlength=m_max)
+        slopes.append(float(np.polyfit(np.log(fitted),
+                                       np.log(shells[fitted - 1]), 1)[0]))
+    return tuple(slopes)
+
+
+def fitted_threshold(variant: str, s_grid) -> float:
+    """The s at which the fitted tail slope crosses -1, interpolated."""
+    slopes = np.array(shell_tail_slopes(variant, s_grid))
+    order = np.argsort(slopes)
+    return float(np.interp(-1.0, slopes[order], np.asarray(s_grid)[order]))

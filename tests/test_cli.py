@@ -174,6 +174,17 @@ class TestConfigErrors:
         assert run(["pressure", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2
 
+    def test_singular_translate_domain_exits_2(self, tmp_path, capsys):
+        # translate 3 + i puts the conjugate map's singularity at the center
+        cfg = write_config(tmp_path, {
+            "system": {"variant": "inverse_conjugate", "center": [-3.0, 1.0],
+                       "radius": 0.5},
+            "truncation": {"m_schedule": [2], "depth": 3},
+        })
+        assert run(["pressure", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "singular translate" in capsys.readouterr().err
+
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         for content in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
@@ -299,7 +310,7 @@ class TestDimensionCommand:
         assert bowen["bracket"][0] <= bowen["root"] <= bowen["bracket"][1]
 
         lines = (out / "dimension_curve.csv").read_text().splitlines()
-        assert lines[0] == "s,delta,flag"
+        assert lines[0] == "s,delta"
         assert len(lines) == 6
 
     def test_constant_potential_uses_monte_carlo_fiber_exponent(self, tmp_path):
@@ -374,8 +385,32 @@ class TestDimensionCommand:
         record = read_record(out, "dimension")
         assert any("s=0.6" in w for w in record["warnings"])
         summ = record["results"]["summability"]
-        assert summ["verdicts"][0] == "divergent"
-        assert summ["verdicts"][-1] == "summable"
+        assert summ == {"threshold": 1.0,
+                        "verdicts": ["divergent", "divergent", "summable"]}
+
+    def test_bowen_root_below_threshold_warns(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "truncation": {"m_schedule": [2], "memory": 1},
+            "dimension": {"s_grid": [0.6, 0.9, 1.2]},
+            "stats": {"depth": 6, "n_samples": 300, "orbit_len": 50,
+                      "past_depth": 30},
+        })
+        out = tmp_path / "out"
+        assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
+        record = read_record(out, "dimension")
+        root = record["results"]["bowen_root"]
+        assert root < 1.0
+        assert (f"Bowen root {root:g} of the M=2 truncation lies below the "
+                "summability threshold theta=1;") in "\n".join(record["warnings"])
+
+    def test_finite_similarity_has_no_threshold_warnings(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["dimension", "--config",
+                    str(ROOT / "run_configs" / "dimension_similarity.json"),
+                    "--out", str(out)]) == 0
+        record = read_record(out, "dimension")
+        assert record["results"]["summability"]["threshold"] is None
+        assert record["warnings"] == []
 
 
 class TestSampleCommand:
@@ -547,13 +582,13 @@ RECORD_DIGESTS = {
         "14556fb39cd6a79284d9e506d48a034c9d36c1dc67d8387cb3990557a62c1d8f"),
     "dimension_similarity": (
         "dimension",
-        "a9709a98a6923aa62668d658f72fcb4d5233d9c9871693d8ccfa80c6f04a9be3"),
+        "4d49e467085110bb512d346cb1182cb55271d9889f8389eeb894604936510a66"),
     "dimension_conjugate_small": (
         "dimension",
-        "4768ef840c3204a9e12aee4702eb4f3a7c016a8f8f5fd5a656b6909174ff7b18"),
+        "a04424e2e61f05b5a7f8b3acf889aeefee3df2d3a17d405b76005c6f6e3fdf7a"),
     "dimension_constant_small": (
         "dimension",
-        "a75f02af71faca297aeeb8da0fa180f5ff9b9be8333ca2deef4787b51c7b1a14"),
+        "865cbf14ef1eb3788a760564437f7c6fdfc875f5fb72b98de5c66e40d04fb1df"),
 }
 
 

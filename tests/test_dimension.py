@@ -18,7 +18,8 @@ from fiberdim.errors import BracketFailure, ConfigError, DegenerateExponent
 from fiberdim.systems import SimilaritySchedule, make_system
 from fiberdim.thermo import MeasureStats
 
-from oracles import fiber_measure_dimension, z_marginal_dimension
+from oracles import (fiber_measure_dimension, fitted_threshold,
+                     shell_tail_slopes, z_marginal_dimension)
 
 
 @pytest.fixture(scope="module")
@@ -40,31 +41,56 @@ def stats_of(h, h1, h2, chi1, chi2, chi_T):
 
 
 class TestSummability:
+    """Exact verdicts: the depth-1 sum converges exactly when s > theta."""
+
+    GRID = (0.6, 0.8, 0.95, 1.0, 1.05, 1.2, 1.4)
+
     def test_conjugate_verdicts_monotone(self, conj):
-        report = summability_scan(conj, s_grid=(0.6, 0.8, 1.0, 1.2, 1.4))
-        order = {"divergent": 0, "inconclusive": 1, "summable": 2}
-        ranks = [order[v] for v in report.verdicts]
-        assert ranks == sorted(ranks)
-        assert report.verdicts[0] == "divergent"
-        assert report.verdicts[-1] == "summable"
+        report = summability_scan(conj, s_grid=self.GRID)
+        assert report.threshold == 1.0
+        assert report.verdicts == ("divergent",) * 4 + ("summable",) * 3
+
+    def test_square_threshold_is_one(self):
+        report = summability_scan(make_system("inverse_square"),
+                                  s_grid=(0.95, 1.0, 1.05))
+        assert report.threshold == 1.0
+        assert report.verdicts == ("divergent", "divergent", "summable")
 
     def test_conjugate_boundary_near_one(self, conj):
-        report = summability_scan(conj, s_grid=(0.6, 0.8, 1.0, 1.2, 1.4))
-        assert abs(report.boundary_estimate - 1.0) <= 0.05
+        # the shell-sum fit is the oracle for theta, to its old tolerance
+        grid = (0.6, 0.8, 1.0, 1.2, 1.4)
+        theta = conj.family.summability_threshold(conj)
+        assert abs(fitted_threshold("inverse_conjugate", grid) - theta) <= 0.05
 
-    def test_tail_slopes_decrease_with_s(self, conj):
-        report = summability_scan(conj, s_grid=(0.6, 1.0, 1.4))
-        assert report.tail_slopes[0] > report.tail_slopes[1] > report.tail_slopes[2]
+    def test_square_boundary_near_one(self):
+        square = make_system("inverse_square")
+        grid = (0.6, 0.8, 1.0, 1.2, 1.4)
+        theta = square.family.summability_threshold(square)
+        assert abs(fitted_threshold("inverse_square", grid) - theta) <= 0.05
+
+    def test_tail_slopes_decrease_with_s(self):
+        slopes = shell_tail_slopes("inverse_conjugate", (0.6, 1.0, 1.4))
+        assert slopes[0] > slopes[1] > slopes[2]
 
     def test_geometric_similarity_always_summable(self):
         sim = make_system("similarity")
         report = summability_scan(sim, s_grid=(0.5, 1.0))
+        assert report.threshold == 0.0
         assert set(report.verdicts) == {"summable"}
 
+    def test_geometric_similarity_divergent_at_zero(self):
+        # s = 0 counts every symbol once: infinitely many terms of size 1
+        report = summability_scan(make_system("similarity"), s_grid=(0.0,))
+        assert report.verdicts == ("divergent",)
+
     def test_finite_alphabet_trivially_summable(self, sim_equal):
-        report = summability_scan(sim_equal, s_grid=(0.5, 1.0))
+        report = summability_scan(sim_equal, s_grid=(-1.0, 0.0, 0.5, 1.0))
+        assert report.threshold == -math.inf
         assert set(report.verdicts) == {"summable"}
-        assert all(s == -math.inf for s in report.tail_slopes)
+
+    def test_empty_grid_rejected(self, conj):
+        with pytest.raises(ConfigError):
+            summability_scan(conj, s_grid=())
 
 
 class TestMoranRoots:
@@ -166,7 +192,6 @@ class TestVariationalSweep:
         assert abs(sweep.argmax - root) <= step + 1e-12
         assert sweep.sup_value <= sweep.delta_T + 1e-2
         assert abs(sweep.sup_value - root) <= 1e-2
-        assert all(flag == "ok" for (_, _, flag) in sweep.curve)
         assert sweep.min_chi > 0.0
 
     def test_value_at_root_is_root(self, conj):

@@ -1,6 +1,5 @@
 """Fiber map families: formulas, enclosures, certified diagnostics."""
 
-import dataclasses
 import math
 import re
 
@@ -24,6 +23,8 @@ from fiberdim.systems import (
 from fiberdim.empirics import sample_fiber_limit_set
 from fiberdim.thermo import periodic_log_derivatives
 from fiberdim.words import enumerate_pair_words, pair_alphabet
+
+from oracles import default_symbol_sup
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,25 @@ class TestMakeSystem:
         with pytest.raises(ConfigError):
             make_system("inverse_conjugate", center=-1 + 1j, radius=0.5)
 
+    def test_nearest_translate_singularity_rejected(self):
+        # translate 3 + i puts the singularity at the center
+        with pytest.raises(ConfigError):
+            make_system("inverse_conjugate", center=-3 + 1j, radius=0.5)
+
+    def test_certificate_covers_fractional_translates(self, conj):
+        # the integer translates stay 1.118 from -conj(center) = 1.5, but the
+        # translate value 1.55 + i of symbol (1, 1) meets w = -1.55 at
+        # distance 1, where |T'| = 1
+        assert conj.family.derivative_mod(-1.55 + 0j, 1.55 + 1j) == 1.0
+        with pytest.raises(ConfigError):
+            make_system("inverse_conjugate", center=-1.5 + 0j, radius=0.05)
+
+    def test_contraction_follows_the_domain(self):
+        system = make_system("inverse_conjugate", center=0.5 + 0.1j, radius=0.4)
+        assert system.contraction == pytest.approx((abs(1.5 + 0.9j) - 0.4) ** 2,
+                                                   rel=1e-15)
+        assert 1.0 / system.contraction == pytest.approx(0.5493, abs=1e-4)
+
     def test_escaping_similarity_image(self):
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.25, 2.0, 0.0),))
         with pytest.raises(ConfigError):
@@ -146,25 +166,32 @@ class TestMakeSystem:
 
 
 class TestSymbolSup:
+    """The oracle's closed-form symbol sups, the bound behind theta = 1."""
+
     def test_default_domains_keep_the_closed_forms(self, conj, square):
-        grid = np.arange(1, 65)
-        m, n = np.meshgrid(grid, grid, indexing="ij")
-        assert np.array_equal(conj.family.symbol_sup(conj, m, n),
-                              1.0 / (np.hypot(m + 0.5, n) - 0.5) ** 2)
-        zmax = abs(square.domain.center) + square.domain.radius
-        assert np.array_equal(square.family.symbol_sup(square, m, n),
-                              2.0 * zmax / (np.hypot(2 * m + 0.25, 2 * n) - 0.75) ** 2)
+        # derivative_mod is the modulus of a function analytic in w (or in
+        # conj(w)), so its sup over the domain sits on the boundary circle:
+        # the closed forms bound it at translate m + ni, and the conjugate
+        # one is that sup up to the sampling of the circle
+        ring = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        for system in (conj, square):
+            w = system.domain.center + system.domain.radius * ring[:, None]
+            for m, n in pair_alphabet(8):
+                got = system.family.derivative_mod(w, m + 1j * n).max()
+                want = default_symbol_sup(system.variant, m, n)
+                assert got <= want * (1 + 1e-12)
+                if system is conj:
+                    assert got >= want * (1 - 1e-6)
 
-    def test_follows_the_domain(self):
-        system = make_system("inverse_conjugate", center=0.5 + 0.1j, radius=0.4)
-        sup = system.family.symbol_sup(system, np.array(1), np.array(1))
-        assert sup == pytest.approx(1.0 / (abs(1.5 + 0.9j) - 0.4) ** 2, rel=1e-15)
-        assert sup == pytest.approx(0.5493, abs=1e-4)
-
-    def test_singular_preimage_rejected(self, conj):
-        bad = dataclasses.replace(conj, domain=Disk(-1.0 + 1.0j, 0.5))
-        with pytest.raises(ConfigError):
-            bad.family.symbol_sup(bad, np.array([1, 2]), np.array([1, 2]))
+    @pytest.mark.parametrize("variant, lo, hi", [
+        ("inverse_conjugate", 1.0, 1.25), ("inverse_square", 0.5, 0.783)])
+    def test_sup_times_modulus_squared_is_bounded(self, variant, lo, hi):
+        # sup between lo/|p|^2 and hi/|p|^2 for m, n <= 2000
+        n = np.arange(1, 2001)
+        for m in range(1, 2001, 250):
+            rows = np.arange(m, m + 250)[:, None]
+            x = default_symbol_sup(variant, rows, n) * (rows ** 2 + n ** 2)
+            assert lo <= x.min() and x.max() <= hi + 1e-12
 
 
 class TestFiberFormulas:
