@@ -174,6 +174,7 @@ def cmd_sample(config: dict, out_dir: str):
         "chart": cloud.chart,
         "coding_error": cloud.coding_error,
         "diameter": cloud.diameter(),
+        "chain": g.health(),
     }
     box = box_dimension(cloud, sm["box_scales"])
     results["box_dimension"] = {"value": box.value,

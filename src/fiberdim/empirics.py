@@ -37,6 +37,9 @@ MIN_SCALE_COUNT = 50
 #: Lower radii are floored at this multiple of the cloud's coding error.
 CODING_FLOOR_FACTOR = 10.0
 
+#: Rows that ``PointCloud.to_csv`` formats per write.
+_CSV_BLOCK = 4096
+
 
 # ---------------------------------------------------------------------------
 # clouds
@@ -76,12 +79,15 @@ class PointCloud:
         return float(np.linalg.norm(hi - lo))
 
     def to_csv(self, path):
-        """Header x1..xd, then one comma-separated %.17g row per point."""
+        """Header x1..xd, then one comma-separated %.17g row per point,
+        formatted ``_CSV_BLOCK`` rows at a time."""
         n, d = self.points.shape
         row = ",".join(["%.17g"] * d) + "\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
-            fh.write(row * n % tuple(self.points.ravel().tolist()))
+            for lo in range(0, n, _CSV_BLOCK):
+                block = self.points[lo:lo + _CSV_BLOCK]
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
@@ -95,10 +101,13 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     context, so the two parts of a joint sample share their randomness the
     way the invariant measure couples them.  A cloud of more than
     ``SAMPLE_ELEMENT_CAP`` elements (points times 2 * depth) raises
-    ``ConfigError`` before any draw.
+    ``ConfigError`` before any draw, as do an unknown target or chart.  The
+    points are written column by column into one ``(n_points, d)`` array.
     """
     if target not in TARGETS:
         raise ConfigError(f"unknown target {target!r}")
+    if chart not in CHARTS:
+        raise ConfigError(f"unknown chart {chart!r}")
     if n_points is None:
         n_points = 200_000 if target == "global" else 100_000
     if n_points < 1_000:
@@ -119,23 +128,25 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
                                                       n_points, seed)
     z_err = 2.0 ** (1 - depth)
     fiber_err = system.domain.diameter * system.contraction ** (-depth)
-    cols = []
+    points = np.empty((n_points, 4 if target == "global" else 2))
     if target in ("z_marginal", "global"):
         z = pi_values_bulk(fwd_m, fwd_n)
         if chart == "unit_square":
-            cols += [1.0 / z.real, 1.0 / z.imag]
+            np.divide(1.0, z.real, out=points[:, 0])
+            np.divide(1.0, z.imag, out=points[:, 1])
         else:
-            cols += [z.real, z.imag]
+            points[:, 0], points[:, 1] = z.real, z.imag
+        del z  # freed before the composition allocates its blocks
     if target in ("fiber", "global"):
         w = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
-        cols += [w.real, w.imag]
+        points[:, -2], points[:, -1] = w.real, w.imag
     if target == "fiber":
         err = fiber_err
     elif target == "z_marginal":
         err = z_err
     else:
         err = max(z_err, fiber_err)
-    return PointCloud(points=np.column_stack(cols),
+    return PointCloud(points=points,
                       chart=chart if target != "fiber" else "raw",
                       coding_error=float(err))
 
@@ -153,7 +164,9 @@ def sample_fiber_limit_set(system: SmaleSystem, forward, max_digit: int,
         raise InvalidWord("forward word must be nonempty")
     chain = gibbs_markov(ConstantPotential(0.0), max_digit, 1)
     past_m, past_n, _, _ = chain.sample_two_sided(depth, 1, count, seed)
-    fwd_m, fwd_n = np.tile(np.array(fwd).T[:, None], (1, count, 1))
+    # one read-only row repeated count times, not count copies of it
+    fwd_m, fwd_n = np.broadcast_to(np.array(fwd).T[:, None],
+                                   (2, count, len(fwd)))
     return fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
 
 
@@ -322,21 +335,24 @@ def dyadic_box_counts(points: np.ndarray, eps: float, n: int) -> list:
     then gives every count as the number of distinct shifted keys.  The
     finest sides whose key would pass 62 bits, or all sides when the
     offset indices pass 2**53 and floats no longer hold them exactly, are
-    counted by dense ranks of their float indices instead.
+    counted by dense ranks of their float indices instead.  floor(p / eps)
+    is monotone in p, so the offsets and the key width come from each
+    column's extremes, and the key is built one column at a time.
     """
-    fine = np.floor(points / eps)
-    align = 2.0 ** (n - 1)
-    offset = fine - np.floor(fine.min(axis=0) / align) * align
-    top, d = int(offset.max()), points.shape[1]
+    d, align = points.shape[1], 2.0 ** (n - 1)
+    base = np.floor(np.floor(points.min(axis=0) / eps) / align) * align
+    top = int((np.floor(points.max(axis=0) / eps) - base).max())
     # the least shift whose Morton key fits in 62 bits
     cut = max(0, top.bit_length() - 62 // d) if top < 2 ** 53 else n
     if cut < n:
-        idx = offset.astype(np.int64) >> cut
-        bits = int(idx.max()).bit_length()
-        key = _spread(idx[:, 0], d, bits) << np.uint64(d - 1)
-        for k in range(1, d):
-            key |= _spread(idx[:, k], d, bits) << np.uint64(d - 1 - k)
+        bits = (top >> cut).bit_length()
+        key = np.zeros(len(points), dtype=np.uint64)
+        for k in range(d):
+            idx = (np.floor(points[:, k] / eps) - base[k]).astype(np.int64) >> cut
+            key |= _spread(idx, d, bits) << np.uint64(d - 1 - k)
         key.sort()
+    if cut:
+        fine = np.floor(points / eps)
     counts = []
     for s in range(n - 1, -1, -1):
         if s >= cut:

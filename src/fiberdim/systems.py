@@ -36,7 +36,7 @@ CONTEXT_DEPTH = 12
 
 #: Digit elements, rows times (depth + forward symbols), that one block of
 #: ``fiber_points_bulk`` composes at once.
-COMPOSITION_BLOCK = 1 << 18
+COMPOSITION_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------

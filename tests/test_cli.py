@@ -15,7 +15,7 @@ from fiberdim import cli
 from fiberdim.cli import run
 from fiberdim.config import load_config
 from fiberdim.errors import ConfigError
-from fiberdim.thermo import GibbsApprox
+from fiberdim.thermo import HEALTH_TOL, GibbsApprox
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -445,6 +445,19 @@ class TestSampleCommand:
         assert rec_b["config"]["seed"] == 9
         assert ((out_a / "cloud_z_marginal.csv").read_bytes()
                 != (out_b / "cloud_z_marginal.csv").read_bytes())
+
+    def test_chain_health_block(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "truncation": {"m_schedule": [2], "memory": 1},
+            "sample": {"target": "z_marginal", "n_points": 2000, "depth": 25,
+                       "n_centers": 50},
+        })
+        out = tmp_path / "out"
+        assert run(["sample", "--config", cfg, "--out", str(out)]) == 0
+        chain = read_record(out, "sample")["results"]["chain"]
+        assert chain["n_states"] == 4
+        assert max(chain["perron_residual"].values()) <= HEALTH_TOL
+        assert chain["stationarity_residual"] <= HEALTH_TOL
 
     def test_degenerate_single_digit_cloud(self, tmp_path):
         cfg = write_config(tmp_path, {

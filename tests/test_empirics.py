@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from fiberdim.config import DEFAULTS
 from fiberdim.empirics import (
+    _CSV_BLOCK,
     SAMPLE_ELEMENT_CAP,
     BoxDimEstimate,
     PointCloud,
@@ -65,17 +67,19 @@ class TestPointCloud:
 
     def test_csv_bytes_match_savetxt(self, tmp_path):
         rng = np.random.default_rng(5)
-        for d in (1, 2, 4):
-            pts = rng.normal(size=(500, d)) * 10.0 ** rng.integers(-300, 300,
-                                                                   (500, d))
-            pts[:3] = [[-0.0] * d, [5e-324] * d, [1.0 / 3.0] * d]
-            cloud = synthetic(pts)
-            cloud.to_csv(tmp_path / "fast.csv")
-            np.savetxt(tmp_path / "ref.csv", cloud.points, delimiter=",",
-                       header=",".join(f"x{i + 1}" for i in range(d)),
-                       comments="", newline="\n", fmt="%.17g")
-            assert ((tmp_path / "fast.csv").read_bytes()
-                    == (tmp_path / "ref.csv").read_bytes())
+        # row counts on both sides of the write block boundaries
+        for rows in (1, _CSV_BLOCK - 1, _CSV_BLOCK, 3 * _CSV_BLOCK + 7):
+            for d in (1, 2, 4):
+                pts = rng.normal(size=(rows, d)) * 10.0 ** rng.integers(
+                    -300, 300, (rows, d))
+                pts[:3] = [[-0.0] * d, [5e-324] * d, [1.0 / 3.0] * d][:rows]
+                cloud = synthetic(pts)
+                cloud.to_csv(tmp_path / "fast.csv")
+                np.savetxt(tmp_path / "ref.csv", cloud.points, delimiter=",",
+                           header=",".join(f"x{i + 1}" for i in range(d)),
+                           comments="", newline="\n", fmt="%.17g")
+                assert ((tmp_path / "fast.csv").read_bytes()
+                        == (tmp_path / "ref.csv").read_bytes())
 
     def test_diameter(self):
         cloud = synthetic(np.array([[0.0, 0.0], [3.0, 4.0]]))
@@ -109,6 +113,18 @@ class TestSampling:
         for n_points, depth in ((at_cap + 1, 25), (2_000_000_000, 30)):
             with pytest.raises(ConfigError, match="sample elements exceed the cap"):
                 sample_measure(g, conj, "global", n_points=n_points, depth=depth)
+
+    @pytest.mark.parametrize("target", ["fiber", "global"])
+    def test_unknown_chart_rejected_before_any_draw(self, conj, monkeypatch,
+                                                    target):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the chart must be rejected before any draw")
+
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
+        monkeypatch.setattr(GibbsApprox, "sample_two_sided", forbidden)
+        with pytest.raises(ConfigError, match="unknown chart 'polar'"):
+            sample_measure(g, conj, target, n_points=1000, depth=25,
+                           chart="polar")
 
     def test_defaults_fit_the_cap(self):
         # the default global cloud, and every cloud the run configs draw
@@ -340,6 +356,17 @@ class TestBoxDimension:
                        (1e-15, 50)):
             assert dyadic_box_counts(pts, eps, n) == row_unique_counts(pts, eps, n)
 
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_columns_across_zero(self, dim):
+        # every column's least point is negative and its greatest positive,
+        # so each column's offset base lies below zero
+        rng = np.random.default_rng(10 + dim)
+        pts = rng.uniform(-1.0, 1.0, size=(3000, dim)) * [5.0, 0.3, 2e3, 1e-2][:dim]
+        pts[0], pts[1] = pts.min(axis=0) * 1.5, pts.max(axis=0) * 1.5
+        assert np.all(pts.min(axis=0) < 0) and np.all(pts.max(axis=0) > 0)
+        for eps, n in ((0.5, 4), (1e-3, 12), (1e-9, 36)):
+            assert dyadic_box_counts(pts, eps, n) == row_unique_counts(pts, eps, n)
+
     def test_fiber_cloud_key_past_62_bits(self):
         system = make_system("similarity")
         g = gibbs_markov(GeometricPotential(system, 1.0), 3)
@@ -351,6 +378,48 @@ class TestBoxDimension:
         assert list(est.counts) == [
             len(np.unique(np.floor(cloud.points / eps), axis=0))
             for eps in est.scales]
+
+
+def traced_mb(fn, *args):
+    """(fn(*args), tracemalloc peak in MB above what was traced at the call)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, (peak - base) / 1e6
+
+
+class TestMemoryBound:
+    """A 100k-point global cloud at M = 3, depth 30 (3.2 MB of points):
+    every stage after the draw holds memory of the order of the cloud."""
+
+    @pytest.fixture(scope="class")
+    def traced_cloud(self, conj):
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 3)
+        return traced_mb(sample_measure, g, conj, "global", 100_000, 30, 1)
+
+    def test_sample_measure_peak(self, traced_cloud):
+        # the draws are 12 MB; whole-cloud column copies and 2**18-element
+        # composition blocks read 26.7 MB, one point array 20.0 MB
+        cloud, peak = traced_cloud
+        assert cloud.points.shape == (100_000, 4)
+        assert peak <= 23.0
+
+    def test_to_csv_peak(self, traced_cloud, tmp_path):
+        # one string of the whole file read 24.4 MB, row blocks 1.0 MB
+        _, peak = traced_mb(traced_cloud[0].to_csv, tmp_path / "cloud.csv")
+        assert peak <= 8.0
+
+    def test_box_count_peak(self, traced_cloud):
+        # three N x d arrays read 12.0 MB, one column at a time 3.2 MB
+        points = traced_cloud[0].points
+        eps = traced_cloud[0].diameter() / 2 ** 8
+        counts, peak = traced_mb(dyadic_box_counts, points, eps, 8)
+        assert len(counts) == 8
+        assert peak <= 7.0
 
 
 def row_unique_counts(pts, eps, n):

@@ -21,7 +21,8 @@ from fiberdim.systems import (
     verify_system,
 )
 from fiberdim.empirics import sample_fiber_limit_set
-from fiberdim.thermo import periodic_log_derivatives
+from fiberdim.thermo import (ConstantPotential, gibbs_markov,
+                             periodic_log_derivatives)
 from fiberdim.words import enumerate_pair_words, pair_alphabet
 
 from oracles import default_symbol_sup
@@ -356,6 +357,19 @@ class TestLimitSetSampling:
         a = sample_fiber_limit_set(sim, ((1, 1),), 2, 25, 500, seed=4)
         b = sample_fiber_limit_set(sim, ((1, 1),), 2, 25, 500, seed=4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["inverse_conjugate", "similarity"])
+    def test_points_match_tiled_forward_word(self, variant):
+        # the forward word is one broadcast row; the points are those of
+        # count explicit copies of it
+        system = make_system(variant)
+        fwd = ((1, 2), (2, 1), (1, 1))
+        pts = sample_fiber_limit_set(system, fwd, 2, 25, 300, seed=6)
+        chain = gibbs_markov(ConstantPotential(0.0), 2, 1)
+        past_m, past_n, _, _ = chain.sample_two_sided(25, 1, 300, 6)
+        fwd_m, fwd_n = np.tile(np.array(fwd).T[:, None], (1, 300, 1))
+        assert np.array_equal(
+            pts, fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n))
 
     def test_empty_forward_rejected(self, conj):
         with pytest.raises(InvalidWord):
