@@ -19,10 +19,10 @@ from .systems import (Disk, SimilaritySchedule, SmaleSystem, SystemReport,
                       fiber_derivative_mod, fiber_map, image_disk,
                       make_system, pi2_hat, verify_system)
 from .thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
-                     McEstimate, MeasureStats, PressureEstimate,
-                     TablePotential, entropy, gibbs_markov, lyapunov_fiber,
-                     lyapunov_fiber_exact, lyapunov_marginal,
-                     marginal_entropy, measure_stats,
+                     MarginalEntropy, McEstimate, MeasureStats,
+                     PressureEstimate, TablePotential, entropy,
+                     gibbs_markov, lyapunov_fiber, lyapunov_fiber_exact,
+                     lyapunov_marginal, marginal_entropy, measure_stats,
                      pressure_cylinder_sum, pressure_derivative_check)
 from .dimension import (BowenResult, SummabilityReport, SweepResult,
                         analytic_similarity_dimension, bowen_dimension,

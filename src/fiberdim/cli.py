@@ -25,8 +25,8 @@ from .empirics import box_dimension, exactness_report, local_dimension, \
     sample_measure
 from .errors import ConfigError, FiberdimError, InsufficientScales, InvalidWord
 from .systems import verify_system
-from .thermo import gibbs_markov, measure_stats, pressure_cylinder_sum, \
-    pressure_derivative_check
+from .thermo import ENTROPY_TOL, gibbs_markov, measure_stats, \
+    pressure_cylinder_sum, pressure_derivative_check
 from .words import induced_ifs_maps
 
 
@@ -111,11 +111,14 @@ def cmd_dimension(config: dict, out_dir: str):
     potential = build_potential(config, system, M)
     g = gibbs_markov(potential, M, tr["memory"])
     st_cfg = config["stats"]
-    stats = measure_stats(g, system, depth=st_cfg["depth"],
-                          n_samples=st_cfg["n_samples"],
+    stats = measure_stats(g, system, n_samples=st_cfg["n_samples"],
                           orbit_len=st_cfg["orbit_len"],
                           past_depth=st_cfg["past_depth"],
                           rng_seed=config["seed"])
+    if stats.entropy_width > ENTROPY_TOL:
+        warnings.append(f"marginal entropy bracket width {stats.entropy_width:g}"
+                        f" at depth {stats.entropy_depth} exceeds ENTROPY_TOL="
+                        f"{ENTROPY_TOL:g}; the sweep stopped at MARGINAL_SWEEP_CAP")
     sweep = variational_sweep(system, M, s_grid, tr["memory"],
                               config["dimension"]["bowen_tol"])
     if sweep.delta_T < scan.threshold:

@@ -119,7 +119,6 @@ FIELDS = {
         "bowen_tol": (1e-6, number(gt=0)),
     },
     "stats": {
-        "depth": (8, number(integer=True, ge=2)),
         "n_samples": (4000, number(integer=True, ge=100)),
         "orbit_len": (100, number(integer=True, ge=50)),
         "past_depth": (40, number(integer=True, ge=10)),

@@ -26,6 +26,7 @@ reported as ``potential_error``, never silently absorbed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -60,14 +61,17 @@ DRAW_CHUNK = 1 << 13
 
 #: Most sample elements that one chain draw may hold: points times 2 * depth
 #: for a cloud, samples times steps for each `measure_stats` draw.  A
-#: `sample` command peaks at 3.6-5.2 bytes per element over a 50 MB base for
-#: global clouds and 1.4-3.1 for fiber clouds (100k-400k points at depth 30
-#: on a 2-vCPU, 8 GB host), so the cap keeps a command near 0.6 GB.  The
-#: default 200k-point global cloud at depth 30 draws 1.2e7 elements.
+#: `sample` command peaks at 2.6-2.8 bytes per element over a 40 MB base for
+#: global clouds and 1.8 for fiber clouds (100k-400k points at depth 30,
+#: M = 3, ru_maxrss), so the cap keeps a command near 0.3 GB.  The default
+#: 200k-point global cloud at depth 30 draws 1.2e7 elements.
 SAMPLE_ELEMENT_CAP = 100_000_000
 
-#: Most entries of the digit-marginal sweep's last step, an 8-byte float each.
+#: Most entries of a digit-marginal sweep array, an 8-byte float each.
 MARGINAL_SWEEP_CAP = 5 * 10 ** 7
+
+#: Bracket width at which the digit-marginal entropy sweep stops.
+ENTROPY_TOL = 1e-9
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -575,11 +579,15 @@ def _check_primitive(alive: np.ndarray, A: int):
     if (level[alive] < 0).any() or (back[alive] < 0).any():
         raise NonPrimitive("transition support is reducible (some live code "
                            f"and code {start} do not reach each other)")
-    # edge a * R + r -> r * A + a' pairs level.reshape(A, R) with (R, A)
+    # the live edges through a middle r join each live source a * R + r to each
+    # live target r * A + a', so with y0 the level of the first live target,
+    # source level + 1 - y0 and target level - y0 generate the period
     R = len(alive) // A
-    src, dst = level.reshape(A, R, 1), level.reshape(1, R, A)
-    edges = alive.reshape(A, R, 1) & alive.reshape(1, R, A)
-    period = int(np.gcd.reduce(np.abs(src + 1 - dst)[edges]))
+    y, live_y = level.reshape(R, A).T, alive.reshape(R, A).T
+    y0 = y[np.argmax(live_y, axis=0), np.arange(R)]
+    period = int(np.gcd.reduce(np.concatenate([
+        np.where(alive.reshape(A, R), level.reshape(A, R) + 1 - y0, 0).ravel(),
+        np.where(live_y, y - y0, 0).ravel()])))
     if period > 1:
         raise NonPrimitive(f"transition support has period {period}")
 
@@ -778,60 +786,48 @@ def entropy(g: GibbsApprox) -> float:
 
 
 @dataclass(frozen=True)
-class MarginalEntropyDetails:
-    which: int
-    depth: int
-    block_entropies: tuple
-    rates: tuple
+class MarginalEntropy:
+    """Bracket lower <= h <= value of an entropy rate, stopped at ``depth``."""
+
     value: float
-    gap: float
+    lower: float
+    depth: int
 
 
-def _marginal_sweep_entries(g: GibbsApprox, depth: int) -> int:
-    """Entries of the marginal sweep's largest array, the last step's
-    M^(depth-L) digit-word rows of A^L codes."""
-    return g.max_digit ** (depth - g.memory) * g.alphabet_size ** g.memory
+def marginal_entropy(g: GibbsApprox, which: int) -> MarginalEntropy:
+    """Entropy rate of one digit-coordinate marginal, bracketed.
 
-
-def marginal_entropy_details(g: GibbsApprox, which: int, depth: int
-                             ) -> MarginalEntropyDetails:
-    """Digit-marginal block entropies by the forward (hidden-Markov) sweep.
-
-    Exact cylinder masses of the digit factor are accumulated per digit word
-    while summing over the hidden pair-symbol states.  A digit word of length
-    n ends in the projected digits of the chain's last L symbols, so the
-    sweep keeps one row per (n - L)-digit prefix over the A^L word codes.
-    One step sums the other digit out of the dropped first symbol, whose
-    kept digit joins the prefix, and multiplies by the suffix slot table.
+    With Y the digit process and X_1 the other digits of the first L-word,
+    H(Y_n | Y^(n-1), X_1) <= h <= H(Y_n | Y^(n-1)) (Cover-Thomas, Thm 4.5.1).
+    The hidden-Markov sweep holds the exact masses of (X_1, Y^n): one row per
+    X_1 and (n - L)-digit prefix over the A^L codes of the last L symbols.  A
+    step sums the other digit out of the dropped first symbol, whose kept
+    digit joins the prefix, and multiplies by the suffix slot table.  It stops
+    at the first n >= L + 1 whose width is at most ENTROPY_TOL, or before the
+    next array would pass MARGINAL_SWEEP_CAP; the first, M^(L+1) A^L entries,
+    stays below the cap under STATE_CAP.
     """
     if which not in (1, 2):
         raise InvalidWord("marginal coordinate must be 1 or 2")
     M, L, A = g.max_digit, g.memory, g.alphabet_size
-    if depth < L + 1:
-        raise InvalidWord(f"need depth >= {L + 1}")
-    if _marginal_sweep_entries(g, depth) > MARGINAL_SWEEP_CAP:
-        raise EnumerationCapExceeded("digit-word sweep exceeds the cap")
-    beta = g.stationary.reshape(1, A ** L)
-    # a code's pair digits are (m_1, n_1, ..., m_L, n_L); sum the other coordinate
-    other = tuple(range(2 if which == 1 else 1, 2 * L + 1, 2))
+    sym = np.arange(A ** L)[:, None] // A ** np.arange(L - 1, -1, -1) % A
+    hidden = (sym % M if which == 1 else sym // M) @ M ** np.arange(L - 1, -1, -1)
+    beta = np.zeros((M ** L, A ** L))
+    beta[hidden, np.arange(A ** L)] = g.stationary
+    # past the X_1 and prefix axes a code's digits are (m_1, n_1, ..., m_L,
+    # n_L); sum the other coordinate
+    other = tuple(range(3 if which == 1 else 2, 2 * L + 2, 2))
     H = []
-    for n in range(L, depth + 1):
-        nu = beta.reshape((-1,) + (M,) * (2 * L)).sum(axis=other)
-        nz = nu[nu > 0]
-        H.append(float(-(nz * np.log(nz)).sum()))
-        if n < depth:
-            kept = beta.reshape(-1, M, M, A ** (L - 1)).sum(axis=3 - which)
-            beta = (kept[..., None] * g.transition).reshape(-1, A ** L)
-    rates = tuple(b - a for a, b in zip(H, H[1:]))
-    gap = abs(rates[-1] - rates[-2]) if len(rates) >= 2 else math.inf
-    return MarginalEntropyDetails(which=which, depth=depth,
-                                  block_entropies=tuple(H), rates=rates,
-                                  value=rates[-1], gap=gap)
-
-
-def marginal_entropy(g: GibbsApprox, which: int, depth: int = 8) -> float:
-    """Entropy rate H_n - H_{n-1} of one digit-coordinate marginal."""
-    return marginal_entropy_details(g, which, depth).value
+    for n in itertools.count(L):
+        joint = beta.reshape((M ** L, -1) + (M,) * (2 * L)).sum(axis=other)
+        H.append([float(-(p * np.log(p)).sum())
+                  for p in (q[q > 0] for q in (joint.sum(axis=0), joint))])
+        if n > L:
+            value, lower = (b - a for a, b in zip(*H[-2:]))
+            if value - lower <= ENTROPY_TOL or beta.size * M > MARGINAL_SWEEP_CAP:
+                return MarginalEntropy(value=value, lower=lower, depth=n)
+        kept = beta.reshape(-1, M, M, A ** (L - 1)).sum(axis=3 - which)
+        beta = (kept[..., None] * g.transition).reshape(-1, A ** L)
 
 
 # ---------------------------------------------------------------------------
@@ -908,6 +904,8 @@ def pressure_derivative_check(system: SmaleSystem, s: float,
     exact with se 0.0 when n_samples is None, Monte Carlo over chain orbits
     otherwise.  Both sides therefore refer to the same realized potential.
     """
+    if not (math.isfinite(h_step) and h_step > 0):
+        raise ConfigError(f"h_step must be finite and > 0, got {h_step!r}")
     if s - h_step < 0:
         raise ConfigError("s - h_step must stay nonnegative")
     p_hi = gibbs_markov(GeometricPotential(system, s + h_step), max_digit, memory)
@@ -922,7 +920,9 @@ def pressure_derivative_check(system: SmaleSystem, s: float,
 
 @dataclass(frozen=True)
 class MeasureStats:
-    """Entropies and exponents of one Gibbs state, marginals included."""
+    """Entropies and exponents of one Gibbs state, marginals included;
+    ``entropy_width`` and ``entropy_depth`` are the larger width and the
+    deeper stopping depth of the two marginal entropy brackets."""
 
     h_mu: float
     h_mu1: float
@@ -932,13 +932,15 @@ class MeasureStats:
     chi_T: float
     lambda1: float
     lambda2: float
+    entropy_width: float = 0.0
+    entropy_depth: int = 0
 
     def __post_init__(self):
         if not (self.chi1 > 0 and self.chi2 > 0 and self.chi_T > 0):
             raise DegenerateExponent("all Lyapunov exponents must be positive")
 
 
-def measure_stats(g: GibbsApprox, system: SmaleSystem, depth: int = 8,
+def measure_stats(g: GibbsApprox, system: SmaleSystem,
                   n_samples: int = 4000, orbit_len: int = 100,
                   past_depth: int = 40, rng_seed=0) -> MeasureStats:
     """Assemble the entropy/exponent summary of one Gibbs state.
@@ -946,8 +948,7 @@ def measure_stats(g: GibbsApprox, system: SmaleSystem, depth: int = 8,
     chi_T uses the exact table expectation when the potential is geometric
     (keeping the summary consistent with the dimension formulas) and falls
     back to the Monte Carlo fiber estimate otherwise.  A draw of more than
-    ``SAMPLE_ELEMENT_CAP`` elements, or a marginal sweep of more than
-    ``MARGINAL_SWEEP_CAP`` entries, raises ``ConfigError`` before any draw.
+    ``SAMPLE_ELEMENT_CAP`` elements raises ``ConfigError`` before any draw.
     """
     draws = (("orbit_len", orbit_len, CONTEXT_DEPTH),
              ("past_depth", past_depth, max(CONTEXT_DEPTH, g.memory)))
@@ -958,21 +959,17 @@ def measure_stats(g: GibbsApprox, system: SmaleSystem, depth: int = 8,
                 f"n_samples {n_samples} x ({knob} {steps} + {context}) = "
                 f"{elements} sample elements exceed the cap "
                 f"{SAMPLE_ELEMENT_CAP}; lower stats.n_samples or stats.{knob}")
-    entries = _marginal_sweep_entries(g, depth)
-    if entries > MARGINAL_SWEEP_CAP:
-        raise ConfigError(
-            f"stats.depth {depth} needs {entries} digit-word sweep entries, "
-            f"above the cap {MARGINAL_SWEEP_CAP}; lower stats.depth")
     ss = np.random.SeedSequence(rng_seed).spawn(3)
     h = entropy(g)
-    h1 = marginal_entropy(g, 1, depth)
-    h2 = marginal_entropy(g, 2, depth)
+    h1, h2 = marginal_entropy(g, 1), marginal_entropy(g, 2)
     chi1 = lyapunov_marginal(g, 1, n_samples, orbit_len, ss[0]).value
     chi2 = lyapunov_marginal(g, 2, n_samples, orbit_len, ss[1]).value
     if g.log_derivative is not None:
         chi_T = lyapunov_fiber_exact(g)
     else:
         chi_T = lyapunov_fiber(g, system, n_samples, past_depth, ss[2]).value
-    return MeasureStats(h_mu=h, h_mu1=min(h1, h), h_mu2=min(h2, h),
+    return MeasureStats(h_mu=h, h_mu1=min(h1.value, h), h_mu2=min(h2.value, h),
                         chi1=chi1, chi2=chi2, chi_T=chi_T,
-                        lambda1=math.exp(-chi1), lambda2=math.exp(-chi2))
+                        lambda1=math.exp(-chi1), lambda2=math.exp(-chi2),
+                        entropy_width=max(e.value - e.lower for e in (h1, h2)),
+                        entropy_depth=max(h1.depth, h2.depth))

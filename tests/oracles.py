@@ -1,5 +1,6 @@
-"""Test-only oracles: chain masses, digit extraction, dimension parts and
-the shell-sum fit of the summability threshold.
+"""Test-only oracles: chain masses, digit-marginal block entropies, digit
+extraction, dimension parts and the shell-sum fit of the summability
+threshold.
 
 Each is a short formula over the package's public data that no program
 path needs; the tests that check the package against them import them
@@ -7,6 +8,7 @@ from here.
 """
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,7 @@ from fiberdim.dimension import branch_value, global_dimension
 from fiberdim.errors import DomainError, InvalidWord
 from fiberdim.thermo import (GeometricPotential, entropy, gibbs_markov,
                              lyapunov_fiber_exact)
-from fiberdim.words import check_pair_word
+from fiberdim.words import check_pair_word, enumerate_pair_words
 
 #: Gauss iterates below this are treated as exactly rational.
 RATIONAL_EPS = Fraction(1, 10**12)
@@ -61,6 +63,22 @@ def word_log_mass(g, word) -> float:
         out += math.log(prob)
         code = (code % A ** (L - 1)) * A + a
     return out
+
+
+def digit_block_entropies(g, which: int, n: int) -> tuple:
+    """(H(Y^n), H(Y^n, X_1)) of chain g, from the mass of every pair n-word.
+
+    Y is the digit process of coordinate ``which`` and X_1 the other digits
+    of the first L-word, as ``thermo.marginal_entropy`` brackets them.
+    """
+    marginal, joint = defaultdict(float), defaultdict(float)
+    for word in enumerate_pair_words(g.max_digit, n):
+        mass = math.exp(word_log_mass(g, word))
+        digits = tuple(sym[which - 1] for sym in word)
+        marginal[digits] += mass
+        joint[digits, tuple(sym[2 - which] for sym in word[:g.memory])] += mass
+    return tuple(-sum(p * math.log(p) for p in masses.values() if p > 0)
+                 for masses in (marginal, joint))
 
 
 def symbol_marginal(g) -> np.ndarray:

@@ -8,6 +8,7 @@ row at most u, the draw the guide table must reproduce exactly.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from fiberdim.thermo import (  # noqa: E402
     gibbs_markov,
 )
 from fiberdim.words import enumerate_pair_words  # noqa: E402
+
+from oracles import digit_block_entropies  # noqa: E402
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)
@@ -154,6 +157,41 @@ def test_sampled_steps_are_allowed(table, seed):
         for i in range(L):
             code = code * A + word[:, t + i]
         assert alive[code].all()
+
+
+#: Fewest pair words per length the block-entropy oracle may enumerate before
+#: the bracket test caps the sweep.
+ORACLE_WORDS = 2000
+
+
+@PROPERTY
+@given(tables())
+def test_marginal_bracket_matches_block_entropies(table):
+    try:
+        g = gibbs_markov.__wrapped__(table, table.max_digit)
+    except NonPrimitive:
+        hypothesis.assume(False)
+    M, L, A = g.max_digit, g.memory, g.alphabet_size
+    # a cap stop bounds the depth, and with it the words the oracle sums
+    n_max = max(L + 1, int(math.log(ORACLE_WORDS) / math.log(A)))
+    with mock.patch.object(thermo, "MARGINAL_SWEEP_CAP", M ** n_max * A ** L):
+        brackets = [thermo.marginal_entropy(g, which) for which in (1, 2)]
+    for which, est in zip((1, 2), brackets):
+        assert L + 1 <= est.depth <= n_max
+        # within the tolerance, or stopped by the cap
+        assert est.value - est.lower <= thermo.ENTROPY_TOL or est.depth == n_max
+        H = {n: digit_block_entropies(g, which, n)
+             for n in range(max(L, est.depth - 2), est.depth + 1)}
+        upper, lower = (H[est.depth][i] - H[est.depth - 1][i] for i in (0, 1))
+        assert est.value == pytest.approx(upper, abs=1e-12)
+        assert est.lower == pytest.approx(lower, abs=1e-12)
+        # the bounds are differences of block entropies, equal up to rounding
+        assert est.lower <= est.value + 1e-12
+        if est.depth > L + 1:  # no earlier depth was within the tolerance
+            before = [H[est.depth - 1][i] - H[est.depth - 2][i] for i in (0, 1)]
+            assert before[0] - before[1] > thermo.ENTROPY_TOL
+        if L == 1:  # a memory-1 chain is i.i.d.
+            assert est.depth == 2
 
 
 # -- draws: the guide table against counting the whole cumulative row -------

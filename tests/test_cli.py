@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiberdim import cli
+from fiberdim import cli, thermo
 from fiberdim.cli import run
 from fiberdim.config import load_config
 from fiberdim.errors import ConfigError
@@ -283,7 +283,7 @@ class TestDimensionCommand:
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.3, 0.45, 0.6, 0.75, 0.9],
                           "bowen_tol": 1e-9},
-            "stats": {"depth": 6, "n_samples": 1000, "orbit_len": 60,
+            "stats": {"n_samples": 1000, "orbit_len": 60,
                       "past_depth": 30},
         })
         out = tmp_path / "out"
@@ -318,7 +318,7 @@ class TestDimensionCommand:
             "potential": {"kind": "constant", "value": 0.0},
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.6, 0.9, 1.2]},
-            "stats": {"depth": 6, "n_samples": 300, "orbit_len": 50,
+            "stats": {"n_samples": 300, "orbit_len": 50,
                       "past_depth": 30},
         })
         out = tmp_path / "out"
@@ -357,27 +357,29 @@ class TestDimensionCommand:
         err = capsys.readouterr().err
         assert "lower stats.n_samples or stats.orbit_len" in err
 
-    def test_stats_depth_cap_exits_2_before_any_draw(self, tmp_path,
-                                                     monkeypatch, capsys):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the stats must be rejected before any draw")
-
-        monkeypatch.setattr(GibbsApprox, "sample_two_sided", forbidden)
-        monkeypatch.setattr(GibbsApprox, "sample_forward", forbidden)
+    def test_marginal_sweep_cap_stop_warns(self, tmp_path, monkeypatch):
+        # M = 3, L = 2: the sweep arrays hold 3^n * 9^2 entries, 2187 at n = 3
+        monkeypatch.setattr(thermo, "MARGINAL_SWEEP_CAP", 3 * 2187 - 1)
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [3]},
             "dimension": {"s_grid": [0.5, 0.7, 0.9]},
-            "stats": {"depth": 20, "n_samples": 100},
+            "stats": {"n_samples": 100},
         })
-        assert run(["dimension", "--config", cfg,
-                    "--out", str(tmp_path / "out")]) == 2
-        assert "lower stats.depth" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
+        record = read_record(out, "dimension")
+        stats = record["results"]["stats"]
+        assert stats["entropy_depth"] == 3
+        assert stats["entropy_width"] > thermo.ENTROPY_TOL
+        assert (f"marginal entropy bracket width {stats['entropy_width']:g} "
+                "at depth 3 exceeds ENTROPY_TOL=1e-09") in "\n".join(
+                    record["warnings"])
 
     def test_summability_warnings_for_small_s(self, tmp_path):
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.6, 0.9, 1.2], "bowen_tol": 1e-6},
-            "stats": {"depth": 6, "n_samples": 500, "orbit_len": 60,
+            "stats": {"n_samples": 500, "orbit_len": 60,
                       "past_depth": 30},
         })
         out = tmp_path / "out"
@@ -392,7 +394,7 @@ class TestDimensionCommand:
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.6, 0.9, 1.2]},
-            "stats": {"depth": 6, "n_samples": 300, "orbit_len": 50,
+            "stats": {"n_samples": 300, "orbit_len": 50,
                       "past_depth": 30},
         })
         out = tmp_path / "out"
@@ -595,13 +597,13 @@ RECORD_DIGESTS = {
         "14556fb39cd6a79284d9e506d48a034c9d36c1dc67d8387cb3990557a62c1d8f"),
     "dimension_similarity": (
         "dimension",
-        "4d49e467085110bb512d346cb1182cb55271d9889f8389eeb894604936510a66"),
+        "d3e63e7ef9a37d745c154651f0171b138b790d2f4bfd4bcce56df95d3a977c60"),
     "dimension_conjugate_small": (
         "dimension",
-        "a04424e2e61f05b5a7f8b3acf889aeefee3df2d3a17d405b76005c6f6e3fdf7a"),
+        "a394ded820d2e05101832ce752f59ad3b0e2e0b3b7fa80b89ab47904f27e53f2"),
     "dimension_constant_small": (
         "dimension",
-        "865cbf14ef1eb3788a760564437f7c6fdfc875f5fb72b98de5c66e40d04fb1df"),
+        "40e16b4efdb6cb69cff03e109e32ab3a67e891655088a85696a800ddd43187c3"),
 }
 
 
@@ -611,7 +613,7 @@ def _record_config(name):
         return json.loads(path.read_text())
     small = {"truncation": {"m_schedule": [2], "memory": 2},
              "dimension": {"s_grid": [0.6, 0.9, 1.2]},
-             "stats": {"depth": 6, "n_samples": 300, "orbit_len": 50,
+             "stats": {"n_samples": 300, "orbit_len": 50,
                        "past_depth": 30},
              "seed": 3}
     if name == "dimension_conjugate_small":

@@ -1,6 +1,7 @@
 """Transfer-operator states, pressure, entropies, exponents."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from fiberdim.thermo import (
     lyapunov_fiber_exact,
     lyapunov_marginal,
     marginal_entropy,
-    marginal_entropy_details,
     measure_stats,
     potential_approx_error,
     pressure_cylinder_sum,
@@ -164,6 +164,17 @@ class TestGibbsChain:
         with pytest.raises(NonPrimitive, match="period 2"):
             gibbs_markov(table, 2)
 
+    def test_primitivity_check_memory_is_linear_in_states(self):
+        # 4096 one-symbol states: an (A, A^(L-1), A) array of edge level gaps
+        # would hold 1.7e7 int64 entries, 134 MB
+        tracemalloc.start()
+        try:
+            gibbs_markov.__wrapped__(ConstantPotential(0.0), 64, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
     def test_state_cap(self, conj):
         with pytest.raises(EnumerationCapExceeded):
             gibbs_markov(GeometricPotential(conj, 1.0), 3, memory=4)
@@ -297,30 +308,35 @@ class TestMarginalEntropy:
     def test_bernoulli_digit_marginal_is_iid(self, bernoulli):
         # digit-1 law is (3/4, 1/4) independently at every time
         expected = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
-        assert marginal_entropy(bernoulli, 1, 6) == pytest.approx(expected,
-                                                                  abs=1e-12)
-        det = marginal_entropy_details(bernoulli, 1, 6)
-        assert det.gap <= 1e-12
+        est = marginal_entropy(bernoulli, 1)
+        assert est.value == pytest.approx(expected, abs=1e-12)
+        assert est.lower == pytest.approx(expected, abs=1e-12)
+        assert est.depth == 2
 
     def test_rates_stabilize_for_geometric_chain(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2, memory=1)
-        det = marginal_entropy_details(g, 1, 8)
-        assert det.gap <= 1e-12
-        assert det.value <= entropy(g) + 1e-12
+        est = marginal_entropy(g, 1)
+        assert abs(est.value - est.lower) <= 1e-12
+        assert est.value <= entropy(g) + 1e-12
 
-    def test_cap_bounds_the_sweep_array(self, conj):
+    def test_bracket_stops_at_the_tolerance(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 4, 2)
-        # depth 9 allocates 4^7 * 16^2 = 4.2e6 cells, depth 11 6.7e7
-        det = marginal_entropy_details(g, 1, 9)
-        assert len(det.block_entropies) == 8
-        with pytest.raises(EnumerationCapExceeded):
-            marginal_entropy_details(g, 1, 11)
+        est = marginal_entropy(g, 1)
+        assert 0 <= est.value - est.lower <= thermo.ENTROPY_TOL
+
+    def test_cap_stops_the_sweep(self, conj, monkeypatch):
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 4, 2)
+        # the sweep arrays hold 4^n * 16^2 entries: 16384 at n = 3, 65536 at 4
+        monkeypatch.setattr(thermo, "MARGINAL_SWEEP_CAP", 65535)
+        est = marginal_entropy(g, 1)
+        assert est.depth == 3
+        assert est.value - est.lower > thermo.ENTROPY_TOL
+        monkeypatch.setattr(thermo, "MARGINAL_SWEEP_CAP", 65536)
+        assert marginal_entropy(g, 1).depth == 4
 
     def test_coordinate_validation(self, bernoulli):
         with pytest.raises(InvalidWord):
-            marginal_entropy(bernoulli, 3, 6)
-        with pytest.raises(InvalidWord):
-            marginal_entropy(bernoulli, 1, 1)
+            marginal_entropy(bernoulli, 3)
 
 
 class TestLyapunov:
@@ -359,6 +375,11 @@ class TestDerivativeIdentity:
     def test_step_guard(self, conj):
         with pytest.raises(ConfigError):
             pressure_derivative_check(conj, 0.0, h_step=1e-3, max_digit=2)
+
+    @pytest.mark.parametrize("h_step", [0.0, -1e-3, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, conj, h_step):
+        with pytest.raises(ConfigError, match="h_step must be finite and > 0"):
+            pressure_derivative_check(conj, 1.0, h_step=h_step, max_digit=2)
 
 
 class TestSampling:
@@ -424,13 +445,17 @@ class TestSampling:
 class TestMeasureStats:
     def test_summary_consistency(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
-        stats = measure_stats(g, conj, depth=6, n_samples=500, orbit_len=60,
+        stats = measure_stats(g, conj, n_samples=500, orbit_len=60,
                               rng_seed=0)
         assert stats.h_mu == pytest.approx(entropy(g))
         assert stats.h_mu1 <= stats.h_mu and stats.h_mu2 <= stats.h_mu
         assert stats.chi_T == pytest.approx(lyapunov_fiber_exact(g))
         assert stats.lambda1 == pytest.approx(math.exp(-stats.chi1))
         assert stats.lambda2 == pytest.approx(math.exp(-stats.chi2))
+        brackets = [marginal_entropy(g, which) for which in (1, 2)]
+        assert stats.entropy_width == max(b.value - b.lower for b in brackets)
+        assert stats.entropy_width <= thermo.ENTROPY_TOL
+        assert stats.entropy_depth == max(b.depth for b in brackets)
 
     def test_sample_element_cap(self, conj, monkeypatch):
         # the cap is checked before any draw: the sampler here only reports
@@ -445,7 +470,7 @@ class TestMeasureStats:
         monkeypatch.setattr(GibbsApprox, "sample_two_sided", reached)
         at_cap = SAMPLE_ELEMENT_CAP // (88 + thermo.CONTEXT_DEPTH)
         with pytest.raises(Reached):
-            measure_stats(g, conj, depth=4, n_samples=at_cap, orbit_len=88)
+            measure_stats(g, conj, n_samples=at_cap, orbit_len=88)
         for kwargs, knob in (
                 ({"n_samples": at_cap + 1, "orbit_len": 88}, "orbit_len"),
                 ({"n_samples": 1000, "past_depth": 10 ** 5}, "past_depth"),

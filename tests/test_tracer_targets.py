@@ -28,7 +28,7 @@ CASES = {
     "dimension": (
         {"truncation": {"m_schedule": [2]},
          "dimension": {"s_grid": [0.1, 0.6, 1.1]},
-         "stats": {"depth": 4, "n_samples": 100}},
+         "stats": {"n_samples": 100}},
         {"dimension.variational_sweep", "dimension.bowen",
          "dimension.summability_scan", "thermo.measure_stats",
          "thermo.sample_chain"}),
