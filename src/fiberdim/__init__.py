@@ -10,9 +10,9 @@ operator Gibbs states and pressure (``thermo``), dimension formulas
 from .errors import (BracketFailure, ConfigError, DegenerateExponent,
                      DomainError, DomainEscape, EnumerationCapExceeded,
                      FiberdimError, InsufficientScales, InvalidWord,
-                     NonPrimitive, SummabilityFailure)
-from .words import (Box, ComposedMap, Interval, cf_map_derivative_mod,
-                    cf_value_float, certify_derivative_sup,
+                     NonPrimitive, PerronNotConverged, SummabilityFailure)
+from .words import (Box, ComposedMap, Interval, cf_value_float,
+                    certify_derivative_sup,
                     enumerate_pair_words, induced_ifs_maps, pair_alphabet,
                     pi_tilde, rho0_value)
 from .systems import (Disk, SimilaritySchedule, SmaleSystem, SystemReport,
@@ -25,14 +25,11 @@ from .thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
                      lyapunov_marginal, marginal_entropy, measure_stats,
                      pressure_cylinder_sum, pressure_derivative_check)
 from .dimension import (BowenResult, SummabilityReport, SweepResult,
-                        analytic_similarity_dimension, bowen_dimension,
-                        branch_value,
-                        global_dimension, moran_root, summability_scan,
-                        variational_sweep)
+                        bowen_dimension, branch_value, global_dimension,
+                        moran_root, summability_scan, variational_sweep)
 from .empirics import (BoxDimEstimate, ExactnessReport, LocalDimEstimate,
                        PointCloud, box_dimension, exactness_report,
-                       local_dimension, sample_fiber_limit_set,
-                       sample_measure)
+                       local_dimension, sample_measure)
 
 __version__ = "0.1.0"
 

@@ -122,9 +122,12 @@ def moran_root(moduli, tol: float = 1e-14) -> float:
     mods = np.array([float(r) for r in moduli])
     if not mods.size or not np.all((mods > 0) & (mods < 1)):
         raise ConfigError("moduli must lie in (0, 1)")
+    g = np.log(mods)
     s, step, chi = 0.0, math.inf, math.inf
     for _ in range(BOWEN_MAX_ITER):
-        log_z, m1, _, _ = _similarity_moments(mods, s)
+        w = np.exp(s * g)
+        Z = w.sum()
+        log_z, m1 = math.log(Z), float(w / Z @ g)
         last_step, last_chi = step, chi
         step, chi = abs(log_z / m1), -m1
         s -= log_z / m1
@@ -212,39 +215,3 @@ def variational_sweep(system: SmaleSystem, max_digit: int, s_grid,
         max_second_difference=float(np.nanmax(np.abs(d2))),
         min_chi=float(chis.min()), bowen=bowen,
     )
-
-
-# ---------------------------------------------------------------------------
-# closed forms for similarity systems
-
-def _similarity_moments(moduli: np.ndarray, s: float):
-    """(log Z, m1, m2c, m3c) of log-moduli g under the weights exp(s g)."""
-    g = np.log(moduli)
-    w = np.exp(s * g)
-    Z = w.sum()
-    p = w / Z
-    m1 = float(p @ g)
-    m2c = float(p @ (g - m1) ** 2)
-    m3c = float(p @ (g - m1) ** 3)
-    return math.log(Z), m1, m2c, m3c
-
-
-def analytic_similarity_dimension(system: SmaleSystem, max_digit: int,
-                                  s: float, order: int = 0) -> float:
-    """Closed-form delta(s), delta'(s), or delta''(s) for similarity systems.
-
-    With P = log sum exp(s g) and chi = -P', the curve is
-    delta = s + P/chi; the derivatives follow from the central moments of g
-    under the tilted weights.
-    """
-    moduli = system.family.moduli(system, max_digit)
-    if moduli is None:
-        raise ConfigError("closed forms exist for similarity systems only")
-    P, m1, m2c, m3c = _similarity_moments(moduli, s)
-    if order == 0:
-        return s - P / m1
-    if order == 1:
-        return P * m2c / m1 ** 2
-    if order == 2:
-        return m2c / m1 + P * (m3c * m1 - 2.0 * m2c ** 2) / m1 ** 3
-    raise ConfigError("order must be 0, 1, or 2")

@@ -2,11 +2,10 @@
 
 Clouds are drawn from the realized Gibbs chain: the forward word fixes the
 base point through the continued fraction coordinates, the reversed chain
-fixes the past word and with it the fiber point.  Fiber limit sets over a
-fixed forward word take their pasts from the uniform chain.  Dimension
-estimates use correlation-style neighbour counting on a sqrt(2) radius
-ladder, with the lower radii floored above the coding resolution so the fit
-never reads the truncation artifacts as structure.
+fixes the past word and with it the fiber point.  Dimension estimates use
+correlation-style neighbour counting on a sqrt(2) radius ladder, with the
+lower radii floored above the coding resolution so the fit never reads the
+truncation artifacts as structure.
 """
 
 from __future__ import annotations
@@ -16,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientScales, InvalidWord
+from .errors import ConfigError, InsufficientScales
 from .systems import (CONTEXT_DEPTH, SmaleSystem, fiber_points_bulk,
-                      pi_values_bulk)
-from .thermo import (SAMPLE_ELEMENT_CAP, ConstantPotential, GibbsApprox, _rng,
-                     gibbs_markov)
-from .words import check_pair_word, is_integer
+                      pi_values_bulk, row_blocks)
+from .thermo import SAMPLE_ELEMENT_CAP, GibbsApprox, _rng
+from .words import is_integer
 
 #: Cloud targets of ``sample_measure`` and z-coordinate charts of a cloud.
 TARGETS = ("fiber", "z_marginal", "global")
@@ -102,7 +100,8 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     way the invariant measure couples them.  A cloud of more than
     ``SAMPLE_ELEMENT_CAP`` elements (points times 2 * depth) raises
     ``ConfigError`` before any draw, as do an unknown target or chart.  The
-    points are written column by column into one ``(n_points, d)`` array.
+    draw's codes become digits and points one ``row_blocks`` block at a
+    time, written into one ``(n_points, d)`` array.
     """
     if target not in TARGETS:
         raise ConfigError(f"unknown target {target!r}")
@@ -124,22 +123,22 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     # leaves the past and those symbols as they are
     forward = (max(g.memory, CONTEXT_DEPTH - 1) if target == "fiber"
                else depth)
-    past_m, past_n, fwd_m, fwd_n = g.sample_two_sided(depth, forward,
-                                                      n_points, seed)
+    past, fwd = g.sample_two_sided(depth, forward, n_points, seed)
     z_err = 2.0 ** (1 - depth)
     fiber_err = system.domain.diameter * system.contraction ** (-depth)
     points = np.empty((n_points, 4 if target == "global" else 2))
-    if target in ("z_marginal", "global"):
-        z = pi_values_bulk(fwd_m, fwd_n)
-        if chart == "unit_square":
-            np.divide(1.0, z.real, out=points[:, 0])
-            np.divide(1.0, z.imag, out=points[:, 1])
-        else:
-            points[:, 0], points[:, 1] = z.real, z.imag
-        del z  # freed before the composition allocates its blocks
-    if target in ("fiber", "global"):
-        w = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
-        points[:, -2], points[:, -1] = w.real, w.imag
+    for rows in row_blocks(n_points, depth + forward):
+        fwd_m, fwd_n = g.digits(fwd[rows])
+        if target in ("z_marginal", "global"):
+            z = pi_values_bulk(fwd_m, fwd_n)
+            if chart == "unit_square":
+                np.divide(1.0, z.real, out=points[rows, 0])
+                np.divide(1.0, z.imag, out=points[rows, 1])
+            else:
+                points[rows, 0], points[rows, 1] = z.real, z.imag
+        if target in ("fiber", "global"):
+            w = fiber_points_bulk(system, *g.digits(past[rows]), fwd_m, fwd_n)
+            points[rows, -2], points[rows, -1] = w.real, w.imag
     if target == "fiber":
         err = fiber_err
     elif target == "z_marginal":
@@ -149,25 +148,6 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     return PointCloud(points=points,
                       chart=chart if target != "fiber" else "raw",
                       coding_error=float(err))
-
-
-def sample_fiber_limit_set(system: SmaleSystem, forward, max_digit: int,
-                           depth: int, count: int, seed: int) -> np.ndarray:
-    """Points of the fiber limit set over a forward word, one per random past.
-
-    Pasts come from the zero-potential chain on the symbols with digits <=
-    max_digit, uniform and independent; each returned point is within
-    contraction^-depth * diam of the limit set.
-    """
-    fwd = check_pair_word(forward)
-    if not fwd:
-        raise InvalidWord("forward word must be nonempty")
-    chain = gibbs_markov(ConstantPotential(0.0), max_digit, 1)
-    past_m, past_n, _, _ = chain.sample_two_sided(depth, 1, count, seed)
-    # one read-only row repeated count times, not count copies of it
-    fwd_m, fwd_n = np.broadcast_to(np.array(fwd).T[:, None],
-                                   (2, count, len(fwd)))
-    return fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
 
 
 # ---------------------------------------------------------------------------

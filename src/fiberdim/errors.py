@@ -29,6 +29,10 @@ class NonPrimitive(FiberdimError):
     """Transition structure of a weighted chain is not primitive."""
 
 
+class PerronNotConverged(FiberdimError):
+    """The Perron power iteration reached its cap: the spectral gap is too small."""
+
+
 class BracketFailure(FiberdimError):
     """No pressure zero: P(0) is not positive, or Newton hit its step cap."""
 

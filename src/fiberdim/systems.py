@@ -34,8 +34,13 @@ ESCAPE_TOL = 1e-10
 #: Default number of forward symbols a word-dependent quantity reads.
 CONTEXT_DEPTH = 12
 
-#: Digit elements, rows times (depth + forward symbols), that one block of
-#: ``fiber_points_bulk`` composes at once.
+#: Digit elements, rows times the symbols per row, that one row block of a
+#: bulk evaluation holds at once (``row_blocks``).  Its consumers are
+#: ``fiber_points_bulk`` (depth + forward symbols), the periodic pasts of
+#: ``thermo.periodic_log_derivatives``, and every chain draw's consumer:
+#: ``empirics.sample_measure``, ``thermo.lyapunov_marginal``,
+#: ``thermo.lyapunov_fiber`` and ``thermo.lyapunov_fiber_table_mc``, which
+#: turn one block of codes at a time into digits and values.
 COMPOSITION_BLOCK = 1 << 16
 
 
@@ -540,6 +545,13 @@ def pi_values_bulk(m_digits: np.ndarray, n_digits: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_blocks(count: int, steps: int):
+    """Slices of ``count`` rows, each of at most ``COMPOSITION_BLOCK`` digit
+    elements (rows times ``steps`` symbols per row) and at least one row."""
+    rows = max(1, COMPOSITION_BLOCK // steps)
+    return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
+
+
 def fiber_points_bulk(system: SmaleSystem,
                       past_m: np.ndarray, past_n: np.ndarray,
                       fwd_m: np.ndarray, fwd_n: np.ndarray,
@@ -557,13 +569,13 @@ def fiber_points_bulk(system: SmaleSystem,
     with ``pi2_hat`` to within
     sqrt(2) * 2**(1 - ctx_depth) * contraction / (contraction - 1).
 
-    Rows run in blocks of at most ``COMPOSITION_BLOCK`` digit elements, rows
-    times (depth plus the forward symbols a context reads), so deep pasts
-    take fewer rows per block.  A block is one time-major two-sided digit
-    array, the past reversed and then the forward symbols; one
-    ``family.coefficients`` call on its ``ctx_depth``-wide sliding windows
-    gives every level whose context is a whole window.  A level nearer time 0
-    than a short forward word allows reads a shorter context, as a slice would.
+    Rows run in ``row_blocks`` of depth plus the forward symbols a context
+    reads, so deep pasts take fewer rows per block.  A block is one
+    time-major two-sided digit array, the past reversed and then the forward
+    symbols; one ``family.coefficients`` call on its ``ctx_depth``-wide
+    sliding windows gives every level whose context is a whole window.  A
+    level nearer time 0 than a short forward word allows reads a shorter
+    context, as a slice would.
     """
     family = system.family
     count, depth = past_m.shape
@@ -571,9 +583,7 @@ def fiber_points_bulk(system: SmaleSystem,
     w = np.full(count, system.domain.center, dtype=complex)
     if depth == 0:
         return w
-    block = max(1, COMPOSITION_BLOCK // (depth + ahead))
-    for lo in range(0, count, block):
-        rows = slice(lo, lo + block)
+    for rows in row_blocks(count, depth + ahead):
         two_m, two_n = (np.concatenate([p[rows, ::-1].T, f[rows, :ahead].T])
                         for p, f in ((past_m, fwd_m), (past_n, fwd_n)))
         whole = max(0, len(two_m) - ctx_depth + 1)  # levels on whole windows

@@ -39,14 +39,15 @@ from .errors import (
     EnumerationCapExceeded,
     InvalidWord,
     NonPrimitive,
+    PerronNotConverged,
     SummabilityFailure,
 )
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .systems import (COMPOSITION_BLOCK, CONTEXT_DEPTH, SmaleSystem,
-                      fiber_log_derivatives)
+from .systems import (CONTEXT_DEPTH, SmaleSystem, fiber_log_derivatives,
+                      row_blocks)
 from .words import (ENUMERATION_CAP, cf_value_float, check_max_digit,
-                    check_pair_word, is_integer)
+                    check_pair_word)
 
 #: Cap on the number of k-word states of the transfer matrix.
 STATE_CAP = 4096
@@ -57,14 +58,18 @@ POINT_TOL = 1e-13
 #: Draws per chunk of one chain step: its intp rows and slots and float64
 #: uniforms, 64 KB each (the uint8 codes it stores take 8 KB), stay in cache
 #: and under the allocator's mmap threshold, so a step allocates no fresh pages.
+#: The draw's consumers read its codes in ``systems.row_blocks`` of at most
+#: ``COMPOSITION_BLOCK`` digit elements.
 DRAW_CHUNK = 1 << 13
 
 #: Most sample elements that one chain draw may hold: points times 2 * depth
-#: for a cloud, samples times steps for each `measure_stats` draw.  A
-#: `sample` command peaks at 2.6-2.8 bytes per element over a 40 MB base for
-#: global clouds and 1.8 for fiber clouds (100k-400k points at depth 30,
-#: M = 3, ru_maxrss), so the cap keeps a command near 0.3 GB.  The default
-#: 200k-point global cloud at depth 30 draws 1.2e7 elements.
+#: for a cloud, samples times steps for each `measure_stats` draw.  A draw
+#: holds one byte per element up to M = 16, and its consumer one row block
+#: of digits and values at a time.  A `sample` command peaks at 1.5-1.8
+#: bytes per element over a 40 MB base for global clouds and 1.0-1.1 for
+#: fiber clouds (100k-400k points at depth 30, M = 3, ru_maxrss), so the cap
+#: keeps a command near 0.2 GB.  The default 200k-point global cloud at
+#: depth 30 draws 1.2e7 elements.
 SAMPLE_ELEMENT_CAP = 100_000_000
 
 #: Most entries of a digit-marginal sweep array, an 8-byte float each.
@@ -216,13 +221,12 @@ def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
     past = -np.arange(1, depth + 1) % n
     fwd = np.arange(window) % n
     out = np.empty(count)
-    # one composition block of codes at a time: no count x depth digit copy
-    block = max(1, COMPOSITION_BLOCK // (depth + window))
-    for lo in range(0, count, block):
+    # one row block of codes at a time: no count x depth digit copy
+    for rows in row_blocks(count, depth + window):
         m_dig, n_dig = _digit_planes(
-            np.arange(lo, min(lo + block, count), dtype=np.int64), n, M)
+            np.arange(rows.start, rows.stop, dtype=np.int64), n, M)
         # pasts gathered time-major, as the sampler lays them out
-        out[lo:lo + block] = fiber_log_derivatives(
+        out[rows] = fiber_log_derivatives(
             system, m_dig.T[past].T, n_dig.T[past].T,
             m_dig[:, fwd], n_dig[:, fwd], window)
     return out
@@ -408,73 +412,20 @@ class GibbsApprox:
         return self._draw(0, n_symbols, count, rng)[1].T
 
     def sample_two_sided(self, n_past: int, n_forward: int, count: int, rng):
-        """Coupled past and forward words through the time-zero state.
+        """Coupled past and forward symbol codes through the time-zero state.
 
         Past rows are most recent first; the reversed chain of the stationary
         Markov measure generates the past, which is the computable form of
-        the conditional measures on fibers.  The ``(count, n)`` digit arrays
-        returned are transposed views of the time-major ``_draw`` buffers and
-        keep their dtype, the least unsigned one that holds A - 1.
+        the conditional measures on fibers.  The ``(count, n)`` code arrays
+        returned are transposed views of the time-major ``_draw`` buffers, in
+        the least unsigned dtype that holds A - 1; ``digits`` turns a row
+        block of them into digits.
         """
-        return tuple(digits.T for codes in self._draw(n_past, n_forward, count, rng)
-                     for digits in self._digits(codes))
+        return tuple(codes.T for codes in self._draw(n_past, n_forward, count, rng))
 
-    def _digits(self, codes):
-        """(first, second) digit arrays of symbol codes; ``codes`` becomes the second."""
-        first = codes // self.max_digit
-        first += 1
-        codes %= self.max_digit
-        codes += 1
-        return first, codes
-
-    # -- Gibbs constant ------------------------------------------------------
-
-    def gibbs_constant_hat(self, depth: int = None) -> float:
-        """Max Gibbs ratio deviation over all words of depth L .. depth (L + 4).
-
-        The ratio compares chain cylinder masses against exp(S_n psi - n P)
-        for the realized memory-k potential, whose cyclic Birkhoff sums are
-        cylinder-constant; ``potential_error`` bounds the realization apart,
-        since folding its drift into the ratio would grow the constant
-        exponentially in depth and certify nothing.  Along the L-word codes
-        c_0 .. c_k of a word, the log ratio is log pi[c_0], plus log P(c_t ->
-        c_(t+1)) - psi[c_t] + P per step, plus L P - psi[c_k] less psi on the
-        L - 1 windows wrapping from c_k into c_0.  Max-plus sweeps over
-        (first, last) code pairs, one for the ratio and one for its negative,
-        give its extremes at every depth in O(depth * A^(2L)).
-        """
-        L, A = self.memory, self.alphabet_size
-        depth = L + 4 if depth is None else depth
-        if not is_integer(depth):
-            raise InvalidWord(f"depth must be an integer, got {depth!r}")
-        if depth < L:
-            raise InvalidWord("depth below the chain memory")
-        N = A ** L
-        if (depth - L + 1) * N * N > ENUMERATION_CAP:
-            raise EnumerationCapExceeded(
-                f"{(depth - L + 1) * N * N} (first, last) sweep cells exceed the cap")
-        P, psi = self.log_pressure, self.gram
-        first, last = np.arange(N)[:, None], np.arange(N)[None, :]
-        end = L * P - psi[last] - sum(psi[(last % A ** (L - j)) * A ** j
-                                          + first // A ** (L - j)] for j in range(1, L))
-        with np.errstate(divide="ignore"):
-            log_pi, log_step = np.log(self.stationary), np.log(self.transition)
-        worst = 0.0
-        for sign in (1.0, -1.0):
-            stay, move, tail = (_signed(x, sign) for x in (P - psi, log_step, end))
-            V = np.where(np.eye(N, dtype=bool), _signed(log_pi, sign), -np.inf)
-            for n in range(L, depth + 1):
-                worst = max(worst, float((V + tail).max()))
-                if n < depth:
-                    # the max-plus twin of _predecessor_sum, then one slot step
-                    best = (V + stay).reshape(N, A, -1).max(axis=1)
-                    V = (best[:, :, None] + move).reshape(N, N)
-        return math.exp(worst)
-
-
-def _signed(x: np.ndarray, sign: float) -> np.ndarray:
-    """sign * x where finite and -inf elsewhere, so a dead word never wins."""
-    return np.where(np.isfinite(x), sign * x, -np.inf)
+    def digits(self, codes):
+        """(first, second) digit arrays of symbol codes, in their dtype."""
+        return codes // self.max_digit + 1, codes % self.max_digit + 1
 
 
 def _slot_law(weights: np.ndarray) -> np.ndarray:
@@ -611,7 +562,7 @@ def _perron(w: np.ndarray, alive: np.ndarray, A: int):
         if max(res) <= PERRON_TOL:
             break
     else:
-        raise NonPrimitive(
+        raise PerronNotConverged(
             f"Perron power iteration hit {PERRON_MAX_ITER} iterations with "
             f"residuals right {res[0]:.3g}, left {res[1]:.3g}")
     Wh = w * _successor_sum(h, A)
@@ -838,30 +789,37 @@ def lyapunov_marginal(g: GibbsApprox, which: int, n_samples: int = 2000,
     """Birkhoff average of -log of the digit-map derivative modulus.
 
     Each orbit contributes the average of 2 log(x_{t+1} + d_t) with x the
-    continued-fraction value of the digit suffix over a sliding window.
+    continued-fraction value of the digit suffix over a sliding window.  The
+    orbits are evaluated one ``row_blocks`` block of codes at a time.
     """
     if which not in (1, 2):
         raise InvalidWord("marginal coordinate must be 1 or 2")
     if orbit_len < 50:
         raise InvalidWord("orbit_len must be >= 50")
-    _, _, m_d, n_d = g.sample_two_sided(0, orbit_len + CONTEXT_DEPTH,
-                                        n_samples, rng_seed)
-    d = m_d if which == 1 else n_d
-    x = cf_value_float(
-        sliding_window_view(d[:, 1:], CONTEXT_DEPTH, axis=1)[:, :orbit_len])
-    per_orbit = (2.0 * np.log(x + d[:, :orbit_len])).mean(axis=1)
+    steps = orbit_len + CONTEXT_DEPTH
+    codes = g.sample_forward(steps, n_samples, rng_seed)
+    per_orbit = np.empty(n_samples)
+    for rows in row_blocks(n_samples, steps):
+        d = g.digits(codes[rows])[which - 1]
+        x = cf_value_float(sliding_window_view(
+            d[:, 1:], CONTEXT_DEPTH, axis=1)[:, :orbit_len])
+        per_orbit[rows] = (2.0 * np.log(x + d[:, :orbit_len])).mean(axis=1)
     return McEstimate.from_samples(per_orbit)
 
 
 def lyapunov_fiber(g: GibbsApprox, system: SmaleSystem, n_samples: int = 4000,
                    past_depth: int = 40, rng_seed=0) -> McEstimate:
-    """Monte Carlo -int log|T'| at fiber points from backward sampling."""
+    """Monte Carlo -int log|T'| at fiber points from backward sampling,
+    one ``row_blocks`` block of codes at a time."""
     if past_depth < 10:
         raise InvalidWord("past_depth must be >= 10")
-    past_m, past_n, fwd_m, fwd_n = g.sample_two_sided(
-        past_depth, max(CONTEXT_DEPTH, g.memory), n_samples, rng_seed)
-    return McEstimate.from_samples(-fiber_log_derivatives(
-        system, past_m, past_n, fwd_m, fwd_n, CONTEXT_DEPTH))
+    forward = max(CONTEXT_DEPTH, g.memory)
+    past, fwd = g.sample_two_sided(past_depth, forward, n_samples, rng_seed)
+    log_d = np.empty(n_samples)
+    for rows in row_blocks(n_samples, past_depth + forward):
+        log_d[rows] = fiber_log_derivatives(
+            system, *g.digits(past[rows]), *g.digits(fwd[rows]), CONTEXT_DEPTH)
+    return McEstimate.from_samples(-log_d)
 
 
 def lyapunov_fiber_exact(g: GibbsApprox) -> float:
@@ -878,15 +836,20 @@ def lyapunov_fiber_exact(g: GibbsApprox) -> float:
 
 def lyapunov_fiber_table_mc(g: GibbsApprox, n_samples: int = 4000,
                             orbit_len: int = 50, rng_seed=0) -> McEstimate:
-    """Monte Carlo of the realized table integrand along chain orbits."""
+    """Monte Carlo of the realized table integrand along chain orbits, one
+    ``row_blocks`` block of L-word codes at a time."""
     if g.log_derivative is None:
         raise ConfigError("table Monte Carlo needs a geometric potential")
-    codes = g.sample_forward(orbit_len + g.memory - 1, n_samples, rng_seed)
     A, L = g.alphabet_size, g.memory
-    word = np.zeros((n_samples, orbit_len), dtype=np.int64)
-    for i in range(L):
-        word = word * A + codes[:, i : i + orbit_len]
-    per_orbit = (-g.log_derivative[word]).mean(axis=1)
+    steps = orbit_len + L - 1
+    codes = g.sample_forward(steps, n_samples, rng_seed)
+    per_orbit = np.empty(n_samples)
+    for rows in row_blocks(n_samples, steps):
+        block = codes[rows]
+        word = np.zeros((len(block), orbit_len), dtype=np.int64)
+        for i in range(L):
+            word = word * A + block[:, i : i + orbit_len]
+        per_orbit[rows] = (-g.log_derivative[word]).mean(axis=1)
     return McEstimate.from_samples(per_orbit)
 
 

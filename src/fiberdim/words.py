@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, EnumerationCapExceeded, InvalidWord
+from .errors import EnumerationCapExceeded, InvalidWord
 
 #: Hard cap on enumerated pair words.
 ENUMERATION_CAP = 10_000_000
@@ -132,15 +132,6 @@ class Box:
 
 # ---------------------------------------------------------------------------
 # base contraction family
-
-def cf_map_derivative_mod(digit: int, x) -> float:
-    """Modulus of the branch derivative, 1/(x + digit)^2."""
-    d = check_digit(digit)
-    xf = float(x)
-    if not (0.0 <= xf < 1.0):
-        raise DomainError(f"argument {xf} outside [0, 1)")
-    return 1.0 / (xf + d) ** 2
-
 
 def rho0_value(word) -> Interval:
     """Exact image of [0, 1] under the digit word's branch composition.

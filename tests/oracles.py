@@ -1,6 +1,7 @@
 """Test-only oracles: chain masses, digit-marginal block entropies, digit
-extraction, dimension parts and the shell-sum fit of the summability
-threshold.
+extraction, dimension parts, the shell-sum fit of the summability
+threshold, the Gibbs sandwich constant, closed-form similarity dimensions,
+fiber limit sets and whole-draw copies of the blocked chain-draw consumers.
 
 Each is a short formula over the package's public data that no program
 path needs; the tests that check the package against them import them
@@ -12,12 +13,17 @@ from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fiberdim.dimension import branch_value, global_dimension
-from fiberdim.errors import DomainError, InvalidWord
-from fiberdim.thermo import (GeometricPotential, entropy, gibbs_markov,
-                             lyapunov_fiber_exact)
-from fiberdim.words import check_pair_word, enumerate_pair_words
+from fiberdim.errors import (ConfigError, DomainError, EnumerationCapExceeded,
+                             InvalidWord)
+from fiberdim.systems import (CONTEXT_DEPTH, fiber_log_derivatives,
+                              fiber_points_bulk, pi_values_bulk)
+from fiberdim.thermo import (ConstantPotential, GeometricPotential, McEstimate,
+                             entropy, gibbs_markov, lyapunov_fiber_exact)
+from fiberdim.words import (ENUMERATION_CAP, cf_value_float, check_digit,
+                            check_pair_word, enumerate_pair_words, is_integer)
 
 #: Gauss iterates below this are treated as exactly rational.
 RATIONAL_EPS = Fraction(1, 10**12)
@@ -97,6 +103,15 @@ def variational_gap(g) -> float:
     return abs(entropy(g) + potential_mean(g) - g.log_pressure)
 
 
+def cf_map_derivative_mod(digit: int, x) -> float:
+    """Modulus of the branch derivative, 1/(x + digit)^2."""
+    d = check_digit(digit)
+    xf = float(x)
+    if not (0.0 <= xf < 1.0):
+        raise DomainError(f"argument {xf} outside [0, 1)")
+    return 1.0 / (xf + d) ** 2
+
+
 def rho0_digits(x, depth: int) -> tuple:
     """First ``depth`` digits of the continued-fraction expansion of x.
 
@@ -125,6 +140,34 @@ def fiber_measure_dimension(system, s: float, max_digit: int,
     """h/chi of the geometric Gibbs state on the truncation, chi exact."""
     g = gibbs_markov(GeometricPotential(system, float(s)), max_digit, memory)
     return entropy(g) / lyapunov_fiber_exact(g)
+
+
+def analytic_similarity_dimension(system, max_digit: int, s: float,
+                                  order: int = 0) -> float:
+    """Closed-form delta(s), delta'(s), or delta''(s) for similarity systems.
+
+    With P = log sum exp(s g) and chi = -P', the curve is
+    delta = s + P/chi; the derivatives follow from the central moments of g
+    under the tilted weights.
+    """
+    moduli = system.family.moduli(system, max_digit)
+    if moduli is None:
+        raise ConfigError("closed forms exist for similarity systems only")
+    g = np.log(moduli)
+    w = np.exp(s * g)
+    Z = w.sum()
+    p = w / Z
+    P = math.log(Z)
+    m1 = float(p @ g)
+    m2c = float(p @ (g - m1) ** 2)
+    m3c = float(p @ (g - m1) ** 3)
+    if order == 0:
+        return s - P / m1
+    if order == 1:
+        return P * m2c / m1 ** 2
+    if order == 2:
+        return m2c / m1 + P * (m3c * m1 - 2.0 * m2c ** 2) / m1 ** 3
+    raise ConfigError("order must be 0, 1, or 2")
 
 
 def z_marginal_dimension(stats, branch: str = None) -> float:
@@ -180,3 +223,128 @@ def fitted_threshold(variant: str, s_grid) -> float:
     slopes = np.array(shell_tail_slopes(variant, s_grid))
     order = np.argsort(slopes)
     return float(np.interp(-1.0, slopes[order], np.asarray(s_grid)[order]))
+
+
+# ---------------------------------------------------------------------------
+# Gibbs sandwich constant
+
+def _signed(x: np.ndarray, sign: float) -> np.ndarray:
+    """sign * x where finite and -inf elsewhere, so a dead word never wins."""
+    return np.where(np.isfinite(x), sign * x, -np.inf)
+
+
+def gibbs_constant_hat(g, depth: int = None) -> float:
+    """Max Gibbs ratio deviation of chain g over all words of depth L ..
+    depth (L + 4).
+
+    The ratio compares chain cylinder masses against exp(S_n psi - n P)
+    for the realized memory-k potential, whose cyclic Birkhoff sums are
+    cylinder-constant; ``potential_error`` bounds the realization apart,
+    since folding its drift into the ratio would grow the constant
+    exponentially in depth and certify nothing.  Along the L-word codes
+    c_0 .. c_k of a word, the log ratio is log pi[c_0], plus log P(c_t ->
+    c_(t+1)) - psi[c_t] + P per step, plus L P - psi[c_k] less psi on the
+    L - 1 windows wrapping from c_k into c_0.  Max-plus sweeps over
+    (first, last) code pairs, one for the ratio and one for its negative,
+    give its extremes at every depth in O(depth * A^(2L)).
+    """
+    L, A = g.memory, g.alphabet_size
+    depth = L + 4 if depth is None else depth
+    if not is_integer(depth):
+        raise InvalidWord(f"depth must be an integer, got {depth!r}")
+    if depth < L:
+        raise InvalidWord("depth below the chain memory")
+    N = A ** L
+    if (depth - L + 1) * N * N > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"{(depth - L + 1) * N * N} (first, last) sweep cells exceed the cap")
+    P, psi = g.log_pressure, g.gram
+    first, last = np.arange(N)[:, None], np.arange(N)[None, :]
+    end = L * P - psi[last] - sum(psi[(last % A ** (L - j)) * A ** j
+                                      + first // A ** (L - j)] for j in range(1, L))
+    with np.errstate(divide="ignore"):
+        log_pi, log_step = np.log(g.stationary), np.log(g.transition)
+    worst = 0.0
+    for sign in (1.0, -1.0):
+        stay, move, tail = (_signed(x, sign) for x in (P - psi, log_step, end))
+        V = np.where(np.eye(N, dtype=bool), _signed(log_pi, sign), -np.inf)
+        for n in range(L, depth + 1):
+            worst = max(worst, float((V + tail).max()))
+            if n < depth:
+                # the max-plus twin of the predecessor sum, then one slot step
+                best = (V + stay).reshape(N, A, -1).max(axis=1)
+                V = (best[:, :, None] + move).reshape(N, N)
+    return math.exp(worst)
+
+
+# ---------------------------------------------------------------------------
+# chain-draw consumers over whole draws
+
+def sample_fiber_limit_set(system, forward, max_digit: int, depth: int,
+                           count: int, seed: int) -> np.ndarray:
+    """Points of the fiber limit set over a forward word, one per random past.
+
+    Pasts come from the zero-potential chain on the symbols with digits <=
+    max_digit, uniform and independent; each returned point is within
+    contraction^-depth * diam of the limit set.
+    """
+    fwd = check_pair_word(forward)
+    if not fwd:
+        raise InvalidWord("forward word must be nonempty")
+    chain = gibbs_markov(ConstantPotential(0.0), max_digit, 1)
+    past, _ = chain.sample_two_sided(depth, 1, count, seed)
+    # one read-only row repeated count times, not count copies of it
+    fwd_m, fwd_n = np.broadcast_to(np.array(fwd).T[:, None],
+                                   (2, count, len(fwd)))
+    return fiber_points_bulk(system, *chain.digits(past), fwd_m, fwd_n)
+
+
+def whole_draw_points(g, system, target: str, n_points: int, depth: int,
+                      seed: int, chart: str = "unit_square") -> np.ndarray:
+    """The points of ``sample_measure``, every stage on the whole draw."""
+    forward = (max(g.memory, CONTEXT_DEPTH - 1) if target == "fiber"
+               else depth)
+    past, fwd = g.sample_two_sided(depth, forward, n_points, seed)
+    (past_m, past_n), (fwd_m, fwd_n) = g.digits(past), g.digits(fwd)
+    points = np.empty((n_points, 4 if target == "global" else 2))
+    if target in ("z_marginal", "global"):
+        z = pi_values_bulk(fwd_m, fwd_n)
+        if chart == "unit_square":
+            np.divide(1.0, z.real, out=points[:, 0])
+            np.divide(1.0, z.imag, out=points[:, 1])
+        else:
+            points[:, 0], points[:, 1] = z.real, z.imag
+    if target in ("fiber", "global"):
+        w = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
+        points[:, -2], points[:, -1] = w.real, w.imag
+    return points
+
+
+def whole_draw_lyapunov_marginal(g, which: int, n_samples: int,
+                                 orbit_len: int, rng_seed) -> McEstimate:
+    """``lyapunov_marginal`` with every stage on the whole draw."""
+    codes = g.sample_forward(orbit_len + CONTEXT_DEPTH, n_samples, rng_seed)
+    d = g.digits(codes)[which - 1]
+    x = cf_value_float(
+        sliding_window_view(d[:, 1:], CONTEXT_DEPTH, axis=1)[:, :orbit_len])
+    return McEstimate.from_samples(
+        (2.0 * np.log(x + d[:, :orbit_len])).mean(axis=1))
+
+
+def whole_draw_lyapunov_fiber(g, system, n_samples: int, past_depth: int,
+                              rng_seed) -> McEstimate:
+    """``lyapunov_fiber`` with every stage on the whole draw."""
+    past, fwd = g.sample_two_sided(past_depth, max(CONTEXT_DEPTH, g.memory),
+                                   n_samples, rng_seed)
+    return McEstimate.from_samples(-fiber_log_derivatives(
+        system, *g.digits(past), *g.digits(fwd), CONTEXT_DEPTH))
+
+
+def whole_draw_lyapunov_fiber_table_mc(g, n_samples: int, orbit_len: int,
+                                       rng_seed) -> McEstimate:
+    """``lyapunov_fiber_table_mc`` with every stage on the whole draw."""
+    codes = g.sample_forward(orbit_len + g.memory - 1, n_samples, rng_seed)
+    word = np.zeros((n_samples, orbit_len), dtype=np.int64)
+    for i in range(g.memory):
+        word = word * g.alphabet_size + codes[:, i : i + orbit_len]
+    return McEstimate.from_samples((-g.log_derivative[word]).mean(axis=1))

@@ -145,10 +145,9 @@ def test_sampled_steps_are_allowed(table, seed):
         g = gibbs_markov.__wrapped__(table, table.max_digit)
     except NonPrimitive:
         hypothesis.assume(False)
-    A, L, M = g.alphabet_size, g.memory, g.max_digit
-    pm, pn, fm, fn = g.sample_two_sided(6, L + 4, 50, seed)
-    past = ((pm - 1) * M + pn - 1)[:, ::-1]
-    word = np.concatenate([past, (fm - 1) * M + fn - 1], axis=1)
+    A, L = g.alphabet_size, g.memory
+    past, fwd = g.sample_two_sided(6, L + 4, 50, seed)
+    word = np.concatenate([past[:, ::-1], fwd], axis=1)
     alive = g.stationary > 0
     # every L-window of the two-sided word is a live state, so every step
     # between consecutive windows is an allowed edge
@@ -285,7 +284,7 @@ def reference_sample_forward(g, n_symbols, count, rng):
 
 def reference_two_sided(g, n_past, n_forward, count, rng):
     rng = _rng(rng)
-    A, L, M = g.alphabet_size, g.memory, g.max_digit
+    A, L = g.alphabet_size, g.memory
     ahead, back = _cum_table(g.transition), _cum_table(g.reverse)
     code0 = rng.choice(len(g.stationary), size=count, p=g.stationary)
     past = np.empty((count, n_past), dtype=np.int64)
@@ -293,8 +292,7 @@ def reference_two_sided(g, n_past, n_forward, count, rng):
     for j in range(n_past):
         past[:, j] = reference_step(back, code // A, rng)
         code = past[:, j] * A ** (L - 1) + code // A
-    fwd = reference_forward(g, code0, n_forward, ahead, rng)
-    return (past // M + 1, past % M + 1, fwd // M + 1, fwd % M + 1)
+    return past, reference_forward(g, code0, n_forward, ahead, rng)
 
 
 def sparse_chain(M, L):
@@ -336,6 +334,13 @@ def test_samplers_match_reference_copies(L, kind, chunk, monkeypatch):
             ref = reference_two_sided(g, 9, L + 7, 500, seed)
             assert all(a.dtype == dtype for a in new)
             assert all(np.array_equal(a, b) for a, b in zip(new, ref))
+            # digits keep the code dtype
+            M = g.max_digit
+            for codes, ref_codes in zip(new, ref):
+                first, second = g.digits(codes)
+                assert first.dtype == second.dtype == dtype
+                assert np.array_equal(first, ref_codes // M + 1)
+                assert np.array_equal(second, ref_codes % M + 1)
             codes = g.sample_forward(L + 5, 400, seed)
             assert codes.dtype == dtype
             assert np.array_equal(codes,

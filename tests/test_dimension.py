@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fiberdim.dimension import (
-    analytic_similarity_dimension,
     bowen_dimension,
     branch_value,
     global_dimension,
@@ -18,8 +17,9 @@ from fiberdim.errors import BracketFailure, ConfigError, DegenerateExponent
 from fiberdim.systems import SimilaritySchedule, make_system
 from fiberdim.thermo import MeasureStats
 
-from oracles import (fiber_measure_dimension, fitted_threshold,
-                     shell_tail_slopes, z_marginal_dimension)
+from oracles import (analytic_similarity_dimension, fiber_measure_dimension,
+                     fitted_threshold, shell_tail_slopes,
+                     z_marginal_dimension)
 
 
 @pytest.fixture(scope="module")

@@ -21,10 +21,13 @@ from fiberdim.empirics import (
     neighbour_counts,
     sample_measure,
 )
+from fiberdim import systems
 from fiberdim.errors import ConfigError, InsufficientScales
 from fiberdim.systems import fiber_points_bulk, make_system
 from fiberdim.thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
                              gibbs_markov)
+
+from oracles import whole_draw_points
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -168,7 +171,8 @@ class TestSampling:
         g = gibbs_markov(GeometricPotential(system, 1.0), 2, L)
         cloud = sample_measure(g, system, "fiber", n_points=2000, depth=25,
                                seed=5)
-        w = fiber_points_bulk(system, *g.sample_two_sided(25, 25, 2000, 5))
+        past, fwd = g.sample_two_sided(25, 25, 2000, 5)
+        w = fiber_points_bulk(system, *g.digits(past), *g.digits(fwd))
         assert np.array_equal(cloud.points, np.column_stack([w.real, w.imag]))
 
     def test_single_digit_collapses_to_golden_point(self, conj):
@@ -402,11 +406,18 @@ class TestMemoryBound:
         return traced_mb(sample_measure, g, conj, "global", 100_000, 30, 1)
 
     def test_sample_measure_peak(self, traced_cloud):
-        # the draws are 12 MB; whole-cloud column copies and 2**18-element
-        # composition blocks read 26.7 MB, one point array 20.0 MB
+        # the codes are 6 MB; whole-cloud column copies and 2**18-element
+        # composition blocks read 26.7 MB, one point array over whole-draw
+        # digits 20.0 MB
         cloud, peak = traced_cloud
         assert cloud.points.shape == (100_000, 4)
         assert peak <= 23.0
+
+    def test_sample_measure_blocked_peak(self, traced_cloud):
+        # 6 MB of codes and 3.2 MB of points: digits, translate values and
+        # fiber points exist one row block at a time (10.6 MB read; 19.1 MB
+        # with whole-draw digits)
+        assert traced_cloud[1] <= 12.0
 
     def test_to_csv_peak(self, traced_cloud, tmp_path):
         # one string of the whole file read 24.4 MB, row blocks 1.0 MB
@@ -420,6 +431,38 @@ class TestMemoryBound:
         counts, peak = traced_mb(dyadic_box_counts, points, eps, 8)
         assert len(counts) == 8
         assert peak <= 7.0
+
+
+#: COMPOSITION_BLOCK values that force one-row blocks, a few rows per
+#: block with a partial last one, and the default.
+BLOCKS = [1, 1000, systems.COMPOSITION_BLOCK]
+
+
+class TestBlockedEvaluation:
+    """Row blocks of the draw give the points of whole-draw evaluation."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("L", [1, 2])
+    @pytest.mark.parametrize("target", ["fiber", "z_marginal", "global"])
+    def test_points_match_whole_draw(self, conj, monkeypatch, target, L,
+                                     block):
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2, L)
+        ref = whole_draw_points(g, conj, target, 1037, 20, 3)
+        monkeypatch.setattr(systems, "COMPOSITION_BLOCK", block)
+        cloud = sample_measure(g, conj, target, n_points=1037, depth=20,
+                               seed=3)
+        assert np.array_equal(cloud.points, ref)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_uint16_chain_matches_whole_draw(self, conj, monkeypatch, block):
+        # 289 symbols: the codes are uint16
+        g = gibbs_markov(GeometricPotential(conj, 0.8), 17, 1)
+        ref = whole_draw_points(g, conj, "global", 1037, 20, 4, "raw")
+        monkeypatch.setattr(systems, "COMPOSITION_BLOCK", block)
+        cloud = sample_measure(g, conj, "global", n_points=1037, depth=20,
+                               seed=4, chart="raw")
+        assert g.sample_forward(2, 1, 0).dtype == np.uint16
+        assert np.array_equal(cloud.points, ref)
 
 
 def row_unique_counts(pts, eps, n):

@@ -1,6 +1,9 @@
-"""The README's library example runs against the package as documented, and
-the documented configs stay in sync with the field table."""
+"""The README's library example runs against the package as documented, the
+documented configs stay in sync with the field table, and the constants and
+calls it names exist in the package."""
 
+import ast
+import builtins
 import json
 import os
 import re
@@ -41,3 +44,38 @@ def test_config_block_is_the_defaults():
                          ids=lambda path: path.name)
 def test_run_config_loads(path):
     load_config(json.loads(path.read_text(encoding="utf-8")))
+
+
+def inline_code() -> list:
+    """Backticked spans of the README outside fenced blocks; a span may wrap."""
+    return re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme(), flags=re.S))
+
+
+def package_names() -> tuple:
+    """(module-level assigned names, function and class names) of src/fiberdim."""
+    constants, callables = set(), set()
+    for path in (ROOT / "src" / "fiberdim").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                constants.update(t.id for t in targets if isinstance(t, ast.Name))
+        callables.update(node.name for node in ast.walk(tree)
+                         if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    return constants, callables
+
+
+def test_readme_names_resolve():
+    # numpy (np.), a Generator (rng.) and builtins are not package names
+    constants, callables = package_names()
+    missing = []
+    for span in inline_code():
+        if re.fullmatch(r"[A-Z][A-Z0-9_]+", span) and span not in constants:
+            missing.append(span)
+        for name in re.findall(r"(?<![\w.])([A-Za-z_][\w.]*)\(", span):
+            parts = name.split(".")
+            if parts[0] in ("np", "rng") or hasattr(builtins, name):
+                continue
+            if parts[-1] not in callables:
+                missing.append(name + "(")
+    assert not missing, f"README names not defined in src/fiberdim: {missing}"

@@ -20,12 +20,11 @@ from fiberdim.systems import (
     pi2_hat,
     verify_system,
 )
-from fiberdim.empirics import sample_fiber_limit_set
 from fiberdim.thermo import (ConstantPotential, gibbs_markov,
                              periodic_log_derivatives)
 from fiberdim.words import enumerate_pair_words, pair_alphabet
 
-from oracles import default_symbol_sup
+from oracles import default_symbol_sup, sample_fiber_limit_set
 
 
 @pytest.fixture(scope="module")
@@ -366,10 +365,10 @@ class TestLimitSetSampling:
         fwd = ((1, 2), (2, 1), (1, 1))
         pts = sample_fiber_limit_set(system, fwd, 2, 25, 300, seed=6)
         chain = gibbs_markov(ConstantPotential(0.0), 2, 1)
-        past_m, past_n, _, _ = chain.sample_two_sided(25, 1, 300, 6)
+        past, _ = chain.sample_two_sided(25, 1, 300, 6)
         fwd_m, fwd_n = np.tile(np.array(fwd).T[:, None], (1, 300, 1))
         assert np.array_equal(
-            pts, fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n))
+            pts, fiber_points_bulk(system, *chain.digits(past), fwd_m, fwd_n))
 
     def test_empty_forward_rejected(self, conj):
         with pytest.raises(InvalidWord):

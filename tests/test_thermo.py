@@ -11,8 +11,9 @@ from fiberdim.errors import (
     EnumerationCapExceeded,
     InvalidWord,
     NonPrimitive,
+    PerronNotConverged,
 )
-from fiberdim import thermo
+from fiberdim import systems, thermo
 from fiberdim.systems import SimilaritySchedule, make_system
 from fiberdim.thermo import (
     SAMPLE_ELEMENT_CAP,
@@ -24,6 +25,7 @@ from fiberdim.thermo import (
     gibbs_markov,
     lyapunov_fiber,
     lyapunov_fiber_exact,
+    lyapunov_fiber_table_mc,
     lyapunov_marginal,
     marginal_entropy,
     measure_stats,
@@ -33,8 +35,10 @@ from fiberdim.thermo import (
     realized_table,
 )
 
-from oracles import (potential_mean, symbol_marginal, variational_gap,
-                     word_log_mass)
+from oracles import (gibbs_constant_hat, potential_mean, symbol_marginal,
+                     variational_gap, whole_draw_lyapunov_fiber,
+                     whole_draw_lyapunov_fiber_table_mc,
+                     whole_draw_lyapunov_marginal, word_log_mass)
 
 LOG2 = math.log(2.0)
 
@@ -221,7 +225,8 @@ class TestGibbsChain:
             build(pot, 4)
         monkeypatch.undo()
         monkeypatch.setattr(thermo, "PERRON_MAX_ITER", 2)
-        with pytest.raises(NonPrimitive, match="2 iterations with residuals"):
+        with pytest.raises(PerronNotConverged,
+                           match="2 iterations with residuals"):
             build(pot, 4)
 
 
@@ -229,14 +234,14 @@ class TestGibbsProperty:
     def test_sandwich_constant_is_depth_stable(self, conj, bernoulli):
         for g in (gibbs_markov(GeometricPotential(conj, 1.5), 2, memory=2),
                   bernoulli):
-            c5 = g.gibbs_constant_hat(5)
-            c6 = g.gibbs_constant_hat(6)
+            c5 = gibbs_constant_hat(g, 5)
+            c6 = gibbs_constant_hat(g, 6)
             assert c5 >= 1.0
             assert c6 == pytest.approx(c5, rel=1e-9)
 
     def test_sampled_ratios_inside_sandwich(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.5), 2, memory=2)
-        C = g.gibbs_constant_hat(6)
+        C = gibbs_constant_hat(g, 6)
         rng = np.random.default_rng(0)
         codes = g.sample_forward(6, 40, rng)
         M, A = g.max_digit, g.alphabet_size
@@ -253,23 +258,23 @@ class TestGibbsProperty:
     def test_depth_below_memory_rejected(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2, memory=2)
         with pytest.raises(InvalidWord):
-            g.gibbs_constant_hat(1)
+            gibbs_constant_hat(g, 1)
 
     @pytest.mark.parametrize("depth", [5.7, 6.0, True, "6"])
     def test_non_integer_depth_rejected(self, conj, depth):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2, memory=2)
         with pytest.raises(InvalidWord, match="integer"):
-            g.gibbs_constant_hat(depth)
+            gibbs_constant_hat(g, depth)
 
     def test_hat_enumeration_cap(self, conj):
         # memory 2 at M = 3: 1999 depths x 9^4 pairs > ENUMERATION_CAP
         g = gibbs_markov(GeometricPotential(conj, 1.0), 3)
         with pytest.raises(EnumerationCapExceeded):
-            g.gibbs_constant_hat(2000)
+            gibbs_constant_hat(g, 2000)
 
     def test_default_depth_runs_at_m4(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.5), 4, memory=2)
-        C = g.gibbs_constant_hat()
+        C = gibbs_constant_hat(g)
         assert math.isfinite(C) and C >= 1.0
 
 
@@ -363,6 +368,35 @@ class TestLyapunov:
         with pytest.raises(ConfigError):
             lyapunov_fiber_exact(bernoulli)
 
+    # COMPOSITION_BLOCK values that force one-row blocks, a few rows per
+    # block with a partial last one, and the default
+    @pytest.mark.parametrize("block", [1, 1000, systems.COMPOSITION_BLOCK])
+    @pytest.mark.parametrize("M, L", [(2, 1), (2, 2), (17, 1)])
+    def test_blocked_estimates_match_whole_draw(self, conj, monkeypatch,
+                                                M, L, block):
+        g = gibbs_markov(GeometricPotential(conj, 0.8), M, L)
+        refs = [whole_draw_lyapunov_marginal(g, which, 203, 50, 5)
+                for which in (1, 2)]
+        ref_table = whole_draw_lyapunov_fiber_table_mc(g, 203, 50, 6)
+        ref_fiber = whole_draw_lyapunov_fiber(g, conj, 203, 10, 7)
+        monkeypatch.setattr(systems, "COMPOSITION_BLOCK", block)
+        assert [lyapunov_marginal(g, which, 203, 50, 5)
+                for which in (1, 2)] == refs
+        assert lyapunov_fiber_table_mc(g, 203, 50, 6) == ref_table
+        assert lyapunov_fiber(g, conj, 203, 10, 7) == ref_fiber
+
+    def test_marginal_peak(self, conj):
+        # 4000 x 100 orbit terms, one row block at a time: 1.9 MB traced,
+        # where whole-draw float arrays read 10.5 MB
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 4, 2)
+        tracemalloc.start()
+        try:
+            lyapunov_marginal(g, 1, 4000, 100, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
 
 class TestDerivativeIdentity:
     def test_exact_chain_identity(self, conj):
@@ -384,8 +418,10 @@ class TestDerivativeIdentity:
 
 class TestSampling:
     def test_two_sided_shapes_and_range(self, bernoulli):
-        pm, pn, fm, fn = bernoulli.sample_two_sided(7, 5, 11,
-                                                    np.random.default_rng(3))
+        past, fwd = bernoulli.sample_two_sided(7, 5, 11,
+                                               np.random.default_rng(3))
+        pm, pn = bernoulli.digits(past)
+        fm, fn = bernoulli.digits(fwd)
         assert pm.shape == pn.shape == (11, 7)
         assert fm.shape == fn.shape == (11, 5)
         for arr in (pm, pn, fm, fn):
@@ -397,8 +433,9 @@ class TestSampling:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_forbidden_symbol_never_sampled(self, bernoulli):
-        _, _, fm, fn = bernoulli.sample_two_sided(6, 6, 200,
-                                                  np.random.default_rng(0))
+        _, fwd = bernoulli.sample_two_sided(6, 6, 200,
+                                            np.random.default_rng(0))
+        fm, fn = bernoulli.digits(fwd)
         assert not np.any((fm == 2) & (fn == 2))
 
     @pytest.mark.parametrize("u", [0.0, float(np.nextafter(1.0, 0.0))])
@@ -434,10 +471,10 @@ class TestSampling:
             g.sample_two_sided(5, 1, 10, 0)
 
     def test_two_sided_without_past_draws_the_forward_words(self, conj):
-        # lyapunov_marginal reads its digits this way
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2, memory=2)
         codes = g.sample_forward(9, 15, np.random.default_rng(4))
-        _, _, fm, fn = g.sample_two_sided(0, 9, 15, np.random.default_rng(4))
+        _, fwd = g.sample_two_sided(0, 9, 15, np.random.default_rng(4))
+        fm, fn = g.digits(fwd)
         assert np.array_equal(fm, codes // 2 + 1)
         assert np.array_equal(fn, codes % 2 + 1)
 
@@ -467,7 +504,7 @@ class TestMeasureStats:
             raise Reached
 
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
-        monkeypatch.setattr(GibbsApprox, "sample_two_sided", reached)
+        monkeypatch.setattr(GibbsApprox, "_draw", reached)
         at_cap = SAMPLE_ELEMENT_CAP // (88 + thermo.CONTEXT_DEPTH)
         with pytest.raises(Reached):
             measure_stats(g, conj, n_samples=at_cap, orbit_len=88)

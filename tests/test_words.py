@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from fiberdim.errors import EnumerationCapExceeded, InvalidWord
-from fiberdim.words import (Interval, cf_map_derivative_mod, cf_value_float,
+from fiberdim.words import (Interval, cf_value_float,
                             certify_derivative_sup, check_digit,
                             check_max_digit, enumerate_pair_words,
                             induced_ifs_maps, is_integer, pair_alphabet,
                             pi_tilde, rho0_value)
 
-from oracles import RationalTermination, rho0_digits
+from oracles import RationalTermination, cf_map_derivative_mod, rho0_digits
 
 
 def newton_sqrt(n: int, iterations: int = 8) -> Fraction:
