@@ -1,16 +1,18 @@
 """Numerical thermodynamic formalism for continued-fraction skew products.
 
 Layers, bottom up: exact symbolic coding on pair digit words (``words``),
-fiber contraction families with certified constants (``systems``), transfer
-operator Gibbs states and pressure (``thermo``), dimension formulas
+fiber contraction families with certified constants (``systems``), exact
+digit-marginal exponents of a chain (``moments``), transfer operator Gibbs
+states and pressure (``thermo``), dimension formulas
 (``dimension``), Monte Carlo estimators (``empirics``), and a batch CLI
 (``cli``).
 """
 
 from .errors import (BracketFailure, ConfigError, DegenerateExponent,
                      DomainError, DomainEscape, EnumerationCapExceeded,
-                     FiberdimError, InsufficientScales, InvalidWord,
-                     NonPrimitive, PerronNotConverged, SummabilityFailure)
+                     ExponentNotConverged, FiberdimError, InsufficientScales,
+                     InvalidWord, NonPrimitive, PerronNotConverged,
+                     SummabilityFailure)
 from .words import (Box, ComposedMap, Interval, cf_value_float,
                     certify_derivative_sup,
                     enumerate_pair_words, induced_ifs_maps, pair_alphabet,
@@ -18,11 +20,12 @@ from .words import (Box, ComposedMap, Interval, cf_value_float,
 from .systems import (Disk, SimilaritySchedule, SmaleSystem, SystemReport,
                       fiber_derivative_mod, fiber_map, image_disk,
                       make_system, pi2_hat, verify_system)
+from .moments import MarginalExponent, lyapunov_marginal_exact
 from .thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
                      MarginalEntropy, McEstimate, MeasureStats,
                      PressureEstimate, TablePotential, entropy,
                      gibbs_markov, lyapunov_fiber, lyapunov_fiber_exact,
-                     lyapunov_marginal, marginal_entropy, measure_stats,
+                     marginal_entropy, measure_stats,
                      pressure_cylinder_sum, pressure_derivative_check)
 from .dimension import (BowenResult, SummabilityReport, SweepResult,
                         bowen_dimension, branch_value, global_dimension,

@@ -112,7 +112,6 @@ def cmd_dimension(config: dict, out_dir: str):
     g = gibbs_markov(potential, M, tr["memory"])
     st_cfg = config["stats"]
     stats = measure_stats(g, system, n_samples=st_cfg["n_samples"],
-                          orbit_len=st_cfg["orbit_len"],
                           past_depth=st_cfg["past_depth"],
                           rng_seed=config["seed"])
     if stats.entropy_width > ENTROPY_TOL:

@@ -120,7 +120,6 @@ FIELDS = {
     },
     "stats": {
         "n_samples": (4000, number(integer=True, ge=100)),
-        "orbit_len": (100, number(integer=True, ge=50)),
         "past_depth": (40, number(integer=True, ge=10)),
     },
     "sample": {

@@ -123,7 +123,9 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     # leaves the past and those symbols as they are
     forward = (max(g.memory, CONTEXT_DEPTH - 1) if target == "fiber"
                else depth)
-    past, fwd = g.sample_two_sided(depth, forward, n_points, seed)
+    # a z-marginal point reads no past: its steps are drawn, not stored
+    past, fwd = g.sample_two_sided(depth, forward, n_points, seed,
+                                   keep_past=target != "z_marginal")
     z_err = 2.0 ** (1 - depth)
     fiber_err = system.domain.diameter * system.contraction ** (-depth)
     points = np.empty((n_points, 4 if target == "global" else 2))

@@ -33,6 +33,10 @@ class PerronNotConverged(FiberdimError):
     """The Perron power iteration reached its cap: the spectral gap is too small."""
 
 
+class ExponentNotConverged(FiberdimError):
+    """An exact marginal exponent's moment iteration reached its sweep cap."""
+
+
 class BracketFailure(FiberdimError):
     """No pressure zero: P(0) is not positive, or Newton hit its step cap."""
 

@@ -38,9 +38,9 @@ CONTEXT_DEPTH = 12
 #: bulk evaluation holds at once (``row_blocks``).  Its consumers are
 #: ``fiber_points_bulk`` (depth + forward symbols), the periodic pasts of
 #: ``thermo.periodic_log_derivatives``, and every chain draw's consumer:
-#: ``empirics.sample_measure``, ``thermo.lyapunov_marginal``,
-#: ``thermo.lyapunov_fiber`` and ``thermo.lyapunov_fiber_table_mc``, which
-#: turn one block of codes at a time into digits and values.
+#: ``empirics.sample_measure``, ``thermo.lyapunov_fiber`` and
+#: ``thermo.lyapunov_fiber_table_mc``, which turn one block of codes at a
+#: time into digits and values.
 COMPOSITION_BLOCK = 1 << 16
 
 

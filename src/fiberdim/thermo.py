@@ -42,12 +42,11 @@ from .errors import (
     PerronNotConverged,
     SummabilityFailure,
 )
-from numpy.lib.stride_tricks import sliding_window_view
 
+from .moments import lyapunov_marginal_exact
 from .systems import (CONTEXT_DEPTH, SmaleSystem, fiber_log_derivatives,
                       row_blocks)
-from .words import (ENUMERATION_CAP, cf_value_float, check_max_digit,
-                    check_pair_word)
+from .words import ENUMERATION_CAP, check_max_digit, check_pair_word
 
 #: Cap on the number of k-word states of the transfer matrix.
 STATE_CAP = 4096
@@ -361,7 +360,7 @@ class GibbsApprox:
         return flat - row * A
 
     def _run(self, law, row, out, rng, backward: bool):
-        """Fill each row of the time-major ``out`` with one chain step.
+        """Fill each ``(count,)`` slot row ``out`` yields with one chain step.
 
         ``row`` holds each draw's table row, the (L-1)-symbol suffix of its
         last L-word for the forward chain and the prefix of its first for the
@@ -369,6 +368,8 @@ class GibbsApprox:
         row, the reversed chain prepends it, and the row moves along with
         them.  Each step makes one ``rng.random(count)`` call and then works
         through ``DRAW_CHUNK`` draws at a time, so its arrays stay cache-sized.
+        ``out`` is a time-major buffer, or one row repeated to run steps whose
+        slots nobody reads.
         """
         A = self.alphabet_size
         R = A ** (self.memory - 1)
@@ -384,14 +385,17 @@ class GibbsApprox:
                 row[part] = ((slot * R + row[part]) // A if backward
                              else (row[part] * A + slot) % R)
 
-    def _draw(self, n_past: int, n_forward: int, count: int, rng):
+    def _draw(self, n_past: int, n_forward: int, count: int, rng,
+              keep_past: bool = True):
         """Time-major ``(past, forward)`` symbol-code buffers of one draw.
 
         One ``rng.choice`` of the time-zero L-words, then one
         ``rng.random(count)`` per step: the reversed chain fills the past,
         most recent first, and the forward chain the forward word after its
         first L symbols.  Codes are stored in the least unsigned dtype that
-        holds A - 1 (uint8 up to M = 16)."""
+        holds A - 1 (uint8 up to M = 16).  Without ``keep_past`` the past
+        steps still draw their uniforms, so the forward word is the same, but
+        they share one row and the past returned has no rows."""
         rng = _rng(rng)
         L, A = self.memory, self.alphabet_size
         if n_forward < L:
@@ -399,8 +403,10 @@ class GibbsApprox:
         ahead, back = self._cums()
         code = rng.choice(len(self.stationary), size=count, p=self.stationary)
         dtype = np.min_scalar_type(A - 1)
-        past = np.empty((n_past, count), dtype=dtype)
-        self._run(back, code // A, past, rng, backward=True)
+        past = np.empty((n_past if keep_past else 0, count), dtype=dtype)
+        steps = (past if keep_past
+                 else itertools.repeat(np.empty(count, dtype=dtype), n_past))
+        self._run(back, code // A, steps, rng, backward=True)
         fwd = np.empty((n_forward, count), dtype=dtype)
         fwd[:L] = code // A ** np.arange(L - 1, -1, -1)[:, None] % A
         self._run(ahead, code % A ** (L - 1), fwd[L:], rng, backward=False)
@@ -411,7 +417,8 @@ class GibbsApprox:
         the least unsigned dtype that holds A - 1."""
         return self._draw(0, n_symbols, count, rng)[1].T
 
-    def sample_two_sided(self, n_past: int, n_forward: int, count: int, rng):
+    def sample_two_sided(self, n_past: int, n_forward: int, count: int, rng,
+                         keep_past: bool = True):
         """Coupled past and forward symbol codes through the time-zero state.
 
         Past rows are most recent first; the reversed chain of the stationary
@@ -419,9 +426,12 @@ class GibbsApprox:
         the conditional measures on fibers.  The ``(count, n)`` code arrays
         returned are transposed views of the time-major ``_draw`` buffers, in
         the least unsigned dtype that holds A - 1; ``digits`` turns a row
-        block of them into digits.
+        block of them into digits.  Without ``keep_past`` the past is drawn
+        but not stored: the forward codes are those of the full draw and the
+        past returned is ``(count, 0)``.
         """
-        return tuple(codes.T for codes in self._draw(n_past, n_forward, count, rng))
+        return tuple(codes.T for codes in
+                     self._draw(n_past, n_forward, count, rng, keep_past))
 
     def digits(self, codes):
         """(first, second) digit arrays of symbol codes, in their dtype."""
@@ -784,29 +794,6 @@ def marginal_entropy(g: GibbsApprox, which: int) -> MarginalEntropy:
 # ---------------------------------------------------------------------------
 # Lyapunov exponents
 
-def lyapunov_marginal(g: GibbsApprox, which: int, n_samples: int = 2000,
-                      orbit_len: int = 100, rng_seed=0) -> McEstimate:
-    """Birkhoff average of -log of the digit-map derivative modulus.
-
-    Each orbit contributes the average of 2 log(x_{t+1} + d_t) with x the
-    continued-fraction value of the digit suffix over a sliding window.  The
-    orbits are evaluated one ``row_blocks`` block of codes at a time.
-    """
-    if which not in (1, 2):
-        raise InvalidWord("marginal coordinate must be 1 or 2")
-    if orbit_len < 50:
-        raise InvalidWord("orbit_len must be >= 50")
-    steps = orbit_len + CONTEXT_DEPTH
-    codes = g.sample_forward(steps, n_samples, rng_seed)
-    per_orbit = np.empty(n_samples)
-    for rows in row_blocks(n_samples, steps):
-        d = g.digits(codes[rows])[which - 1]
-        x = cf_value_float(sliding_window_view(
-            d[:, 1:], CONTEXT_DEPTH, axis=1)[:, :orbit_len])
-        per_orbit[rows] = (2.0 * np.log(x + d[:, :orbit_len])).mean(axis=1)
-    return McEstimate.from_samples(per_orbit)
-
-
 def lyapunov_fiber(g: GibbsApprox, system: SmaleSystem, n_samples: int = 4000,
                    past_depth: int = 40, rng_seed=0) -> McEstimate:
     """Monte Carlo -int log|T'| at fiber points from backward sampling,
@@ -885,7 +872,9 @@ def pressure_derivative_check(system: SmaleSystem, s: float,
 class MeasureStats:
     """Entropies and exponents of one Gibbs state, marginals included;
     ``entropy_width`` and ``entropy_depth`` are the larger width and the
-    deeper stopping depth of the two marginal entropy brackets."""
+    deeper stopping depth of the two marginal entropy brackets, and
+    ``moment_sweeps`` the larger sweep count of the two exact marginal
+    exponents."""
 
     h_mu: float
     h_mu1: float
@@ -897,6 +886,7 @@ class MeasureStats:
     lambda2: float
     entropy_width: float = 0.0
     entropy_depth: int = 0
+    moment_sweeps: int = 0
 
     def __post_init__(self):
         if not (self.chi1 > 0 and self.chi2 > 0 and self.chi_T > 0):
@@ -904,35 +894,40 @@ class MeasureStats:
 
 
 def measure_stats(g: GibbsApprox, system: SmaleSystem,
-                  n_samples: int = 4000, orbit_len: int = 100,
-                  past_depth: int = 40, rng_seed=0) -> MeasureStats:
+                  n_samples: int = 4000, past_depth: int = 40,
+                  rng_seed=0) -> MeasureStats:
     """Assemble the entropy/exponent summary of one Gibbs state.
 
-    chi_T uses the exact table expectation when the potential is geometric
-    (keeping the summary consistent with the dimension formulas) and falls
-    back to the Monte Carlo fiber estimate otherwise.  A draw of more than
-    ``SAMPLE_ELEMENT_CAP`` elements raises ``ConfigError`` before any draw.
+    The entropies and chi1, chi2 are exact chain quantities.  chi_T uses the
+    exact table expectation when the potential is geometric (keeping the
+    summary consistent with the dimension formulas), so such a summary draws
+    nothing and does not depend on the seed; otherwise it falls back to the
+    Monte Carlo fiber estimate.  A fiber draw of more than
+    ``SAMPLE_ELEMENT_CAP`` elements raises ``ConfigError`` before any work,
+    whatever the potential.
     """
-    draws = (("orbit_len", orbit_len, CONTEXT_DEPTH),
-             ("past_depth", past_depth, max(CONTEXT_DEPTH, g.memory)))
-    for knob, steps, context in draws:
-        elements = n_samples * (steps + context)
-        if elements > SAMPLE_ELEMENT_CAP:
-            raise ConfigError(
-                f"n_samples {n_samples} x ({knob} {steps} + {context}) = "
-                f"{elements} sample elements exceed the cap "
-                f"{SAMPLE_ELEMENT_CAP}; lower stats.n_samples or stats.{knob}")
-    ss = np.random.SeedSequence(rng_seed).spawn(3)
+    context = max(CONTEXT_DEPTH, g.memory)
+    elements = n_samples * (past_depth + context)
+    if elements > SAMPLE_ELEMENT_CAP:
+        raise ConfigError(
+            f"n_samples {n_samples} x (past_depth {past_depth} + {context}) = "
+            f"{elements} sample elements exceed the cap {SAMPLE_ELEMENT_CAP}; "
+            "lower stats.n_samples or stats.past_depth")
     h = entropy(g)
     h1, h2 = marginal_entropy(g, 1), marginal_entropy(g, 2)
-    chi1 = lyapunov_marginal(g, 1, n_samples, orbit_len, ss[0]).value
-    chi2 = lyapunov_marginal(g, 2, n_samples, orbit_len, ss[1]).value
+    chi1, chi2 = lyapunov_marginal_exact(g, 1), lyapunov_marginal_exact(g, 2)
     if g.log_derivative is not None:
         chi_T = lyapunov_fiber_exact(g)
     else:
+        # the fiber exponent's stream is the third of three spawned from the
+        # seed, as it was beside two digit-exponent draws: same seed, same
+        # bytes
+        ss = np.random.SeedSequence(rng_seed).spawn(3)
         chi_T = lyapunov_fiber(g, system, n_samples, past_depth, ss[2]).value
     return MeasureStats(h_mu=h, h_mu1=min(h1.value, h), h_mu2=min(h2.value, h),
-                        chi1=chi1, chi2=chi2, chi_T=chi_T,
-                        lambda1=math.exp(-chi1), lambda2=math.exp(-chi2),
+                        chi1=chi1.value, chi2=chi2.value, chi_T=chi_T,
+                        lambda1=math.exp(-chi1.value),
+                        lambda2=math.exp(-chi2.value),
                         entropy_width=max(e.value - e.lower for e in (h1, h2)),
-                        entropy_depth=max(h1.depth, h2.depth))
+                        entropy_depth=max(h1.depth, h2.depth),
+                        moment_sweeps=max(chi1.sweeps, chi2.sweeps))

@@ -7,9 +7,10 @@ decreasing contractions x -> 1/(x + d) on [0, 1]; composing a digit word
 inside out yields the cylinder image of [0, 1].
 
 Cylinder enclosures are computed with exact rational endpoints (stdlib
-fractions), because depth-30 cylinders are far narrower than one double
-spacing and float endpoints would collapse them.  Float fast paths for bulk
-numerics live in :func:`cf_value_float`.
+fractions, built from integer numerators and denominators), because depth-30
+cylinders are far narrower than one double spacing and float endpoints would
+collapse them.  Float fast paths for bulk numerics live in
+:func:`cf_value_float`.
 """
 
 from __future__ import annotations
@@ -136,15 +137,21 @@ class Box:
 def rho0_value(word) -> Interval:
     """Exact image of [0, 1] under the digit word's branch composition.
 
-    The empty word returns [0, 1].  Endpoints are exact rationals; the
-    enclosure width is bounded by the product of per-step derivative sups.
+    The empty word returns [0, 1].  The composition of x -> 1/(x + d) over
+    d_1 .. d_k sends x to (p_k + x p_(k-1)) / (q_k + x q_(k-1)), with the
+    convergent recurrences p_k = d_k p_(k-1) + p_(k-2) and q_k = d_k q_(k-1)
+    + q_(k-2) from p_(-1) = q_0 = 1, p_0 = q_(-1) = 0, so the endpoints are
+    p_k / q_k and (p_k + p_(k-1)) / (q_k + q_(k-1)) in integer arithmetic.
+    The enclosure width is bounded by the product of per-step derivative
+    sups.
     """
     w = check_digit_word(word)
-    lo, hi = Fraction(0), Fraction(1)
-    for d in reversed(w):
-        # each branch is decreasing, so the image endpoints swap
-        lo, hi = 1 / (hi + d), 1 / (lo + d)
-    return Interval(lo, hi)
+    p, p_prev, q, q_prev = 0, 1, 1, 0
+    for d in w:
+        p, p_prev, q, q_prev = d * p + p_prev, p, d * q + q_prev, q
+    ends = Fraction(p, q), Fraction(p + p_prev, q + q_prev)
+    # an even composition is increasing, an odd one decreasing
+    return Interval(*(ends if len(w) % 2 == 0 else ends[::-1]))
 
 
 def pi_tilde(word) -> Box:
@@ -207,23 +214,29 @@ def certify_derivative_sup(word, subdivisions: int = 256) -> Fraction:
 
     Splits [0, 1] into equal cells and propagates interval images through the
     branches; each branch derivative 1/(x+d)^2 is decreasing, so its cell
-    supremum sits at the left endpoint.  All arithmetic is rational, so the
-    bound is rigorous.
+    supremum sits at the left endpoint.  Each cell's endpoints and its bound
+    are held as Python-int numerators and denominators and the cells are
+    compared by cross-multiplying, so the bound is rigorous and no fraction
+    is normalised before the last.
     """
     w = check_digit_word(word)
     if not w:
         raise InvalidWord("word must be nonempty")
-    best = Fraction(0)
     n = int(subdivisions)
+    best_num, best_den = 0, 1
     for i in range(n):
-        lo, hi = Fraction(i, n), Fraction(i + 1, n)
-        bound = Fraction(1)
+        # lo = lo_num / lo_den, hi = hi_num / hi_den, bound = num / den
+        lo_num, lo_den, hi_num, hi_den = i, n, i + 1, n
+        num, den = 1, 1
         for d in reversed(w):
-            bound *= Fraction(1, 1) / (lo + d) ** 2
-            lo, hi = 1 / (hi + d), 1 / (lo + d)
-        if bound > best:
-            best = bound
-    return best
+            shifted = lo_num + d * lo_den  # (lo + d) * lo_den
+            num *= lo_den * lo_den
+            den *= shifted * shifted
+            lo_num, lo_den, hi_num, hi_den = (
+                hi_den, hi_num + d * hi_den, lo_den, shifted)
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 def induced_ifs_maps(max_digit: int, k_max: int,

@@ -1,7 +1,9 @@
 """Test-only oracles: chain masses, digit-marginal block entropies, digit
 extraction, dimension parts, the shell-sum fit of the summability
-threshold, the Gibbs sandwich constant, closed-form similarity dimensions,
-fiber limit sets and whole-draw copies of the blocked chain-draw consumers.
+threshold, Fraction-arithmetic copies of the rational certificates, the
+Gibbs sandwich constant, closed-form similarity dimensions, fiber limit
+sets, the Monte Carlo digit-marginal exponent and whole-draw copies of the
+blocked chain-draw consumers.
 
 Each is a short formula over the package's public data that no program
 path needs; the tests that check the package against them import them
@@ -226,6 +228,31 @@ def fitted_threshold(variant: str, s_grid) -> float:
 
 
 # ---------------------------------------------------------------------------
+# rational certificates through Fraction arithmetic
+
+def fraction_rho0_value(word) -> tuple:
+    """(lo, hi) of ``words.rho0_value`` by Fraction division, innermost
+    digit first."""
+    lo, hi = Fraction(0), Fraction(1)
+    for d in reversed(word):
+        lo, hi = 1 / (hi + d), 1 / (lo + d)
+    return lo, hi
+
+
+def fraction_derivative_sup(word, subdivisions: int) -> Fraction:
+    """``words.certify_derivative_sup`` with every cell in Fractions."""
+    best = Fraction(0)
+    for i in range(subdivisions):
+        lo, hi = Fraction(i, subdivisions), Fraction(i + 1, subdivisions)
+        bound = Fraction(1)
+        for d in reversed(word):
+            bound /= (lo + d) ** 2
+            lo, hi = 1 / (hi + d), 1 / (lo + d)
+        best = max(best, bound)
+    return best
+
+
+# ---------------------------------------------------------------------------
 # Gibbs sandwich constant
 
 def _signed(x: np.ndarray, sign: float) -> np.ndarray:
@@ -320,9 +347,12 @@ def whole_draw_points(g, system, target: str, n_points: int, depth: int,
     return points
 
 
-def whole_draw_lyapunov_marginal(g, which: int, n_samples: int,
-                                 orbit_len: int, rng_seed) -> McEstimate:
-    """``lyapunov_marginal`` with every stage on the whole draw."""
+def lyapunov_marginal(g, which: int, n_samples: int, orbit_len: int,
+                      rng_seed) -> McEstimate:
+    """Monte Carlo of ``thermo.lyapunov_marginal_exact``: per orbit the
+    average of 2 log(x_(t+1) + d_t) over ``orbit_len`` steps, x the
+    continued-fraction value of the digit suffix over a CONTEXT_DEPTH
+    window."""
     codes = g.sample_forward(orbit_len + CONTEXT_DEPTH, n_samples, rng_seed)
     d = g.digits(codes)[which - 1]
     x = cf_value_float(

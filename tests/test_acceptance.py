@@ -178,8 +178,8 @@ def test_criterion_07_marginal_and_global_clouds():
     t0 = time.perf_counter()
     system = make_system("similarity")
     g = gibbs_markov(GeometricPotential(system, 1.0), 2)
-    stats = measure_stats(g, system, n_samples=4000, orbit_len=100,
-                          past_depth=40, rng_seed=5)
+    stats = measure_stats(g, system, n_samples=4000, past_depth=40,
+                          rng_seed=5)
     z_pred = z_marginal_dimension(stats)
     global_pred = z_pred + stats.h_mu / stats.chi_T
 

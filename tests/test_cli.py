@@ -283,8 +283,7 @@ class TestDimensionCommand:
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.3, 0.45, 0.6, 0.75, 0.9],
                           "bowen_tol": 1e-9},
-            "stats": {"n_samples": 1000, "orbit_len": 60,
-                      "past_depth": 30},
+            "stats": {"n_samples": 1000, "past_depth": 30},
         })
         out = tmp_path / "out"
         assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
@@ -318,8 +317,7 @@ class TestDimensionCommand:
             "potential": {"kind": "constant", "value": 0.0},
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.6, 0.9, 1.2]},
-            "stats": {"n_samples": 300, "orbit_len": 50,
-                      "past_depth": 30},
+            "stats": {"n_samples": 300, "past_depth": 30},
         })
         out = tmp_path / "out"
         assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
@@ -355,7 +353,7 @@ class TestDimensionCommand:
         assert run(["dimension", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "lower stats.n_samples or stats.orbit_len" in err
+        assert "lower stats.n_samples or stats.past_depth" in err
 
     def test_marginal_sweep_cap_stop_warns(self, tmp_path, monkeypatch):
         # M = 3, L = 2: the sweep arrays hold 3^n * 9^2 entries, 2187 at n = 3
@@ -379,8 +377,7 @@ class TestDimensionCommand:
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.6, 0.9, 1.2], "bowen_tol": 1e-6},
-            "stats": {"n_samples": 500, "orbit_len": 60,
-                      "past_depth": 30},
+            "stats": {"n_samples": 500, "past_depth": 30},
         })
         out = tmp_path / "out"
         assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
@@ -394,8 +391,7 @@ class TestDimensionCommand:
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.6, 0.9, 1.2]},
-            "stats": {"n_samples": 300, "orbit_len": 50,
-                      "past_depth": 30},
+            "stats": {"n_samples": 300, "past_depth": 30},
         })
         out = tmp_path / "out"
         assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
@@ -597,13 +593,13 @@ RECORD_DIGESTS = {
         "14556fb39cd6a79284d9e506d48a034c9d36c1dc67d8387cb3990557a62c1d8f"),
     "dimension_similarity": (
         "dimension",
-        "d3e63e7ef9a37d745c154651f0171b138b790d2f4bfd4bcce56df95d3a977c60"),
+        "8f0d2c150b91d555b4bdeb4d63f71d098c58a944d4af60265348ad7d7b04b644"),
     "dimension_conjugate_small": (
         "dimension",
-        "a394ded820d2e05101832ce752f59ad3b0e2e0b3b7fa80b89ab47904f27e53f2"),
+        "6ffcbedfc93929b96f1a95ad3567502f4630f0436bec3a48a48e28ee2f67cce1"),
     "dimension_constant_small": (
         "dimension",
-        "40e16b4efdb6cb69cff03e109e32ab3a67e891655088a85696a800ddd43187c3"),
+        "062322d711bab035d486f4d3b3fcb519ef9b3bc7c45dd92df555b0d8808ef871"),
 }
 
 
@@ -613,11 +609,10 @@ def _record_config(name):
         return json.loads(path.read_text())
     small = {"truncation": {"m_schedule": [2], "memory": 2},
              "dimension": {"s_grid": [0.6, 0.9, 1.2]},
-             "stats": {"n_samples": 300, "orbit_len": 50,
-                       "past_depth": 30},
+             "stats": {"n_samples": 300, "past_depth": 30},
              "seed": 3}
     if name == "dimension_conjugate_small":
-        # realizes log|T'| and draws the digit-marginal exponents
+        # realizes log|T'|: exact exponents, no draw
         return {"system": {"variant": "inverse_conjugate"}, **small}
     # no realized table: chi_T comes from lyapunov_fiber
     return {"system": {"variant": "inverse_square"},
@@ -718,6 +713,30 @@ class TestStartup:
         assert proc.stdout.strip().splitlines()[-1] == "0 []"
         record = read_record(out, "sample")
         assert record["results"]["local_dimension"] is not None
+
+    @pytest.mark.parametrize("potential, draws", [
+        ({"kind": "geometric", "s": 1.0}, False),
+        ({"kind": "constant", "value": 0.0}, True)])
+    def test_dimension_samples_only_for_chi_T(self, tmp_path, potential,
+                                              draws):
+        # a fresh interpreter runs a dimension command: a geometric potential
+        # has exact exponents and never loads numpy.random, a constant one
+        # still draws its Monte Carlo fiber exponent
+        src = Path(cli.__file__).parents[1]
+        cfg = write_config(tmp_path, {
+            "potential": potential,
+            "truncation": {"m_schedule": [2], "memory": 1},
+            "dimension": {"s_grid": [0.6, 0.9, 1.2]},
+            "stats": {"n_samples": 200, "past_depth": 20},
+        })
+        out = tmp_path / "out"
+        probe = ("import sys; from fiberdim.cli import run; "
+                 f"code = run(['dimension', '--config', {cfg!r}, "
+                 f"'--out', {str(out)!r}]); "
+                 "print(code, 'numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip().splitlines()[-1] == f"0 {draws}"
 
 
 class TestModuleEntryPoint:

@@ -419,6 +419,15 @@ class TestMemoryBound:
         # with whole-draw digits)
         assert traced_cloud[1] <= 12.0
 
+    def test_z_marginal_peak(self, conj):
+        # 3 MB of forward codes and 1.6 MB of points: the past steps are
+        # drawn but not stored (7.9 MB read; 10.8 MB with the 3 MB past)
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 3)
+        cloud, peak = traced_mb(sample_measure, g, conj, "z_marginal",
+                                100_000, 30, 1)
+        assert cloud.points.shape == (100_000, 2)
+        assert peak <= 9.0
+
     def test_to_csv_peak(self, traced_cloud, tmp_path):
         # one string of the whole file read 24.4 MB, row blocks 1.0 MB
         _, peak = traced_mb(traced_cloud[0].to_csv, tmp_path / "cloud.csv")

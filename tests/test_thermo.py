@@ -9,11 +9,13 @@ import pytest
 from fiberdim.errors import (
     ConfigError,
     EnumerationCapExceeded,
+    ExponentNotConverged,
     InvalidWord,
     NonPrimitive,
     PerronNotConverged,
 )
-from fiberdim import systems, thermo
+from fiberdim import moments, systems, thermo
+from fiberdim.moments import lyapunov_marginal_exact
 from fiberdim.systems import SimilaritySchedule, make_system
 from fiberdim.thermo import (
     SAMPLE_ELEMENT_CAP,
@@ -26,7 +28,6 @@ from fiberdim.thermo import (
     lyapunov_fiber,
     lyapunov_fiber_exact,
     lyapunov_fiber_table_mc,
-    lyapunov_marginal,
     marginal_entropy,
     measure_stats,
     potential_approx_error,
@@ -35,10 +36,10 @@ from fiberdim.thermo import (
     realized_table,
 )
 
-from oracles import (gibbs_constant_hat, potential_mean, symbol_marginal,
-                     variational_gap, whole_draw_lyapunov_fiber,
-                     whole_draw_lyapunov_fiber_table_mc,
-                     whole_draw_lyapunov_marginal, word_log_mass)
+from oracles import (gibbs_constant_hat, lyapunov_marginal, potential_mean,
+                     symbol_marginal, variational_gap,
+                     whole_draw_lyapunov_fiber,
+                     whole_draw_lyapunov_fiber_table_mc, word_log_mass)
 
 LOG2 = math.log(2.0)
 
@@ -346,17 +347,20 @@ class TestMarginalEntropy:
 
 class TestLyapunov:
     def test_golden_dirac_marginal(self):
+        # M = 1: every digit is 1, so x = 1/phi and chi = 2 log phi
         g = gibbs_markov(ConstantPotential(0.0), 1)
-        mc = lyapunov_marginal(g, 1, n_samples=50, orbit_len=60, rng_seed=0)
         phi = (1 + math.sqrt(5)) / 2
-        assert mc.value == pytest.approx(2 * math.log(phi), abs=1e-4)
-        assert mc.se == 0.0
+        for which in (1, 2):
+            assert lyapunov_marginal_exact(g, which).value == pytest.approx(
+                2 * math.log(phi), abs=1e-14)
 
     def test_silver_dirac_marginal(self):
+        # pruned codes: only (2, 2) lives, so x = sqrt(2) - 1
         table = TablePotential.from_dict(2, {(2, 2): 0.0})
         g = gibbs_markov(table, 2)
-        mc = lyapunov_marginal(g, 2, n_samples=50, orbit_len=60, rng_seed=0)
-        assert mc.value == pytest.approx(2 * math.log(1 + math.sqrt(2)), abs=1e-8)
+        assert (g.stationary == 0).sum() == 3
+        chi = lyapunov_marginal_exact(g, 2).value
+        assert chi == pytest.approx(2 * math.log(1 + math.sqrt(2)), abs=1e-14)
 
     def test_fiber_mc_agrees_with_exact(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
@@ -375,27 +379,63 @@ class TestLyapunov:
     def test_blocked_estimates_match_whole_draw(self, conj, monkeypatch,
                                                 M, L, block):
         g = gibbs_markov(GeometricPotential(conj, 0.8), M, L)
-        refs = [whole_draw_lyapunov_marginal(g, which, 203, 50, 5)
-                for which in (1, 2)]
         ref_table = whole_draw_lyapunov_fiber_table_mc(g, 203, 50, 6)
         ref_fiber = whole_draw_lyapunov_fiber(g, conj, 203, 10, 7)
         monkeypatch.setattr(systems, "COMPOSITION_BLOCK", block)
-        assert [lyapunov_marginal(g, which, 203, 50, 5)
-                for which in (1, 2)] == refs
         assert lyapunov_fiber_table_mc(g, 203, 50, 6) == ref_table
         assert lyapunov_fiber(g, conj, 203, 10, 7) == ref_fiber
 
-    def test_marginal_peak(self, conj):
-        # 4000 x 100 orbit terms, one row block at a time: 1.9 MB traced,
-        # where whole-draw float arrays read 10.5 MB
-        g = gibbs_markov(GeometricPotential(conj, 1.0), 4, 2)
-        tracemalloc.start()
-        try:
-            lyapunov_marginal(g, 1, 4000, 100, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4e6
+
+class TestExactMarginalExponent:
+    """chi_1 and chi_2 from the Chebyshev moment fixed point."""
+
+    @pytest.mark.parametrize("L", [1, 2])
+    @pytest.mark.parametrize("variant", ["inverse_conjugate", "inverse_square",
+                                         "similarity"])
+    def test_agrees_with_monte_carlo(self, variant, L):
+        system = make_system(variant)
+        g = gibbs_markov(GeometricPotential(system, 1.0), 3, L)
+        for which in (1, 2):
+            exact = lyapunov_marginal_exact(g, which).value
+            mc = lyapunov_marginal(g, which, 4000, 100, 10 * L + which)
+            assert abs(exact - mc.value) <= 4 * mc.se
+
+    def test_pruned_codes_agree_with_monte_carlo(self):
+        # two forbidden 2-words leave codes of stationary mass zero
+        table = TablePotential.from_dict(2, {
+            (sym1, sym2): 0.1 * (sym1[0] + 2 * sym2[1])
+            for sym1 in ((1, 1), (1, 2), (2, 1), (2, 2))
+            for sym2 in ((1, 1), (1, 2), (2, 1), (2, 2))
+            if (sym1, sym2) not in (((2, 1), (1, 1)), ((1, 2), (2, 2)))})
+        g = gibbs_markov(table, 2)
+        assert (g.transition == 0).any()
+        for which in (1, 2):
+            exact = lyapunov_marginal_exact(g, which).value
+            mc = lyapunov_marginal(g, which, 4000, 100, which)
+            assert abs(exact - mc.value) <= 4 * mc.se
+
+    @pytest.mark.parametrize("variant, M, L", [("inverse_conjugate", 4, 2),
+                                               ("inverse_square", 4, 2),
+                                               ("similarity", 2, 1)])
+    def test_moment_count_converged(self, monkeypatch, variant, M, L):
+        g = gibbs_markov(GeometricPotential(make_system(variant), 1.0), M, L)
+        full = [lyapunov_marginal_exact(g, which).value for which in (1, 2)]
+        monkeypatch.setattr(moments, "MOMENT_COUNT", 16)
+        short = [lyapunov_marginal_exact(g, which).value for which in (1, 2)]
+        assert short == pytest.approx(full, abs=1e-12)
+
+    def test_sweep_cap_raises(self, conj, monkeypatch):
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
+        sweeps = lyapunov_marginal_exact(g, 1).sweeps
+        monkeypatch.setattr(moments, "MOMENT_SWEEP_CAP", sweeps - 1)
+        with pytest.raises(ExponentNotConverged, match=f"{sweeps - 1} sweeps"):
+            lyapunov_marginal_exact(g, 1)
+        monkeypatch.setattr(moments, "MOMENT_SWEEP_CAP", sweeps)
+        assert lyapunov_marginal_exact(g, 1).sweeps == sweeps
+
+    def test_coordinate_validation(self, bernoulli):
+        with pytest.raises(InvalidWord):
+            lyapunov_marginal_exact(bernoulli, 3)
 
 
 class TestDerivativeIdentity:
@@ -482,8 +522,7 @@ class TestSampling:
 class TestMeasureStats:
     def test_summary_consistency(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
-        stats = measure_stats(g, conj, n_samples=500, orbit_len=60,
-                              rng_seed=0)
+        stats = measure_stats(g, conj, n_samples=500, rng_seed=0)
         assert stats.h_mu == pytest.approx(entropy(g))
         assert stats.h_mu1 <= stats.h_mu and stats.h_mu2 <= stats.h_mu
         assert stats.chi_T == pytest.approx(lyapunov_fiber_exact(g))
@@ -493,6 +532,19 @@ class TestMeasureStats:
         assert stats.entropy_width == max(b.value - b.lower for b in brackets)
         assert stats.entropy_width <= thermo.ENTROPY_TOL
         assert stats.entropy_depth == max(b.depth for b in brackets)
+        exponents = [lyapunov_marginal_exact(g, which) for which in (1, 2)]
+        assert (stats.chi1, stats.chi2) == tuple(e.value for e in exponents)
+        assert stats.moment_sweeps == max(e.sweeps for e in exponents)
+
+    def test_geometric_summary_draws_nothing(self, conj, monkeypatch):
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2, 2)
+        first = measure_stats(g, conj, rng_seed=0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a geometric summary must not draw")
+
+        monkeypatch.setattr(GibbsApprox, "_draw", forbidden)
+        assert measure_stats(g, conj, rng_seed=12345) == first
 
     def test_sample_element_cap(self, conj, monkeypatch):
         # the cap is checked before any draw: the sampler here only reports
@@ -503,15 +555,15 @@ class TestMeasureStats:
         def reached(*args, **kwargs):
             raise Reached
 
-        g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
+        # a constant potential: chi_T is the Monte Carlo fiber estimate
+        g = gibbs_markov(ConstantPotential(0.0), 2)
         monkeypatch.setattr(GibbsApprox, "_draw", reached)
         at_cap = SAMPLE_ELEMENT_CAP // (88 + thermo.CONTEXT_DEPTH)
         with pytest.raises(Reached):
-            measure_stats(g, conj, n_samples=at_cap, orbit_len=88)
-        for kwargs, knob in (
-                ({"n_samples": at_cap + 1, "orbit_len": 88}, "orbit_len"),
-                ({"n_samples": 1000, "past_depth": 10 ** 5}, "past_depth"),
-                ({"n_samples": 10 ** 9}, "orbit_len")):
-            with pytest.raises(ConfigError, match=f"lower stats.n_samples "
-                                                  f"or stats.{knob}"):
+            measure_stats(g, conj, n_samples=at_cap, past_depth=88)
+        for kwargs in ({"n_samples": at_cap + 1, "past_depth": 88},
+                       {"n_samples": 1000, "past_depth": 10 ** 5},
+                       {"n_samples": 10 ** 9}):
+            with pytest.raises(ConfigError, match="lower stats.n_samples "
+                                                  "or stats.past_depth"):
                 measure_stats(g, conj, **kwargs)

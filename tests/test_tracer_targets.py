@@ -26,7 +26,9 @@ CASES = {
         {"thermo.pressure_cylinder_sum", "systems.fiber_points_bulk",
          "words.cf_value_float"}),
     "dimension": (
-        {"truncation": {"m_schedule": [2]},
+        # a constant potential: chi_T is the one stats quantity still drawn
+        {"potential": {"kind": "constant", "value": 0.0},
+         "truncation": {"m_schedule": [2]},
          "dimension": {"s_grid": [0.1, 0.6, 1.1]},
          "stats": {"n_samples": 100}},
         {"dimension.variational_sweep", "dimension.bowen",

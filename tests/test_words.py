@@ -13,7 +13,9 @@ from fiberdim.words import (Interval, cf_value_float,
                             induced_ifs_maps, is_integer, pair_alphabet,
                             pi_tilde, rho0_value)
 
-from oracles import RationalTermination, cf_map_derivative_mod, rho0_digits
+from oracles import (RationalTermination, cf_map_derivative_mod,
+                     fraction_derivative_sup, fraction_rho0_value,
+                     rho0_digits)
 
 
 def newton_sqrt(n: int, iterations: int = 8) -> Fraction:
@@ -82,6 +84,14 @@ class TestRho0Value:
     def test_empty_word_unit_interval(self):
         iv = rho0_value(())
         assert (iv.lo, iv.hi) == (0, 1)
+
+    def test_convergents_match_fraction_division(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            depth = int(rng.integers(0, 31))
+            word = tuple(int(d) for d in rng.integers(1, 10, size=depth))
+            iv = rho0_value(word)
+            assert (iv.lo, iv.hi) == fraction_rho0_value(word)
 
 
 class TestRho0Digits:
@@ -167,6 +177,16 @@ class TestInducedMaps:
         maps = induced_ifs_maps(3, 2)
         assert len(maps) == 2 * 3 * 2
         assert all(m.contraction_ok and m.derivative_sup < 1 for m in maps)
+
+    def test_integer_sup_matches_fraction_cells(self):
+        rng = np.random.default_rng(6)
+        for _ in range(60):
+            depth = int(rng.integers(1, 7))
+            word = tuple(int(d) for d in rng.integers(1, 6, size=depth))
+            subdivisions = int(rng.integers(1, 80))
+            sup = certify_derivative_sup(word, subdivisions)
+            assert isinstance(sup, Fraction)
+            assert sup == fraction_derivative_sup(word, subdivisions)
 
     def test_phi1_phi2_composite_contracts(self):
         sup = float(certify_derivative_sup((1, 2)))
