@@ -22,10 +22,9 @@ from .systems import (Disk, SimilaritySchedule, SmaleSystem, SystemReport,
                       make_system, pi2_hat, verify_system)
 from .moments import MarginalExponent, lyapunov_marginal_exact
 from .thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
-                     MarginalEntropy, McEstimate, MeasureStats,
-                     PressureEstimate, TablePotential, entropy,
-                     gibbs_markov, lyapunov_fiber, lyapunov_fiber_exact,
-                     marginal_entropy, measure_stats,
+                     MarginalEntropy, MeasureStats, PressureEstimate,
+                     TablePotential, entropy, gibbs_markov,
+                     lyapunov_fiber_exact, marginal_entropy, measure_stats,
                      pressure_cylinder_sum, pressure_derivative_check)
 from .dimension import (BowenResult, SummabilityReport, SweepResult,
                         bowen_dimension, branch_value, global_dimension,

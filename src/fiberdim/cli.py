@@ -110,10 +110,7 @@ def cmd_dimension(config: dict, out_dir: str):
                 f"infinite-alphabet depth-1 sum at s={s:g}: {verdict}")
     potential = build_potential(config, system, M)
     g = gibbs_markov(potential, M, tr["memory"])
-    st_cfg = config["stats"]
-    stats = measure_stats(g, system, n_samples=st_cfg["n_samples"],
-                          past_depth=st_cfg["past_depth"],
-                          rng_seed=config["seed"])
+    stats = measure_stats(g, system, tr["memory"] or system.family.memory)
     if stats.entropy_width > ENTROPY_TOL:
         warnings.append(f"marginal entropy bracket width {stats.entropy_width:g}"
                         f" at depth {stats.entropy_depth} exceeds ENTROPY_TOL="
@@ -216,11 +213,14 @@ def cmd_verify(config: dict, out_dir: str):
         warnings.append("an induced composite is not certified contracting")
     fd, integral = pressure_derivative_check(
         system, vf["s"], vf["h_step"], max_digit=M, memory=tr["memory"])
-    diff = abs(fd - integral.value)
-    if diff > max(1e-3, 2.0 * integral.se):
+    diff = abs(fd - integral)
+    if diff > 1e-3:
         warnings.append(f"derivative check residual {diff:g} is large")
+    system_report = dataclasses.asdict(report)
+    if report.min_image_gap == math.inf:  # one symbol: no pair of images
+        system_report["min_image_gap"] = None
     results = {
-        "system_report": dataclasses.asdict(report),
+        "system_report": system_report,
         "induced_maps": {
             "count": len(maps),
             "all_contracting": bool(all(m.contraction_ok for m in maps)),
@@ -229,8 +229,9 @@ def cmd_verify(config: dict, out_dir: str):
         },
         "derivative_check": {
             "s": vf["s"], "h_step": vf["h_step"],
-            "finite_difference": fd, "integral": integral.value,
-            "integral_se": integral.se, "diff": diff,
+            "finite_difference": fd, "integral": integral,
+            # the integral is exact; benchmarks/gates.py still reads the key
+            "integral_se": 0.0, "diff": diff,
         },
     }
     return results, warnings, []

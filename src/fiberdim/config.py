@@ -118,10 +118,6 @@ FIELDS = {
         },
         "bowen_tol": (1e-6, number(gt=0)),
     },
-    "stats": {
-        "n_samples": (4000, number(integer=True, ge=100)),
-        "past_depth": (40, number(integer=True, ge=10)),
-    },
     "sample": {
         "target": ("fiber", one_of(*TARGETS)),
         "n_points": (None, or_null(number(integer=True, ge=1000))),

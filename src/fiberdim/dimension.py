@@ -64,7 +64,7 @@ def _fiber_dimension(system: SmaleSystem, s: float, max_digit: int,
                      memory: int = None) -> tuple:
     """(h/chi, chi, log pressure) of the geometric Gibbs state at s."""
     g = gibbs_markov(GeometricPotential(system, float(s)), max_digit, memory)
-    chi = lyapunov_fiber_exact(g)
+    chi = lyapunov_fiber_exact(g, system)
     if chi <= 0:
         raise DegenerateExponent(f"fiber exponent {chi} not positive")
     return entropy(g) / chi, chi, g.log_pressure

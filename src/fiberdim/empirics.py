@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, InsufficientScales
 from .systems import (CONTEXT_DEPTH, SmaleSystem, fiber_points_bulk,
                       pi_values_bulk, row_blocks)
-from .thermo import SAMPLE_ELEMENT_CAP, GibbsApprox, _rng
+from .thermo import GibbsApprox, _rng
 from .words import is_integer
 
 #: Cloud targets of ``sample_measure`` and z-coordinate charts of a cloud.
@@ -34,6 +34,15 @@ MIN_SCALE_COUNT = 50
 
 #: Lower radii are floored at this multiple of the cloud's coding error.
 CODING_FLOOR_FACTOR = 10.0
+
+#: Most sample elements, points times 2 * depth, that the chain draw of one
+#: cloud may hold.  A draw holds one byte per element up to M = 16, and its
+#: consumer one row block of digits and values at a time.  A `sample`
+#: command peaks at 1.5-1.8 bytes per element over a 40 MB base for global
+#: clouds and 1.0-1.1 for fiber clouds (100k-400k points at depth 30, M = 3,
+#: ru_maxrss), so the cap keeps a command near 0.2 GB.  The default
+#: 200k-point global cloud at depth 30 draws 1.2e7 elements.
+SAMPLE_ELEMENT_CAP = 100_000_000
 
 #: Rows that ``PointCloud.to_csv`` formats per write.
 _CSV_BLOCK = 4096

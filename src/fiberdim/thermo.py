@@ -61,16 +61,6 @@ POINT_TOL = 1e-13
 #: ``COMPOSITION_BLOCK`` digit elements.
 DRAW_CHUNK = 1 << 13
 
-#: Most sample elements that one chain draw may hold: points times 2 * depth
-#: for a cloud, samples times steps for each `measure_stats` draw.  A draw
-#: holds one byte per element up to M = 16, and its consumer one row block
-#: of digits and values at a time.  A `sample` command peaks at 1.5-1.8
-#: bytes per element over a 40 MB base for global clouds and 1.0-1.1 for
-#: fiber clouds (100k-400k points at depth 30, M = 3, ru_maxrss), so the cap
-#: keeps a command near 0.2 GB.  The default 200k-point global cloud at
-#: depth 30 draws 1.2e7 elements.
-SAMPLE_ELEMENT_CAP = 100_000_000
-
 #: Most entries of a digit-marginal sweep array, an 8-byte float each.
 MARGINAL_SWEEP_CAP = 5 * 10 ** 7
 
@@ -276,20 +266,6 @@ def _realize(potential, M: int, memory, L: int):
 # ---------------------------------------------------------------------------
 # transfer-matrix Gibbs construction
 
-@dataclass
-class McEstimate:
-    """Monte Carlo scalar with its normal-approximation standard error."""
-
-    value: float
-    se: float
-
-    @classmethod
-    def from_samples(cls, values: np.ndarray) -> "McEstimate":
-        """Mean of independent per-sample values with se = std / sqrt(n)."""
-        return cls(float(values.mean()),
-                   float(values.std(ddof=1) / math.sqrt(len(values))))
-
-
 @dataclass(eq=False)
 class GibbsApprox:
     """Stationary Markov Gibbs state on k-word states of the truncation.
@@ -300,10 +276,9 @@ class GibbsApprox:
     (i mod A^(k-1)) * A + a with probability ``transition[i mod A^(k-1), a]``
     and reversed slot a to a * A^(k-1) + i // A with probability
     ``reverse[i // A, a]``.  ``log_pressure`` is the log Perron root of the
-    weight operator.  ``log_derivative`` is the realized log|T'| table for a
-    geometric potential and None otherwise.  The health fields record the
-    Perron solve: its iteration count, the relative right and left
-    eigen-residuals, and the l1 stationarity residual |pi P - pi|.
+    weight operator.  The health fields record the Perron solve: its
+    iteration count, the relative right and left eigen-residuals, and the l1
+    stationarity residual |pi P - pi|.
     """
 
     max_digit: int
@@ -314,7 +289,6 @@ class GibbsApprox:
     reverse: np.ndarray = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
-    log_derivative: np.ndarray | None = field(repr=False)
     potential_error: float = 0.0
     perron_iterations: int = 0
     perron_residual: tuple = (0.0, 0.0)
@@ -637,7 +611,6 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
         max_digit=M, memory=L,
         log_pressure=float(np.log(rho) + m0), n_states=int(alive.sum()),
         transition=P, reverse=Q, stationary=pi, gram=gram,
-        log_derivative=base if isinstance(potential, GeometricPotential) else None,
         potential_error=err,
         perron_iterations=iterations, perron_residual=res,
         stationarity_residual=stat_res,
@@ -794,50 +767,31 @@ def marginal_entropy(g: GibbsApprox, which: int) -> MarginalEntropy:
 # ---------------------------------------------------------------------------
 # Lyapunov exponents
 
-def lyapunov_fiber(g: GibbsApprox, system: SmaleSystem, n_samples: int = 4000,
-                   past_depth: int = 40, rng_seed=0) -> McEstimate:
-    """Monte Carlo -int log|T'| at fiber points from backward sampling,
-    one ``row_blocks`` block of codes at a time."""
-    if past_depth < 10:
-        raise InvalidWord("past_depth must be >= 10")
-    forward = max(CONTEXT_DEPTH, g.memory)
-    past, fwd = g.sample_two_sided(past_depth, forward, n_samples, rng_seed)
-    log_d = np.empty(n_samples)
-    for rows in row_blocks(n_samples, past_depth + forward):
-        log_d[rows] = fiber_log_derivatives(
-            system, *g.digits(past[rows]), *g.digits(fwd[rows]), CONTEXT_DEPTH)
-    return McEstimate.from_samples(-log_d)
+def lyapunov_fiber_exact(g: GibbsApprox, system: SmaleSystem,
+                         memory: int = None) -> float:
+    """Exact chain expectation -int log|T'| d mu of the realized table.
 
-
-def lyapunov_fiber_exact(g: GibbsApprox) -> float:
-    """Exact chain expectation -int of the realized log-derivative table.
-
-    Defined for geometric potentials only; this is the exponent the
-    dimension formulas use so that pressure, entropy, and the exponent obey
-    the exact chain identities.
+    The log|T'| table is realized at memory L = max(g.memory, memory), and
+    the chain's L-word masses come from pushing its stationary law through
+    the forward slot table L - g.memory times.  A Hoelder two-sided
+    potential is cohomologous to a one-sided one (Bowen, LNM 470, Lemma
+    1.6), so these finite-memory expectations converge to int log|T'| d mu
+    as L grows, whatever potential built the chain.  For a geometric chain
+    at its own memory the table is the chain's own, so pressure, entropy
+    and this exponent obey the exact chain identities.  The table may hold
+    no more words than a chain holds states, ``STATE_CAP``, checked first.
     """
-    if g.log_derivative is None:
-        raise ConfigError("exact fiber exponent needs a geometric potential")
-    return float(-(g.stationary @ g.log_derivative))
-
-
-def lyapunov_fiber_table_mc(g: GibbsApprox, n_samples: int = 4000,
-                            orbit_len: int = 50, rng_seed=0) -> McEstimate:
-    """Monte Carlo of the realized table integrand along chain orbits, one
-    ``row_blocks`` block of L-word codes at a time."""
-    if g.log_derivative is None:
-        raise ConfigError("table Monte Carlo needs a geometric potential")
-    A, L = g.alphabet_size, g.memory
-    steps = orbit_len + L - 1
-    codes = g.sample_forward(steps, n_samples, rng_seed)
-    per_orbit = np.empty(n_samples)
-    for rows in row_blocks(n_samples, steps):
-        block = codes[rows]
-        word = np.zeros((len(block), orbit_len), dtype=np.int64)
-        for i in range(L):
-            word = word * A + block[:, i : i + orbit_len]
-        per_orbit[rows] = (-g.log_derivative[word]).mean(axis=1)
-    return McEstimate.from_samples(per_orbit)
+    L = max(g.memory, memory or g.memory)
+    if g.alphabet_size ** L > STATE_CAP:
+        raise EnumerationCapExceeded(
+            f"{g.alphabet_size ** L} words of the log|T'| table exceed the cap "
+            f"{STATE_CAP}; lower the memory")
+    rows = g.alphabet_size ** (g.memory - 1)
+    mass = g.stationary
+    for _ in range(L - g.memory):
+        # a word's next symbol reads the slot row of its last memory - 1
+        mass = (mass.reshape(-1, rows)[:, :, None] * g.transition).ravel()
+    return float(-(mass @ realized_table(system, g.max_digit, L)))
 
 
 # ---------------------------------------------------------------------------
@@ -845,14 +799,12 @@ def lyapunov_fiber_table_mc(g: GibbsApprox, n_samples: int = 4000,
 
 def pressure_derivative_check(system: SmaleSystem, s: float,
                               h_step: float = 1e-3, max_digit: int = 3,
-                              memory: int = None, n_samples: int = None,
-                              orbit_len: int = 50, rng_seed=0):
+                              memory: int = None):
     """(fd, integral): centered pressure difference vs int log|T'| d mu.
 
-    ``fd`` differentiates the realized pressure in s.  The integral is an
-    ``McEstimate`` of the chain expectation of the realized log-derivative:
-    exact with se 0.0 when n_samples is None, Monte Carlo over chain orbits
-    otherwise.  Both sides therefore refer to the same realized potential.
+    ``fd`` differentiates the realized pressure in s, and ``integral`` is
+    the exact chain expectation of the realized log-derivative, so both
+    sides refer to the same realized potential.
     """
     if not (math.isfinite(h_step) and h_step > 0):
         raise ConfigError(f"h_step must be finite and > 0, got {h_step!r}")
@@ -862,10 +814,7 @@ def pressure_derivative_check(system: SmaleSystem, s: float,
     p_lo = gibbs_markov(GeometricPotential(system, s - h_step), max_digit, memory)
     fd = (p_hi.log_pressure - p_lo.log_pressure) / (2.0 * h_step)
     g = gibbs_markov(GeometricPotential(system, s), max_digit, memory)
-    if n_samples is None:
-        return fd, McEstimate(-lyapunov_fiber_exact(g), 0.0)
-    mc = lyapunov_fiber_table_mc(g, n_samples, orbit_len, rng_seed)
-    return fd, McEstimate(-mc.value, mc.se)
+    return fd, -lyapunov_fiber_exact(g, system)
 
 
 @dataclass(frozen=True)
@@ -894,36 +843,17 @@ class MeasureStats:
 
 
 def measure_stats(g: GibbsApprox, system: SmaleSystem,
-                  n_samples: int = 4000, past_depth: int = 40,
-                  rng_seed=0) -> MeasureStats:
+                  memory: int = None) -> MeasureStats:
     """Assemble the entropy/exponent summary of one Gibbs state.
 
-    The entropies and chi1, chi2 are exact chain quantities.  chi_T uses the
-    exact table expectation when the potential is geometric (keeping the
-    summary consistent with the dimension formulas), so such a summary draws
-    nothing and does not depend on the seed; otherwise it falls back to the
-    Monte Carlo fiber estimate.  A fiber draw of more than
-    ``SAMPLE_ELEMENT_CAP`` elements raises ``ConfigError`` before any work,
-    whatever the potential.
+    Every entry is an exact chain quantity, so a summary draws nothing and
+    does not depend on a seed.  chi_T is ``lyapunov_fiber_exact`` with the
+    log|T'| table realized at ``memory`` (at least the chain's own).
     """
-    context = max(CONTEXT_DEPTH, g.memory)
-    elements = n_samples * (past_depth + context)
-    if elements > SAMPLE_ELEMENT_CAP:
-        raise ConfigError(
-            f"n_samples {n_samples} x (past_depth {past_depth} + {context}) = "
-            f"{elements} sample elements exceed the cap {SAMPLE_ELEMENT_CAP}; "
-            "lower stats.n_samples or stats.past_depth")
     h = entropy(g)
     h1, h2 = marginal_entropy(g, 1), marginal_entropy(g, 2)
     chi1, chi2 = lyapunov_marginal_exact(g, 1), lyapunov_marginal_exact(g, 2)
-    if g.log_derivative is not None:
-        chi_T = lyapunov_fiber_exact(g)
-    else:
-        # the fiber exponent's stream is the third of three spawned from the
-        # seed, as it was beside two digit-exponent draws: same seed, same
-        # bytes
-        ss = np.random.SeedSequence(rng_seed).spawn(3)
-        chi_T = lyapunov_fiber(g, system, n_samples, past_depth, ss[2]).value
+    chi_T = lyapunov_fiber_exact(g, system, memory)
     return MeasureStats(h_mu=h, h_mu1=min(h1.value, h), h_mu2=min(h2.value, h),
                         chi1=chi1.value, chi2=chi2.value, chi_T=chi_T,
                         lambda1=math.exp(-chi1.value),

@@ -2,8 +2,8 @@
 extraction, dimension parts, the shell-sum fit of the summability
 threshold, Fraction-arithmetic copies of the rational certificates, the
 Gibbs sandwich constant, closed-form similarity dimensions, fiber limit
-sets, the Monte Carlo digit-marginal exponent and whole-draw copies of the
-blocked chain-draw consumers.
+sets, the Monte Carlo digit-marginal and fiber exponents, and whole-draw
+copies of the blocked chain-draw consumers.
 
 Each is a short formula over the package's public data that no program
 path needs; the tests that check the package against them import them
@@ -12,6 +12,7 @@ from here.
 
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +23,9 @@ from fiberdim.errors import (ConfigError, DomainError, EnumerationCapExceeded,
                              InvalidWord)
 from fiberdim.systems import (CONTEXT_DEPTH, fiber_log_derivatives,
                               fiber_points_bulk, pi_values_bulk)
-from fiberdim.thermo import (ConstantPotential, GeometricPotential, McEstimate,
-                             entropy, gibbs_markov, lyapunov_fiber_exact)
+from fiberdim.thermo import (ConstantPotential, GeometricPotential, entropy,
+                             gibbs_markov, lyapunov_fiber_exact,
+                             realized_table)
 from fiberdim.words import (ENUMERATION_CAP, cf_value_float, check_digit,
                             check_pair_word, enumerate_pair_words, is_integer)
 
@@ -32,6 +34,20 @@ RATIONAL_EPS = Fraction(1, 10**12)
 
 #: Truncations whose depth-1 shell sums ``shell_tail_slopes`` fits.
 SHELL_SCHEDULE = (4, 8, 16, 32, 64)
+
+
+@dataclass
+class McEstimate:
+    """Monte Carlo scalar with its normal-approximation standard error."""
+
+    value: float
+    se: float
+
+    @classmethod
+    def from_samples(cls, values: np.ndarray) -> "McEstimate":
+        """Mean of independent per-sample values with se = std / sqrt(n)."""
+        return cls(float(values.mean()),
+                   float(values.std(ddof=1) / math.sqrt(len(values))))
 
 
 class RationalTermination(Exception):
@@ -141,7 +157,7 @@ def fiber_measure_dimension(system, s: float, max_digit: int,
                             memory: int = None) -> float:
     """h/chi of the geometric Gibbs state on the truncation, chi exact."""
     g = gibbs_markov(GeometricPotential(system, float(s)), max_digit, memory)
-    return entropy(g) / lyapunov_fiber_exact(g)
+    return entropy(g) / lyapunov_fiber_exact(g, system)
 
 
 def analytic_similarity_dimension(system, max_digit: int, s: float,
@@ -363,18 +379,24 @@ def lyapunov_marginal(g, which: int, n_samples: int, orbit_len: int,
 
 def whole_draw_lyapunov_fiber(g, system, n_samples: int, past_depth: int,
                               rng_seed) -> McEstimate:
-    """``lyapunov_fiber`` with every stage on the whole draw."""
+    """Monte Carlo -int log|T'| d mu at fiber points: ``past_depth`` past
+    symbols drawn from the reversed chain pin each point, and log|T'| reads
+    CONTEXT_DEPTH forward symbols, all on the whole draw."""
     past, fwd = g.sample_two_sided(past_depth, max(CONTEXT_DEPTH, g.memory),
                                    n_samples, rng_seed)
     return McEstimate.from_samples(-fiber_log_derivatives(
         system, *g.digits(past), *g.digits(fwd), CONTEXT_DEPTH))
 
 
-def whole_draw_lyapunov_fiber_table_mc(g, n_samples: int, orbit_len: int,
+def whole_draw_lyapunov_fiber_table_mc(g, system, n_samples: int,
+                                       orbit_len: int,
                                        rng_seed) -> McEstimate:
-    """``lyapunov_fiber_table_mc`` with every stage on the whole draw."""
+    """Monte Carlo of ``thermo.lyapunov_fiber_exact`` at the chain's memory:
+    per orbit the average of minus the realized log|T'| table over
+    ``orbit_len`` L-words of a forward chain orbit, on the whole draw."""
+    table = realized_table(system, g.max_digit, g.memory)
     codes = g.sample_forward(orbit_len + g.memory - 1, n_samples, rng_seed)
     word = np.zeros((n_samples, orbit_len), dtype=np.int64)
     for i in range(g.memory):
         word = word * g.alphabet_size + codes[:, i : i + orbit_len]
-    return McEstimate.from_samples((-g.log_derivative[word]).mean(axis=1))
+    return McEstimate.from_samples((-table[word]).mean(axis=1))

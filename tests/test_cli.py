@@ -15,6 +15,7 @@ from fiberdim import cli, thermo
 from fiberdim.cli import run
 from fiberdim.config import load_config
 from fiberdim.errors import ConfigError
+from fiberdim.systems import make_system
 from fiberdim.thermo import HEALTH_TOL, GibbsApprox
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,9 +27,14 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"record holds {name}, which is not JSON")
+
+
 def read_record(out_dir, command):
+    """The record, parsed strictly: NaN and Infinity fail the test."""
     with open(out_dir / f"{command}_record.json", "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 class TestPressureCommand:
@@ -81,7 +87,7 @@ class TestPressureCommand:
         assert len(record["config_hash"]) == 64
         # defaults the user file did not mention are echoed back merged
         assert record["config"]["system"]["variant"] == "inverse_conjugate"
-        assert record["config"]["stats"]["n_samples"] == 4000
+        assert record["config"]["verify"]["samples"] == 4000
         assert record["config"]["truncation"]["depth"] == 3
         assert record["files"] == ["pressure.csv"]
         assert record["started"] <= record["finished"]
@@ -112,7 +118,7 @@ INVALID_DOCUMENTS = {
     "too_many_items": '{"sample": {"window": [0.01, 0.1, 8, 9]}}',
     "float_scale_count": '{"sample": {"window": [0.01, 0.1, 8.7]}}',
     "nested_unknown_key": '{"dimension": {"s_range": {"step": 0.1}}}',
-    "non_object_section": '{"stats": 5}',
+    "non_object_section": '{"verify": 5}',
     "true_as_number": '{"potential": {"value": true}}',
     "float_depth": '{"truncation": {"depth": 6.0}}',
     "float_seed": '{"seed": 1.0}',
@@ -283,7 +289,6 @@ class TestDimensionCommand:
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.3, 0.45, 0.6, 0.75, 0.9],
                           "bowen_tol": 1e-9},
-            "stats": {"n_samples": 1000, "past_depth": 30},
         })
         out = tmp_path / "out"
         assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
@@ -312,18 +317,42 @@ class TestDimensionCommand:
         assert lines[0] == "s,delta"
         assert len(lines) == 6
 
-    def test_constant_potential_uses_monte_carlo_fiber_exponent(self, tmp_path):
+    def test_constant_potential_uses_exact_fiber_exponent(self, tmp_path):
         cfg = write_config(tmp_path, {
             "potential": {"kind": "constant", "value": 0.0},
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.6, 0.9, 1.2]},
-            "stats": {"n_samples": 300, "past_depth": 30},
         })
         out = tmp_path / "out"
         assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
         stats = read_record(out, "dimension")["results"]["stats"]
         assert stats["h_mu"] == pytest.approx(math.log(4), abs=1e-12)
-        assert stats["chi_T"] > 0
+        # the log|T'| table is realized at memory 1, the configured memory
+        g = thermo.gibbs_markov(thermo.ConstantPotential(0.0), 2, 1)
+        assert stats["chi_T"] == thermo.lyapunov_fiber_exact(
+            g, make_system("inverse_conjugate"), 1)
+
+    def test_constant_potential_record_ignores_the_seed(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "system": {"variant": "inverse_square"},
+            "potential": {"kind": "constant", "value": 0.0},
+            "truncation": {"m_schedule": [2]},
+            "dimension": {"s_grid": [0.6, 0.9, 1.2]},
+        })
+        results = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"out{seed}"
+            assert run(["dimension", "--config", cfg, "--out", str(out),
+                        "--seed", seed]) == 0
+            results.append(json.dumps(
+                read_record(out, "dimension")["results"], sort_keys=True))
+        assert results[0] == results[1]
+
+    def test_stats_section_is_unknown(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"stats": {"n_samples": 4000}})
+        assert run(["dimension", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key 'stats'" in capsys.readouterr().err
 
     def test_duplicate_grid_points_exit_2(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -338,30 +367,12 @@ class TestDimensionCommand:
         assert run(["dimension", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2
 
-    def test_stats_element_cap_exits_2_before_any_draw(self, tmp_path,
-                                                       monkeypatch, capsys):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the stats must be rejected before any draw")
-
-        monkeypatch.setattr(GibbsApprox, "sample_two_sided", forbidden)
-        monkeypatch.setattr(GibbsApprox, "sample_forward", forbidden)
-        cfg = write_config(tmp_path, {
-            "truncation": {"m_schedule": [2], "memory": 1},
-            "dimension": {"s_grid": [0.6, 0.9, 1.2]},
-            "stats": {"n_samples": 10 ** 9},
-        })
-        assert run(["dimension", "--config", cfg,
-                    "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "lower stats.n_samples or stats.past_depth" in err
-
     def test_marginal_sweep_cap_stop_warns(self, tmp_path, monkeypatch):
         # M = 3, L = 2: the sweep arrays hold 3^n * 9^2 entries, 2187 at n = 3
         monkeypatch.setattr(thermo, "MARGINAL_SWEEP_CAP", 3 * 2187 - 1)
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [3]},
             "dimension": {"s_grid": [0.5, 0.7, 0.9]},
-            "stats": {"n_samples": 100},
         })
         out = tmp_path / "out"
         assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
@@ -377,7 +388,6 @@ class TestDimensionCommand:
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.6, 0.9, 1.2], "bowen_tol": 1e-6},
-            "stats": {"n_samples": 500, "past_depth": 30},
         })
         out = tmp_path / "out"
         assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
@@ -391,7 +401,6 @@ class TestDimensionCommand:
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.6, 0.9, 1.2]},
-            "stats": {"n_samples": 300, "past_depth": 30},
         })
         out = tmp_path / "out"
         assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
@@ -597,9 +606,12 @@ RECORD_DIGESTS = {
     "dimension_conjugate_small": (
         "dimension",
         "6ffcbedfc93929b96f1a95ad3567502f4630f0436bec3a48a48e28ee2f67cce1"),
+    # chi_T exact from the realized table: 4.567489758 (300 Monte Carlo
+    # draws) -> 4.538337562, global_dimension and both branch values
+    # 1.333432767 -> 1.335382398
     "dimension_constant_small": (
         "dimension",
-        "062322d711bab035d486f4d3b3fcb519ef9b3bc7c45dd92df555b0d8808ef871"),
+        "ba48fa5fb1319f178933ffe75881b3e60c0edad97a8ed96869e51a4b38db2618"),
 }
 
 
@@ -609,12 +621,12 @@ def _record_config(name):
         return json.loads(path.read_text())
     small = {"truncation": {"m_schedule": [2], "memory": 2},
              "dimension": {"s_grid": [0.6, 0.9, 1.2]},
-             "stats": {"n_samples": 300, "past_depth": 30},
              "seed": 3}
     if name == "dimension_conjugate_small":
         # realizes log|T'|: exact exponents, no draw
         return {"system": {"variant": "inverse_conjugate"}, **small}
-    # no realized table: chi_T comes from lyapunov_fiber
+    # chi_T reads the log|T'| table realized at memory 2 with the constant
+    # chain's masses pushed to 2-words
     return {"system": {"variant": "inverse_square"},
             "potential": {"kind": "constant", "value": 0.0}, **small}
 
@@ -659,6 +671,15 @@ class TestVerifyCommand:
         check = record["results"]["derivative_check"]
         assert check["diff"] <= 1e-3
         assert record["warnings"] == []
+
+    def test_one_symbol_min_image_gap_is_null(self, tmp_path):
+        # M = 1 has one depth-1 image and no pair to separate
+        cfg = write_config(tmp_path, {"truncation": {"m_schedule": [1]}})
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+        report = read_record(out, "verify")["results"]["system_report"]
+        assert report["min_image_gap"] is None
+        assert report["osc_ok"] is True
 
 
 class TestThreads:
@@ -716,18 +737,16 @@ class TestStartup:
 
     @pytest.mark.parametrize("potential, draws", [
         ({"kind": "geometric", "s": 1.0}, False),
-        ({"kind": "constant", "value": 0.0}, True)])
+        ({"kind": "constant", "value": 0.0}, False)])
     def test_dimension_samples_only_for_chi_T(self, tmp_path, potential,
                                               draws):
-        # a fresh interpreter runs a dimension command: a geometric potential
-        # has exact exponents and never loads numpy.random, a constant one
-        # still draws its Monte Carlo fiber exponent
+        # a fresh interpreter runs a dimension command: every exponent is
+        # exact, so whatever the potential it never loads numpy.random
         src = Path(cli.__file__).parents[1]
         cfg = write_config(tmp_path, {
             "potential": potential,
             "truncation": {"m_schedule": [2], "memory": 1},
             "dimension": {"s_grid": [0.6, 0.9, 1.2]},
-            "stats": {"n_samples": 200, "past_depth": 20},
         })
         out = tmp_path / "out"
         probe = ("import sys; from fiberdim.cli import run; "

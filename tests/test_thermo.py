@@ -1,5 +1,6 @@
 """Transfer-operator states, pressure, entropies, exponents."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -14,20 +15,18 @@ from fiberdim.errors import (
     NonPrimitive,
     PerronNotConverged,
 )
-from fiberdim import moments, systems, thermo
+from fiberdim import moments, thermo
 from fiberdim.moments import lyapunov_marginal_exact
 from fiberdim.systems import SimilaritySchedule, make_system
+from fiberdim.words import pair_alphabet
 from fiberdim.thermo import (
-    SAMPLE_ELEMENT_CAP,
     ConstantPotential,
     GeometricPotential,
     GibbsApprox,
     TablePotential,
     entropy,
     gibbs_markov,
-    lyapunov_fiber,
     lyapunov_fiber_exact,
-    lyapunov_fiber_table_mc,
     marginal_entropy,
     measure_stats,
     potential_approx_error,
@@ -38,8 +37,7 @@ from fiberdim.thermo import (
 
 from oracles import (gibbs_constant_hat, lyapunov_marginal, potential_mean,
                      symbol_marginal, variational_gap,
-                     whole_draw_lyapunov_fiber,
-                     whole_draw_lyapunov_fiber_table_mc, word_log_mass)
+                     whole_draw_lyapunov_fiber, word_log_mass)
 
 LOG2 = math.log(2.0)
 
@@ -364,26 +362,66 @@ class TestLyapunov:
 
     def test_fiber_mc_agrees_with_exact(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
-        exact = lyapunov_fiber_exact(g)
-        mc = lyapunov_fiber(g, conj, n_samples=4000, past_depth=40, rng_seed=1)
+        exact = lyapunov_fiber_exact(g, conj)
+        mc = whole_draw_lyapunov_fiber(g, conj, 4000, 40, 1)
         assert abs(mc.value - exact) <= 3 * mc.se + 2e-3
 
-    def test_exact_requires_geometric(self, bernoulli):
-        with pytest.raises(ConfigError):
-            lyapunov_fiber_exact(bernoulli)
 
-    # COMPOSITION_BLOCK values that force one-row blocks, a few rows per
-    # block with a partial last one, and the default
-    @pytest.mark.parametrize("block", [1, 1000, systems.COMPOSITION_BLOCK])
-    @pytest.mark.parametrize("M, L", [(2, 1), (2, 2), (17, 1)])
-    def test_blocked_estimates_match_whole_draw(self, conj, monkeypatch,
-                                                M, L, block):
-        g = gibbs_markov(GeometricPotential(conj, 0.8), M, L)
-        ref_table = whole_draw_lyapunov_fiber_table_mc(g, 203, 50, 6)
-        ref_fiber = whole_draw_lyapunov_fiber(g, conj, 203, 10, 7)
-        monkeypatch.setattr(systems, "COMPOSITION_BLOCK", block)
-        assert lyapunov_fiber_table_mc(g, 203, 50, 6) == ref_table
-        assert lyapunov_fiber(g, conj, 203, 10, 7) == ref_fiber
+#: chains of memory 1 whose potential is not log|T'|
+NON_GEOMETRIC = {
+    "constant": ConstantPotential(0.0),
+    "table": TablePotential.from_dict(2, {(1, 1): 0.0, (1, 2): 0.3,
+                                          (2, 1): -0.2, (2, 2): 0.5}),
+}
+
+
+class TestExactFiberExponent:
+    """chi_T of any chain from the realized log|T'| table."""
+
+    @pytest.mark.parametrize("potential", sorted(NON_GEOMETRIC))
+    @pytest.mark.parametrize("variant", ["inverse_conjugate", "inverse_square"])
+    def test_memory_ladder_converges_to_fiber_points(self, variant, potential):
+        system = make_system(variant)
+        g = gibbs_markov(NON_GEOMETRIC[potential], 2)
+        chi = [lyapunov_fiber_exact(g, system, L) for L in (2, 3, 4)]
+        assert abs(chi[2] - chi[1]) < abs(chi[1] - chi[0])
+        mc = whole_draw_lyapunov_fiber(g, system, 10 ** 5, 40, 11)
+        assert abs(chi[2] - mc.value) <= 3 * mc.se + 1e-3
+
+    @pytest.mark.parametrize("variant, M, L", [("inverse_conjugate", 2, 2),
+                                               ("inverse_square", 3, 1),
+                                               ("similarity", 2, 1)])
+    def test_geometric_chain_reads_its_own_table(self, variant, M, L):
+        system = make_system(variant)
+        g = gibbs_markov(GeometricPotential(system, 0.8), M, L)
+        expected = -(g.stationary @ realized_table(system, M, g.memory))
+        assert measure_stats(g, system).chi_T == expected
+        assert measure_stats(g, system, g.memory).chi_T == expected
+
+    @pytest.mark.parametrize("potential, memory", [
+        (NON_GEOMETRIC["table"], None),
+        (GeometricPotential(make_system("inverse_conjugate"), 1.0), 2)])
+    def test_pushed_masses_are_word_masses(self, conj, potential, memory):
+        g = gibbs_markov(potential, 2, memory)
+        L = g.memory + 2
+        # word codes count the symbols in this order, first most significant
+        mass = np.exp([word_log_mass(g, word) for word in
+                       itertools.product(pair_alphabet(2), repeat=L)])
+        assert lyapunov_fiber_exact(g, conj, L) == pytest.approx(
+            -(mass @ realized_table(conj, 2, L)), rel=1e-13)
+
+    def test_table_cap_checked_before_realizing(self, conj, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the table must be rejected before any work")
+
+        monkeypatch.setattr(thermo, "realized_table", forbidden)
+        g = gibbs_markov(ConstantPotential(0.0), 9)  # 81 states, 6561 2-words
+        with pytest.raises(EnumerationCapExceeded, match="6561 words"):
+            lyapunov_fiber_exact(g, conj, 2)
+
+    def test_memory_below_the_chain_is_the_chain(self, conj):
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2, 3)
+        assert lyapunov_fiber_exact(g, conj, 1) == lyapunov_fiber_exact(g, conj)
 
 
 class TestExactMarginalExponent:
@@ -441,10 +479,9 @@ class TestExactMarginalExponent:
 class TestDerivativeIdentity:
     def test_exact_chain_identity(self, conj):
         fd, integral = pressure_derivative_check(conj, 1.0, max_digit=2)
-        assert abs(fd - integral.value) <= 1e-8
-        assert integral.value == pytest.approx(
-            -lyapunov_fiber_exact(gibbs_markov(GeometricPotential(conj, 1.0), 2)))
-        assert integral.se == 0.0
+        assert abs(fd - integral) <= 1e-8
+        assert integral == -lyapunov_fiber_exact(
+            gibbs_markov(GeometricPotential(conj, 1.0), 2), conj)
 
     def test_step_guard(self, conj):
         with pytest.raises(ConfigError):
@@ -522,10 +559,10 @@ class TestSampling:
 class TestMeasureStats:
     def test_summary_consistency(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
-        stats = measure_stats(g, conj, n_samples=500, rng_seed=0)
+        stats = measure_stats(g, conj)
         assert stats.h_mu == pytest.approx(entropy(g))
         assert stats.h_mu1 <= stats.h_mu and stats.h_mu2 <= stats.h_mu
-        assert stats.chi_T == pytest.approx(lyapunov_fiber_exact(g))
+        assert stats.chi_T == lyapunov_fiber_exact(g, conj)
         assert stats.lambda1 == pytest.approx(math.exp(-stats.chi1))
         assert stats.lambda2 == pytest.approx(math.exp(-stats.chi2))
         brackets = [marginal_entropy(g, which) for which in (1, 2)]
@@ -538,32 +575,10 @@ class TestMeasureStats:
 
     def test_geometric_summary_draws_nothing(self, conj, monkeypatch):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2, 2)
-        first = measure_stats(g, conj, rng_seed=0)
+        first = measure_stats(g, conj)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a geometric summary must not draw")
 
         monkeypatch.setattr(GibbsApprox, "_draw", forbidden)
-        assert measure_stats(g, conj, rng_seed=12345) == first
-
-    def test_sample_element_cap(self, conj, monkeypatch):
-        # the cap is checked before any draw: the sampler here only reports
-        # that it was reached, so nothing of the rejected size is allocated
-        class Reached(Exception):
-            pass
-
-        def reached(*args, **kwargs):
-            raise Reached
-
-        # a constant potential: chi_T is the Monte Carlo fiber estimate
-        g = gibbs_markov(ConstantPotential(0.0), 2)
-        monkeypatch.setattr(GibbsApprox, "_draw", reached)
-        at_cap = SAMPLE_ELEMENT_CAP // (88 + thermo.CONTEXT_DEPTH)
-        with pytest.raises(Reached):
-            measure_stats(g, conj, n_samples=at_cap, past_depth=88)
-        for kwargs in ({"n_samples": at_cap + 1, "past_depth": 88},
-                       {"n_samples": 1000, "past_depth": 10 ** 5},
-                       {"n_samples": 10 ** 9}):
-            with pytest.raises(ConfigError, match="lower stats.n_samples "
-                                                  "or stats.past_depth"):
-                measure_stats(g, conj, **kwargs)
+        assert measure_stats(g, conj) == first

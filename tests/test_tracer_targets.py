@@ -26,14 +26,11 @@ CASES = {
         {"thermo.pressure_cylinder_sum", "systems.fiber_points_bulk",
          "words.cf_value_float"}),
     "dimension": (
-        # a constant potential: chi_T is the one stats quantity still drawn
         {"potential": {"kind": "constant", "value": 0.0},
          "truncation": {"m_schedule": [2]},
-         "dimension": {"s_grid": [0.1, 0.6, 1.1]},
-         "stats": {"n_samples": 100}},
+         "dimension": {"s_grid": [0.1, 0.6, 1.1]}},
         {"dimension.variational_sweep", "dimension.bowen",
-         "dimension.summability_scan", "thermo.measure_stats",
-         "thermo.sample_chain"}),
+         "dimension.summability_scan", "thermo.measure_stats"}),
     "sample": (
         {"truncation": {"m_schedule": [2]},
          "sample": {"n_points": 2000, "depth": 20, "n_centers": 20}},
