@@ -13,7 +13,9 @@ import datetime
 import json
 import math
 import os
+import platform
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -299,6 +301,8 @@ def run(argv=None) -> int:
         "config": config,
         "started": started,
         "finished": _now(),
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__},
         "results": results,
         "warnings": warnings,
         "files": [os.path.basename(f) for f in files],
@@ -309,8 +313,23 @@ def run(argv=None) -> int:
     return 0
 
 
-def main() -> int:
-    return run(sys.argv[1:])
+def main() -> NoReturn:
+    """Console entry: run the command, flush, and end the process at once.
+
+    The exit code is passed to `os._exit`, so CPython's exit-time cleanup
+    (module teardown and the freeing of every object) is skipped; it costs
+    tens of milliseconds a command and does nothing this package needs.  The
+    early exit relies on an invariant: every file a command writes is closed
+    by a `with` block before `run` returns, and the package registers no
+    atexit hook and starts no thread or child process.  Argparse's
+    SystemExit, an uncaught exception and a failing flush still leave
+    through the normal interpreter exit.  Library callers and tests call
+    `run`, which returns the exit code.
+    """
+    code = run(sys.argv[1:])
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -9,10 +9,17 @@ reproducible on its own.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
 import operator
+
+try:  # the interpreter's built-in SHA-256, as `random` imports it: no OpenSSL
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython < 3.12
+    except ImportError:
+        from hashlib import sha256
 
 from .empirics import CHARTS, TARGETS
 from .errors import ConfigError
@@ -192,7 +199,7 @@ def canonical_json(config: dict) -> str:
 
 def config_hash(config: dict) -> str:
     """sha256 over the canonicalized effective config."""
-    return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

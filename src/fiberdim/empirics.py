@@ -205,11 +205,12 @@ def neighbour_counts(points: np.ndarray, centers: np.ndarray,
     a squared distance above r * r and only the distance test decides.
     """
     axis = int(np.argmax(np.ptp(points, axis=0)))
-    order = np.argsort(points[:, axis], kind="stable")
+    # tied keys may land in any order: a slab holds all of them or none
+    order = np.argsort(points[:, axis])
     cols = [np.ascontiguousarray(points[order, k])
             for k in range(points.shape[1])]
     key = cols[axis]
-    pad = radii + 1e-9 * (radii + np.abs(key).max())
+    pad = radii + 1e-9 * (radii + max(abs(key[0]), abs(key[-1])))
     c_axis = centers[:, axis]
     lo = np.searchsorted(key, c_axis - pad[:, None], side="left")
     hi = np.searchsorted(key, c_axis + pad[:, None], side="right")

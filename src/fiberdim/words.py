@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EnumerationCapExceeded, InvalidWord
+
+if TYPE_CHECKING:  # imported where used: `fractions` loads `decimal`
+    from fractions import Fraction
 
 #: Hard cap on enumerated pair words.
 ENUMERATION_CAP = 10_000_000
@@ -105,6 +108,7 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
+        from fractions import Fraction
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
@@ -145,6 +149,7 @@ def rho0_value(word) -> Interval:
     The enclosure width is bounded by the product of per-step derivative
     sups.
     """
+    from fractions import Fraction
     w = check_digit_word(word)
     p, p_prev, q, q_prev = 0, 1, 1, 0
     for d in w:
@@ -219,6 +224,7 @@ def certify_derivative_sup(word, subdivisions: int = 256) -> Fraction:
     compared by cross-multiplying, so the bound is rigorous and no fraction
     is normalised before the last.
     """
+    from fractions import Fraction
     w = check_digit_word(word)
     if not w:
         raise InvalidWord("word must be nonempty")

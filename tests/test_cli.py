@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from fiberdim import cli, thermo
 from fiberdim.cli import run
-from fiberdim.config import load_config
+from fiberdim.config import canonical_json, config_hash, load_config
 from fiberdim.errors import ConfigError
 from fiberdim.systems import make_system
 from fiberdim.thermo import HEALTH_TOL, GibbsApprox
@@ -91,6 +92,15 @@ class TestPressureCommand:
         assert record["config"]["truncation"]["depth"] == 3
         assert record["files"] == ["pressure.csv"]
         assert record["started"] <= record["finished"]
+        # library versions sit beside the timestamps, outside the hash
+        assert record["versions"] == {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__}
+
+    def test_config_hash_is_sha256_of_canonical_json(self):
+        config = load_config({"seed": 7, "truncation": {"m_schedule": [2, 3]}})
+        assert config_hash(config) == hashlib.sha256(
+            canonical_json(config).encode()).hexdigest()
 
     def test_records_are_strict_json(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -708,8 +718,11 @@ class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         # a fresh interpreter, run from the directory that holds the package
         src = Path(cli.__file__).parents[1]
+        # nor OpenSSL (config_hash uses the built-in SHA-256) nor decimal
+        # (fractions loads only for exact certificates)
         probe = ("import sys, fiberdim.cli; print(sorted(m for m in sys.modules "
-                 "if m.split('.')[0] in ('scipy', 'jsonschema')))")
+                 "if m.split('.')[0] in ('scipy', 'jsonschema', '_hashlib', "
+                 "'fractions', 'decimal')))")
         proc = subprocess.run([sys.executable, "-c", probe], cwd=src,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
@@ -779,6 +792,47 @@ class TestModuleEntryPoint:
         proc = subprocess.run(command, cwd=src, capture_output=True, text=True)
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+    def test_early_exit_loses_no_output(self, tmp_path):
+        # the entry ends the process with os._exit: the piped record path,
+        # the record and the cloud CSV must all be complete by then
+        src = Path(cli.__file__).parents[1]
+        cfg = write_config(tmp_path, {
+            "truncation": {"m_schedule": [2], "memory": 1},
+            "sample": {"target": "fiber", "n_points": 3000, "depth": 25,
+                       "n_centers": 50},
+        })
+        piped, direct = tmp_path / "piped", tmp_path / "direct"
+        # a block-buffered stdout, whatever the calling environment sets
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fiberdim.cli", "sample", "--config", cfg,
+             "--out", str(piped)], cwd=src, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{piped / 'sample_record.json'}\n".encode()
+        assert run(["sample", "--config", cfg, "--out", str(direct)]) == 0
+        record = read_record(piped, "sample")
+        assert record["results"] == read_record(direct, "sample")["results"]
+        assert record["files"] == ["cloud_fiber.csv"]
+        assert ((piped / "cloud_fiber.csv").read_bytes()
+                == (direct / "cloud_fiber.csv").read_bytes())
+
+    def test_numeric_failure_exits_1_with_its_message(self, tmp_path):
+        # the config of TestConfigErrors.test_reducible_table_exits_1
+        src = Path(cli.__file__).parents[1]
+        cfg = write_config(tmp_path, {
+            "potential": {"kind": "table",
+                          "table": [[[[1, 1], [1, 1]], 0.0],
+                                    [[[2, 2], [2, 2]], 0.0]]},
+            "truncation": {"m_schedule": [2], "depth": 4},
+        })
+        proc = subprocess.run(
+            [sys.executable, "-m", "fiberdim.cli", "pressure", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            cwd=src, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "numeric failure: NonPrimitive" in proc.stderr
 
 
 class TestConsoleScript:
