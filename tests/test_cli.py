@@ -573,6 +573,19 @@ VERIFY_DIGESTS = {
         "1479bafce1fd9af5de8eb604cd97ef1b0a8a9798c33788c9a6d513d0cd864b75",
     "similarity_3":
         "1e38f03ca7a4e2d9aa72ad9b7cefb46c347779e368c6838b3454bbe290db7985",
+    "similarity_two_ratio_3":
+        "952fb8ad5dc1c0852e8c83660f46c699c1d2583e12df5b7b1003b4832b58f651",
+    "similarity_custom_3":
+        "df3000ed72fd84d19f82ca6bdce660599ce5024554523d8fcbf83ce8e8e0554f",
+}
+
+# finite similarity schedules of three digits: two ratios on the grid, and a
+# custom table whose ratios grow with m + n
+_SCHEDULES_3 = {
+    "two_ratio": {"kind": "two_ratio", "grid_digit": 3},
+    "custom": {"kind": "custom", "table": [
+        [m, n, 0.04 * (m + n), -0.5 + 0.5 * (m - 1), -0.5 + 0.5 * (n - 1)]
+        for m in range(1, 4) for n in range(1, 4)]},
 }
 
 
@@ -586,7 +599,10 @@ def _verify_config(name):
     if name == "square_3":
         return {"system": {"variant": "inverse_square"},
                 "truncation": {"m_schedule": [3]}, **small}
-    return {"system": {"variant": "similarity"},
+    system = {"variant": "similarity"}
+    if name != "similarity_3":  # the default geometric schedule
+        system["schedule"] = _SCHEDULES_3[name[len("similarity_"):-len("_3")]]
+    return {"system": system,
             "truncation": {"m_schedule": [3], "memory": 1}, **small}
 
 
@@ -622,6 +638,17 @@ RECORD_DIGESTS = {
     "dimension_constant_small": (
         "dimension",
         "ba48fa5fb1319f178933ffe75881b3e60c0edad97a8ed96869e51a4b38db2618"),
+    "dimension_two_ratio": (
+        "dimension",
+        "54f2f8eb64161a9cfdcaade7d2bc9c3d4f44cefa6d3b3b7bebca98ca57d151a5"),
+    "dimension_custom": (
+        "dimension",
+        "9e2b60fac3f8ec2fbf9a0bc6a2b8d2853c4e387270d2ed2ff1601f10c0c681f2"),
+    # the geometric schedule at memory 1, as the pressure_scan benchmark
+    # workload runs it (there at depth 7)
+    "pressure_similarity_geometric": (
+        "pressure",
+        "a2caf93ea862086495c93ee24d13e8acbc455cf4e6001dc9bd4a610f89fca75f"),
 }
 
 
@@ -632,6 +659,16 @@ def _record_config(name):
     small = {"truncation": {"m_schedule": [2], "memory": 2},
              "dimension": {"s_grid": [0.6, 0.9, 1.2]},
              "seed": 3}
+    if name == "pressure_similarity_geometric":
+        return {"system": {"variant": "similarity",
+                           "schedule": {"kind": "geometric"}},
+                "potential": {"kind": "geometric", "s": 1.0},
+                "truncation": {"m_schedule": [2, 3], "memory": 1, "depth": 5}}
+    if name in ("dimension_two_ratio", "dimension_custom"):
+        return {"system": {"variant": "similarity",
+                           "schedule": _SCHEDULES_3[name[len("dimension_"):]]},
+                "truncation": {"m_schedule": [3], "memory": 1},
+                "dimension": {"s_grid": [0.4, 0.7, 1.0]}, "seed": 3}
     if name == "dimension_conjugate_small":
         # realizes log|T'|: exact exponents, no draw
         return {"system": {"variant": "inverse_conjugate"}, **small}
