@@ -9,17 +9,16 @@ states and pressure (``thermo``), dimension formulas
 """
 
 from .errors import (BracketFailure, ConfigError, DegenerateExponent,
-                     DomainError, DomainEscape, EnumerationCapExceeded,
+                     DomainEscape, EnumerationCapExceeded,
                      ExponentNotConverged, FiberdimError, InsufficientScales,
                      InvalidWord, NonPrimitive, PerronNotConverged,
                      SummabilityFailure)
 from .words import (Box, ComposedMap, Interval, cf_value_float,
-                    certify_derivative_sup,
-                    enumerate_pair_words, induced_ifs_maps, pair_alphabet,
+                    certify_derivative_sup, induced_ifs_maps, pair_alphabet,
                     pi_tilde, rho0_value)
 from .systems import (Disk, SimilaritySchedule, SmaleSystem, SystemReport,
-                      fiber_derivative_mod, fiber_map, image_disk,
-                      make_system, pi2_hat, verify_system)
+                      fiber_map, image_disk, make_system, pi2_hat,
+                      verify_system)
 from .moments import MarginalExponent, lyapunov_marginal_exact
 from .thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
                      MarginalEntropy, MeasureStats, PressureEstimate,

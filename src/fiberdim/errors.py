@@ -9,10 +9,6 @@ class InvalidWord(FiberdimError, ValueError):
     """A symbolic word violates the alphabet contract (digits >= 1, etc.)."""
 
 
-class DomainError(FiberdimError, ValueError):
-    """Argument of a base map lies outside [0, 1)."""
-
-
 class EnumerationCapExceeded(FiberdimError):
     """A word enumeration would produce more items than the configured cap."""
 

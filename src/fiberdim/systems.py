@@ -71,6 +71,11 @@ def invert_disk(disk: Disk) -> Disk:
 # ---------------------------------------------------------------------------
 # similarity ratio/translation schedules
 
+#: Digits <= this of the infinite ``geometric`` schedule are checked one by
+#: one (``_probe``); ``_Similarity.validate`` bounds every larger digit at once.
+PROBE_DIGIT = 4
+
+
 @dataclass(frozen=True)
 class SimilaritySchedule:
     """Per-symbol contraction ratios and translations for similarity systems.
@@ -109,52 +114,10 @@ class SimilaritySchedule:
                     f"<= K, each listed once, not {symbols}")
         if not (0.0 < self.inner_factor <= 0.5):
             raise ConfigError("inner factor must lie in (0, 1/2]")
-        for r in map(self.ratio_of, self.ratio_symbols()):
+        # the geometric ratios fall with m + n, so its probe holds the largest
+        for r in _probe(self)[0][1:, 1:].ravel() / self.inner_factor:
             if not (0.0 < r < 1.0 / 3.0):
-                raise ConfigError(f"ratio {r} outside (0, 1/3)")
-
-    def ratio_symbols(self):
-        """Symbols that carry every ratio the schedule uses."""
-        return pair_alphabet(self.digit_limit if self.kind == "custom" else 2)
-
-    def _custom_row(self, symbol):
-        for row in self.table:
-            if (row[0], row[1]) == symbol:
-                return row
-        raise InvalidWord(f"symbol {symbol} not in custom schedule")
-
-    def ratio_of(self, symbol) -> float:
-        m, n = symbol
-        if self.kind == "geometric":
-            return float(self.base) ** -(m + n)
-        if self.kind == "equal":
-            return self.ratio
-        if self.kind == "two_ratio":
-            return self.ratio_a if m == 1 else self.ratio_b
-        return float(self._custom_row(symbol)[2])
-
-    def translation_of(self, symbol) -> complex:
-        m, n = symbol
-        if self.kind == "geometric":
-            # dyadic packing: gaps shrink like 2^-m while image radii shrink
-            # like 2^-(m+n)-1, so neighbouring images never touch
-            u = 1.0 - 2.0 ** (1 - m)
-            v = 1.0 - 2.0 ** (1 - n)
-            return complex(0.6 * u - 0.3, 0.6 * v - 0.3)
-        if self.kind in ("equal", "two_ratio"):
-            G = self.grid_digit
-            if not (1 <= m <= G and 1 <= n <= G):
-                raise InvalidWord(f"symbol {symbol} outside grid truncation {G}")
-            if G == 1:
-                return 0j
-            step = 1.0 / (G - 1)
-            return complex(-0.5 + (m - 1) * step, -0.5 + (n - 1) * step)
-        row = self._custom_row(symbol)
-        return complex(row[3], row[4])
-
-    def modulus_of(self, symbol) -> float:
-        """Derivative modulus of the symbol's map: its ratio times the inner factor."""
-        return self.ratio_of(symbol) * self.inner_factor
+                raise ConfigError(f"ratio {r:g} outside (0, 1/3)")
 
     @property
     def digit_limit(self) -> float:
@@ -164,6 +127,43 @@ class SimilaritySchedule:
         if self.kind == "custom":
             return math.isqrt(len(self.table))
         return self.grid_digit
+
+    def tables(self, max_digit):
+        """(modulus, translation) arrays indexed [m, n] for the digits <= M,
+        the modulus being the ratio times ``inner_factor``; digit 0 holds
+        zeros.  InvalidWord when M passes ``digit_limit``."""
+        M = check_max_digit(max_digit)
+        if M > self.digit_limit:
+            raise InvalidWord(f"truncation {M} exceeds the schedule's digit "
+                              f"limit {self.digit_limit}")
+        ratio = np.zeros((M + 1, M + 1))
+        tr = np.zeros_like(ratio, dtype=complex)
+        if self.kind == "custom":
+            for m, n, r, re, im in self.table:
+                if m <= M and n <= M:  # a digit may be a float such as 2.0
+                    ratio[int(m), int(n)], tr[int(m), int(n)] = r, complex(re, im)
+            return ratio * self.inner_factor, tr
+        d = np.arange(1, M + 1)
+        if self.kind == "geometric":
+            powers = np.array([float(self.base) ** -k for k in range(2 * M + 1)])
+            ratio[1:, 1:] = powers[d[:, None] + d]
+            # dyadic packing: gaps shrink like 2^-m while image radii shrink
+            # like 2^-(m+n)-1, so neighbouring images never touch
+            axis = 0.6 * (1.0 - np.ldexp(1.0, 1 - d)) - 0.3
+        else:  # equal or two_ratio: centers on the uniform grid
+            ratio[1:, 1:] = (self.ratio if self.kind == "equal" else
+                             np.where(d[:, None] == 1, self.ratio_a, self.ratio_b))
+            G = self.grid_digit
+            axis = (d - 1) * (1.0 / (G - 1)) - 0.5 if G > 1 else np.zeros(M)
+        tr[1:, 1:].real, tr[1:, 1:].imag = axis[:, None], axis
+        return ratio * self.inner_factor, tr
+
+
+def _probe(schedule: SimilaritySchedule):
+    """Tables of every symbol of a finite schedule, and of the digits
+    <= ``PROBE_DIGIT`` of the infinite ``geometric`` one."""
+    limit = schedule.digit_limit
+    return schedule.tables(PROBE_DIGIT if limit == math.inf else limit)
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +192,6 @@ class FiberFamily:
         """Coefficient of one context word: the exact translate value of its
         first ``depth`` symbols, the midpoint of their cylinder."""
         return pi_tilde(word[:depth]).mid
-
-    def digit_limit(self, system) -> float:
-        return math.inf
-
-    def alphabet(self, system, max_digit) -> tuple:
-        """Symbols of the M-truncation; InvalidWord when M passes the digit limit."""
-        M = check_max_digit(max_digit)
-        limit = self.digit_limit(system)
-        if M > limit:
-            raise InvalidWord(
-                f"truncation {M} exceeds the schedule's digit limit {limit}")
-        return pair_alphabet(M)
 
     def moduli(self, system, max_digit):
         """Derivative modulus per symbol of the M-alphabet; None if it varies."""
@@ -324,35 +312,24 @@ class _Similarity(FiberFamily):
     def derivative_mod(self, w, c):
         return c[0]
 
-    def _tables(self, system, max_digit):
-        """(modulus, translation) lookup arrays indexed [m, n] over the M-alphabet."""
-        symbols = self.alphabet(system, max_digit)
-        mod = np.zeros((max_digit + 1, max_digit + 1))
-        tr = np.zeros_like(mod, dtype=complex)
-        for sym in symbols:
-            mod[sym], tr[sym] = self.coeff_at(system, (sym,))
-        return mod, tr
-
     def coefficients(self, system, m_rows, n_rows):
         m, n = m_rows[..., 0], n_rows[..., 0]
-        mod, tr = self._tables(system, int(max(m.max(), n.max())))
+        mod, tr = system.schedule.tables(int(max(m.max(), n.max())))
         return mod[m, n], tr[m, n]
 
     def coeff_at(self, system, word, depth=CONTEXT_DEPTH):
         """(modulus, translation) of the word's first symbol."""
         if not word:
             raise InvalidWord("pair word must be nonempty")
-        symbol = check_pair_symbol(word[0])
-        return system.schedule.modulus_of(symbol), system.schedule.translation_of(symbol)
-
-    def digit_limit(self, system):
-        return system.schedule.digit_limit
+        m, n = check_pair_symbol(word[0])
+        mod, tr = system.schedule.tables(max(m, n))
+        return float(mod[m, n]), complex(tr[m, n])
 
     def moduli(self, system, max_digit):
-        return self._tables(system, max_digit)[0][1:, 1:].ravel()
+        return system.schedule.tables(max_digit)[0][1:, 1:].ravel()
 
     def one_step_sup(self, domain, schedule):
-        return max(map(schedule.modulus_of, schedule.ratio_symbols()))
+        return float(_probe(schedule)[0].max())
 
     def distortion(self, domain):
         return 0.0, 1.0
@@ -370,34 +347,33 @@ class _Similarity(FiberFamily):
         rc, t = self.coeff_at(system, (symbol,))
         return Disk(t + rc * system.domain.center, rc * system.domain.radius)
 
-    def validate(self, system, probe_digit: int = 4):
+    def validate(self, system):
         """Images of the domain must stay inside it, on every symbol.
 
         A finite schedule is checked symbol by symbol.  The infinite
-        geometric kind is checked on the digits <= ``probe_digit``, and on
+        geometric kind is checked on the digits <= ``PROBE_DIGIT``, and on
         every symbol with a larger digit through one bound: its translation
-        lies in the square [-0.3, 0.3]^2 of ``translation_of`` and its
-        modulus is at most base^-(probe_digit + 2) * inner_factor, so its
-        image lies within the farthest corner of that square from the center
-        c plus that modulus times |c| + r.
+        lies in the square [-0.3, 0.3]^2 of the dyadic packing and its
+        modulus is at most that of (1, PROBE_DIGIT + 1), so its image lies
+        within the farthest corner of that square from the center c plus
+        that modulus times |c| + r.
         """
         schedule = system.schedule
-        limit = schedule.digit_limit
-        mod, tr = self._tables(system, probe_digit if limit == math.inf else limit)
+        mod, tr = _probe(schedule)
         c, r = system.domain.center, system.domain.radius
         escape = np.abs(tr + mod * c - c) + mod * r > r + 1e-12
         escape[0, :] = escape[:, 0] = False  # no symbol has digit 0
         if escape.any():
             sym = tuple(int(d) for d in np.argwhere(escape)[0])
             raise ConfigError(f"similarity image for symbol {sym} escapes the domain")
-        if limit == math.inf:
+        if schedule.digit_limit == math.inf:
             corner = max(abs(complex(x, y) - c)
                          for x in (-0.3, 0.3) for y in (-0.3, 0.3))
-            reach = corner + (schedule.base ** -(probe_digit + 2)
-                              * schedule.inner_factor * (abs(c) + r))
+            bound = schedule.tables(PROBE_DIGIT + 1)[0][1, -1]
+            reach = corner + bound * (abs(c) + r)
             if reach > r + 1e-12:
                 raise ConfigError(
-                    f"similarity images of symbols with a digit above {probe_digit} "
+                    f"similarity images of symbols with a digit above {PROBE_DIGIT} "
                     f"may reach {reach:.6g} from the center, past the radius {r:g}")
 
 
@@ -490,15 +466,6 @@ def fiber_map(system: SmaleSystem, word, w: complex,
     if not system.domain.contains(img, tol=ESCAPE_TOL):
         raise DomainEscape(f"image {img} escaped the fiber domain")
     return img
-
-
-def fiber_derivative_mod(system: SmaleSystem, word, w: complex,
-                         depth: int = CONTEXT_DEPTH) -> float:
-    """One-step derivative modulus of a context word's map at a domain point."""
-    if not system.domain.contains(w, tol=ESCAPE_TOL):
-        raise DomainEscape(f"argument {w} outside the fiber domain")
-    family = system.family
-    return family.derivative_mod(w, family.coeff_at(system, word, depth))
 
 
 def pi2_hat(system: SmaleSystem, past, forward, depth: int = CONTEXT_DEPTH):
@@ -666,7 +633,7 @@ def verify_system(system: SmaleSystem, max_digit: int,
     M = check_max_digit(max_digit)
     rng = np.random.default_rng(seed)
     family = system.family
-    alphabet = family.alphabet(system, M)
+    alphabet = pair_alphabet(M)
     tail_len = CONTEXT_DEPTH - 1
     tails = [((1, 1),) * tail_len, ((M, M),) * tail_len,
              tuple(map(tuple, rng.integers(1, M + 1, size=(tail_len, 2))))]

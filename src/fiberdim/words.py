@@ -15,7 +15,6 @@ collapse them.  Float fast paths for bulk numerics live in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -70,31 +69,6 @@ def pair_alphabet(max_digit: int) -> tuple[tuple[int, int], ...]:
     """All (m, n) pairs with digits <= max_digit, lexicographic by m then n."""
     M = check_max_digit(max_digit)
     return tuple((m, n) for m in range(1, M + 1) for n in range(1, M + 1))
-
-
-def split_pair_word(word):
-    """Component digit words (first coordinates, second coordinates)."""
-    w = check_pair_word(word)
-    return tuple(s[0] for s in w), tuple(s[1] for s in w)
-
-
-def pair_word_count(max_digit: int, depth: int) -> int:
-    return (check_max_digit(max_digit) ** 2) ** depth
-
-
-def enumerate_pair_words(max_digit: int, depth: int, cap: int = ENUMERATION_CAP):
-    """Iterate all pair words of the given depth in lexicographic order.
-
-    Raises EnumerationCapExceeded before yielding anything if the total count
-    (max_digit^2)^depth exceeds ``cap``.
-    """
-    if depth < 0:
-        raise InvalidWord("depth must be >= 0")
-    total = pair_word_count(max_digit, depth)
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"{total} pair words at depth {depth} exceed cap {cap}")
-    return itertools.product(pair_alphabet(max_digit), repeat=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +143,7 @@ def pi_tilde(word) -> Box:
     w = check_pair_word(word)
     if not w:
         raise InvalidWord("pair word must be nonempty")
-    m_digits, n_digits = split_pair_word(w)
+    m_digits, n_digits = zip(*w)
     tail_m = rho0_value(m_digits[1:])
     tail_n = rho0_value(n_digits[1:])
     return Box(

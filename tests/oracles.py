@@ -2,14 +2,16 @@
 extraction, dimension parts, the shell-sum fit of the summability
 threshold, Fraction-arithmetic copies of the rational certificates, the
 Gibbs sandwich constant, closed-form similarity dimensions, fiber limit
-sets, the Monte Carlo digit-marginal and fiber exponents, and whole-draw
-copies of the blocked chain-draw consumers.
+sets, the Monte Carlo digit-marginal and fiber exponents, whole-draw
+copies of the blocked chain-draw consumers, the pair-word enumeration and
+the checked one-step fiber derivative.
 
 Each is a short formula over the package's public data that no program
 path needs; the tests that check the package against them import them
 from here.
 """
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -19,15 +21,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fiberdim.dimension import branch_value, global_dimension
-from fiberdim.errors import (ConfigError, DomainError, EnumerationCapExceeded,
-                             InvalidWord)
-from fiberdim.systems import (CONTEXT_DEPTH, fiber_log_derivatives,
+from fiberdim.errors import (ConfigError, DomainEscape, EnumerationCapExceeded,
+                             FiberdimError, InvalidWord)
+from fiberdim.systems import (CONTEXT_DEPTH, ESCAPE_TOL, fiber_log_derivatives,
                               fiber_points_bulk, pi_values_bulk)
 from fiberdim.thermo import (ConstantPotential, GeometricPotential, entropy,
                              gibbs_markov, lyapunov_fiber_exact,
                              realized_table)
 from fiberdim.words import (ENUMERATION_CAP, cf_value_float, check_digit,
-                            check_pair_word, enumerate_pair_words, is_integer)
+                            check_max_digit, check_pair_word, is_integer,
+                            pair_alphabet)
 
 #: Gauss iterates below this are treated as exactly rational.
 RATIONAL_EPS = Fraction(1, 10**12)
@@ -50,6 +53,10 @@ class McEstimate:
                    float(values.std(ddof=1) / math.sqrt(len(values))))
 
 
+class DomainError(FiberdimError, ValueError):
+    """Argument of a base map lies outside [0, 1)."""
+
+
 class RationalTermination(Exception):
     """Digit extraction hit a (numerically) rational point.
 
@@ -59,6 +66,34 @@ class RationalTermination(Exception):
     def __init__(self, digits, message="continued fraction terminated"):
         self.digits = tuple(digits)
         super().__init__(f"{message} after {len(self.digits)} digit(s)")
+
+
+def pair_word_count(max_digit: int, depth: int) -> int:
+    return (check_max_digit(max_digit) ** 2) ** depth
+
+
+def enumerate_pair_words(max_digit: int, depth: int, cap: int = ENUMERATION_CAP):
+    """Iterate all pair words of the given depth in lexicographic order.
+
+    Raises EnumerationCapExceeded before yielding anything if the total count
+    (max_digit^2)^depth exceeds ``cap``.
+    """
+    if depth < 0:
+        raise InvalidWord("depth must be >= 0")
+    total = pair_word_count(max_digit, depth)
+    if total > cap:
+        raise EnumerationCapExceeded(
+            f"{total} pair words at depth {depth} exceed cap {cap}")
+    return itertools.product(pair_alphabet(max_digit), repeat=depth)
+
+
+def fiber_derivative_mod(system, word, w: complex,
+                         depth: int = CONTEXT_DEPTH) -> float:
+    """One-step derivative modulus of a context word's map at a domain point."""
+    if not system.domain.contains(w, tol=ESCAPE_TOL):
+        raise DomainEscape(f"argument {w} outside the fiber domain")
+    family = system.family
+    return family.derivative_mod(w, family.coeff_at(system, word, depth))
 
 
 def symbol_code(sym, max_digit: int) -> int:

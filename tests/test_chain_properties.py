@@ -28,9 +28,7 @@ from fiberdim.thermo import (  # noqa: E402
     _rng,
     gibbs_markov,
 )
-from fiberdim.words import enumerate_pair_words  # noqa: E402
-
-from oracles import digit_block_entropies  # noqa: E402
+from oracles import digit_block_entropies, enumerate_pair_words  # noqa: E402
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)

@@ -11,7 +11,6 @@ from fiberdim.errors import ConfigError, DomainEscape, InvalidWord
 from fiberdim.systems import (
     Disk,
     SimilaritySchedule,
-    fiber_derivative_mod,
     fiber_map,
     fiber_points_bulk,
     image_disk,
@@ -22,9 +21,10 @@ from fiberdim.systems import (
 )
 from fiberdim.thermo import (ConstantPotential, gibbs_markov,
                              periodic_log_derivatives)
-from fiberdim.words import enumerate_pair_words, pair_alphabet
+from fiberdim.words import pair_alphabet
 
-from oracles import default_symbol_sup, sample_fiber_limit_set
+from oracles import (default_symbol_sup, enumerate_pair_words,
+                     fiber_derivative_mod, sample_fiber_limit_set)
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +82,14 @@ class TestScheduleValidation:
 
     def test_grid_symbol_out_of_range(self):
         sched = SimilaritySchedule(kind="equal", ratio=0.2, grid_digit=2)
-        with pytest.raises(InvalidWord):
-            sched.translation_of((3, 1))
+        with pytest.raises(InvalidWord, match="truncation 3 exceeds the "
+                           "schedule's digit limit 2"):
+            sched.tables(3)
 
     def test_custom_missing_symbol(self):
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.25, 0.0, 0.0),))
-        with pytest.raises(InvalidWord):
-            sched.ratio_of((1, 2))
+        with pytest.raises(InvalidWord, match="digit limit 1"):
+            sched.tables(2)
 
     GRID = ((1, 1, 0.25, -0.5, -0.5), (1, 2, 0.25, -0.5, 0.5),
             (2, 1, 0.25, 0.5, -0.5), (2, 2, 0.25, 0.5, 0.5))
@@ -111,13 +112,60 @@ class TestScheduleValidation:
             make_system("similarity", center=-0.1 - 0.1j, radius=0.5)
         make_system("similarity")  # the unit disk holds every image
 
+    def test_custom_float_digits_index_the_table(self):
+        # the Python API admits a digit such as 2.0; the config rejects it
+        table = tuple((float(m), n, r, x, y) for m, n, r, x, y in self.GRID)
+        mod, tr = SimilaritySchedule(kind="custom", table=table).tables(2)
+        assert mod[2, 1] == 0.125 and tr[2, 1] == 0.5 - 0.5j
+
     def test_custom_digit_limit_is_table_side(self):
         assert SimilaritySchedule(kind="custom", table=self.GRID).digit_limit == 2
 
     def test_two_ratio_dispatch(self):
         sched = SimilaritySchedule(kind="two_ratio", ratio_a=0.125, ratio_b=0.0625)
-        assert sched.ratio_of((1, 2)) == 0.125
-        assert sched.ratio_of((2, 1)) == 0.0625
+        mod = sched.tables(2)[0]
+        assert mod[1, 2] == 0.125 * sched.inner_factor
+        assert mod[2, 1] == 0.0625 * sched.inner_factor
+
+    CUSTOM = tuple((m, n, 0.04 * (m + n), 0.1 * m, -0.1 * n)
+                   for m in range(1, 4) for n in range(1, 4))
+
+    @pytest.mark.parametrize("sched", [
+        SimilaritySchedule(base=3.0, inner_factor=0.25),
+        SimilaritySchedule(kind="equal", ratio=0.2, grid_digit=3),
+        SimilaritySchedule(kind="equal", ratio=0.2, grid_digit=1),
+        SimilaritySchedule(kind="two_ratio", ratio_a=0.3, ratio_b=0.1,
+                           grid_digit=4, inner_factor=0.4),
+        SimilaritySchedule(kind="custom", table=CUSTOM)],
+        ids=["geometric", "equal", "equal_1", "two_ratio", "custom"])
+    def test_tables_match_closed_forms(self, sched):
+        """Each entry is the kind's closed form; digit 0 holds zeros."""
+        K = sched.digit_limit
+        rows = {(m, n): (r, complex(re, im)) for m, n, r, re, im in sched.table}
+        for M in ((1, 2, 5) if K == math.inf else range(1, K + 1)):
+            mod, tr = sched.tables(M)
+            assert mod.shape == tr.shape == (M + 1, M + 1)
+            assert not mod[0].any() and not mod[:, 0].any()
+            assert not tr[0].any() and not tr[:, 0].any()
+            for m, n in pair_alphabet(M):
+                if sched.kind == "geometric":
+                    ratio = sched.base ** -(m + n)
+                    t = complex(0.6 * (1 - 2.0 ** (1 - m)) - 0.3,
+                                0.6 * (1 - 2.0 ** (1 - n)) - 0.3)
+                elif sched.kind == "custom":  # read at M < K too
+                    ratio, t = rows[m, n]
+                else:
+                    G = sched.grid_digit
+                    ratio = (sched.ratio if sched.kind == "equal" else
+                             sched.ratio_a if m == 1 else sched.ratio_b)
+                    t, step = 0j, 1.0 / max(G - 1, 1)
+                    if G > 1:
+                        t = complex(-0.5 + (m - 1) * step, -0.5 + (n - 1) * step)
+                assert mod[m, n] == ratio * sched.inner_factor
+                assert tr[m, n] == t
+        if K < math.inf:
+            with pytest.raises(InvalidWord, match=f"truncation {K + 1} exceeds"):
+                sched.tables(K + 1)
 
 
 class TestMakeSystem:
