@@ -102,7 +102,7 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
                    chart: str = "unit_square") -> PointCloud:
     """Draw a cloud from the chain: fiber, z-marginal, or joint 4-D.
 
-    Each sample is one two-sided chain realization; the forward word is
+    Each sample is one chain realization; the forward word is
     evaluated through the continued fraction coordinates at the cylinder
     midpoint and the past word through the fiber composition at the same
     context, so the two parts of a joint sample share their randomness the
@@ -132,9 +132,9 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     # leaves the past and those symbols as they are
     forward = (max(g.memory, CONTEXT_DEPTH - 1) if target == "fiber"
                else depth)
-    # a z-marginal point reads no past: its steps are drawn, not stored
-    past, fwd = g.sample_two_sided(depth, forward, n_points, seed,
-                                   keep_past=target != "z_marginal")
+    # a z-marginal point reads no past, so it draws none
+    past, fwd = g.sample_two_sided(0 if target == "z_marginal" else depth,
+                                   forward, n_points, seed)
     z_err = 2.0 ** (1 - depth)
     fiber_err = system.domain.diameter * system.contraction ** (-depth)
     points = np.empty((n_points, 4 if target == "global" else 2))

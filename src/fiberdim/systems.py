@@ -504,7 +504,7 @@ def image_disk(system: SmaleSystem, symbol, tail=None) -> Disk:
 # bulk evaluation (float fast path shared with the sampling layer)
 
 def pi_values_bulk(m_digits: np.ndarray, n_digits: np.ndarray) -> np.ndarray:
-    """Translate values for rows of pair digits, float continued fractions."""
+    """Translate values of pair-digit rows: continued fractions, tail 0.5."""
     out = np.empty(m_digits.shape[:-1], dtype=complex)
     out.real = m_digits[..., 0] + cf_value_float(m_digits[..., 1:])
     out.imag = n_digits[..., 0] + cf_value_float(n_digits[..., 1:])

@@ -155,22 +155,6 @@ def _word_code(word, max_digit: int) -> int:
     return code
 
 
-def _base_flat(table: TablePotential, L: int) -> np.ndarray:
-    """Unscaled values on L-words (first ``memory`` symbols decide)."""
-    M = table.max_digit
-    A = M * M
-    base = np.full(A ** table.memory, -np.inf)
-    for word, value in table.entries:
-        base[_word_code(word, M)] = value
-    reps = A ** (L - table.memory)
-    return np.repeat(base, reps)
-
-
-def _scaled(base: np.ndarray, scale: float) -> np.ndarray:
-    out = np.where(np.isneginf(base), -np.inf, scale * base)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # geometric realization
 
@@ -240,26 +224,28 @@ def potential_approx_error(system: SmaleSystem, memory: int) -> float:
     return system.distortion_bound * gap ** system.distortion_alpha
 
 
-def _realize(potential, M: int, memory, L: int):
-    """(base values on L-word codes, scale, approx_error).
+def _realize(potential, M: int, L: int):
+    """(log-weights on L-word codes, -inf where forbidden; approx_error).
 
-    ``L`` is ``_table_memory(potential, memory)``; a geometric base is the
-    cached realization itself, never a copy.
+    ``L`` is ``_table_memory(potential, memory)``; a table's first
+    ``memory`` symbols decide its value.
     """
     if isinstance(potential, ConstantPotential):
         if not math.isfinite(potential.value):
             raise ConfigError("table values must be finite")
-        return np.full((M * M) ** L, float(potential.value)), 1.0, 0.0
+        return np.full((M * M) ** L, float(potential.value)), 0.0
     if isinstance(potential, TablePotential):
         if potential.max_digit != M:
             raise ConfigError(
                 f"table truncation {potential.max_digit} does not match M={M}")
-        if memory is not None and memory < potential.memory:
-            raise ConfigError("requested memory below the table's own memory")
-        return _base_flat(potential, L), potential.scale, 0.0
+        A = M * M
+        gram = np.full(A ** potential.memory, -np.inf)
+        for word, value in potential.entries:
+            gram[_word_code(word, M)] = potential.scale * value
+        return np.repeat(gram, A ** (L - potential.memory)), 0.0
     if isinstance(potential, GeometricPotential):
         err = potential.s * potential_approx_error(potential.system, L)
-        return realized_table(potential.system, M, L), potential.s, err
+        return potential.s * realized_table(potential.system, M, L), err
     raise ConfigError(f"unknown potential kind {type(potential).__name__}")
 
 
@@ -342,8 +328,7 @@ class GibbsApprox:
         row, the reversed chain prepends it, and the row moves along with
         them.  Each step makes one ``rng.random(count)`` call and then works
         through ``DRAW_CHUNK`` draws at a time, so its arrays stay cache-sized.
-        ``out`` is a time-major buffer, or one row repeated to run steps whose
-        slots nobody reads.
+        ``out`` is a time-major buffer.
         """
         A = self.alphabet_size
         R = A ** (self.memory - 1)
@@ -359,17 +344,17 @@ class GibbsApprox:
                 row[part] = ((slot * R + row[part]) // A if backward
                              else (row[part] * A + slot) % R)
 
-    def _draw(self, n_past: int, n_forward: int, count: int, rng,
-              keep_past: bool = True):
-        """Time-major ``(past, forward)`` symbol-code buffers of one draw.
+    def sample_two_sided(self, n_past: int, n_forward: int, count: int, rng):
+        """Coupled past and forward symbol codes through the time-zero state.
 
         One ``rng.choice`` of the time-zero L-words, then one
-        ``rng.random(count)`` per step: the reversed chain fills the past,
-        most recent first, and the forward chain the forward word after its
-        first L symbols.  Codes are stored in the least unsigned dtype that
-        holds A - 1 (uint8 up to M = 16).  Without ``keep_past`` the past
-        steps still draw their uniforms, so the forward word is the same, but
-        they share one row and the past returned has no rows."""
+        ``rng.random(count)`` per step: the reversed chain of the stationary
+        Markov measure, the computable form of the conditional measures on
+        fibers, fills the past, most recent first, and the forward chain the
+        forward word after its first L symbols.  The ``(count, n)`` codes
+        returned are transposed views of time-major buffers, in the least
+        unsigned dtype that holds A - 1 (uint8 up to M = 16).
+        """
         rng = _rng(rng)
         L, A = self.memory, self.alphabet_size
         if n_forward < L:
@@ -377,35 +362,16 @@ class GibbsApprox:
         ahead, back = self._cums()
         code = rng.choice(len(self.stationary), size=count, p=self.stationary)
         dtype = np.min_scalar_type(A - 1)
-        past = np.empty((n_past if keep_past else 0, count), dtype=dtype)
-        steps = (past if keep_past
-                 else itertools.repeat(np.empty(count, dtype=dtype), n_past))
-        self._run(back, code // A, steps, rng, backward=True)
+        past = np.empty((n_past, count), dtype=dtype)
+        self._run(back, code // A, past, rng, backward=True)
         fwd = np.empty((n_forward, count), dtype=dtype)
         fwd[:L] = code // A ** np.arange(L - 1, -1, -1)[:, None] % A
         self._run(ahead, code % A ** (L - 1), fwd[L:], rng, backward=False)
-        return past, fwd
+        return past.T, fwd.T
 
     def sample_forward(self, n_symbols: int, count: int, rng) -> np.ndarray:
-        """Symbol codes of forward words drawn from the stationary chain, in
-        the least unsigned dtype that holds A - 1."""
-        return self._draw(0, n_symbols, count, rng)[1].T
-
-    def sample_two_sided(self, n_past: int, n_forward: int, count: int, rng,
-                         keep_past: bool = True):
-        """Coupled past and forward symbol codes through the time-zero state.
-
-        Past rows are most recent first; the reversed chain of the stationary
-        Markov measure generates the past, which is the computable form of
-        the conditional measures on fibers.  The ``(count, n)`` code arrays
-        returned are transposed views of the time-major ``_draw`` buffers, in
-        the least unsigned dtype that holds A - 1; ``digits`` turns a row
-        block of them into digits.  Without ``keep_past`` the past is drawn
-        but not stored: the forward codes are those of the full draw and the
-        past returned is ``(count, 0)``.
-        """
-        return tuple(codes.T for codes in
-                     self._draw(n_past, n_forward, count, rng, keep_past))
+        """The forward codes of ``sample_two_sided`` with no past."""
+        return self.sample_two_sided(0, n_symbols, count, rng)[1]
 
     def digits(self, codes):
         """(first, second) digit arrays of symbol codes, in their dtype."""
@@ -558,9 +524,12 @@ def _perron(w: np.ndarray, alive: np.ndarray, A: int):
 
 
 def _table_memory(potential, memory) -> int:
-    """Word length L of the realized table, known before realizing it."""
+    """Word length L of the realized table, checked before any cap reads it."""
     if isinstance(potential, GeometricPotential) and memory is not None:
         return memory
+    if (isinstance(potential, TablePotential) and memory is not None
+            and memory < potential.memory):
+        raise ConfigError("requested memory below the table's own memory")
     return max(memory or 1, getattr(potential, "memory", 1))
 
 
@@ -579,8 +548,7 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     if A ** L > STATE_CAP:
         raise EnumerationCapExceeded(
             f"{A**L} states exceed the cap {STATE_CAP}; lower the memory")
-    base, scale, err = _realize(potential, M, memory, L)
-    gram = _scaled(base, scale)
+    gram, err = _realize(potential, M, L)
     alive = _prune_support(np.isfinite(gram), A)
     if not alive.any():
         raise NonPrimitive("no admissible bi-infinite words")
@@ -692,8 +660,8 @@ def pressure_cylinder_sum(potential, max_digit: int, depth: int,
         raise EnumerationCapExceeded(
             f"depth {depth} x (M^2)^{L} = {depth * A**L} sweep cells "
             "exceed the cap")
-    base, scale, err = _realize(potential, M, memory, L)
-    logZ = _cylinder_sweep(_scaled(base, scale), L, A, depth).tolist()
+    gram, err = _realize(potential, M, L)
+    logZ = _cylinder_sweep(gram, L, A, depth).tolist()
     if np.isneginf(logZ).any():
         raise SummabilityFailure("all depth cylinders forbidden")
     if not math.isfinite(logZ[0]):

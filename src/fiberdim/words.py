@@ -152,16 +152,16 @@ def pi_tilde(word) -> Box:
     )
 
 
-def cf_value_float(digits: np.ndarray, tail: float = 0.5) -> np.ndarray:
-    """Vectorised float evaluation of continued fractions with a fixed tail.
+def cf_value_float(digits: np.ndarray) -> np.ndarray:
+    """Vectorised float evaluation of continued fractions with tail 0.5.
 
     ``digits[..., i]`` is the i-th digit; the returned value lies inside the
-    cylinder of the digit word whenever ``tail`` is in [0, 1].
+    cylinder of the digit word, as any tail in [0, 1] would.
     """
     digits = np.asarray(digits)
     if digits.ndim == 0:
         raise InvalidWord("digits must have a word axis")
-    x = np.full(digits.shape[:-1], float(tail))
+    x = np.full(digits.shape[:-1], 0.5)
     for i in range(digits.shape[-1] - 1, -1, -1):
         np.add(digits[..., i], x, out=x)
         np.divide(1.0, x, out=x)

@@ -382,7 +382,8 @@ def whole_draw_points(g, system, target: str, n_points: int, depth: int,
     """The points of ``sample_measure``, every stage on the whole draw."""
     forward = (max(g.memory, CONTEXT_DEPTH - 1) if target == "fiber"
                else depth)
-    past, fwd = g.sample_two_sided(depth, forward, n_points, seed)
+    past, fwd = g.sample_two_sided(0 if target == "z_marginal" else depth,
+                                   forward, n_points, seed)
     (past_m, past_n), (fwd_m, fwd_n) = g.digits(past), g.digits(fwd)
     points = np.empty((n_points, 4 if target == "global" else 2))
     if target in ("z_marginal", "global"):

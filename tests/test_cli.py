@@ -260,6 +260,20 @@ class TestConfigErrors:
                     "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pressure", "dimension", "sample"])
+    def test_memory_below_table_exits_2_before_any_cap(self, tmp_path, capsys,
+                                                       command):
+        # 25^3 = 15625 states pass STATE_CAP: the memory check comes first
+        cfg = write_config(tmp_path, {
+            "potential": {"kind": "table",
+                          "table": [[[[1, 1], [1, 1], [1, 1]], 0.0]]},
+            "truncation": {"m_schedule": [5], "memory": 1},
+        })
+        assert run([command, "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert ("requested memory below the table's own memory"
+                in capsys.readouterr().err)
+
     def test_reducible_table_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, {
             "potential": {"kind": "table",
@@ -532,9 +546,12 @@ class TestSampleCommand:
 
 
 # sha256 of cloud CSVs that these configs wrote before the guide-table draws
-# and blocked composition (commit 237e712); a change that moves one changes
-# the clouds themselves
+# and blocked composition (commit 237e712), and, for the z-marginal cloud,
+# since it draws no past; a change that moves one changes the clouds
+# themselves
 CLOUD_DIGESTS = {
+    "z_marginal_conjugate_2000":
+        "a56480f372d7fe32c30a7a5f918a1a3165ab4f7952b80f96037a2352eb898d56",
     "sample_fiber_2000":
         "9c8091bf37ec3bab5fe37c6f82abc5b25f3c44fff22856b4f4fb0326dfa6dcac",
     "global_conjugate_2000":
@@ -547,9 +564,10 @@ def _guard_config(name):
         doc = json.loads((ROOT / "run_configs" / "sample_fiber.json").read_text())
         doc["sample"]["n_points"] = 2000
         return doc
+    target = name.split("_conjugate")[0]
     return {"system": {"variant": "inverse_conjugate"},
             "truncation": {"m_schedule": [3]},
-            "sample": {"target": "global", "n_points": 2000, "depth": 30},
+            "sample": {"target": target, "n_points": 2000, "depth": 30},
             "seed": 1}
 
 

@@ -129,6 +129,23 @@ class TestSampling:
             sample_measure(g, conj, target, n_points=1000, depth=25,
                            chart="polar")
 
+    @pytest.mark.parametrize("target, n_past",
+                             [("fiber", 25), ("z_marginal", 0), ("global", 25)])
+    def test_one_draw_per_cloud(self, conj, monkeypatch, target, n_past):
+        # every cloud draws once, through the sampler the benchmark tracer
+        # wraps by name, and a z-marginal cloud draws no past
+        calls = []
+        draw = GibbsApprox.sample_two_sided
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return draw(self, *args, **kwargs)
+
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
+        monkeypatch.setattr(GibbsApprox, "sample_two_sided", counted)
+        sample_measure(g, conj, target, n_points=1000, depth=25)
+        assert calls == [n_past]
+
     def test_defaults_fit_the_cap(self):
         # the default global cloud, and every cloud the run configs draw
         assert 200_000 * 2 * DEFAULTS["sample"]["depth"] <= SAMPLE_ELEMENT_CAP

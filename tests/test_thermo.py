@@ -580,5 +580,5 @@ class TestMeasureStats:
         def forbidden(*args, **kwargs):
             raise AssertionError("a geometric summary must not draw")
 
-        monkeypatch.setattr(GibbsApprox, "_draw", forbidden)
+        monkeypatch.setattr(GibbsApprox, "sample_two_sided", forbidden)
         assert measure_stats(g, conj) == first

@@ -19,26 +19,38 @@ TRACER = ROOT / "benchmarks" / "tracer.py"
 
 COMMON = {"cli.import", "cli.run", "config.load_config", "thermo.gibbs_markov"}
 
-# command -> (config, layer spans the command must emit)
+SAMPLE_SPANS = {"thermo.sample_chain", "systems.pi_values_bulk",
+                "empirics.sample_measure", "empirics.box_dimension",
+                "empirics.local_dimension", "empirics.to_csv"}
+
+# case -> (command, config, layer spans the command must emit)
 CASES = {
     "pressure": (
+        "pressure",
         {"truncation": {"m_schedule": [2], "depth": 2}},
         {"thermo.pressure_cylinder_sum", "systems.fiber_points_bulk",
          "words.cf_value_float"}),
     "dimension": (
+        "dimension",
         {"potential": {"kind": "constant", "value": 0.0},
          "truncation": {"m_schedule": [2]},
          "dimension": {"s_grid": [0.1, 0.6, 1.1]}},
         {"dimension.variational_sweep", "dimension.bowen",
          "dimension.summability_scan", "thermo.measure_stats"}),
     "sample": (
+        "sample",
         {"truncation": {"m_schedule": [2]},
          "sample": {"n_points": 2000, "depth": 20, "n_centers": 20}},
-        {"thermo.sample_chain", "systems.fiber_points_bulk",
-         "systems.pi_values_bulk", "empirics.sample_measure",
-         "empirics.box_dimension", "empirics.local_dimension",
-         "empirics.to_csv"}),
+        SAMPLE_SPANS | {"systems.fiber_points_bulk"}),
+    # a cloud that draws no past still draws through the wrapped sampler
+    "sample_z_marginal": (
+        "sample",
+        {"truncation": {"m_schedule": [2]},
+         "sample": {"target": "z_marginal", "n_points": 2000, "depth": 20,
+                    "n_centers": 20}},
+        SAMPLE_SPANS),
     "verify": (
+        "verify",
         {"truncation": {"m_schedule": [2]},
          "verify": {"samples": 100, "induced_k_max": 0, "subdivisions": 16}},
         {"systems.verify_system", "words.certify",
@@ -56,9 +68,9 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(CASES))
-def test_traced_command_emits_layer_spans(tmp_path, command):
-    config, expected = CASES[command]
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_traced_command_emits_layer_spans(tmp_path, case):
+    command, config, expected = CASES[case]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     spans_path, out = tmp_path / "spans.json", tmp_path / "out"

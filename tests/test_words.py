@@ -214,7 +214,7 @@ class TestCfValueFloat:
     def test_matches_exact_midpoint(self):
         word = (1, 2, 1, 3)
         iv = rho0_value(word)
-        val = cf_value_float(np.array(word), tail=0.5)
+        val = cf_value_float(np.array(word))
         assert float(iv.lo) <= float(val) <= float(iv.hi)
 
     def test_vectorized_shapes(self):
