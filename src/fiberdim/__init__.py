@@ -13,12 +13,11 @@ from .errors import (BracketFailure, ConfigError, DegenerateExponent,
                      ExponentNotConverged, FiberdimError, InsufficientScales,
                      InvalidWord, NonPrimitive, PerronNotConverged,
                      SummabilityFailure)
-from .words import (Box, ComposedMap, Interval, cf_value_float,
+from .words import (ComposedMap, Interval, cf_value_float,
                     certify_derivative_sup, induced_ifs_maps, pair_alphabet,
-                    pi_tilde, rho0_value)
+                    rho0_value)
 from .systems import (Disk, SimilaritySchedule, SmaleSystem, SystemReport,
-                      fiber_map, image_disk, make_system, pi2_hat,
-                      verify_system)
+                      image_disk, make_system, verify_system)
 from .moments import MarginalExponent, lyapunov_marginal_exact
 from .thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
                      MarginalEntropy, MeasureStats, PressureEstimate,

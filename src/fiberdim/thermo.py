@@ -20,7 +20,7 @@ finite path sums of the table only, no eigenvector and no Perron iterate.
 Geometric potentials (s * log of the fiber derivative modulus) have
 unbounded memory through the fiber point; they are realized as memory-k
 tables by evaluating the derivative at the limit point of the periodic
-extension of each k-word.  The Hoelder tail bound for that truncation is
+extension of each k-word.  The Lipschitz tail bound for that truncation is
 reported as ``potential_error``, never silently absorbed.
 """
 
@@ -182,9 +182,9 @@ def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
     ``fiber_log_derivatives`` of a past of ``_composition_depth`` symbols and
     a ``window``-symbol forward word, time t reading symbol t mod n, a depth
     that makes the point accurate to the POINT_TOL scale.  So against the
-    exact-cylinder evaluation of ``pi2_hat`` an entry is off by at most
-    ``distortion_bound`` times the sum of the point bound stated there and
-    the translate coding error sqrt(2) * 2**(1 - window).
+    exact-cylinder reference of ``tests/oracles.py`` an entry is off by at
+    most ``distortion_bound`` times the sum of the ``fiber_points_bulk``
+    point bound and the translate coding error sqrt(2) * 2**(1 - window).
     """
     M = check_max_digit(max_digit)
     count = (M * M) ** n
@@ -219,9 +219,9 @@ def realized_table(system: SmaleSystem, max_digit: int, memory: int) -> np.ndarr
 
 
 def potential_approx_error(system: SmaleSystem, memory: int) -> float:
-    """Hoelder tail bound for the memory-k realization of log|T'|."""
+    """Lipschitz tail bound for the memory-k realization of log|T'|."""
     gap = system.domain.diameter * system.contraction ** (-memory)
-    return system.distortion_bound * gap ** system.distortion_alpha
+    return system.distortion_bound * gap
 
 
 def _realize(potential, M: int, L: int):

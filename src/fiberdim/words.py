@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EnumerationCapExceeded, InvalidWord
+from .errors import InvalidWord
 
 if TYPE_CHECKING:  # imported where used: `fractions` loads `decimal`
     from fractions import Fraction
@@ -97,18 +97,6 @@ class Interval:
         return float((self.lo + self.hi) / 2)
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned rectangle in the plane, exact rational edges."""
-
-    re: Interval
-    im: Interval
-
-    @property
-    def mid(self) -> complex:
-        return complex(self.re.mid, self.im.mid)
-
-
 # ---------------------------------------------------------------------------
 # base contraction family
 
@@ -131,25 +119,6 @@ def rho0_value(word) -> Interval:
     ends = Fraction(p, q), Fraction(p + p_prev, q + q_prev)
     # an even composition is increasing, an odd one decreasing
     return Interval(*(ends if len(w) % 2 == 0 else ends[::-1]))
-
-
-def pi_tilde(word) -> Box:
-    """Enclosure of the paired continued-fraction point over a pair cylinder.
-
-    The first coordinate is m0 + 1/(m1 + 1/(...)) with the unknown tail
-    ranging over [0, 1]; same for the second coordinate.  A length-1 word
-    therefore gives the unit box anchored at its digits.
-    """
-    w = check_pair_word(word)
-    if not w:
-        raise InvalidWord("pair word must be nonempty")
-    m_digits, n_digits = zip(*w)
-    tail_m = rho0_value(m_digits[1:])
-    tail_n = rho0_value(n_digits[1:])
-    return Box(
-        Interval(m_digits[0] + tail_m.lo, m_digits[0] + tail_m.hi),
-        Interval(n_digits[0] + tail_n.lo, n_digits[0] + tail_n.hi),
-    )
 
 
 def cf_value_float(digits: np.ndarray) -> np.ndarray:

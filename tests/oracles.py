@@ -3,8 +3,11 @@ extraction, dimension parts, the shell-sum fit of the summability
 threshold, Fraction-arithmetic copies of the rational certificates, the
 Gibbs sandwich constant, closed-form similarity dimensions, fiber limit
 sets, the Monte Carlo digit-marginal and fiber exponents, whole-draw
-copies of the blocked chain-draw consumers, the pair-word enumeration and
-the checked one-step fiber derivative.
+copies of the blocked chain-draw consumers, the pair-word enumeration, the
+checked one-step fiber derivative, and the scalar fiber-map layer over
+plain pair-word tuples (the exact pair-cylinder box ``pi_tilde``,
+``exact_coefficient``, ``fiber_map``, ``pi2_hat``) that the bulk
+composition is checked against.
 
 Each is a short formula over the package's public data that no program
 path needs; the tests that check the package against them import them
@@ -28,9 +31,10 @@ from fiberdim.systems import (CONTEXT_DEPTH, ESCAPE_TOL, fiber_log_derivatives,
 from fiberdim.thermo import (ConstantPotential, GeometricPotential, entropy,
                              gibbs_markov, lyapunov_fiber_exact,
                              realized_table)
-from fiberdim.words import (ENUMERATION_CAP, cf_value_float, check_digit,
-                            check_max_digit, check_pair_word, is_integer,
-                            pair_alphabet)
+from fiberdim.words import (ENUMERATION_CAP, Interval, cf_value_float,
+                            check_digit, check_max_digit, check_pair_symbol,
+                            check_pair_word, is_integer, pair_alphabet,
+                            rho0_value)
 
 #: Gauss iterates below this are treated as exactly rational.
 RATIONAL_EPS = Fraction(1, 10**12)
@@ -87,13 +91,90 @@ def enumerate_pair_words(max_digit: int, depth: int, cap: int = ENUMERATION_CAP)
     return itertools.product(pair_alphabet(max_digit), repeat=depth)
 
 
+@dataclass(frozen=True)
+class Box:
+    """Axis-aligned rectangle in the plane, exact rational edges."""
+
+    re: Interval
+    im: Interval
+
+    @property
+    def mid(self) -> complex:
+        return complex(self.re.mid, self.im.mid)
+
+
+def pi_tilde(word) -> Box:
+    """Enclosure of the paired continued-fraction point over a pair cylinder.
+
+    The first coordinate is m0 + 1/(m1 + 1/(...)) with the unknown tail
+    ranging over [0, 1]; same for the second coordinate.  A length-1 word
+    therefore gives the unit box anchored at its digits.
+    """
+    w = check_pair_word(word)
+    if not w:
+        raise InvalidWord("pair word must be nonempty")
+    m_digits, n_digits = zip(*w)
+    tail_m = rho0_value(m_digits[1:])
+    tail_n = rho0_value(n_digits[1:])
+    return Box(
+        Interval(m_digits[0] + tail_m.lo, m_digits[0] + tail_m.hi),
+        Interval(n_digits[0] + tail_n.lo, n_digits[0] + tail_n.hi),
+    )
+
+
+def exact_coefficient(system, word, depth: int = CONTEXT_DEPTH):
+    """Coefficient of one context word, a plain tuple of pair symbols,
+    computed apart from ``family.coefficients``: the exact translate value
+    of its first ``depth`` symbols, the midpoint of their cylinder, for the
+    reciprocal families; the first symbol's (modulus, translation) for
+    similarities."""
+    if not word:
+        raise InvalidWord("pair word must be nonempty")
+    if system.family.uses_schedule:
+        mod, tr = system.schedule.maps(*check_pair_symbol(word[0]))
+        return float(mod), complex(tr)
+    return pi_tilde(word[:depth]).mid
+
+
+def fiber_map(system, word, w: complex, depth: int = CONTEXT_DEPTH) -> complex:
+    """Apply the time-zero fiber map of a context word to a domain point."""
+    if not system.domain.contains(w, tol=ESCAPE_TOL):
+        raise DomainEscape(f"argument {w} outside the fiber domain")
+    family = system.family
+    img = family.map(w, exact_coefficient(system, word, depth))
+    if not system.domain.contains(img, tol=ESCAPE_TOL):
+        raise DomainEscape(f"image {img} escaped the fiber domain")
+    return img
+
+
+def pi2_hat(system, past, forward, depth: int = CONTEXT_DEPTH):
+    """Fiber point selected by a finite past, with its contraction error bound.
+
+    ``past[j - 1]`` is the symbol at time -j.  The map at time -level reads
+    the context ``past[level-1::-1] + forward``, the two-sided word from
+    that time on, at ``depth`` symbols.  The maps compose from the deepest
+    level inward, starting at the domain center.  The result lies within
+    contraction^-len(past) * diam(domain) of the true limit point; that
+    bound is returned alongside the point.
+    """
+    past, forward = check_pair_word(past), check_pair_word(forward)
+    if not forward:
+        raise InvalidWord("a forward word is required to build contexts")
+    if depth < 1:
+        raise InvalidWord("context depth must be >= 1")
+    w = system.domain.center
+    for level in range(len(past), 0, -1):
+        w = fiber_map(system, past[level - 1::-1] + forward, w, depth)
+    err = system.contraction ** (-len(past)) * system.domain.diameter
+    return w, err
+
+
 def fiber_derivative_mod(system, word, w: complex,
                          depth: int = CONTEXT_DEPTH) -> float:
     """One-step derivative modulus of a context word's map at a domain point."""
     if not system.domain.contains(w, tol=ESCAPE_TOL):
         raise DomainEscape(f"argument {w} outside the fiber domain")
-    family = system.family
-    return family.derivative_mod(w, family.coeff_at(system, word, depth))
+    return system.family.derivative_mod(w, exact_coefficient(system, word, depth))
 
 
 def symbol_code(sym, max_digit: int) -> int:

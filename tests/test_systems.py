@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,13 @@ import pytest
 from fiberdim import systems, words
 from fiberdim.errors import ConfigError, DomainEscape, InvalidWord
 from fiberdim.systems import (
+    CONTEXT_DEPTH,
     Disk,
     SimilaritySchedule,
-    fiber_map,
     fiber_points_bulk,
     image_disk,
     invert_disk,
     make_system,
-    pi2_hat,
     verify_system,
 )
 from fiberdim.thermo import (ConstantPotential, gibbs_markov,
@@ -24,7 +24,8 @@ from fiberdim.thermo import (ConstantPotential, gibbs_markov,
 from fiberdim.words import pair_alphabet
 
 from oracles import (default_symbol_sup, enumerate_pair_words,
-                     fiber_derivative_mod, sample_fiber_limit_set)
+                     exact_coefficient, fiber_derivative_mod, fiber_map,
+                     pi2_hat, pi_tilde, sample_fiber_limit_set)
 
 
 @pytest.fixture(scope="module")
@@ -84,12 +85,12 @@ class TestScheduleValidation:
         sched = SimilaritySchedule(kind="equal", ratio=0.2, grid_digit=2)
         with pytest.raises(InvalidWord, match="truncation 3 exceeds the "
                            "schedule's digit limit 2"):
-            sched.tables(3)
+            sched.maps(1, 3)
 
     def test_custom_missing_symbol(self):
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.25, 0.0, 0.0),))
         with pytest.raises(InvalidWord, match="digit limit 1"):
-            sched.tables(2)
+            sched.maps(2, 1)
 
     GRID = ((1, 1, 0.25, -0.5, -0.5), (1, 2, 0.25, -0.5, 0.5),
             (2, 1, 0.25, 0.5, -0.5), (2, 2, 0.25, 0.5, 0.5))
@@ -115,17 +116,17 @@ class TestScheduleValidation:
     def test_custom_float_digits_index_the_table(self):
         # the Python API admits a digit such as 2.0; the config rejects it
         table = tuple((float(m), n, r, x, y) for m, n, r, x, y in self.GRID)
-        mod, tr = SimilaritySchedule(kind="custom", table=table).tables(2)
-        assert mod[2, 1] == 0.125 and tr[2, 1] == 0.5 - 0.5j
+        mod, tr = SimilaritySchedule(kind="custom", table=table).maps(2, 1)
+        assert mod == 0.125 and tr == 0.5 - 0.5j
 
     def test_custom_digit_limit_is_table_side(self):
         assert SimilaritySchedule(kind="custom", table=self.GRID).digit_limit == 2
 
     def test_two_ratio_dispatch(self):
         sched = SimilaritySchedule(kind="two_ratio", ratio_a=0.125, ratio_b=0.0625)
-        mod = sched.tables(2)[0]
-        assert mod[1, 2] == 0.125 * sched.inner_factor
-        assert mod[2, 1] == 0.0625 * sched.inner_factor
+        mod = sched.maps([1, 2], [2, 1])[0]
+        assert mod[0] == 0.125 * sched.inner_factor
+        assert mod[1] == 0.0625 * sched.inner_factor
 
     CUSTOM = tuple((m, n, 0.04 * (m + n), 0.1 * m, -0.1 * n)
                    for m in range(1, 4) for n in range(1, 4))
@@ -139,15 +140,17 @@ class TestScheduleValidation:
         SimilaritySchedule(kind="custom", table=CUSTOM)],
         ids=["geometric", "equal", "equal_1", "two_ratio", "custom"])
     def test_tables_match_closed_forms(self, sched):
-        """Each entry is the kind's closed form; digit 0 holds zeros."""
+        """``maps`` gives each kind's closed form, asked for the whole
+        alphabet at once or for one symbol."""
         K = sched.digit_limit
         rows = {(m, n): (r, complex(re, im)) for m, n, r, re, im in sched.table}
         for M in ((1, 2, 5) if K == math.inf else range(1, K + 1)):
-            mod, tr = sched.tables(M)
-            assert mod.shape == tr.shape == (M + 1, M + 1)
-            assert not mod[0].any() and not mod[:, 0].any()
-            assert not tr[0].any() and not tr[:, 0].any()
-            for m, n in pair_alphabet(M):
+            symbols = pair_alphabet(M)
+            mods, trs = sched.maps(*np.array(symbols).T)
+            assert mods.shape == trs.shape == (M * M,)
+            for (m, n), mod, tr in zip(symbols, mods, trs):
+                one = sched.maps(m, n)
+                assert one[0] == mod and one[1] == tr
                 if sched.kind == "geometric":
                     ratio = sched.base ** -(m + n)
                     t = complex(0.6 * (1 - 2.0 ** (1 - m)) - 0.3,
@@ -161,11 +164,11 @@ class TestScheduleValidation:
                     t, step = 0j, 1.0 / max(G - 1, 1)
                     if G > 1:
                         t = complex(-0.5 + (m - 1) * step, -0.5 + (n - 1) * step)
-                assert mod[m, n] == ratio * sched.inner_factor
-                assert tr[m, n] == t
+                assert mod == ratio * sched.inner_factor
+                assert tr == t
         if K < math.inf:
             with pytest.raises(InvalidWord, match=f"truncation {K + 1} exceeds"):
-                sched.tables(K + 1)
+                sched.maps(K + 1, 1)
 
 
 class TestMakeSystem:
@@ -252,7 +255,7 @@ class TestFiberFormulas:
     def test_similarity_map_value(self):
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.25, 0.5, 0.0),))
         sim = make_system("similarity", schedule=sched)
-        coeff = sim.family.coeff_at(sim, ((1, 1),))
+        coeff = sim.family.coefficients(sim, np.array([1]), np.array([1]))
         assert sim.family.map(1 + 0j, coeff) == pytest.approx(0.625 + 0j)
 
     def test_conjugate_derivative_value(self, conj):
@@ -298,13 +301,13 @@ class TestFiberFormulas:
         word = ((2, 3),) * 12
         w = 0.4 + 0.1j
         assert fiber_map(conj, word, w) == conj.family.map(
-            w, words.pi_tilde(word).mid)
+            w, pi_tilde(word).mid)
 
 
 class TestPastSelection:
     def test_constant_past_converges_to_fixed_point(self, conj):
         w, err = pi2_hat(conj, ((1, 1),) * 40, ((1, 1),) * 12)
-        p = words.pi_tilde(((1, 1),) * 12).mid
+        p = pi_tilde(((1, 1),) * 12).mid
         z = conj.domain.center
         for _ in range(300):
             z = 1.0 / (np.conj(z) + p)
@@ -367,17 +370,75 @@ class TestImageGeometry:
         assert img.radius == pytest.approx(0.1)
 
     def test_conjugate_image_contains_sampled_points(self, conj):
-        # the enclosure is exact for this family, so sampled images stay inside
+        # the enclosure is exact for this family, so images of sampled
+        # points under the map of the same coefficient stay inside
         tail = ((2, 1),) * 11
         img = image_disk(conj, (1, 3), tail)
-        word = ((1, 3),) + tail
+        m, n = np.array(((1, 3),) + tail).T
+        c = conj.family.coefficients(conj, m, n)
         rng = np.random.default_rng(1)
         for _ in range(100):
             u = rng.random() + 1j * rng.random()
             w = conj.domain.center + conj.domain.radius * (2 * u - (1 + 1j))
             if abs(w - conj.domain.center) > conj.domain.radius:
                 continue
-            assert img.contains(fiber_map(conj, word, w), tol=1e-9)
+            assert img.contains(conj.family.map(w, c), tol=1e-9)
+
+
+VARIANTS = ["inverse_conjugate", "inverse_square", "similarity"]
+
+
+class TestOneCoefficientPath:
+    """Image disks read ``family.coefficients``; the exact-midpoint oracle
+    stays within the coding error of it."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_image_disk_coefficient_is_the_bulk_one(self, variant, monkeypatch):
+        system = make_system(variant)
+        family, seen = system.family, []
+        image = family.image
+
+        def spy(domain, c):
+            seen.append(c)
+            return image(domain, c)
+
+        monkeypatch.setattr(family, "image", spy)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            sym = tuple(rng.integers(1, 4, size=2).tolist())
+            tail = tuple(map(tuple, rng.integers(1, 9, size=(11, 2)).tolist()))
+            image_disk(system, sym, tail)
+            m, n = np.array((sym,) + tail).T
+            got, want = seen.pop(), family.coefficients(system, m, n)
+            if isinstance(want, tuple):  # similarity: (modulus, translation)
+                assert got[0] == want[0] and got[1] == want[1]
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_exact_midpoint_within_coding_error(self, variant):
+        system = make_system(variant)
+        m, n = np.random.default_rng(8).integers(1, 5, size=(2, 400, CONTEXT_DEPTH))
+        bulk = system.family.coefficients(system, m, n)
+        for i in range(len(m)):
+            exact = exact_coefficient(system, tuple(zip(m[i], n[i])))
+            if system.family.uses_schedule:  # the first symbol alone
+                assert exact == (bulk[0][i], bulk[1][i])
+            else:
+                assert abs(exact - bulk[i]) <= math.sqrt(2) * 2.0 ** (1 - CONTEXT_DEPTH)
+
+    def test_one_similarity_symbol_reads_per_digit_vectors(self):
+        # one symbol whose larger digit is 2000 builds vectors of about 4000
+        # entries, not a 2001 x 2001 table (152 MB)
+        system = make_system("similarity")
+        tracemalloc.start()
+        try:
+            img = image_disk(system, (1, 2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert img.center == complex(-0.3, 0.6 * (1 - 2.0 ** -1999) - 0.3)
 
 
 class TestLimitSetSampling:
@@ -436,14 +497,19 @@ class TestVerifyReports:
         # images over distinct first symbols share boundary points exactly
         assert abs(report.min_image_gap) < 1e-12
         assert 0.0 < report.derivative_band[0] < report.derivative_band[1] < 1.0
-        assert report.lambda_hat == pytest.approx(1.0 / report.derivative_band[1])
-        assert report.lambda_hat > 1.0
+        # the certified constants of the system, which bound the samples
+        assert report.contraction == conj.contraction
+        assert report.contraction <= 1.0 / report.derivative_band[1]
+        assert report.distortion_bound == conj.distortion_bound
+        assert report.distortion_certified
 
     def test_square_separation_is_strict(self, square):
         report = verify_system(square, 5)
         assert report.osc_ok
         assert report.min_image_gap > 0.0
         assert 0.0 < report.derivative_band[0] < report.derivative_band[1] < 1.0
+        # its distortion bound comes from a point grid
+        assert not report.distortion_certified
 
     def test_single_digit_band_matches_analytic_envelope(self, conj):
         # with one symbol the translate is the golden point, so the one-step
@@ -463,6 +529,21 @@ class TestVerifyReports:
         report = verify_system(system, 2)
         assert not report.osc_ok
         assert report.min_image_gap == pytest.approx(-0.25)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_min_gap_matches_pairwise_image_disks(self, variant):
+        # one image call per tail against a loop over pairs of image_disk;
+        # the third tail is the first draw of the report's generator
+        system, M = make_system(variant), 3
+        drawn = np.random.default_rng(5).integers(1, M + 1, size=(11, 2))
+        worst = math.inf
+        for tail in (((1, 1),) * 11, ((M, M),) * 11, tuple(map(tuple, drawn.tolist()))):
+            disks = [image_disk(system, sym, tail) for sym in pair_alphabet(M)]
+            for i, a in enumerate(disks):
+                for b in disks[i + 1:]:
+                    worst = min(worst, abs(a.center - b.center) - a.radius - b.radius)
+        got = verify_system(system, M, samples=200, seed=5).min_image_gap
+        assert got == pytest.approx(worst, rel=0, abs=1e-15)
 
     def test_distortion_constant_recorded(self, conj, square):
         assert verify_system(conj, 3).distortion_H_hat > 0.0
@@ -508,7 +589,7 @@ class TestBulkMatchesScalar:
         for memory in (1, 2):
             vals = periodic_log_derivatives(system, 2, memory, window=self.CTX)
             for code, word in enumerate(enumerate_pair_words(2, memory)):
-                coeff = [family.coeff_at(system, tuple(
+                coeff = [exact_coefficient(system, tuple(
                     word[(phase + i) % memory] for i in range(self.CTX)))
                     for phase in range(memory)]
                 w = system.domain.center

@@ -10,11 +10,11 @@ from fiberdim.errors import EnumerationCapExceeded, InvalidWord
 from fiberdim.words import (Interval, cf_value_float,
                             certify_derivative_sup, check_digit,
                             check_max_digit, induced_ifs_maps, is_integer,
-                            pair_alphabet, pi_tilde, rho0_value)
+                            pair_alphabet, rho0_value)
 
 from oracles import (RationalTermination, cf_map_derivative_mod,
                      enumerate_pair_words, fraction_derivative_sup,
-                     fraction_rho0_value, rho0_digits)
+                     fraction_rho0_value, pi_tilde, rho0_digits)
 
 
 def newton_sqrt(n: int, iterations: int = 8) -> Fraction:
