@@ -19,11 +19,11 @@ from .words import (ComposedMap, Interval, cf_value_float,
 from .systems import (Disk, SimilaritySchedule, SmaleSystem, SystemReport,
                       image_disk, make_system, verify_system)
 from .moments import MarginalExponent, lyapunov_marginal_exact
-from .thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
-                     MarginalEntropy, MeasureStats, PressureEstimate,
-                     TablePotential, entropy, gibbs_markov,
-                     lyapunov_fiber_exact, marginal_entropy, measure_stats,
-                     pressure_cylinder_sum, pressure_derivative_check)
+from .thermo import (GeometricPotential, GibbsApprox, MarginalEntropy,
+                     MeasureStats, PressureEstimate, TablePotential, entropy,
+                     gibbs_markov, lyapunov_fiber_exact, marginal_entropy,
+                     measure_stats, pressure_cylinder_sum,
+                     pressure_derivative_check)
 from .dimension import (BowenResult, SummabilityReport, SweepResult,
                         bowen_dimension, branch_value, global_dimension,
                         moran_root, summability_scan, variational_sweep)

@@ -24,7 +24,8 @@ except ImportError:
 from .empirics import CHARTS, TARGETS
 from .errors import ConfigError
 from .systems import FAMILIES, SimilaritySchedule, SmaleSystem, make_system
-from .thermo import ConstantPotential, GeometricPotential, TablePotential
+from .thermo import GeometricPotential, TablePotential
+from .words import pair_alphabet
 
 
 def _fail(path: str, message: str):
@@ -109,7 +110,6 @@ FIELDS = {
         "table": ([], array(array((  # rows [word, value]
             array(array(number(integer=True, ge=1), 2, 2), 1),  # [m, n] pairs
             number()), 2, 2))),
-        "scale": (1.0, number()),
     },
     "truncation": {
         "m_schedule": ([2, 3], array(number(integer=True, ge=1), 1)),
@@ -220,7 +220,8 @@ def build_potential(config: dict, system: SmaleSystem, max_digit: int):
     """Build the configured potential; table kinds bind to one truncation."""
     sec = config["potential"]
     if sec["kind"] == "constant":
-        return ConstantPotential(float(sec["value"]))
+        return TablePotential.from_dict(
+            max_digit, dict.fromkeys(pair_alphabet(max_digit), sec["value"]))
     if sec["kind"] == "geometric":
         return GeometricPotential(system, float(sec["s"]))
     mapping = {}
@@ -229,7 +230,7 @@ def build_potential(config: dict, system: SmaleSystem, max_digit: int):
         if key in mapping:
             raise ConfigError(f"table word {key} is repeated")
         mapping[key] = value
-    return TablePotential.from_dict(max_digit, mapping, scale=float(sec["scale"]))
+    return TablePotential.from_dict(max_digit, mapping)
 
 
 def resolve_s_grid(config: dict) -> list:

@@ -312,7 +312,7 @@ class _Similarity(FiberFamily):
         return c[0] * w + c[1]
 
     def derivative_mod(self, w, c):
-        return c[0]
+        return np.broadcast_to(c[0], np.broadcast(w, c[0]).shape)
 
     def coefficients(self, system, m_rows, n_rows):
         return system.schedule.maps(m_rows[..., 0], n_rows[..., 0])
@@ -623,7 +623,7 @@ def verify_system(system: SmaleSystem, max_digit: int,
     ones = np.ones(CONTEXT_DEPTH, dtype=np.int64)  # the context of (1, 1) repeated
     c = family.coefficients(system, ones, ones)
     sel = pts[rng.integers(len(pts), size=min(200, len(pts)))]
-    ld = np.log(np.broadcast_to(family.derivative_mod(sel, c), sel.shape))
+    ld = np.log(family.derivative_mod(sel, c))
     d = np.abs(sel[None, :] - sel[:, None])
     far = d > 1e-9
     H_hat = np.max(np.abs(ld[None, :] - ld[:, None])[far] / d[far], initial=0.0)

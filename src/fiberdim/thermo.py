@@ -17,7 +17,9 @@ sweep over L-word codes (max-plus for the boundary, log-sum-exp forward)
 gives every depth at O(depth * A^L) cost without enumerating words; it uses
 finite path sums of the table only, no eigenvector and no Perron iterate.
 
-Geometric potentials (s * log of the fiber derivative modulus) have
+Each potential realizes itself as log-weights on L-word codes (its
+``word_length`` and ``realize``).  A table, a constant one included, is
+exact.  Geometric potentials (s * log of the fiber derivative modulus) have
 unbounded memory through the fiber point; they are realized as memory-k
 tables by evaluating the derivative at the limit point of the periodic
 extension of each k-word.  The Lipschitz tail bound for that truncation is
@@ -78,17 +80,6 @@ def _rng(seed_or_rng) -> np.random.Generator:
 # potentials
 
 @dataclass(frozen=True)
-class ConstantPotential:
-    """psi identically equal to ``value``."""
-
-    value: float
-
-    @property
-    def memory(self) -> int:
-        return 0
-
-
-@dataclass(frozen=True)
 class GeometricPotential:
     """s * log of the one-step fiber derivative modulus, s >= 0."""
 
@@ -104,6 +95,15 @@ class GeometricPotential:
         """Default realization memory: exact for similarity families."""
         return self.system.family.memory
 
+    def word_length(self, memory) -> int:
+        """Word length L of the realized table: ``memory`` if given."""
+        return self.memory if memory is None else memory
+
+    def realize(self, M: int, L: int):
+        """(s * log|T'| on L-word codes, s times the Lipschitz tail bound)."""
+        err = self.s * potential_approx_error(self.system, L)
+        return self.s * realized_table(self.system, M, L), err
+
 
 @dataclass(frozen=True)
 class TablePotential:
@@ -111,14 +111,13 @@ class TablePotential:
 
     ``entries`` maps memory-words to finite values; words absent from the
     table are forbidden (transfer weight zero), which is how restricted
-    subshifts enter.  ``scale`` multiplies every value, so one base table
-    serves a whole parameter family.
+    subshifts enter.  A constant potential is the memory-1 table that gives
+    every symbol of ``pair_alphabet(max_digit)`` one value.
     """
 
     max_digit: int
     memory: int
     entries: tuple
-    scale: float = 1.0
 
     def __post_init__(self):
         check_max_digit(self.max_digit)
@@ -136,7 +135,7 @@ class TablePotential:
                 raise ConfigError("table values must be finite")
 
     @classmethod
-    def from_dict(cls, max_digit: int, mapping: dict, scale: float = 1.0) -> "TablePotential":
+    def from_dict(cls, max_digit: int, mapping: dict) -> "TablePotential":
         entries = []
         for word, value in mapping.items():
             if word and isinstance(word[0], int):
@@ -144,15 +143,29 @@ class TablePotential:
             entries.append((check_pair_word(word), float(value)))
         entries.sort()
         return cls(max_digit=max_digit, memory=len(entries[0][0]) if entries else 1,
-                   entries=tuple(entries), scale=scale)
+                   entries=tuple(entries))
 
+    def word_length(self, memory) -> int:
+        """Word length L of the realized table, checked before any cap reads it."""
+        if memory is not None and memory < self.memory:
+            raise ConfigError("requested memory below the table's own memory")
+        return self.memory if memory is None else memory
 
-def _word_code(word, max_digit: int) -> int:
-    A = max_digit * max_digit
-    code = 0
-    for (m, n) in word:
-        code = code * A + (m - 1) * max_digit + (n - 1)
-    return code
+    def realize(self, M: int, L: int):
+        """(log-weights on L-word codes, -inf where forbidden; 0.0).  A code
+        reads symbol (m, n) as the base-M^2 digit (m - 1) M + (n - 1), first
+        symbol most significant."""
+        if self.max_digit != M:
+            raise ConfigError(
+                f"table truncation {self.max_digit} does not match M={M}")
+        A = M * M
+        gram = np.full(A ** self.memory, -np.inf)
+        for word, value in self.entries:
+            code = 0
+            for (m, n) in word:
+                code = code * A + (m - 1) * M + (n - 1)
+            gram[code] = value
+        return np.repeat(gram, A ** (L - self.memory)), 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -222,31 +235,6 @@ def potential_approx_error(system: SmaleSystem, memory: int) -> float:
     """Lipschitz tail bound for the memory-k realization of log|T'|."""
     gap = system.domain.diameter * system.contraction ** (-memory)
     return system.distortion_bound * gap
-
-
-def _realize(potential, M: int, L: int):
-    """(log-weights on L-word codes, -inf where forbidden; approx_error).
-
-    ``L`` is ``_table_memory(potential, memory)``; a table's first
-    ``memory`` symbols decide its value.
-    """
-    if isinstance(potential, ConstantPotential):
-        if not math.isfinite(potential.value):
-            raise ConfigError("table values must be finite")
-        return np.full((M * M) ** L, float(potential.value)), 0.0
-    if isinstance(potential, TablePotential):
-        if potential.max_digit != M:
-            raise ConfigError(
-                f"table truncation {potential.max_digit} does not match M={M}")
-        A = M * M
-        gram = np.full(A ** potential.memory, -np.inf)
-        for word, value in potential.entries:
-            gram[_word_code(word, M)] = potential.scale * value
-        return np.repeat(gram, A ** (L - potential.memory)), 0.0
-    if isinstance(potential, GeometricPotential):
-        err = potential.s * potential_approx_error(potential.system, L)
-        return potential.s * realized_table(potential.system, M, L), err
-    raise ConfigError(f"unknown potential kind {type(potential).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +511,6 @@ def _perron(w: np.ndarray, alive: np.ndarray, A: int):
     return h, nu, rho, iterations, res
 
 
-def _table_memory(potential, memory) -> int:
-    """Word length L of the realized table, checked before any cap reads it."""
-    if isinstance(potential, GeometricPotential) and memory is not None:
-        return memory
-    if (isinstance(potential, TablePotential) and memory is not None
-            and memory < potential.memory):
-        raise ConfigError("requested memory below the table's own memory")
-    return max(memory or 1, getattr(potential, "memory", 1))
-
-
 @lru_cache(maxsize=256)
 def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     """Gibbs state of a finite-memory potential on the M-truncation.
@@ -544,11 +522,11 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     """
     M = check_max_digit(max_digit)
     A = M * M
-    L = _table_memory(potential, memory)
+    L = potential.word_length(memory)
     if A ** L > STATE_CAP:
         raise EnumerationCapExceeded(
             f"{A**L} states exceed the cap {STATE_CAP}; lower the memory")
-    gram, err = _realize(potential, M, L)
+    gram, err = potential.realize(M, L)
     alive = _prune_support(np.isfinite(gram), A)
     if not alive.any():
         raise NonPrimitive("no admissible bi-infinite words")
@@ -655,12 +633,12 @@ def pressure_cylinder_sum(potential, max_digit: int, depth: int,
         raise InvalidWord("need depth >= 2 to extrapolate")
     M = check_max_digit(max_digit)
     A = M * M
-    L = _table_memory(potential, memory)
+    L = potential.word_length(memory)
     if depth * A ** L > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"depth {depth} x (M^2)^{L} = {depth * A**L} sweep cells "
             "exceed the cap")
-    gram, err = _realize(potential, M, L)
+    gram, err = potential.realize(M, L)
     logZ = _cylinder_sweep(gram, L, A, depth).tolist()
     if np.isneginf(logZ).any():
         raise SummabilityFailure("all depth cylinders forbidden")

@@ -28,7 +28,7 @@ from fiberdim.errors import (ConfigError, DomainEscape, EnumerationCapExceeded,
                              FiberdimError, InvalidWord)
 from fiberdim.systems import (CONTEXT_DEPTH, ESCAPE_TOL, fiber_log_derivatives,
                               fiber_points_bulk, pi_values_bulk)
-from fiberdim.thermo import (ConstantPotential, GeometricPotential, entropy,
+from fiberdim.thermo import (GeometricPotential, TablePotential, entropy,
                              gibbs_markov, lyapunov_fiber_exact,
                              realized_table)
 from fiberdim.words import (ENUMERATION_CAP, Interval, cf_value_float,
@@ -439,6 +439,13 @@ def gibbs_constant_hat(g, depth: int = None) -> float:
 # ---------------------------------------------------------------------------
 # chain-draw consumers over whole draws
 
+def constant_potential(value: float, max_digit: int) -> TablePotential:
+    """psi identically ``value`` on the M-truncation: the memory-1 table
+    with one value on every symbol, as the config's ``constant`` kind."""
+    return TablePotential.from_dict(
+        max_digit, dict.fromkeys(pair_alphabet(max_digit), value))
+
+
 def sample_fiber_limit_set(system, forward, max_digit: int, depth: int,
                            count: int, seed: int) -> np.ndarray:
     """Points of the fiber limit set over a forward word, one per random past.
@@ -450,7 +457,7 @@ def sample_fiber_limit_set(system, forward, max_digit: int, depth: int,
     fwd = check_pair_word(forward)
     if not fwd:
         raise InvalidWord("forward word must be nonempty")
-    chain = gibbs_markov(ConstantPotential(0.0), max_digit, 1)
+    chain = gibbs_markov(constant_potential(0.0, max_digit), max_digit, 1)
     past, _ = chain.sample_two_sided(depth, 1, count, seed)
     # one read-only row repeated count times, not count copies of it
     fwd_m, fwd_n = np.broadcast_to(np.array(fwd).T[:, None],

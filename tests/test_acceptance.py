@@ -21,7 +21,6 @@ from fiberdim.dimension import (
 from fiberdim.empirics import local_dimension, sample_measure
 from fiberdim.systems import SimilaritySchedule, make_system
 from fiberdim.thermo import (
-    ConstantPotential,
     GeometricPotential,
     MeasureStats,
     gibbs_markov,
@@ -32,7 +31,7 @@ from fiberdim.thermo import (
 from fiberdim.words import induced_ifs_maps, rho0_value
 
 from oracles import (analytic_similarity_dimension, cf_map_derivative_mod,
-                     gibbs_constant_hat, rho0_digits,
+                     constant_potential, gibbs_constant_hat, rho0_digits,
                      whole_draw_lyapunov_fiber_table_mc, word_log_mass,
                      z_marginal_dimension)
 
@@ -92,7 +91,7 @@ def test_criterion_02_pressure_cross_method(conj):
     worst = 0.0
     cases = []
     for M in (2, 3):
-        for pot, memory in ((ConstantPotential(0.4), 1),
+        for pot, memory in ((constant_potential(0.4, M), 1),
                             (GeometricPotential(conj, 1.0), 1),
                             (GeometricPotential(conj, 1.0), 2)):
             est = pressure_cylinder_sum(pot, M, 6, memory=memory)

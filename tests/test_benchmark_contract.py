@@ -38,9 +38,7 @@ def test_workload_configs_load(workload):
         load_config(cmd["config"])
 
 
-@pytest.mark.parametrize("cmd", workloads.generate("dimension_sweep", 1),
-                         ids=lambda cmd: cmd["name"])
-def test_dimension_sweep_records_pass_gates(tmp_path, cmd):
+def _records_pass_gates(tmp_path, cmd):
     cfg, out = tmp_path / "config.json", tmp_path / "out"
     cfg.write_text(json.dumps(cmd["config"]), encoding="utf-8")
     assert run([cmd["command"], "--config", str(cfg), "--out", str(out),
@@ -49,3 +47,15 @@ def test_dimension_sweep_records_pass_gates(tmp_path, cmd):
                         .read_text(encoding="utf-8"))
     assert gates.gate_misses(record) == []
     gates.digest(record, str(out))  # the harness digests every record
+
+
+@pytest.mark.parametrize("cmd", workloads.generate("dimension_sweep", 1),
+                         ids=lambda cmd: cmd["name"])
+def test_dimension_sweep_records_pass_gates(tmp_path, cmd):
+    _records_pass_gates(tmp_path, cmd)
+
+
+@pytest.mark.parametrize("cmd", workloads.generate("pressure_scan", 1),
+                         ids=lambda cmd: cmd["name"])
+def test_pressure_scan_records_pass_gates(tmp_path, cmd):
+    _records_pass_gates(tmp_path, cmd)

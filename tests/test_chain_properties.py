@@ -62,7 +62,7 @@ def dense_log_weights(table: TablePotential) -> np.ndarray:
         code = 0
         for m, n in word:
             code = code * A + (m - 1) * M + (n - 1)
-        gram[code] = table.scale * value
+        gram[code] = value
     idx = np.arange(A ** L)
     logW = np.full((A ** L, A ** L), -np.inf)
     logW[idx[:, None], (idx % A ** (L - 1))[:, None] * A + np.arange(A)] = \

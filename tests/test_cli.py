@@ -19,6 +19,8 @@ from fiberdim.errors import ConfigError
 from fiberdim.systems import make_system
 from fiberdim.thermo import HEALTH_TOL, GibbsApprox
 
+from oracles import constant_potential
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -133,7 +135,7 @@ INVALID_DOCUMENTS = {
     "float_depth": '{"truncation": {"depth": 6.0}}',
     "float_seed": '{"seed": 1.0}',
     "nan": '{"dimension": {"bowen_tol": NaN}}',
-    "infinity": '{"potential": {"scale": Infinity}}',
+    "infinity": '{"potential": {"value": Infinity}}',
     "overflow": '{"verify": {"s": 1e400}}',
     "table_row_without_word": _table([[5, 1.0]]),
     "table_value_not_number": _table([[[[1, 1]], "abc"]]),
@@ -189,6 +191,12 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"truncaton": {"depth": 4}})
         assert run(["pressure", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2
+
+    def test_potential_scale_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"potential": {"scale": 1.0}})
+        assert run(["pressure", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key 'scale'" in capsys.readouterr().err
 
     def test_singular_translate_domain_exits_2(self, tmp_path, capsys):
         # translate 3 + i puts the conjugate map's singularity at the center
@@ -352,7 +360,7 @@ class TestDimensionCommand:
         stats = read_record(out, "dimension")["results"]["stats"]
         assert stats["h_mu"] == pytest.approx(math.log(4), abs=1e-12)
         # the log|T'| table is realized at memory 1, the configured memory
-        g = thermo.gibbs_markov(thermo.ConstantPotential(0.0), 2, 1)
+        g = thermo.gibbs_markov(constant_potential(0.0, 2), 2, 1)
         assert stats["chi_T"] == thermo.lyapunov_fiber_exact(
             g, make_system("inverse_conjugate"), 1)
 

@@ -24,10 +24,9 @@ from fiberdim.empirics import (
 from fiberdim import systems
 from fiberdim.errors import ConfigError, InsufficientScales
 from fiberdim.systems import fiber_points_bulk, make_system
-from fiberdim.thermo import (ConstantPotential, GeometricPotential, GibbsApprox,
-                             gibbs_markov)
+from fiberdim.thermo import GeometricPotential, GibbsApprox, gibbs_markov
 
-from oracles import whole_draw_points
+from oracles import constant_potential, whole_draw_points
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -193,7 +192,7 @@ class TestSampling:
         assert np.array_equal(cloud.points, np.column_stack([w.real, w.imag]))
 
     def test_single_digit_collapses_to_golden_point(self, conj):
-        g = gibbs_markov(ConstantPotential(0.0), 1)
+        g = gibbs_markov(constant_potential(0.0, 1), 1)
         cloud = sample_measure(g, conj, "z_marginal", n_points=2000, depth=30,
                                seed=0)
         golden = (math.sqrt(5) - 1) / 2  # unit-square chart of [1;1,1,...]
@@ -291,7 +290,7 @@ class TestLocalDimension:
         assert abs(a.mean - b.mean) <= 0.05
 
     def test_dirac_short_circuit(self, conj):
-        g = gibbs_markov(ConstantPotential(0.0), 1)
+        g = gibbs_markov(constant_potential(0.0, 1), 1)
         cloud = sample_measure(g, conj, "z_marginal", n_points=2000, depth=30,
                                seed=0)
         est = local_dimension(cloud, n_centers=100, seed=0)
@@ -348,7 +347,7 @@ class TestBoxDimension:
         assert 0.85 <= est.value <= 1.05
 
     def test_dirac_reports_zero(self, conj):
-        g = gibbs_markov(ConstantPotential(0.0), 1)
+        g = gibbs_markov(constant_potential(0.0, 1), 1)
         cloud = sample_measure(g, conj, "z_marginal", n_points=2000, depth=30,
                                seed=0)
         est = box_dimension(cloud)

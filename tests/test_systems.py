@@ -19,13 +19,13 @@ from fiberdim.systems import (
     make_system,
     verify_system,
 )
-from fiberdim.thermo import (ConstantPotential, gibbs_markov,
-                             periodic_log_derivatives)
+from fiberdim.thermo import gibbs_markov, periodic_log_derivatives
 from fiberdim.words import pair_alphabet
 
-from oracles import (default_symbol_sup, enumerate_pair_words,
-                     exact_coefficient, fiber_derivative_mod, fiber_map,
-                     pi2_hat, pi_tilde, sample_fiber_limit_set)
+from oracles import (constant_potential, default_symbol_sup,
+                     enumerate_pair_words, exact_coefficient,
+                     fiber_derivative_mod, fiber_map, pi2_hat, pi_tilde,
+                     sample_fiber_limit_set)
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +284,16 @@ class TestFiberFormulas:
                 assert abs(fd - ref) <= 1e-6 * ref
                 checked += 1
 
+    @pytest.mark.parametrize("variant", sorted(systems.FAMILIES))
+    def test_derivative_mod_gives_one_value_per_point(self, variant):
+        # one coefficient, the context of (1, 1) repeated, at a grid of points
+        system = make_system(variant)
+        ones = np.ones(CONTEXT_DEPTH, dtype=np.int64)
+        c = system.family.coefficients(system, ones, ones)
+        points = system.domain.center + 0.5 * system.domain.radius * np.exp(
+            1j * np.arange(12.0)).reshape(3, 4)
+        assert system.family.derivative_mod(points, c).shape == points.shape
+
     def test_checked_layer_rejects_escapes(self, conj):
         word = ((1, 1),) * 12
         with pytest.raises(DomainEscape):
@@ -473,7 +483,7 @@ class TestLimitSetSampling:
         system = make_system(variant)
         fwd = ((1, 2), (2, 1), (1, 1))
         pts = sample_fiber_limit_set(system, fwd, 2, 25, 300, seed=6)
-        chain = gibbs_markov(ConstantPotential(0.0), 2, 1)
+        chain = gibbs_markov(constant_potential(0.0, 2), 2, 1)
         past, _ = chain.sample_two_sided(25, 1, 300, 6)
         fwd_m, fwd_n = np.tile(np.array(fwd).T[:, None], (1, 300, 1))
         assert np.array_equal(

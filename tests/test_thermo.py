@@ -16,11 +16,11 @@ from fiberdim.errors import (
     PerronNotConverged,
 )
 from fiberdim import moments, thermo
+from fiberdim.config import build_potential
 from fiberdim.moments import lyapunov_marginal_exact
 from fiberdim.systems import SimilaritySchedule, make_system
 from fiberdim.words import pair_alphabet
 from fiberdim.thermo import (
-    ConstantPotential,
     GeometricPotential,
     GibbsApprox,
     TablePotential,
@@ -35,9 +35,10 @@ from fiberdim.thermo import (
     realized_table,
 )
 
-from oracles import (gibbs_constant_hat, lyapunov_marginal, potential_mean,
-                     symbol_marginal, variational_gap,
-                     whole_draw_lyapunov_fiber, word_log_mass)
+from oracles import (constant_potential, gibbs_constant_hat,
+                     lyapunov_marginal, potential_mean, symbol_marginal,
+                     variational_gap, whole_draw_lyapunov_fiber,
+                     word_log_mass)
 
 LOG2 = math.log(2.0)
 
@@ -62,7 +63,6 @@ class TestPotentials:
             GeometricPotential(conj, -0.5)
 
     def test_default_memories(self, conj):
-        assert ConstantPotential(1.0).memory == 0
         assert GeometricPotential(conj, 1.0).memory == 2
         sim = make_system("similarity")
         assert GeometricPotential(sim, 1.0).memory == 1
@@ -92,10 +92,28 @@ class TestPotentials:
         assert errs[0] > errs[1] > errs[2] > 0.0
 
 
+class TestConstantKind:
+    """The config's constant kind is the memory-1 table with one value."""
+
+    @pytest.mark.parametrize("memory", [None, 1, 2, 3])
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_realizes_to_value_at_every_code(self, M, memory):
+        value = -0.35
+        potential = build_potential(
+            {"potential": {"kind": "constant", "value": value}}, None, M)
+        L = potential.word_length(memory)
+        gram, err = potential.realize(M, L)
+        assert gram.shape == ((M * M) ** L,) and err == 0.0
+        assert (gram == value).all()
+        g = gibbs_markov(potential, M, memory)
+        assert g.log_pressure == pytest.approx(math.log(M * M) + value,
+                                               abs=1e-14)
+
+
 class TestGibbsChain:
     def test_constant_pressure_closed_form(self):
         for M in (2, 3):
-            g = gibbs_markov(ConstantPotential(0.7), M)
+            g = gibbs_markov(constant_potential(0.7, M), M)
             assert g.log_pressure == pytest.approx(0.7 + 2 * math.log(M), abs=1e-12)
 
     def test_similarity_equal_pressure_closed_form(self):
@@ -136,7 +154,7 @@ class TestGibbsChain:
         assert marg[3] == 0.0  # (2,2) forbidden
 
     def test_variational_identity(self, conj, bernoulli):
-        for g in (gibbs_markov(ConstantPotential(0.7), 3),
+        for g in (gibbs_markov(constant_potential(0.7, 3), 3),
                   gibbs_markov(GeometricPotential(conj, 1.0), 2),
                   bernoulli):
             assert variational_gap(g) <= 1e-12
@@ -170,9 +188,10 @@ class TestGibbsChain:
     def test_primitivity_check_memory_is_linear_in_states(self):
         # 4096 one-symbol states: an (A, A^(L-1), A) array of edge level gaps
         # would hold 1.7e7 int64 entries, 134 MB
+        potential = constant_potential(0.0, 64)
         tracemalloc.start()
         try:
-            gibbs_markov.__wrapped__(ConstantPotential(0.0), 64, 1)
+            gibbs_markov.__wrapped__(potential, 64, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,7 +322,7 @@ class TestCylinderPressure:
                                   depth=200_000, memory=2)
 
     def test_constant_depth_values_exact(self):
-        est = pressure_cylinder_sum(ConstantPotential(0.3), 2, depth=4)
+        est = pressure_cylinder_sum(constant_potential(0.3, 2), 2, depth=4)
         for value in est.depth_values:
             assert value == pytest.approx(0.3 + 2 * LOG2, abs=1e-12)
 
@@ -346,7 +365,7 @@ class TestMarginalEntropy:
 class TestLyapunov:
     def test_golden_dirac_marginal(self):
         # M = 1: every digit is 1, so x = 1/phi and chi = 2 log phi
-        g = gibbs_markov(ConstantPotential(0.0), 1)
+        g = gibbs_markov(constant_potential(0.0, 1), 1)
         phi = (1 + math.sqrt(5)) / 2
         for which in (1, 2):
             assert lyapunov_marginal_exact(g, which).value == pytest.approx(
@@ -369,7 +388,7 @@ class TestLyapunov:
 
 #: chains of memory 1 whose potential is not log|T'|
 NON_GEOMETRIC = {
-    "constant": ConstantPotential(0.0),
+    "constant": constant_potential(0.0, 2),
     "table": TablePotential.from_dict(2, {(1, 1): 0.0, (1, 2): 0.3,
                                           (2, 1): -0.2, (2, 2): 0.5}),
 }
@@ -415,7 +434,7 @@ class TestExactFiberExponent:
             raise AssertionError("the table must be rejected before any work")
 
         monkeypatch.setattr(thermo, "realized_table", forbidden)
-        g = gibbs_markov(ConstantPotential(0.0), 9)  # 81 states, 6561 2-words
+        g = gibbs_markov(constant_potential(0.0, 9), 9)  # 81 states, 6561 2-words
         with pytest.raises(EnumerationCapExceeded, match="6561 words"):
             lyapunov_fiber_exact(g, conj, 2)
 
