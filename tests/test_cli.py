@@ -579,8 +579,32 @@ def _guard_config(name):
             "seed": 1}
 
 
+# sha256 of the sorted-key results JSON followed by the CSV bytes of the
+# same configs; sample_fiber_2000 sets a window and a prediction, so its
+# record also carries the exactness block
+SAMPLE_RECORD_DIGESTS = {
+    "z_marginal_conjugate_2000":
+        "4c3bb26762dd5653f1d00e67d9370adcc0117a24626faf1adc4114a84c8d374c",
+    "sample_fiber_2000":
+        "b7062cea5e8eab7e02e736d86a3b156bfd22ce747b4a3986da734841c4e52d17",
+    "global_conjugate_2000":
+        "f4d2edf77a2f4c488d753df8710c6d3535e6a36ca207443edaa330a0a864744b",
+}
+
+
+def _results_and_csv_digest(out, command) -> str:
+    """sha256 of a record's sorted-key results JSON, then its files' bytes."""
+    record = read_record(out, command)
+    digest = hashlib.sha256(
+        json.dumps(record["results"], sort_keys=True).encode())
+    for csv in record["files"]:
+        digest.update((out / csv).read_bytes())
+    return digest.hexdigest()
+
+
 class TestCloudBytes:
-    """Same seed, same bytes: clouds match digests recorded earlier."""
+    """Same seed, same bytes: clouds and sample records match digests
+    recorded earlier."""
 
     @pytest.mark.parametrize("name", sorted(CLOUD_DIGESTS))
     def test_cloud_csv_digest(self, tmp_path, name):
@@ -590,6 +614,15 @@ class TestCloudBytes:
                     "--out", str(out)]) == 0
         csv = out / f"cloud_{doc['sample']['target']}.csv"
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == CLOUD_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_RECORD_DIGESTS))
+    def test_results_and_csv_digest(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert run(["sample", "--config",
+                    write_config(tmp_path, _guard_config(name)),
+                    "--out", str(out)]) == 0
+        assert (_results_and_csv_digest(out, "sample")
+                == SAMPLE_RECORD_DIGESTS[name])
 
 
 # every system_report carries the certified contraction, distortion_bound
@@ -721,12 +754,7 @@ class TestRecordBytes:
         assert run([command, "--config",
                     write_config(tmp_path, _record_config(name)),
                     "--out", str(out)]) == 0
-        record = read_record(out, command)
-        digest = hashlib.sha256(
-            json.dumps(record["results"], sort_keys=True).encode())
-        for csv in record["files"]:
-            digest.update((out / csv).read_bytes())
-        assert digest.hexdigest() == expected
+        assert _results_and_csv_digest(out, command) == expected
 
 
 class TestVerifyCommand:
