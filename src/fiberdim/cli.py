@@ -177,23 +177,16 @@ def cmd_sample(config: dict, out_dir: str):
         "diameter": cloud.diameter(),
         "chain": g.health(),
     }
-    box = box_dimension(cloud, sm["box_scales"])
-    results["box_dimension"] = {"value": box.value,
-                                "scales": list(box.scales),
-                                "counts": list(box.counts)}
+    results["box_dimension"] = dataclasses.asdict(
+        box_dimension(cloud, sm["box_scales"]))
     window = tuple(sm["window"]) if sm["window"] is not None else None
     try:
         loc = local_dimension(cloud, window, sm["n_centers"], config["seed"])
-        results["local_dimension"] = {
-            "mean": loc.mean, "stddev": loc.stddev,
-            "window": list(loc.window), "n_centers": loc.n_centers,
-        }
+        results["local_dimension"] = dataclasses.asdict(loc)
         if sm["predicted"] is not None:
-            rep = exactness_report(loc, sm["predicted"])
-            results["exactness"] = {"predicted": sm["predicted"],
-                                    "bias": rep.bias,
-                                    "dispersion": rep.dispersion,
-                                    "flags": list(rep.flags)}
+            results["exactness"] = {
+                "predicted": sm["predicted"],
+                **dataclasses.asdict(exactness_report(loc, sm["predicted"]))}
     except InsufficientScales as exc:
         warnings.append(f"local dimension skipped: {exc}")
         results["local_dimension"] = None

@@ -21,8 +21,10 @@ from .systems import (CONTEXT_DEPTH, SmaleSystem, fiber_points_bulk,
 from .thermo import GibbsApprox, _rng
 from .words import is_integer
 
-#: Cloud targets of ``sample_measure`` and z-coordinate charts of a cloud.
-TARGETS = ("fiber", "z_marginal", "global")
+#: Cloud targets of ``sample_measure``, each mapped to the coordinate parts
+#: of its points in column order (``z`` the base point, ``w`` the fiber
+#: point), and z-coordinate charts of a cloud.
+TARGETS = {"fiber": "w", "z_marginal": "z", "global": "zw"}
 CHARTS = ("unit_square", "raw")
 
 #: Radius ladder ratio and default scale count for local estimates.
@@ -46,6 +48,10 @@ SAMPLE_ELEMENT_CAP = 100_000_000
 
 #: Rows that ``PointCloud.to_csv`` formats per write.
 _CSV_BLOCK = 4096
+
+#: Largest |bias| and dispersion that ``exactness_report`` leaves unflagged.
+BIAS_TOL = 0.1
+DISPERSION_TOL = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +112,10 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     evaluated through the continued fraction coordinates at the cylinder
     midpoint and the past word through the fiber composition at the same
     context, so the two parts of a joint sample share their randomness the
-    way the invariant measure couples them.  A cloud of more than
+    way the invariant measure couples them.  The target's ``TARGETS`` parts
+    set the columns, the draw lengths, the default size (100 000 points per
+    part), the chart (``raw`` without a z part) and the coding error (the
+    largest of its parts').  A cloud of more than
     ``SAMPLE_ELEMENT_CAP`` elements (points times 2 * depth) raises
     ``ConfigError`` before any draw, as do an unknown target or chart.  The
     draw's codes become digits and points one ``row_blocks`` block at a
@@ -116,8 +125,9 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
         raise ConfigError(f"unknown target {target!r}")
     if chart not in CHARTS:
         raise ConfigError(f"unknown chart {chart!r}")
+    parts = TARGETS[target]
     if n_points is None:
-        n_points = 200_000 if target == "global" else 100_000
+        n_points = 100_000 * len(parts)
     if n_points < 1_000:
         raise ConfigError("need at least 1000 points")
     if depth < 20:
@@ -130,35 +140,27 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     # a fiber point reads only the CONTEXT_DEPTH - 1 forward symbols of the
     # context at time -1; forward steps are drawn last, so the shorter draw
     # leaves the past and those symbols as they are
-    forward = (max(g.memory, CONTEXT_DEPTH - 1) if target == "fiber"
-               else depth)
-    # a z-marginal point reads no past, so it draws none
-    past, fwd = g.sample_two_sided(0 if target == "z_marginal" else depth,
+    forward = depth if "z" in parts else max(g.memory, CONTEXT_DEPTH - 1)
+    # a z point reads no past, so a cloud without fiber points draws none
+    past, fwd = g.sample_two_sided(depth if "w" in parts else 0,
                                    forward, n_points, seed)
-    z_err = 2.0 ** (1 - depth)
-    fiber_err = system.domain.diameter * system.contraction ** (-depth)
-    points = np.empty((n_points, 4 if target == "global" else 2))
+    errors = {"z": 2.0 ** (1 - depth),
+              "w": system.domain.diameter * system.contraction ** (-depth)}
+    points = np.empty((n_points, 2 * len(parts)))
     for rows in row_blocks(n_points, depth + forward):
         fwd_m, fwd_n = g.digits(fwd[rows])
-        if target in ("z_marginal", "global"):
+        if "z" in parts:
             z = pi_values_bulk(fwd_m, fwd_n)
             if chart == "unit_square":
                 np.divide(1.0, z.real, out=points[rows, 0])
                 np.divide(1.0, z.imag, out=points[rows, 1])
             else:
                 points[rows, 0], points[rows, 1] = z.real, z.imag
-        if target in ("fiber", "global"):
+        if "w" in parts:
             w = fiber_points_bulk(system, *g.digits(past[rows]), fwd_m, fwd_n)
             points[rows, -2], points[rows, -1] = w.real, w.imag
-    if target == "fiber":
-        err = fiber_err
-    elif target == "z_marginal":
-        err = z_err
-    else:
-        err = max(z_err, fiber_err)
-    return PointCloud(points=points,
-                      chart=chart if target != "fiber" else "raw",
-                      coding_error=float(err))
+    return PointCloud(points=points, chart=chart if "z" in parts else "raw",
+                      coding_error=float(max(errors[p] for p in parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +399,14 @@ class ExactnessReport:
     flags: tuple
 
 
-def exactness_report(estimate: LocalDimEstimate, predicted: float,
-                     bias_tol: float = 0.1,
-                     dispersion_tol: float = 0.25) -> ExactnessReport:
+def exactness_report(estimate: LocalDimEstimate,
+                     predicted: float) -> ExactnessReport:
     """Compare a measured local dimension against a closed-form prediction."""
     bias = estimate.mean - float(predicted)
     flags = []
-    if abs(bias) > bias_tol:
+    if abs(bias) > BIAS_TOL:
         flags.append("large_bias")
-    if estimate.stddev > dispersion_tol:
+    if estimate.stddev > DISPERSION_TOL:
         flags.append("large_dispersion")
     if estimate.n_centers < 30:
         flags.append("few_centers")

@@ -28,10 +28,11 @@ from .errors import ConfigError, DomainEscape, InvalidWord
 from .words import (cf_value_float, check_max_digit, check_pair_word,
                     pair_alphabet)
 
-#: Tolerance of image-disk overlap and of domain-containment checks.
+#: Overlap that ``verify_system`` still reads as touching images (``osc_ok``).
 ESCAPE_TOL = 1e-10
 
-#: Default number of forward symbols a word-dependent quantity reads.
+#: Symbols of the context a fiber map reads its coefficient off, so a fiber
+#: point reads CONTEXT_DEPTH - 1 forward symbols (the context at time -1).
 CONTEXT_DEPTH = 12
 
 #: Digit elements, rows times the symbols per row, that one row block of a
@@ -74,6 +75,9 @@ def invert_disk(disk: Disk) -> Disk:
 #: Digits <= this of the infinite ``geometric`` schedule are checked one by
 #: one (``_probe``); ``_Similarity.validate`` bounds every larger digit at once.
 PROBE_DIGIT = 4
+
+#: How far past the domain's radius ``_Similarity.validate`` lets an image reach.
+FIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -352,7 +356,8 @@ class _Similarity(FiberFamily):
         schedule = system.schedule
         symbols, mod, tr = _probe(schedule)
         c, r = system.domain.center, system.domain.radius
-        escape = np.abs(tr + mod * c - c) + mod * r > r + 1e-12
+        disk = self.image(system.domain, (mod, tr))
+        escape = np.abs(disk.center - c) + disk.radius > r + FIT_TOL
         if escape.any():
             raise ConfigError(f"similarity image for symbol "
                               f"{symbols[np.argmax(escape)]} escapes the domain")
@@ -361,7 +366,7 @@ class _Similarity(FiberFamily):
                          for x in (-0.3, 0.3) for y in (-0.3, 0.3))
             bound = schedule.maps(1, PROBE_DIGIT + 1)[0]
             reach = corner + bound * (abs(c) + r)
-            if reach > r + 1e-12:
+            if reach > r + FIT_TOL:
                 raise ConfigError(
                     f"similarity images of symbols with a digit above {PROBE_DIGIT} "
                     f"may reach {reach:.6g} from the center, past the radius {r:g}")
@@ -479,48 +484,45 @@ def row_blocks(count: int, steps: int):
 
 def fiber_points_bulk(system: SmaleSystem,
                       past_m: np.ndarray, past_n: np.ndarray,
-                      fwd_m: np.ndarray, fwd_n: np.ndarray,
-                      ctx_depth: int = CONTEXT_DEPTH) -> np.ndarray:
+                      fwd_m: np.ndarray, fwd_n: np.ndarray) -> np.ndarray:
     """Vectorised fiber points for batches of past/forward digit rows.
 
     This is the one bulk composition of fiber maps: point clouds and
     ``fiber_log_derivatives`` call it.
     ``past_m[:, j]`` is the first digit coordinate at time -(j+1).  Uses the
     float continued-fraction path: each level reads its translate value off
-    ``ctx_depth`` symbols with a fixed tail, where the scalar reference
+    ``CONTEXT_DEPTH`` symbols with a fixed tail, where the scalar reference
     composition of ``tests/oracles.py`` takes the midpoint of the exact
     cylinder of the same symbols.  Both lie in that cylinder, whose sides
-    are at most the coding error 2**(1 - ctx_depth); for maps 1-Lipschitz in
-    the translate value the points therefore agree with the reference to
-    within sqrt(2) * 2**(1 - ctx_depth) * contraction / (contraction - 1).
+    are at most the coding error e = 2**(1 - CONTEXT_DEPTH); for maps
+    1-Lipschitz in the translate value the points therefore agree with the
+    reference to within sqrt(2) * e * contraction / (contraction - 1).
+    Rows of fewer than CONTEXT_DEPTH - 1 forward symbols raise InvalidWord.
 
     Rows run in ``row_blocks`` of depth plus the forward symbols a context
     reads, so deep pasts take fewer rows per block.  A block is one
     time-major two-sided digit array, the past reversed and then the forward
-    symbols; one ``family.coefficients`` call on its ``ctx_depth``-wide
-    sliding windows gives every level whose context is a whole window.  A
-    level nearer time 0 than a short forward word allows reads a shorter
-    context, as a slice would.
+    symbols; one ``family.coefficients`` call on its ``CONTEXT_DEPTH``-wide
+    sliding windows gives every level.
     """
+    ahead = CONTEXT_DEPTH - 1  # forward symbols level 1 reads
+    if fwd_m.shape[1] < ahead:
+        raise InvalidWord(f"a fiber point reads {ahead} forward symbols, "
+                          f"got {fwd_m.shape[1]}")
     family = system.family
     count, depth = past_m.shape
-    ahead = min(fwd_m.shape[1], ctx_depth - 1)  # forward symbols level 1 reads
     w = np.full(count, system.domain.center, dtype=complex)
     if depth == 0:
         return w
     for rows in row_blocks(count, depth + ahead):
         two_m, two_n = (np.concatenate([p[rows, ::-1].T, f[rows, :ahead].T])
                         for p, f in ((past_m, fwd_m), (past_n, fwd_n)))
-        whole = max(0, len(two_m) - ctx_depth + 1)  # levels on whole windows
-        if whole:
-            coeff = family.coefficients(
-                system, sliding_window_view(two_m, ctx_depth, axis=0),
-                sliding_window_view(two_n, ctx_depth, axis=0))
+        coeff = family.coefficients(
+            system, sliding_window_view(two_m, CONTEXT_DEPTH, axis=0),
+            sliding_window_view(two_n, CONTEXT_DEPTH, axis=0))
         point = w[rows]
         for t in range(depth):  # the level depth - t acts at time t - depth
-            c = (_level(coeff, t) if t < whole else
-                 family.coefficients(system, two_m[t:].T, two_n[t:].T))
-            point = family.map(point, c)
+            point = family.map(point, _level(coeff, t))
         w[rows] = point
     return w
 
@@ -532,16 +534,16 @@ def _level(coeff, t):
 
 def fiber_log_derivatives(system: SmaleSystem, past_m: np.ndarray,
                           past_n: np.ndarray, fwd_m: np.ndarray,
-                          fwd_n: np.ndarray, ctx_depth: int) -> np.ndarray:
-    """log|T'| of the time-zero map, reading the first ``ctx_depth`` forward
-    symbols, at the ``fiber_points_bulk`` point of each row; DomainEscape
-    for a point more than 1e-6 off the domain."""
-    pts = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n, ctx_depth)
+                          fwd_n: np.ndarray) -> np.ndarray:
+    """log|T'| of the time-zero map, reading the first ``CONTEXT_DEPTH``
+    forward symbols, at the ``fiber_points_bulk`` point of each row;
+    DomainEscape for a point more than 1e-6 off the domain."""
+    pts = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
     if (np.abs(pts - system.domain.center) > system.domain.radius + 1e-6).any():
         raise DomainEscape("fiber points left the domain")
     family = system.family
     return np.log(family.derivative_mod(pts, family.coefficients(
-        system, fwd_m[:, :ctx_depth], fwd_n[:, :ctx_depth])))
+        system, fwd_m[:, :CONTEXT_DEPTH], fwd_n[:, :CONTEXT_DEPTH])))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ from .errors import (
 from .moments import lyapunov_marginal_exact
 from .systems import (CONTEXT_DEPTH, SmaleSystem, fiber_log_derivatives,
                       row_blocks)
-from .words import ENUMERATION_CAP, check_max_digit, check_pair_word
+from .words import (ENUMERATION_CAP, check_max_digit, check_pair_word,
+                    is_integer)
 
 #: Cap on the number of k-word states of the transfer matrix.
 STATE_CAP = 4096
@@ -138,7 +139,7 @@ class TablePotential:
     def from_dict(cls, max_digit: int, mapping: dict) -> "TablePotential":
         entries = []
         for word, value in mapping.items():
-            if word and isinstance(word[0], int):
+            if word and is_integer(word[0]):
                 word = (tuple(word),)  # single symbol given bare
             entries.append((check_pair_word(word), float(value)))
         entries.sort()
@@ -186,18 +187,18 @@ def _digit_planes(codes: np.ndarray, n: int, max_digit: int):
     return (sym // max_digit + 1).astype(dtype), (sym % max_digit + 1).astype(dtype)
 
 
-def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
-                             window: int = CONTEXT_DEPTH) -> np.ndarray:
+def periodic_log_derivatives(system: SmaleSystem, max_digit: int,
+                             n: int) -> np.ndarray:
     """log derivative modulus at the periodic limit point of every n-word.
 
     Entry ``code`` is log|T'| of the time-zero map of the two-sided periodic
     extension of the word, evaluated at the fiber point pinned by its past:
     ``fiber_log_derivatives`` of a past of ``_composition_depth`` symbols and
-    a ``window``-symbol forward word, time t reading symbol t mod n, a depth
-    that makes the point accurate to the POINT_TOL scale.  So against the
+    a forward word of CONTEXT_DEPTH symbols, time t reading symbol t mod n,
+    a past that pins the point to the POINT_TOL scale.  So against the
     exact-cylinder reference of ``tests/oracles.py`` an entry is off by at
-    most ``distortion_bound`` times the sum of the ``fiber_points_bulk``
-    point bound and the translate coding error sqrt(2) * 2**(1 - window).
+    most ``distortion_bound`` times the sum of the point bound and the
+    translate coding error that ``fiber_points_bulk`` states.
     """
     M = check_max_digit(max_digit)
     count = (M * M) ** n
@@ -205,16 +206,16 @@ def periodic_log_derivatives(system: SmaleSystem, max_digit: int, n: int,
         raise EnumerationCapExceeded(f"{count} periodic words exceed the cap")
     depth = _composition_depth(system)
     past = -np.arange(1, depth + 1) % n
-    fwd = np.arange(window) % n
+    fwd = np.arange(CONTEXT_DEPTH) % n
     out = np.empty(count)
     # one row block of codes at a time: no count x depth digit copy
-    for rows in row_blocks(count, depth + window):
+    for rows in row_blocks(count, depth + CONTEXT_DEPTH):
         m_dig, n_dig = _digit_planes(
             np.arange(rows.start, rows.stop, dtype=np.int64), n, M)
         # pasts gathered time-major, as the sampler lays them out
         out[rows] = fiber_log_derivatives(
             system, m_dig.T[past].T, n_dig.T[past].T,
-            m_dig[:, fwd], n_dig[:, fwd], window)
+            m_dig[:, fwd], n_dig[:, fwd])
     return out
 
 
@@ -570,7 +571,6 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
 class PressureEstimate:
     """Cylinder-sum pressure: naive levels plus the bias-free difference."""
 
-    truncation: int
     depth_values: tuple
     extrapolated: float
     error_est: float
@@ -647,7 +647,7 @@ def pressure_cylinder_sum(potential, max_digit: int, depth: int,
     depth_values = tuple(z / j for j, z in enumerate(logZ, start=1))
     extrapolated = logZ[-1] - logZ[-2]
     return PressureEstimate(
-        truncation=M, depth_values=depth_values, extrapolated=extrapolated,
+        depth_values=depth_values, extrapolated=extrapolated,
         error_est=abs(depth_values[-1] - extrapolated),
         log_partition=tuple(logZ), potential_error=err,
     )

@@ -452,17 +452,27 @@ def sample_fiber_limit_set(system, forward, max_digit: int, depth: int,
 
     Pasts come from the zero-potential chain on the symbols with digits <=
     max_digit, uniform and independent; each returned point is within
-    contraction^-depth * diam of the limit set.
+    contraction^-depth * diam of the limit set.  A forward word shorter than
+    the CONTEXT_DEPTH - 1 symbols a fiber point reads is padded with its
+    periodic extension (``padded_forward``).
     """
-    fwd = check_pair_word(forward)
-    if not fwd:
-        raise InvalidWord("forward word must be nonempty")
+    fwd = padded_forward(forward)
     chain = gibbs_markov(constant_potential(0.0, max_digit), max_digit, 1)
     past, _ = chain.sample_two_sided(depth, 1, count, seed)
     # one read-only row repeated count times, not count copies of it
     fwd_m, fwd_n = np.broadcast_to(np.array(fwd).T[:, None],
                                    (2, count, len(fwd)))
     return fiber_points_bulk(system, *chain.digits(past), fwd_m, fwd_n)
+
+
+def padded_forward(forward) -> tuple:
+    """A nonempty forward word, repeated periodically to at least the
+    CONTEXT_DEPTH - 1 symbols a fiber point reads."""
+    fwd = check_pair_word(forward)
+    if not fwd:
+        raise InvalidWord("forward word must be nonempty")
+    return tuple(fwd[i % len(fwd)]
+                 for i in range(max(len(fwd), CONTEXT_DEPTH - 1)))
 
 
 def whole_draw_points(g, system, target: str, n_points: int, depth: int,
@@ -509,7 +519,7 @@ def whole_draw_lyapunov_fiber(g, system, n_samples: int, past_depth: int,
     past, fwd = g.sample_two_sided(past_depth, max(CONTEXT_DEPTH, g.memory),
                                    n_samples, rng_seed)
     return McEstimate.from_samples(-fiber_log_derivatives(
-        system, *g.digits(past), *g.digits(fwd), CONTEXT_DEPTH))
+        system, *g.digits(past), *g.digits(fwd)))
 
 
 def whole_draw_lyapunov_fiber_table_mc(g, system, n_samples: int,

@@ -21,7 +21,7 @@ from fiberdim.empirics import (
     neighbour_counts,
     sample_measure,
 )
-from fiberdim import systems
+from fiberdim import empirics, systems
 from fiberdim.errors import ConfigError, InsufficientScales
 from fiberdim.systems import fiber_points_bulk, make_system
 from fiberdim.thermo import GeometricPotential, GibbsApprox, gibbs_markov
@@ -504,10 +504,12 @@ class TestExactness:
         assert report.flags == ()
         assert abs(report.bias) <= 0.05
 
-    def test_flags_fire(self, gauss2):
+    def test_flags_fire(self, gauss2, monkeypatch):
         est = local_dimension(gauss2, window=(0.05, 0.4, 9), n_centers=400,
                               seed=1)
-        report = exactness_report(est, 3.0, bias_tol=0.1, dispersion_tol=0.01)
+        monkeypatch.setattr(empirics, "BIAS_TOL", 0.1)
+        monkeypatch.setattr(empirics, "DISPERSION_TOL", 0.01)
+        report = exactness_report(est, 3.0)
         assert "large_bias" in report.flags
         assert "large_dispersion" in report.flags
 

@@ -24,8 +24,8 @@ from fiberdim.words import pair_alphabet
 
 from oracles import (constant_potential, default_symbol_sup,
                      enumerate_pair_words, exact_coefficient,
-                     fiber_derivative_mod, fiber_map, pi2_hat, pi_tilde,
-                     sample_fiber_limit_set)
+                     fiber_derivative_mod, fiber_map, padded_forward, pi2_hat,
+                     pi_tilde, sample_fiber_limit_set)
 
 
 @pytest.fixture(scope="module")
@@ -478,14 +478,15 @@ class TestLimitSetSampling:
 
     @pytest.mark.parametrize("variant", ["inverse_conjugate", "similarity"])
     def test_points_match_tiled_forward_word(self, variant):
-        # the forward word is one broadcast row; the points are those of
-        # count explicit copies of it
+        # the padded forward word is one broadcast row; the points are
+        # those of count explicit copies of it
         system = make_system(variant)
         fwd = ((1, 2), (2, 1), (1, 1))
         pts = sample_fiber_limit_set(system, fwd, 2, 25, 300, seed=6)
         chain = gibbs_markov(constant_potential(0.0, 2), 2, 1)
         past, _ = chain.sample_two_sided(25, 1, 300, 6)
-        fwd_m, fwd_n = np.tile(np.array(fwd).T[:, None], (1, 300, 1))
+        fwd_m, fwd_n = np.tile(np.array(padded_forward(fwd)).T[:, None],
+                               (1, 300, 1))
         assert np.array_equal(
             pts, fiber_points_bulk(system, *chain.digits(past), fwd_m, fwd_n))
 
@@ -565,8 +566,6 @@ class TestVerifyReports:
 class TestBulkMatchesScalar:
     """The vectorised paths against the scalar reference ``pi2_hat``."""
 
-    CTX = 12
-
     @pytest.fixture(params=["inverse_conjugate", "inverse_square", "similarity"])
     def system(self, request):
         return make_system(request.param)
@@ -575,32 +574,31 @@ class TestBulkMatchesScalar:
         # coding error of the translate values, carried through the
         # contracting composition (fiber_points_bulk docstring)
         lam = system.contraction
-        return math.sqrt(2) * 2.0 ** (1 - self.CTX) * lam / (lam - 1)
+        return math.sqrt(2) * 2.0 ** (1 - CONTEXT_DEPTH) * lam / (lam - 1)
 
     def test_vectorised_paths_match_pi2_hat(self, system):
         rng = np.random.default_rng(11)
         M, depth, count = 3, 20, 30
         past_m, past_n = rng.integers(1, M + 1, size=(2, count, depth))
-        fwd_m, fwd_n = rng.integers(1, M + 1, size=(2, count, self.CTX))
-        bulk = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n,
-                                 ctx_depth=self.CTX)
+        fwd_m, fwd_n = rng.integers(1, M + 1, size=(2, count, CONTEXT_DEPTH))
+        bulk = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
         for i in range(count):
             ref, _ = pi2_hat(system, tuple(zip(past_m[i], past_n[i])),
-                             tuple(zip(fwd_m[i], fwd_n[i])), self.CTX)
+                             tuple(zip(fwd_m[i], fwd_n[i])), CONTEXT_DEPTH)
             assert abs(bulk[i] - ref) <= self.point_tol(system)
 
         # periodic realization: log|T'| at the exact-cylinder point of each
         # periodic word, forward word and 60-symbol past both repeating it.
         # The map at time -j reads the word from phase -j mod memory on, so
         # the composition needs the coefficients of memory contexts only.
-        coding = math.sqrt(2) * 2.0 ** (1 - self.CTX)
+        coding = math.sqrt(2) * 2.0 ** (1 - CONTEXT_DEPTH)
         log_tol = system.distortion_bound * (self.point_tol(system) + coding)
         family = system.family
         for memory in (1, 2):
-            vals = periodic_log_derivatives(system, 2, memory, window=self.CTX)
+            vals = periodic_log_derivatives(system, 2, memory)
             for code, word in enumerate(enumerate_pair_words(2, memory)):
                 coeff = [exact_coefficient(system, tuple(
-                    word[(phase + i) % memory] for i in range(self.CTX)))
+                    word[(phase + i) % memory] for i in range(CONTEXT_DEPTH)))
                     for phase in range(memory)]
                 w = system.domain.center
                 for level in range(60, 0, -1):
@@ -609,16 +607,16 @@ class TestBulkMatchesScalar:
                 assert abs(vals[code] - ref) <= log_tol + 1e-12
 
 
-def reference_points_bulk(system, past_m, past_n, fwd_m, fwd_n, ctx_depth):
+def reference_points_bulk(system, past_m, past_n, fwd_m, fwd_n):
     """In-test copy of the per-level composition before blocking: each level
-    slices its context out of the past and forward rows."""
+    slices its CONTEXT_DEPTH-symbol context out of the past and forward rows."""
     family = system.family
 
     def context(past, fwd, level):
-        rows = past[:, level - 1::-1][:, :ctx_depth]
-        if rows.shape[1] < ctx_depth:
-            rows = np.concatenate([rows, fwd[:, :ctx_depth - rows.shape[1]]],
-                                  axis=1)
+        rows = past[:, level - 1::-1][:, :CONTEXT_DEPTH]
+        if rows.shape[1] < CONTEXT_DEPTH:
+            rows = np.concatenate(
+                [rows, fwd[:, :CONTEXT_DEPTH - rows.shape[1]]], axis=1)
         return rows
 
     w = np.full(past_m.shape[0], system.domain.center, dtype=complex)
@@ -639,14 +637,23 @@ class TestBulkBlocks:
             monkeypatch.setattr(systems, "COMPOSITION_BLOCK", block)
         system = make_system(variant)
         rng = np.random.default_rng(3)
-        for depth, n_fwd, ctx in [(25, 12, 12), (25, 1, 12), (25, 3, 12),
-                                  (5, 2, 12), (3, 20, 8), (1, 1, 12), (0, 4, 12)]:
+        for depth, n_fwd in [(25, 12), (25, 11), (5, 11), (3, 20), (1, 11),
+                             (0, 11)]:
             past_m, past_n = rng.integers(1, 4, size=(2, 37, depth))
             fwd_m, fwd_n = rng.integers(1, 4, size=(2, 37, n_fwd))
-            got = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n, ctx)
-            ref = reference_points_bulk(system, past_m, past_n, fwd_m, fwd_n, ctx)
-            assert np.array_equal(got, ref), (depth, n_fwd, ctx)
+            got = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
+            ref = reference_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
+            assert np.array_equal(got, ref), (depth, n_fwd)
 
+    @pytest.mark.parametrize("variant", ["inverse_conjugate", "inverse_square",
+                                         "similarity"])
+    @pytest.mark.parametrize("depth", [0, 25])
+    def test_short_forward_rows_rejected(self, variant, depth):
+        # the level at time -1 reads CONTEXT_DEPTH - 1 forward symbols
+        past_m, past_n = np.ones((2, 4, depth), dtype=np.int64)
+        fwd_m, fwd_n = np.ones((2, 4, CONTEXT_DEPTH - 2), dtype=np.int64)
+        with pytest.raises(InvalidWord, match="reads 11 forward symbols"):
+            fiber_points_bulk(make_system(variant), past_m, past_n, fwd_m, fwd_n)
 
     def test_translate_values_match_formula(self):
         # the float continued fraction and the complex assembly, against
@@ -661,10 +668,3 @@ class TestBulkBlocks:
         assert np.array_equal(words.cf_value_float(m), cf(m))
         ref = (m[..., 0] + cf(m[..., 1:])) + 1j * (n[..., 0] + cf(n[..., 1:]))
         assert np.array_equal(systems.pi_values_bulk(m, n), ref)
-
-
-class TestBulkMatchesScalarCtx8(TestBulkMatchesScalar):
-    """The same bounds at a shorter context depth, the ``ctx_depth`` and
-    ``window`` arguments the defaults never set."""
-
-    CTX = 8

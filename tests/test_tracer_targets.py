@@ -42,6 +42,13 @@ CASES = {
         {"truncation": {"m_schedule": [2]},
          "sample": {"n_points": 2000, "depth": 20, "n_centers": 20}},
         SAMPLE_SPANS | {"systems.fiber_points_bulk"}),
+    # the one target that runs both pi_values_bulk and fiber_points_bulk
+    "sample_global": (
+        "sample",
+        {"truncation": {"m_schedule": [2]},
+         "sample": {"target": "global", "n_points": 2000, "depth": 20,
+                    "n_centers": 20}},
+        SAMPLE_SPANS | {"systems.fiber_points_bulk"}),
     # a cloud that draws no past still draws through the wrapped sampler
     "sample_z_marginal": (
         "sample",
