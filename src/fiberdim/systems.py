@@ -9,8 +9,8 @@ fiber point.
 Every coefficient comes from ``FiberFamily.coefficients`` of digit rows,
 which reads float continued fractions of the first ``CONTEXT_DEPTH``
 symbols of a context with tail 0.5, a point of their cylinder.  The bulk
-composition ``fiber_points_bulk``, the one log|T'| at its points
-``fiber_log_derivatives``, the image disks and ``verify_system`` all call
+composition ``fiber_points_bulk``, the realized log|T'| table
+``thermo.realized_table``, the image disks and ``verify_system`` all call
 it.  The scalar composition over plain pair-word tuples, with the midpoint
 of the exact cylinder as its coefficient, is the independent reference in
 ``tests/oracles.py``.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DomainEscape, InvalidWord
+from .errors import ConfigError, InvalidWord
 from .words import (cf_value_float, check_max_digit, check_pair_word,
                     pair_alphabet)
 
@@ -38,7 +38,7 @@ CONTEXT_DEPTH = 12
 #: Digit elements, rows times the symbols per row, that one row block of a
 #: bulk evaluation holds at once (``row_blocks``).  Its consumers are
 #: ``fiber_points_bulk`` (depth + forward symbols), the periodic pasts of
-#: ``thermo.periodic_log_derivatives``, and the chain draw's consumer
+#: ``thermo.realized_table``, and the chain draw's consumer
 #: ``empirics.sample_measure``, which turns one block of codes at a time into
 #: digits and points.
 COMPOSITION_BLOCK = 1 << 16
@@ -488,7 +488,7 @@ def fiber_points_bulk(system: SmaleSystem,
     """Vectorised fiber points for batches of past/forward digit rows.
 
     This is the one bulk composition of fiber maps: point clouds and
-    ``fiber_log_derivatives`` call it.
+    ``thermo.realized_table`` call it.
     ``past_m[:, j]`` is the first digit coordinate at time -(j+1).  Uses the
     float continued-fraction path: each level reads its translate value off
     ``CONTEXT_DEPTH`` symbols with a fixed tail, where the scalar reference
@@ -530,20 +530,6 @@ def fiber_points_bulk(system: SmaleSystem,
 def _level(coeff, t):
     """Entry t of a coefficient array, or of each array of a tuple."""
     return tuple(c[t] for c in coeff) if isinstance(coeff, tuple) else coeff[t]
-
-
-def fiber_log_derivatives(system: SmaleSystem, past_m: np.ndarray,
-                          past_n: np.ndarray, fwd_m: np.ndarray,
-                          fwd_n: np.ndarray) -> np.ndarray:
-    """log|T'| of the time-zero map, reading the first ``CONTEXT_DEPTH``
-    forward symbols, at the ``fiber_points_bulk`` point of each row;
-    DomainEscape for a point more than 1e-6 off the domain."""
-    pts = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
-    if (np.abs(pts - system.domain.center) > system.domain.radius + 1e-6).any():
-        raise DomainEscape("fiber points left the domain")
-    family = system.family
-    return np.log(family.derivative_mod(pts, family.coefficients(
-        system, fwd_m[:, :CONTEXT_DEPTH], fwd_n[:, :CONTEXT_DEPTH])))
 
 
 # ---------------------------------------------------------------------------

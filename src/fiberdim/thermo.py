@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateExponent,
+    DomainEscape,
     EnumerationCapExceeded,
     InvalidWord,
     NonPrimitive,
@@ -46,7 +47,7 @@ from .errors import (
 )
 
 from .moments import lyapunov_marginal_exact
-from .systems import (CONTEXT_DEPTH, SmaleSystem, fiber_log_derivatives,
+from .systems import (CONTEXT_DEPTH, SmaleSystem, fiber_points_bulk,
                       row_blocks)
 from .words import (ENUMERATION_CAP, check_max_digit, check_pair_word,
                     is_integer)
@@ -161,11 +162,10 @@ class TablePotential:
                 f"table truncation {self.max_digit} does not match M={M}")
         A = M * M
         gram = np.full(A ** self.memory, -np.inf)
-        for word, value in self.entries:
-            code = 0
-            for (m, n) in word:
-                code = code * A + (m - 1) * M + (n - 1)
-            gram[code] = value
+        words = np.array([word for word, _ in self.entries], dtype=np.int64) - 1
+        codes = (words[..., 0] * M + words[..., 1]) @ A ** np.arange(
+            self.memory - 1, -1, -1)
+        gram[codes] = [value for _, value in self.entries]
         return np.repeat(gram, A ** (L - self.memory)), 0.0
 
 
@@ -178,54 +178,53 @@ def _composition_depth(system: SmaleSystem) -> int:
     return max(4, min(4000, math.ceil(need)))
 
 
-def _digit_planes(codes: np.ndarray, n: int, max_digit: int):
-    """Digit arrays (values 1..M, the least dtype that holds M) of shape
-    (len(codes), n) for base-A word codes."""
-    A = max_digit * max_digit
-    sym = (codes[:, None] // A ** np.arange(n - 1, -1, -1)) % A
-    dtype = np.min_scalar_type(max_digit)
-    return (sym // max_digit + 1).astype(dtype), (sym % max_digit + 1).astype(dtype)
-
-
-def periodic_log_derivatives(system: SmaleSystem, max_digit: int,
-                             n: int) -> np.ndarray:
-    """log derivative modulus at the periodic limit point of every n-word.
-
-    Entry ``code`` is log|T'| of the time-zero map of the two-sided periodic
-    extension of the word, evaluated at the fiber point pinned by its past:
-    ``fiber_log_derivatives`` of a past of ``_composition_depth`` symbols and
-    a forward word of CONTEXT_DEPTH symbols, time t reading symbol t mod n,
-    a past that pins the point to the POINT_TOL scale.  So against the
-    exact-cylinder reference of ``tests/oracles.py`` an entry is off by at
-    most ``distortion_bound`` times the sum of the point bound and the
-    translate coding error that ``fiber_points_bulk`` states.
-    """
-    M = check_max_digit(max_digit)
-    count = (M * M) ** n
-    if count > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(f"{count} periodic words exceed the cap")
-    depth = _composition_depth(system)
-    past = -np.arange(1, depth + 1) % n
-    fwd = np.arange(CONTEXT_DEPTH) % n
-    out = np.empty(count)
-    # one row block of codes at a time: no count x depth digit copy
-    for rows in row_blocks(count, depth + CONTEXT_DEPTH):
-        m_dig, n_dig = _digit_planes(
-            np.arange(rows.start, rows.stop, dtype=np.int64), n, M)
-        # pasts gathered time-major, as the sampler lays them out
-        out[rows] = fiber_log_derivatives(
-            system, m_dig.T[past].T, n_dig.T[past].T,
-            m_dig[:, fwd], n_dig[:, fwd])
-    return out
+def _word_symbols(codes: np.ndarray, n: int, A: int) -> np.ndarray:
+    """(len(codes), n) symbols of base-A n-word codes, first symbol first."""
+    return codes[:, None] // A ** np.arange(n - 1, -1, -1) % A
 
 
 @lru_cache(maxsize=64)
 def realized_table(system: SmaleSystem, max_digit: int, memory: int) -> np.ndarray:
-    """Base log-derivative values (scale 1) by memory-word code, read-only."""
+    """log|T'| (scale 1) at the periodic limit point of each memory-word
+    code, read-only.
+
+    Entry ``code`` is log|T'| of the time-zero map of the word's two-sided
+    periodic extension (time t reads symbol t mod memory), its coefficient
+    read off the first CONTEXT_DEPTH forward symbols, at the
+    ``fiber_points_bulk`` point of a past of ``_composition_depth`` symbols:
+    ceil(log(diameter / POINT_TOL) / log(contraction)) within [4, 4000].
+    With e = 2**(1 - CONTEXT_DEPTH) the coding error of every coefficient,
+    an entry is off the exact-cylinder reference of ``tests/oracles.py`` by
+    at most ``distortion_bound`` times the sum of POINT_TOL, the point bound
+    sqrt(2) e contraction / (contraction - 1) of ``fiber_points_bulk`` and
+    sqrt(2) e.  Codes run in ``row_blocks``.  EnumerationCapExceeded past
+    ENUMERATION_CAP words, DomainEscape for a point more than 1e-6 off the
+    domain, ConfigError for a memory below 1 or a value that is not finite.
+    """
     M = check_max_digit(max_digit)
     if memory < 1:
         raise ConfigError("realization memory must be >= 1")
-    vals = periodic_log_derivatives(system, M, memory)
+    A = M * M
+    count = A ** memory
+    if count > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"{count} periodic words exceed the cap")
+    family, domain = system.family, system.domain
+    depth = _composition_depth(system)
+    past = -np.arange(1, depth + 1) % memory
+    fwd = np.arange(CONTEXT_DEPTH) % memory
+    vals = np.empty(count)
+    for rows in row_blocks(count, depth + CONTEXT_DEPTH):
+        sym = _word_symbols(np.arange(rows.start, rows.stop), memory, A)
+        m_dig, n_dig = ((d + 1).astype(np.min_scalar_type(M))
+                        for d in (sym // M, sym % M))
+        fwd_m, fwd_n = m_dig[:, fwd], n_dig[:, fwd]
+        # pasts gathered time-major, as the sampler lays them out
+        pts = fiber_points_bulk(system, m_dig.T[past].T, n_dig.T[past].T,
+                                fwd_m, fwd_n)
+        if (np.abs(pts - domain.center) > domain.radius + 1e-6).any():
+            raise DomainEscape("fiber points left the domain")
+        vals[rows] = np.log(family.derivative_mod(
+            pts, family.coefficients(system, fwd_m, fwd_n)))
     if not np.isfinite(vals).all():
         raise ConfigError("table values must be finite")
     vals.flags.writeable = False
@@ -354,7 +353,7 @@ class GibbsApprox:
         past = np.empty((n_past, count), dtype=dtype)
         self._run(back, code // A, past, rng, backward=True)
         fwd = np.empty((n_forward, count), dtype=dtype)
-        fwd[:L] = code // A ** np.arange(L - 1, -1, -1)[:, None] % A
+        fwd[:L] = _word_symbols(code, L, A).T
         self._run(ahead, code % A ** (L - 1), fwd[L:], rng, backward=False)
         return past.T, fwd.T
 
@@ -662,7 +661,7 @@ def entropy(g: GibbsApprox) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(P > 0, P * np.log(P), 0.0)
     suffix_mass = g.stationary.reshape(g.alphabet_size, -1).sum(axis=0)
-    return float(-(suffix_mass @ plogp.sum(axis=1)))
+    return float(0.0 - suffix_mass @ plogp.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -690,7 +689,7 @@ def marginal_entropy(g: GibbsApprox, which: int) -> MarginalEntropy:
     if which not in (1, 2):
         raise InvalidWord("marginal coordinate must be 1 or 2")
     M, L, A = g.max_digit, g.memory, g.alphabet_size
-    sym = np.arange(A ** L)[:, None] // A ** np.arange(L - 1, -1, -1) % A
+    sym = _word_symbols(np.arange(A ** L), L, A)
     hidden = (sym % M if which == 1 else sym // M) @ M ** np.arange(L - 1, -1, -1)
     beta = np.zeros((M ** L, A ** L))
     beta[hidden, np.arange(A ** L)] = g.stationary

@@ -26,8 +26,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from fiberdim.dimension import branch_value, global_dimension
 from fiberdim.errors import (ConfigError, DomainEscape, EnumerationCapExceeded,
                              FiberdimError, InvalidWord)
-from fiberdim.systems import (CONTEXT_DEPTH, ESCAPE_TOL, fiber_log_derivatives,
-                              fiber_points_bulk, pi_values_bulk)
+from fiberdim.systems import (CONTEXT_DEPTH, ESCAPE_TOL, fiber_points_bulk,
+                              pi_values_bulk)
 from fiberdim.thermo import (GeometricPotential, TablePotential, entropy,
                              gibbs_markov, lyapunov_fiber_exact,
                              realized_table)
@@ -518,8 +518,11 @@ def whole_draw_lyapunov_fiber(g, system, n_samples: int, past_depth: int,
     CONTEXT_DEPTH forward symbols, all on the whole draw."""
     past, fwd = g.sample_two_sided(past_depth, max(CONTEXT_DEPTH, g.memory),
                                    n_samples, rng_seed)
-    return McEstimate.from_samples(-fiber_log_derivatives(
-        system, *g.digits(past), *g.digits(fwd)))
+    (past_m, past_n), (fwd_m, fwd_n) = g.digits(past), g.digits(fwd)
+    pts = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
+    family = system.family
+    c = family.coefficients(system, fwd_m[:, :CONTEXT_DEPTH], fwd_n[:, :CONTEXT_DEPTH])
+    return McEstimate.from_samples(-np.log(family.derivative_mod(pts, c)))
 
 
 def whole_draw_lyapunov_fiber_table_mc(g, system, n_samples: int,

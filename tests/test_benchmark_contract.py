@@ -59,3 +59,9 @@ def test_dimension_sweep_records_pass_gates(tmp_path, cmd):
                          ids=lambda cmd: cmd["name"])
 def test_pressure_scan_records_pass_gates(tmp_path, cmd):
     _records_pass_gates(tmp_path, cmd)
+
+
+@pytest.mark.parametrize("cmd", workloads.generate("cloud_sample", 1),
+                         ids=lambda cmd: cmd["name"])
+def test_cloud_sample_records_pass_gates(tmp_path, cmd):
+    _records_pass_gates(tmp_path, cmd)

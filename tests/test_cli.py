@@ -349,6 +349,21 @@ class TestDimensionCommand:
         assert lines[0] == "s,delta"
         assert len(lines) == 6
 
+    def test_one_live_code_records_positive_zero(self, tmp_path):
+        # a chain on one symbol has entropy 0, and the record writes +0.0
+        cfg = write_config(tmp_path, {
+            "potential": {"kind": "table", "table": [[[[1, 1]], 0.0]]},
+            "truncation": {"m_schedule": [2]},
+            "dimension": {"s_grid": [0.5, 0.7, 0.9]},
+        })
+        out = tmp_path / "out"
+        assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
+        results = read_record(out, "dimension")["results"]
+        assert results["chain"]["n_states"] == 1
+        zeros = [results["stats"]["h_mu"], results["global_dimension"],
+                 *results["branch_values"].values()]
+        assert all(math.copysign(1.0, z) == 1.0 and z == 0.0 for z in zeros)
+
     def test_constant_potential_uses_exact_fiber_exponent(self, tmp_path):
         cfg = write_config(tmp_path, {
             "potential": {"kind": "constant", "value": 0.0},

@@ -19,7 +19,7 @@ from fiberdim.systems import (
     make_system,
     verify_system,
 )
-from fiberdim.thermo import gibbs_markov, periodic_log_derivatives
+from fiberdim.thermo import gibbs_markov, realized_table
 from fiberdim.words import pair_alphabet
 
 from oracles import (constant_potential, default_symbol_sup,
@@ -595,7 +595,7 @@ class TestBulkMatchesScalar:
         log_tol = system.distortion_bound * (self.point_tol(system) + coding)
         family = system.family
         for memory in (1, 2):
-            vals = periodic_log_derivatives(system, 2, memory)
+            vals = realized_table(system, 2, memory)
             for code, word in enumerate(enumerate_pair_words(2, memory)):
                 coeff = [exact_coefficient(system, tuple(
                     word[(phase + i) % memory] for i in range(CONTEXT_DEPTH)))

@@ -1,5 +1,6 @@
 """Transfer-operator states, pressure, entropies, exponents."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 
 from fiberdim.errors import (
     ConfigError,
+    DomainEscape,
     EnumerationCapExceeded,
     ExponentNotConverged,
     InvalidWord,
@@ -447,6 +449,61 @@ class TestExactFiberExponent:
     def test_memory_below_the_chain_is_the_chain(self, conj):
         g = gibbs_markov(GeometricPotential(conj, 1.0), 2, 3)
         assert lyapunov_fiber_exact(g, conj, 1) == lyapunov_fiber_exact(g, conj)
+
+
+# sha256 of ``realized_table(...).tobytes()`` per (system, M, L): every
+# pressure, chain, Bowen root and fiber exponent of a geometric potential
+# reads these tables
+REALIZED_DIGESTS = {
+    ("inverse_conjugate", 1, 1): "1a30219754bfd5a2901663ccf26be3aa5685d8144a9ab232b8cb52f5b67d3faf",
+    ("inverse_conjugate", 2, 1): "041554df328a67e1a40476a24be2af386b06e82a8d41d00f3a7414e9ec8a93fb",
+    ("inverse_conjugate", 2, 2): "fde36f29c794a00cfece3a4da09936d57759153f60b67ee20b3bdd06fa881f83",
+    ("inverse_conjugate", 3, 2): "d499c5e497f47c7bd8159dfc4068cfae39b63968df03a7acb5784f1f7d05e20a",
+    ("inverse_conjugate", 2, 3): "6a81562e54c0fcdc118196d99ba6626d4c1ed29f5e4ae202e036c989bdfc7998",
+    ("inverse_conjugate", 4, 2): "325cf931ef891bb695b2d6802a4c498c01ea838e91cb53656b2824aeb79e562b",
+    ("inverse_square", 1, 1): "9a4b1d2fa1c8956077472392f91844a843901cfbfc1df867baeed20fdf7d29f6",
+    ("inverse_square", 2, 1): "3ea6935e59d481063102fc75a419591e10b25dcc587df03eeb7900425c9dbd5a",
+    ("inverse_square", 2, 2): "baaaa764b0aa04d94c2b52c002441e00e10cb13a16c1b70bfeb426c166f3b414",
+    ("inverse_square", 3, 2): "adee4d2fcbc1eae7e83ebbbbb36b1daeeba1e7e88362b1febaa26fde4ac32856",
+    ("inverse_square", 2, 3): "7074fd105ce015d373d9503ba39379f28003d5ff8b70d8792eef164bc603646d",
+    ("inverse_square", 4, 2): "8a8ac5275ed0787d50b381ce466d0c2417047a3e9fb10632a9c1780a72abecf1",
+    ("similarity", 1, 1): "c8057214110acd84944f6932de2604c99422c36f79cffd2c0408e58a9c199f6b",
+    ("similarity", 2, 1): "954b75b1c34b2eaaa403e1a7309bbfd430c9658fbf9fa0109163fa73be2aeb73",
+    ("similarity", 2, 2): "f2a0a25967f912e9cdac274ebff6595128a21d62a38da55d37adc808bee8c79b",
+    ("similarity", 3, 2): "8ba56aafe2521cb314b32dff0e2f88eb26c07e0a7b70122c5b8fd5fec47c1f3b",
+    ("similarity", 2, 3): "c31e109c9de07a11702d000e8a5b264fe5b516b050c1ccf20e78cd94aa33badc",
+    ("similarity", 4, 2): "28818031ad1ee492b2c692f057e84fc7f17ab82dd58d157c020a6d6a64f6a6ca",
+    ("similarity_equal", 1, 1): "f44be2dfec995b17bd9453a027e136bc25bfcb4ccb7008f4c1c68d5633f8e481",
+    ("similarity_equal", 2, 1): "ff7cefa641b7482b8cd66ab3c3f443fb9a030d242143f235ea613c6ba22665dd",
+    ("similarity_equal", 2, 2): "ade78f2bd260afed84e9335b3222511a3dc9fd910f3da4656e9a566aaedfe786",
+    ("similarity_equal", 2, 3): "808b96c14607dc51078250b7a6d4ece0edd13726446bbec85aceaa6bfb6299c3",
+}
+
+REALIZED_SYSTEMS = {
+    "inverse_conjugate": lambda: make_system("inverse_conjugate"),
+    "inverse_square": lambda: make_system("inverse_square"),
+    "similarity": lambda: make_system("similarity"),
+    "similarity_equal": lambda: make_system(
+        "similarity", SimilaritySchedule(kind="equal", ratio=0.2)),
+}
+
+
+class TestRealizedTableBytes:
+    """The realized log|T'| tables behind every geometric record, pinned."""
+
+    @pytest.mark.parametrize("name, M, L", sorted(REALIZED_DIGESTS))
+    def test_table_digest(self, name, M, L):
+        table = realized_table(REALIZED_SYSTEMS[name](), M, L)
+        assert table.shape == ((M * M) ** L,)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == REALIZED_DIGESTS[
+            (name, M, L)]
+
+    def test_off_center_disk_escapes(self):
+        # the images of (1, 1), (1, 2) and (2, 2) leave this disk, and so
+        # do the periodic fiber points of their words
+        system = make_system("inverse_conjugate", center=0.5 + 0.1j, radius=0.4)
+        with pytest.raises(DomainEscape, match="left the domain"):
+            realized_table(system, 2, 2)
 
 
 class TestExactMarginalExponent:
