@@ -18,7 +18,7 @@ class DomainEscape(FiberdimError):
 
 
 class SummabilityFailure(FiberdimError):
-    """A cylinder sum grew beyond the configured cap (non-summable regime)."""
+    """Every depth cylinder is forbidden, or the depth-1 cylinder sum is not finite."""
 
 
 class NonPrimitive(FiberdimError):

@@ -72,11 +72,11 @@ def invert_disk(disk: Disk) -> Disk:
 # ---------------------------------------------------------------------------
 # similarity ratio/translation schedules
 
-#: Digits <= this of the infinite ``geometric`` schedule are checked one by
-#: one (``_probe``); ``_Similarity.validate`` bounds every larger digit at once.
+#: Digits <= this of an infinite alphabet are checked one by one (``_probe``);
+#: ``_Similarity.validate`` bounds every larger geometric digit at once.
 PROBE_DIGIT = 4
 
-#: How far past the domain's radius ``_Similarity.validate`` lets an image reach.
+#: How far past the domain's radius ``FiberFamily.validate`` lets an image reach.
 FIT_TOL = 1e-12
 
 
@@ -119,7 +119,7 @@ class SimilaritySchedule:
         if not (0.0 < self.inner_factor <= 0.5):
             raise ConfigError("inner factor must lie in (0, 1/2]")
         # the geometric ratios fall with m + n, so its probe holds the largest
-        for r in _probe(self)[1] / self.inner_factor:
+        for r in self.maps(*_probe(self).T)[0] / self.inner_factor:
             if not (0.0 < r < 1.0 / 3.0):
                 raise ConfigError(f"ratio {r:g} outside (0, 1/3)")
 
@@ -167,12 +167,11 @@ class SimilaritySchedule:
         return mod, tr
 
 
-def _probe(schedule: SimilaritySchedule):
-    """(symbols, modulus, translation) of every symbol of a finite schedule,
-    and of the digits <= ``PROBE_DIGIT`` of the infinite ``geometric`` one."""
-    limit = schedule.digit_limit
-    symbols = pair_alphabet(PROBE_DIGIT if limit == math.inf else limit)
-    return (symbols,) + schedule.maps(*np.array(symbols).T)
+def _probe(schedule: SimilaritySchedule | None) -> np.ndarray:
+    """(k, 2) array of every symbol of a finite schedule, else of the digits
+    <= ``PROBE_DIGIT`` (the infinite ``geometric`` schedule, or none)."""
+    limit = math.inf if schedule is None else schedule.digit_limit
+    return np.array(pair_alphabet(PROBE_DIGIT if limit == math.inf else limit))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +185,8 @@ class FiberFamily:
     first symbol's (modulus, translation) pair for the similarity family.
     ``coefficients`` is the one place a coefficient is computed; ``map``,
     ``derivative_mod`` and ``image`` broadcast over points and coefficients,
-    so the bulk sampler, the potential realization and the image disks share
-    one formula.
+    so the bulk sampler, the potential realization and the image disks,
+    which ``validate`` checks for every family, share one formula.
     """
 
     center, radius = 0.5 + 0j, 0.5  # default domain
@@ -225,7 +224,22 @@ class FiberFamily:
         return 1.0
 
     def validate(self, system):
-        """Hard requirements on a constructed system (none by default)."""
+        """Images of the ``_probe`` symbols, each read with its repeated-symbol
+        tail as ``image_disk`` reads it, must stay inside the domain.
+
+        A probe, not a certificate: other symbols and tails go unchecked, so
+        ``thermo.realized_table`` keeps its ``DomainEscape`` check; and the
+        square family's ``image`` is an enclosure, so, as ``one_step_sup``
+        can, the check can reject a domain whose images do fit.
+        """
+        symbols = _probe(system.schedule)
+        disk = _images(system, symbols,
+                       np.repeat(symbols[:, None], CONTEXT_DEPTH - 1, axis=1))
+        c, r = system.domain.center, system.domain.radius
+        escape = np.abs(disk.center - c) + disk.radius > r + FIT_TOL
+        if escape.any():
+            m, n = map(int, symbols[np.argmax(escape)])
+            raise ConfigError(f"image for symbol ({m}, {n}) escapes the domain")
 
 
 class _InverseConjugate(FiberFamily):
@@ -328,7 +342,7 @@ class _Similarity(FiberFamily):
         return Disk(c[1] + c[0] * domain.center, c[0] * domain.radius)
 
     def one_step_sup(self, domain, schedule):
-        return float(_probe(schedule)[1].max())
+        return float(schedule.maps(*_probe(schedule).T)[0].max())
 
     def distortion(self, domain):
         return 0.0
@@ -343,25 +357,16 @@ class _Similarity(FiberFamily):
         return 0.0 if system.schedule.digit_limit == math.inf else -math.inf
 
     def validate(self, system):
-        """Images of the domain must stay inside it, on every symbol.
-
-        A finite schedule is checked symbol by symbol.  The infinite
-        geometric kind is checked on the digits <= ``PROBE_DIGIT``, and on
-        every symbol with a larger digit through one bound: its translation
-        lies in the square [-0.3, 0.3]^2 of the dyadic packing and its
-        modulus is at most that of (1, PROBE_DIGIT + 1), so its image lies
-        within the farthest corner of that square from the center c plus
-        that modulus times |c| + r.
-        """
+        """The base probe, and one bound for the geometric kind's symbols
+        with a digit above ``PROBE_DIGIT``: each translation lies in the
+        square [-0.3, 0.3]^2 of the dyadic packing and each modulus is at most
+        that of (1, PROBE_DIGIT + 1), so each image lies within the farthest
+        corner of that square from the center c plus that modulus times
+        |c| + r."""
+        super().validate(system)
         schedule = system.schedule
-        symbols, mod, tr = _probe(schedule)
-        c, r = system.domain.center, system.domain.radius
-        disk = self.image(system.domain, (mod, tr))
-        escape = np.abs(disk.center - c) + disk.radius > r + FIT_TOL
-        if escape.any():
-            raise ConfigError(f"similarity image for symbol "
-                              f"{symbols[np.argmax(escape)]} escapes the domain")
         if schedule.digit_limit == math.inf:
+            c, r = system.domain.center, system.domain.radius
             corner = max(abs(complex(x, y) - c)
                          for x in (-0.3, 0.3) for y in (-0.3, 0.3))
             bound = schedule.maps(1, PROBE_DIGIT + 1)[0]
@@ -459,9 +464,20 @@ def image_disk(system: SmaleSystem, symbol, tail=None) -> Disk:
     coefficient of the first ``CONTEXT_DEPTH`` symbols of symbol + tail.
     """
     word = check_pair_word([symbol, *(tail or [symbol] * (CONTEXT_DEPTH - 1))])
-    m, n = np.array(word[:CONTEXT_DEPTH]).T
-    disk = system.family.image(system.domain, system.family.coefficients(system, m, n))
+    disk = _images(system, word[0], word[1:])
     return Disk(complex(disk.center), float(disk.radius))
+
+
+def _images(system: SmaleSystem, symbols, tails) -> Disk:
+    """Image disks of the domain under the maps of first symbols (..., 2),
+    each reading the coefficient of the first ``CONTEXT_DEPTH`` symbols of
+    symbol + tail, with one tail (t, 2) shared or one per symbol (..., t, 2).
+    """
+    symbols = np.asarray(symbols, dtype=np.int64)[..., None, :]
+    tails = np.broadcast_to(tails, symbols.shape[:-2] + np.shape(tails)[-2:])
+    words = np.concatenate([symbols, tails], axis=-2)[..., :CONTEXT_DEPTH, :]
+    return system.family.image(system.domain, system.family.coefficients(
+        system, words[..., 0], words[..., 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +576,8 @@ def _osc_min_gap(system: SmaleSystem, symbols, tails) -> float:
     symbol with the later ones at a time keeps memory linear in the alphabet.
     """
     worst = math.inf
-    words = np.empty((len(symbols), CONTEXT_DEPTH, 2), dtype=np.int64)
-    words[:, 0] = symbols
     for tail in tails:
-        words[:, 1:] = tail
-        disk = system.family.image(system.domain, system.family.coefficients(
-            system, words[..., 0], words[..., 1]))
+        disk = _images(system, symbols, tail)
         c, r = disk.center, disk.radius
         for i in range(len(symbols) - 1):
             worst = min(worst, (np.abs(c[i] - c[i + 1:]) - r[i] - r[i + 1:]).min())

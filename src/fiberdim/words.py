@@ -25,7 +25,7 @@ from .errors import InvalidWord
 if TYPE_CHECKING:  # imported where used: `fractions` loads `decimal`
     from fractions import Fraction
 
-#: Hard cap on enumerated pair words.
+#: Hard cap on realized periodic words and on cylinder-sum sweep cells.
 ENUMERATION_CAP = 10_000_000
 
 

@@ -209,6 +209,25 @@ class TestConfigErrors:
                     "--out", str(tmp_path / "out")]) == 2
         assert "singular translate" in capsys.readouterr().err
 
+    def test_escaping_domain_exits_2_before_work(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # this disk certifies contraction 1.82, but the image of (1, 1)
+        # reaches 0.036 past its radius
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the domain must be rejected before any work")
+
+        for name in ("summability_scan", "gibbs_markov"):
+            monkeypatch.setattr(cli, name, forbidden)
+        cfg = write_config(tmp_path, {
+            "system": {"variant": "inverse_conjugate", "center": [0.5, 0.1],
+                       "radius": 0.4},
+            "truncation": {"m_schedule": [2]},
+        })
+        assert run(["dimension", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert ("image for symbol (1, 1) escapes the domain"
+                in capsys.readouterr().err)
+
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         for content in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
@@ -793,6 +812,35 @@ class TestVerifyCommand:
         check = record["results"]["derivative_check"]
         assert check["diff"] <= 1e-3
         assert record["warnings"] == []
+
+    def test_overlapping_images_warn(self, tmp_path):
+        # every translation 0: the four depth-1 images are one disk
+        cfg = write_config(tmp_path, {
+            "system": {"variant": "similarity",
+                       "schedule": {"kind": "custom", "table": [
+                           [m, n, 0.2, 0.0, 0.0] for m in (1, 2) for n in (1, 2)]}},
+            "truncation": {"m_schedule": [2], "memory": 1},
+        })
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+        record = read_record(out, "verify")
+        assert record["results"]["system_report"]["osc_ok"] is False
+        assert record["warnings"] == [
+            "depth-1 images overlap (open set condition fails)"]
+
+    def test_large_derivative_residual_warns(self, tmp_path):
+        # a step of 1.9 leaves the finite difference 3.3e-3 off the integral
+        cfg = write_config(tmp_path, {
+            "truncation": {"m_schedule": [2]},
+            "verify": {"s": 2.0, "h_step": 1.9},
+        })
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+        record = read_record(out, "verify")
+        diff = record["results"]["derivative_check"]["diff"]
+        assert diff == pytest.approx(3.3e-3, abs=1e-4)
+        assert record["warnings"] == [
+            f"derivative check residual {diff:g} is large"]
 
     def test_one_symbol_min_image_gap_is_null(self, tmp_path):
         # M = 1 has one depth-1 image and no pair to separate

@@ -145,6 +145,24 @@ class TestSampling:
         sample_measure(g, conj, target, n_points=1000, depth=25)
         assert calls == [n_past]
 
+    def test_default_size_is_100000_per_part(self, conj, monkeypatch):
+        # a config's null sample.n_points reaches sample_measure as None
+        assert DEFAULTS["sample"]["n_points"] is None
+        g = gibbs_markov(GeometricPotential(conj, 1.0), 2)
+        cloud = sample_measure(g, conj, "z_marginal", None, depth=20)
+        assert cloud.n_points == len(cloud.points) == 100_000
+
+        class Reached(Exception):
+            pass
+
+        def reached(self, n_past, n_forward, count, rng):
+            raise Reached(count)
+
+        monkeypatch.setattr(GibbsApprox, "sample_two_sided", reached)
+        with pytest.raises(Reached) as info:  # two parts: z and w
+            sample_measure(g, conj, "global", None, depth=20)
+        assert info.value.args == (200_000,)
+
     def test_defaults_fit_the_cap(self):
         # the default global cloud, and every cloud the run configs draw
         assert 200_000 * 2 * DEFAULTS["sample"]["depth"] <= SAMPLE_ELEMENT_CAP

@@ -13,6 +13,7 @@ from fiberdim.systems import (
     CONTEXT_DEPTH,
     Disk,
     SimilaritySchedule,
+    SmaleSystem,
     fiber_points_bulk,
     image_disk,
     invert_disk,
@@ -198,10 +199,27 @@ class TestMakeSystem:
             make_system("inverse_conjugate", center=-1.5 + 0j, radius=0.05)
 
     def test_contraction_follows_the_domain(self):
-        system = make_system("inverse_conjugate", center=0.5 + 0.1j, radius=0.4)
-        assert system.contraction == pytest.approx((abs(1.5 + 0.9j) - 0.4) ** 2,
-                                                   rel=1e-15)
-        assert 1.0 / system.contraction == pytest.approx(0.5493, abs=1e-4)
+        # the certified sup follows the domain, but this domain's images of
+        # (1, 1), (1, 2) and (2, 2) leave it, so make_system rejects it
+        family = systems.FAMILIES["inverse_conjugate"]
+        sup = family.one_step_sup(Disk(0.5 + 0.1j, 0.4), None)
+        assert 1.0 / sup == pytest.approx((abs(1.5 + 0.9j) - 0.4) ** 2,
+                                          rel=1e-15)
+        assert sup == pytest.approx(0.5493, abs=1e-4)
+        with pytest.raises(ConfigError,
+                           match=r"symbol \(1, 1\) escapes the domain"):
+            make_system("inverse_conjugate", center=0.5 + 0.1j, radius=0.4)
+
+    @pytest.mark.parametrize("variant, contraction, match", [
+        ("horseshoe", 2.0, "unknown variant"),
+        ("inverse_conjugate", 1.0, "must exceed 1"),
+        ("inverse_conjugate", 0.5, "must exceed 1"),
+    ])
+    def test_direct_construction_checks(self, variant, contraction, match):
+        with pytest.raises(ConfigError, match=match):
+            SmaleSystem(variant=variant, domain=Disk(0.5 + 0j, 0.5),
+                        schedule=None, contraction=contraction,
+                        distortion_bound=1.0)
 
     def test_escaping_similarity_image(self):
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.25, 2.0, 0.0),))

@@ -20,7 +20,8 @@ from fiberdim.errors import (
 from fiberdim import moments, thermo
 from fiberdim.config import build_potential
 from fiberdim.moments import lyapunov_marginal_exact
-from fiberdim.systems import SimilaritySchedule, make_system
+from fiberdim.systems import (FAMILIES, Disk, SimilaritySchedule, SmaleSystem,
+                              make_system)
 from fiberdim.words import pair_alphabet
 from fiberdim.thermo import (
     GeometricPotential,
@@ -500,8 +501,13 @@ class TestRealizedTableBytes:
 
     def test_off_center_disk_escapes(self):
         # the images of (1, 1), (1, 2) and (2, 2) leave this disk, and so
-        # do the periodic fiber points of their words
-        system = make_system("inverse_conjugate", center=0.5 + 0.1j, radius=0.4)
+        # do the periodic fiber points of their words; make_system rejects
+        # the disk, so the system is built directly
+        domain = Disk(0.5 + 0.1j, 0.4)
+        family = FAMILIES["inverse_conjugate"]
+        system = SmaleSystem("inverse_conjugate", domain, None,
+                             1.0 / family.one_step_sup(domain, None),
+                             family.distortion(domain))
         with pytest.raises(DomainEscape, match="left the domain"):
             realized_table(system, 2, 2)
 
