@@ -4,7 +4,9 @@
 ``benchmarks/gates.py`` checks the records they produce.  A change in
 ``src/`` that drops a config key or a record field either of them reads
 (``verify.samples``, say) would break the benchmark without failing any
-other test.  Both files are loaded read-only from their paths, as
+other test.  Every record a workload command builds must also hold only
+plain JSON values, because the record writer has no adapter for numpy
+types.  Both files are loaded read-only from their paths, as
 ``tests/test_tracer_targets.py`` runs the tracer.
 """
 
