@@ -7,13 +7,10 @@ first symbol.  Composing maps along the past of a two-sided word pins the
 fiber point.
 
 Every coefficient comes from ``FiberFamily.coefficients`` of digit rows,
-which reads float continued fractions of the first ``CONTEXT_DEPTH``
-symbols of a context with tail 0.5, a point of their cylinder.  The bulk
-composition ``fiber_points_bulk``, the realized log|T'| table
-``thermo.realized_table``, the image disks and ``verify_system`` all call
-it.  The scalar composition over plain pair-word tuples, with the midpoint
-of the exact cylinder as its coefficient, is the independent reference in
-``tests/oracles.py``.
+float continued fractions with tail 0.5.  The cloud composition
+``fiber_points_bulk``, the image disks and ``verify_system`` read
+``CONTEXT_DEPTH`` symbols, ``thermo.realized_table`` its periodic words to
+their limit; the scalar reference composition is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -36,11 +33,9 @@ ESCAPE_TOL = 1e-10
 CONTEXT_DEPTH = 12
 
 #: Digit elements, rows times the symbols per row, that one row block of a
-#: bulk evaluation holds at once (``row_blocks``).  Its consumers are
-#: ``fiber_points_bulk`` (depth + forward symbols), the periodic pasts of
-#: ``thermo.realized_table``, and the chain draw's consumer
-#: ``empirics.sample_measure``, which turns one block of codes at a time into
-#: digits and points.
+#: bulk evaluation holds at once (``row_blocks``): the clouds' composer
+#: ``fiber_points_bulk`` and its caller ``empirics.sample_measure`` (depth +
+#: forward symbols), and the phase windows of ``thermo.realized_table``.
 COMPOSITION_BLOCK = 1 << 16
 
 
@@ -503,8 +498,7 @@ def fiber_points_bulk(system: SmaleSystem,
                       fwd_m: np.ndarray, fwd_n: np.ndarray) -> np.ndarray:
     """Vectorised fiber points for batches of past/forward digit rows.
 
-    This is the one bulk composition of fiber maps: point clouds and
-    ``thermo.realized_table`` call it.
+    It composes the points of clouds, whose forward words are random.
     ``past_m[:, j]`` is the first digit coordinate at time -(j+1).  Uses the
     float continued-fraction path: each level reads its translate value off
     ``CONTEXT_DEPTH`` symbols with a fixed tail, where the scalar reference

@@ -47,8 +47,7 @@ from .errors import (
 )
 
 from .moments import lyapunov_marginal_exact
-from .systems import (CONTEXT_DEPTH, SmaleSystem, fiber_points_bulk,
-                      row_blocks)
+from .systems import SmaleSystem, row_blocks
 from .words import (ENUMERATION_CAP, check_max_digit, check_pair_word,
                     is_integer)
 
@@ -57,6 +56,12 @@ STATE_CAP = 4096
 
 #: Relative contraction target for limit-point composition depths.
 POINT_TOL = 1e-13
+
+#: Symbols of the periodic word a ``realized_table`` phase coefficient reads:
+#: n digits with tail 0.5 lie within 1/q_n^2 <= 5 phi^(-2n) of the limit
+#: (q_n >= phi^n / sqrt(5), all 1s being slowest), under 2^-52, one double
+#: spacing of a value >= 1, for n > (log 5 + 52 log 2) / (2 log phi) = 39.1.
+PERIODIC_WINDOW = 40
 
 #: Draws per chunk of one chain step: its intp rows and slots and float64
 #: uniforms, 64 KB each (the uint8 codes it stores take 8 KB), stay in cache
@@ -174,8 +179,11 @@ class TablePotential:
 
 def _composition_depth(system: SmaleSystem) -> int:
     lam = system.contraction
-    need = math.log(system.domain.diameter / POINT_TOL) / math.log(lam)
-    return max(4, min(4000, math.ceil(need)))
+    need = math.ceil(math.log(system.domain.diameter / POINT_TOL) / math.log(lam))
+    if need > 4000:
+        raise ConfigError(f"contraction {lam:.6g} needs {need} composition "
+                          f"levels to reach POINT_TOL, past the cap of 4000")
+    return max(4, need)
 
 
 def _word_symbols(codes: np.ndarray, n: int, A: int) -> np.ndarray:
@@ -189,17 +197,15 @@ def realized_table(system: SmaleSystem, max_digit: int, memory: int) -> np.ndarr
     code, read-only.
 
     Entry ``code`` is log|T'| of the time-zero map of the word's two-sided
-    periodic extension (time t reads symbol t mod memory), its coefficient
-    read off the first CONTEXT_DEPTH forward symbols, at the
-    ``fiber_points_bulk`` point of a past of ``_composition_depth`` symbols:
-    ceil(log(diameter / POINT_TOL) / log(contraction)) within [4, 4000].
-    With e = 2**(1 - CONTEXT_DEPTH) the coding error of every coefficient,
-    an entry is off the exact-cylinder reference of ``tests/oracles.py`` by
-    at most ``distortion_bound`` times the sum of POINT_TOL, the point bound
-    sqrt(2) e contraction / (contraction - 1) of ``fiber_points_bulk`` and
-    sqrt(2) e.  Codes run in ``row_blocks``.  EnumerationCapExceeded past
+    periodic extension (time t reads symbol t mod memory).  Phase t's map
+    reads ``PERIODIC_WINDOW`` symbols of the word from symbol t on; the
+    point composes the maps from the domain center (time -j reads phase -j
+    mod memory) over ``_composition_depth`` levels.  So an entry is within
+    ``distortion_bound`` times POINT_TOL of the exact log|T'| (a grid value,
+    not a bound, for the square family).  EnumerationCapExceeded past
     ENUMERATION_CAP words, DomainEscape for a point more than 1e-6 off the
-    domain, ConfigError for a memory below 1 or a value that is not finite.
+    domain, ConfigError for a memory below 1, a system that needs more than
+    4000 levels or a value that is not finite.
     """
     M = check_max_digit(max_digit)
     if memory < 1:
@@ -210,21 +216,19 @@ def realized_table(system: SmaleSystem, max_digit: int, memory: int) -> np.ndarr
         raise EnumerationCapExceeded(f"{count} periodic words exceed the cap")
     family, domain = system.family, system.domain
     depth = _composition_depth(system)
-    past = -np.arange(1, depth + 1) % memory
-    fwd = np.arange(CONTEXT_DEPTH) % memory
+    phases = (np.arange(memory)[:, None] + np.arange(PERIODIC_WINDOW)) % memory
     vals = np.empty(count)
-    for rows in row_blocks(count, depth + CONTEXT_DEPTH):
+    for rows in row_blocks(count, memory * PERIODIC_WINDOW):
         sym = _word_symbols(np.arange(rows.start, rows.stop), memory, A)
-        m_dig, n_dig = ((d + 1).astype(np.min_scalar_type(M))
-                        for d in (sym // M, sym % M))
-        fwd_m, fwd_n = m_dig[:, fwd], n_dig[:, fwd]
-        # pasts gathered time-major, as the sampler lays them out
-        pts = fiber_points_bulk(system, m_dig.T[past].T, n_dig.T[past].T,
-                                fwd_m, fwd_n)
+        m_dig, n_dig = sym // M + 1, sym % M + 1
+        coeff = [family.coefficients(system, m_dig[:, p], n_dig[:, p])
+                 for p in phases]
+        pts = np.full(len(sym), domain.center, dtype=complex)
+        for j in range(depth, 0, -1):
+            pts = family.map(pts, coeff[-j % memory])
         if (np.abs(pts - domain.center) > domain.radius + 1e-6).any():
             raise DomainEscape("fiber points left the domain")
-        vals[rows] = np.log(family.derivative_mod(
-            pts, family.coefficients(system, fwd_m, fwd_n)))
+        vals[rows] = np.log(family.derivative_mod(pts, coeff[0]))
     if not np.isfinite(vals).all():
         raise ConfigError("table values must be finite")
     vals.flags.writeable = False

@@ -7,7 +7,9 @@ copies of the blocked chain-draw consumers, the pair-word enumeration, the
 checked one-step fiber derivative, and the scalar fiber-map layer over
 plain pair-word tuples (the exact pair-cylinder box ``pi_tilde``,
 ``exact_coefficient``, ``fiber_map``, ``pi2_hat``) that the bulk
-composition is checked against.
+composition is checked against, and the closed-form periodic log|T'| table
+(``periodic_tail``, ``exact_periodic_table``) that the realization is
+checked against.
 
 Each is a short formula over the package's public data that no program
 path needs; the tests that check the package against them import them
@@ -32,9 +34,9 @@ from fiberdim.thermo import (GeometricPotential, TablePotential, entropy,
                              gibbs_markov, lyapunov_fiber_exact,
                              realized_table)
 from fiberdim.words import (ENUMERATION_CAP, Interval, cf_value_float,
-                            check_digit, check_max_digit, check_pair_symbol,
-                            check_pair_word, is_integer, pair_alphabet,
-                            rho0_value)
+                            check_digit, check_digit_word, check_max_digit,
+                            check_pair_symbol, check_pair_word, is_integer,
+                            pair_alphabet, rho0_value)
 
 #: Gauss iterates below this are treated as exactly rational.
 RATIONAL_EPS = Fraction(1, 10**12)
@@ -175,6 +177,42 @@ def fiber_derivative_mod(system, word, w: complex,
     if not system.domain.contains(w, tol=ESCAPE_TOL):
         raise DomainEscape(f"argument {w} outside the fiber domain")
     return system.family.derivative_mod(w, exact_coefficient(system, word, depth))
+
+
+def periodic_tail(digits) -> float:
+    """The purely periodic continued fraction [0; d_1, ..., d_L, d_1, ...].
+
+    Over one period x -> 1/(x + d) composes to x -> (p + x p') / (q + x q')
+    with the convergents of ``rho0_value``, so the tail y is the positive
+    root of q' y^2 + (q - p') y - p = 0, written 2p / (b + sqrt(b^2 +
+    4 q' p)) with b = q - p' so that nothing cancels.
+    """
+    p, p_prev, q, q_prev = 0, 1, 1, 0
+    for d in check_digit_word(digits):
+        p, p_prev, q, q_prev = d * p + p_prev, p, d * q + q_prev, q
+    b = q - p_prev
+    return 2 * p / (b + math.sqrt(b * b + 4 * q_prev * p))
+
+
+def exact_periodic_table(system, max_digit: int, memory: int,
+                         levels: int = 400) -> np.ndarray:
+    """log|T'| at the periodic limit point of every reciprocal-family
+    memory-word, in code order, from closed-form coefficients: phase t reads
+    m_t + y(m_(t+1) ... m_(t+L)) + i(n_t + y(n_(t+1) ... n_(t+L))) with y the
+    ``periodic_tail``.  The point composes ``levels`` periodic maps from the
+    domain center, the map at time -j reading phase -j mod L."""
+    words = list(enumerate_pair_words(max_digit, memory))
+    coeff = np.empty((memory, len(words)), dtype=complex)
+    for k, word in enumerate(words):
+        for t in range(memory):
+            m, n = zip(*(word[t:] + word[:t]))
+            coeff[t, k] = complex(m[0] + periodic_tail(m[1:] + m[:1]),
+                                  n[0] + periodic_tail(n[1:] + n[:1]))
+    family = system.family
+    w = np.full(len(words), system.domain.center)
+    for j in range(levels, 0, -1):
+        w = family.map(w, coeff[-j % memory])
+    return np.log(family.derivative_mod(w, coeff[0]))
 
 
 def symbol_code(sym, max_digit: int) -> int:

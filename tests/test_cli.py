@@ -301,6 +301,16 @@ class TestConfigErrors:
         assert ("requested memory below the table's own memory"
                 in capsys.readouterr().err)
 
+    def test_composition_past_the_depth_cap_exits_2(self, tmp_path, capsys):
+        # contraction 1.0016 needs 19609 levels to pin a periodic point
+        cfg = write_config(tmp_path, {
+            "system": {"variant": "inverse_conjugate", "radius": 0.802},
+            "truncation": {"m_schedule": [2], "depth": 3},
+        })
+        assert run(["pressure", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "needs 19609 composition levels" in capsys.readouterr().err
+
     def test_reducible_table_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, {
             "potential": {"kind": "table",
@@ -590,14 +600,15 @@ class TestSampleCommand:
 # sha256 of cloud CSVs that these configs wrote before the guide-table draws
 # and blocked composition (commit 237e712), and, for the z-marginal cloud,
 # since it draws no past; a change that moves one changes the clouds
-# themselves
+# themselves.  The two conjugate clouds moved once since, when the realized
+# log|T'| table their chain reads became exact: two box counts fell by one.
 CLOUD_DIGESTS = {
     "z_marginal_conjugate_2000":
-        "a56480f372d7fe32c30a7a5f918a1a3165ab4f7952b80f96037a2352eb898d56",
+        "4b534c110afc770de74263fdf326b01248f4beb31e47efe0237bb8d5eb64afcb",
     "sample_fiber_2000":
         "9c8091bf37ec3bab5fe37c6f82abc5b25f3c44fff22856b4f4fb0326dfa6dcac",
     "global_conjugate_2000":
-        "f6cabbb7754902cd7b2e9adf7b7b9e697478fe3323b52a4f97db7d6d4d6e734d",
+        "f6a18a559e0436d4852603f3a3dbacdf2034530bb26f338ddfbc90d1b2b19242",
 }
 
 
@@ -618,11 +629,11 @@ def _guard_config(name):
 # record also carries the exactness block
 SAMPLE_RECORD_DIGESTS = {
     "z_marginal_conjugate_2000":
-        "4c3bb26762dd5653f1d00e67d9370adcc0117a24626faf1adc4114a84c8d374c",
+        "50dd8ec772d69a4becfc667ef8f05cd1fbcffea2502e21599a83d5670f1ea7ff",
     "sample_fiber_2000":
         "b7062cea5e8eab7e02e736d86a3b156bfd22ce747b4a3986da734841c4e52d17",
     "global_conjugate_2000":
-        "f4d2edf77a2f4c488d753df8710c6d3535e6a36ca207443edaa330a0a864744b",
+        "95d506b5843092a3147e69bc9d65b164ee71129c4f1d6faf5c190b151acc96c3",
 }
 
 
@@ -664,12 +675,14 @@ class TestCloudBytes:
 # reciprocal reports also read their image disks and derivatives at the
 # float translate value (tail 0.5) in place of the exact-cylinder midpoint:
 # min_image_gap moved by at most 1.1e-8, derivative_band by 5e-10 and
-# distortion_H_hat by 2e-6
+# distortion_H_hat by 2e-6.  The reciprocal derivative checks read the
+# exact periodic table: their integrals moved by 4.7e-7 and 2.8e-6 and
+# their diffs by at most 2.4e-13
 VERIFY_DIGESTS = {
     "verify_conjugate":
-        "37e465ee80b17e380cf8e9aef7063cf02d33f27f0e9a79495e17ad5229fc72de",
+        "76bf4e5b85c8f2abda319b0b6055752ea4f20b7f0fb1d307a1600fc9eb4fb19e",
     "square_3":
-        "8bbdc088ecb3056fa286ce63101417c5b8144b7de9d24ceb240a9a86fe494902",
+        "2b5a13d643dfcea167c49811c66c7e69b96025a64150785057a459fa18a8cd92",
     "similarity_3":
         "62dc1b72a0c64faa478f60329a4b4d0ed1a165cdd31102cb933795efa2d4c865",
     "similarity_two_ratio_3":
@@ -720,23 +733,25 @@ class TestVerifyBytes:
         assert digest == VERIFY_DIGESTS[name]
 
 
-# (command, sha256 of the sorted-key results JSON followed by the CSV bytes)
+# (command, sha256 of the sorted-key results JSON followed by the CSV bytes);
+# the reciprocal records moved when the realized table became exact:
+# pressures by at most 9.9e-7, Bowen roots by at most 2.1e-7
 RECORD_DIGESTS = {
     "pressure_geometric": (
         "pressure",
-        "14556fb39cd6a79284d9e506d48a034c9d36c1dc67d8387cb3990557a62c1d8f"),
+        "4a16b5e92304b64dd4143619322c742a633aeee1e5b29cd4a9e1728440996330"),
     "dimension_similarity": (
         "dimension",
         "8f0d2c150b91d555b4bdeb4d63f71d098c58a944d4af60265348ad7d7b04b644"),
     "dimension_conjugate_small": (
         "dimension",
-        "6ffcbedfc93929b96f1a95ad3567502f4630f0436bec3a48a48e28ee2f67cce1"),
+        "c303a6da4eb80a8274254e13682ec8da453cd353a01cb68b58ae6f574c281822"),
     # chi_T exact from the realized table: 4.567489758 (300 Monte Carlo
     # draws) -> 4.538337562, global_dimension and both branch values
     # 1.333432767 -> 1.335382398
     "dimension_constant_small": (
         "dimension",
-        "ba48fa5fb1319f178933ffe75881b3e60c0edad97a8ed96869e51a4b38db2618"),
+        "070465645c891f84108e81aa82ac804d20283ce29cddcab8a914d35a975dd119"),
     "dimension_two_ratio": (
         "dimension",
         "54f2f8eb64161a9cfdcaade7d2bc9c3d4f44cefa6d3b3b7bebca98ca57d151a5"),

@@ -17,7 +17,7 @@ from fiberdim.errors import (
     NonPrimitive,
     PerronNotConverged,
 )
-from fiberdim import moments, thermo
+from fiberdim import moments, systems, thermo
 from fiberdim.config import build_potential
 from fiberdim.moments import lyapunov_marginal_exact
 from fiberdim.systems import (FAMILIES, Disk, SimilaritySchedule, SmaleSystem,
@@ -38,10 +38,10 @@ from fiberdim.thermo import (
     realized_table,
 )
 
-from oracles import (constant_potential, gibbs_constant_hat,
-                     lyapunov_marginal, potential_mean, symbol_marginal,
-                     variational_gap, whole_draw_lyapunov_fiber,
-                     word_log_mass)
+from oracles import (constant_potential, exact_periodic_table,
+                     gibbs_constant_hat, lyapunov_marginal, potential_mean,
+                     symbol_marginal, variational_gap,
+                     whole_draw_lyapunov_fiber, word_log_mass)
 
 LOG2 = math.log(2.0)
 
@@ -454,20 +454,22 @@ class TestExactFiberExponent:
 
 # sha256 of ``realized_table(...).tobytes()`` per (system, M, L): every
 # pressure, chain, Bowen root and fiber exponent of a geometric potential
-# reads these tables
+# reads these tables.  The reciprocal tables read each coefficient to its
+# periodic limit; at a 12-symbol window they sat up to 2.9e-6 (conjugate)
+# and 6.0e-6 (square) off it.
 REALIZED_DIGESTS = {
-    ("inverse_conjugate", 1, 1): "1a30219754bfd5a2901663ccf26be3aa5685d8144a9ab232b8cb52f5b67d3faf",
-    ("inverse_conjugate", 2, 1): "041554df328a67e1a40476a24be2af386b06e82a8d41d00f3a7414e9ec8a93fb",
-    ("inverse_conjugate", 2, 2): "fde36f29c794a00cfece3a4da09936d57759153f60b67ee20b3bdd06fa881f83",
-    ("inverse_conjugate", 3, 2): "d499c5e497f47c7bd8159dfc4068cfae39b63968df03a7acb5784f1f7d05e20a",
-    ("inverse_conjugate", 2, 3): "6a81562e54c0fcdc118196d99ba6626d4c1ed29f5e4ae202e036c989bdfc7998",
-    ("inverse_conjugate", 4, 2): "325cf931ef891bb695b2d6802a4c498c01ea838e91cb53656b2824aeb79e562b",
-    ("inverse_square", 1, 1): "9a4b1d2fa1c8956077472392f91844a843901cfbfc1df867baeed20fdf7d29f6",
-    ("inverse_square", 2, 1): "3ea6935e59d481063102fc75a419591e10b25dcc587df03eeb7900425c9dbd5a",
-    ("inverse_square", 2, 2): "baaaa764b0aa04d94c2b52c002441e00e10cb13a16c1b70bfeb426c166f3b414",
-    ("inverse_square", 3, 2): "adee4d2fcbc1eae7e83ebbbbb36b1daeeba1e7e88362b1febaa26fde4ac32856",
-    ("inverse_square", 2, 3): "7074fd105ce015d373d9503ba39379f28003d5ff8b70d8792eef164bc603646d",
-    ("inverse_square", 4, 2): "8a8ac5275ed0787d50b381ce466d0c2417047a3e9fb10632a9c1780a72abecf1",
+    ("inverse_conjugate", 1, 1): "9936e20831adcd9ea5257d48e73a8a35874354fea8057290bc6bf59a2ae1376e",
+    ("inverse_conjugate", 2, 1): "110da132873129e25b79b68771b408464aee14b245025413d94ebee38568af87",
+    ("inverse_conjugate", 2, 2): "1431050219b9e2dc1f12efc97f2931e821f9d0268b16f8cbad0858eaad37d96c",
+    ("inverse_conjugate", 3, 2): "0b8f6e12ac3c107320ef1cce13056329f98754ca2fc68aae27a3add73e085a4a",
+    ("inverse_conjugate", 2, 3): "79ff7fb8eb52c29866d9be44a7d1e51bedc9444acd1769405b925b44a70bd2c7",
+    ("inverse_conjugate", 4, 2): "5f6c29ac39b9e6d00a853daf5138e304bddf9be033805bdf314d93cf54143735",
+    ("inverse_square", 1, 1): "f78e0d92caba91a65286524be939384666184a03290e572de398a07993c5b965",
+    ("inverse_square", 2, 1): "6d7ada18b3cca826ed281719b624cc3d577a5ed46ea38fb10b3f98e71c298bdb",
+    ("inverse_square", 2, 2): "6ed5f189454d8761279fa6dea5636040934a8aef6bb9180642e4d746c55cae36",
+    ("inverse_square", 3, 2): "8d543633535e9eb21bbd350e514a13fa5007ef2b8fbce21538d0fafd2b8d09b5",
+    ("inverse_square", 2, 3): "fd94bae344c37913645f75cb1149470ee217e0e20a589d0c1e0c96c20569063a",
+    ("inverse_square", 4, 2): "0d00ecc73fc53e2603b6286fc08b04f05de315595ae8638602a325efabcda6c4",
     ("similarity", 1, 1): "c8057214110acd84944f6932de2604c99422c36f79cffd2c0408e58a9c199f6b",
     ("similarity", 2, 1): "954b75b1c34b2eaaa403e1a7309bbfd430c9658fbf9fa0109163fa73be2aeb73",
     ("similarity", 2, 2): "f2a0a25967f912e9cdac274ebff6595128a21d62a38da55d37adc808bee8c79b",
@@ -510,6 +512,52 @@ class TestRealizedTableBytes:
                              family.distortion(domain))
         with pytest.raises(DomainEscape, match="left the domain"):
             realized_table(system, 2, 2)
+
+
+# (M, L) pairs of the closed-form check, up to 4096 codes
+EXACT_CASES = [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (8, 2),
+               (4, 3)]
+
+
+class TestExactPeriodicRealization:
+    """The reciprocal tables against the quadratic-irrational closed form."""
+
+    @pytest.mark.parametrize("variant", ["inverse_conjugate", "inverse_square"])
+    @pytest.mark.parametrize("M, L", EXACT_CASES)
+    def test_matches_closed_form(self, variant, M, L):
+        system = make_system(variant)
+        table = realized_table(system, M, L)
+        assert np.abs(table - exact_periodic_table(system, M, L)).max() <= 1e-14
+
+    @pytest.mark.parametrize("variant", ["inverse_conjugate", "inverse_square"])
+    def test_independent_of_the_cloud_context(self, variant, monkeypatch):
+        # the clouds' forward context does not reach the periodic table
+        system = make_system(variant)
+
+        def tables():
+            return [realized_table.__wrapped__(system, M, L).tobytes()
+                    for M, L in [(2, 1), (2, 2), (3, 2), (2, 3)]]
+
+        before = tables()
+        monkeypatch.setattr(systems, "CONTEXT_DEPTH", 8)
+        monkeypatch.setattr(thermo, "CONTEXT_DEPTH", 8, raising=False)
+        assert tables() == before
+
+    def test_depth_past_the_cap_refused_before_any_map(self, monkeypatch):
+        system = make_system("inverse_conjugate", radius=0.802)
+
+        def forbidden(*args):
+            raise AssertionError("no map may run for a refused system")
+
+        monkeypatch.setattr(system.family, "map", forbidden)
+        with pytest.raises(ConfigError, match=r"1\.00155 needs 19609 composition"):
+            realized_table.__wrapped__(system, 2, 2)
+
+    def test_depth_under_the_cap_kept(self):
+        system = make_system("inverse_conjugate", radius=0.79)
+        assert thermo._composition_depth(system) == 1197
+        table = realized_table.__wrapped__(system, 2, 2)
+        assert table.shape == (16,) and np.isfinite(table).all()
 
 
 class TestExactMarginalExponent:
