@@ -42,6 +42,15 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
+def _finite(value):
+    """A record value with each infinite float (a missing bound) as None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return None if isinstance(value, float) and math.isinf(value) else value
+
+
 def _write_csv(path: str, header: str, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -87,10 +96,11 @@ def cmd_dimension(config: dict, out_dir: str):
     check_s_grid(s_grid)
     warnings = []
     scan = summability_scan(system, s_grid)
-    for s, verdict in zip(scan.s_grid, scan.verdicts):
-        if verdict != "summable":
-            warnings.append(
-                f"infinite-alphabet depth-1 sum at s={s:g}: {verdict}")
+    divergent = [f"{s:g}" for s, verdict in zip(scan.s_grid, scan.verdicts)
+                 if verdict != "summable"]
+    if divergent:
+        warnings.append(f"infinite-alphabet depth-1 sum diverges at "
+                        f"s={', '.join(divergent)} (s <= theta={scan.threshold:g})")
     potential = build_potential(config, system, M)
     g = gibbs_markov(potential, M, tr["memory"])
     stats = measure_stats(g, system, tr["memory"] or system.family.memory)
@@ -100,7 +110,7 @@ def cmd_dimension(config: dict, out_dir: str):
                         f"{ENTROPY_TOL:g}; the sweep stopped at MARGINAL_SWEEP_CAP")
     sweep = variational_sweep(system, M, s_grid, tr["memory"],
                               config["dimension"]["bowen_tol"])
-    if sweep.delta_T < scan.threshold:
+    if math.isfinite(system.distortion_bound) and sweep.delta_T < scan.threshold:
         warnings.append(
             f"Bowen root {sweep.delta_T:g} of the M={M} truncation lies below "
             f"the summability threshold theta={scan.threshold:g}; the infinite "
@@ -116,8 +126,7 @@ def cmd_dimension(config: dict, out_dir: str):
         "max_second_difference": sweep.max_second_difference,
         "min_chi": sweep.min_chi,
         "summability": {
-            "threshold": (scan.threshold if math.isfinite(scan.threshold)
-                          else None),
+            "threshold": scan.threshold,
             "verdicts": list(scan.verdicts),
         },
         "stats": dataclasses.asdict(stats),
@@ -192,11 +201,8 @@ def cmd_verify(config: dict, out_dir: str):
     diff = abs(fd - integral)
     if diff > 1e-3:
         warnings.append(f"derivative check residual {diff:g} is large")
-    system_report = dataclasses.asdict(report)
-    if report.min_image_gap == math.inf:  # one symbol: no pair of images
-        system_report["min_image_gap"] = None
     results = {
-        "system_report": system_report,
+        "system_report": dataclasses.asdict(report),
         "induced_maps": {
             "count": len(maps),
             "all_contracting": bool(all(m.contraction_ok for m in maps)),
@@ -277,7 +283,7 @@ def run(argv=None) -> int:
         "finished": _now(),
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__},
-        "results": results,
+        "results": _finite(results),
         "warnings": warnings,
         "files": [os.path.basename(f) for f in files],
     }

@@ -187,7 +187,6 @@ class FiberFamily:
     center, radius = 0.5 + 0j, 0.5  # default domain
     memory = 2  # default realization memory of log|T'|
     uses_schedule = False  # the family takes a SimilaritySchedule
-    distortion_certified = True  # ``distortion`` is an analytic bound
 
     def coefficients(self, system, m_rows, n_rows):
         """Coefficients of digit rows; ``[..., i]`` is context symbol i."""
@@ -276,8 +275,6 @@ class _InverseConjugate(FiberFamily):
 class _InverseSquare(FiberFamily):
     """T(w) = 1 / (w^2 + 2c)."""
 
-    distortion_certified = False  # ``distortion`` reads a point grid
-
     def map(self, w, c):
         return 1.0 / (w * w + 2.0 * c)
 
@@ -301,12 +298,13 @@ class _InverseSquare(FiberFamily):
         return 2.0 * zmax / m ** 2
 
     def distortion(self, domain):
-        # log-derivative gradient blows up near z = 0; record a grid-measured
-        # bound over the domain instead of an analytic constant
-        pts = _grid_points(domain, 900)
-        pts = pts[np.abs(pts) > 1e-3]
-        g = 1.0 / np.abs(pts) + 4.0 * np.abs(pts) / (2.0 * abs(1 + 1j) - np.abs(pts) ** 2)
-        return float(np.max(g))
+        # |grad log|T'|| = |1/w - 4w / (w^2 + 2c)| <= g(|w|) = 1/|w| + 4|w| /
+        # (2 sqrt(2) - |w|^2), as in ``one_step_sup``; g is convex, so its max
+        # over [|center| - r, zmax] sits at an end; none if the domain holds 0
+        lo = abs(domain.center) - domain.radius
+        return math.inf if lo <= 0 else max(
+            1.0 / x + 4.0 * x / (2.0 * abs(1 + 1j) - x * x)
+            for x in (lo, self._zmax(domain)))
 
     def _image_preimage(self, domain, p):
         # z^2 over the domain sits inside a disk around center^2
@@ -388,10 +386,10 @@ class SmaleSystem:
     """One fiber contraction family with certified constants.
 
     ``contraction`` is the certified uniform expansion factor of the inverse
-    branches (> 1); ``distortion_bound`` is a Lipschitz constant H of
-    log|T'| in the fiber point, analytic unless the family's
-    ``distortion_certified`` is false.  Both are recorded diagnostics, not
-    assumptions baked into formulas.
+    branches (> 1); ``distortion_bound`` is an analytic Lipschitz constant H
+    of log|T'| in the fiber point, inf where log|T'| has none on the domain
+    (a square-family domain that reaches w = 0).  Both are recorded
+    diagnostics, not assumptions baked into formulas.
     """
 
     variant: str
@@ -409,18 +407,6 @@ class SmaleSystem:
     @property
     def family(self) -> FiberFamily:
         return FAMILIES[self.variant]
-
-
-def _grid_points(disk: Disk, n: int) -> np.ndarray:
-    """Deterministic point grid covering a disk (boundary included)."""
-    side = int(math.sqrt(n))
-    xs = np.linspace(-1.0, 1.0, side)
-    gx, gy = np.meshgrid(xs, xs)
-    pts = gx.ravel() + 1j * gy.ravel()
-    pts = pts[np.abs(pts) <= 1.0]
-    ring = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 64, endpoint=False))
-    pts = np.concatenate([pts, ring])
-    return disk.center + disk.radius * pts
 
 
 def make_system(variant: str,
@@ -557,7 +543,6 @@ class SystemReport:
     distortion_H_hat: float
     contraction: float
     distortion_bound: float
-    distortion_certified: bool
 
 
 def _osc_min_gap(system: SmaleSystem, symbols, tails) -> float:
@@ -625,5 +610,4 @@ def verify_system(system: SmaleSystem, max_digit: int,
                         min_image_gap=float(min_gap), derivative_band=band,
                         distortion_H_hat=float(H_hat),
                         contraction=system.contraction,
-                        distortion_bound=system.distortion_bound,
-                        distortion_certified=family.distortion_certified)
+                        distortion_bound=system.distortion_bound)

@@ -107,8 +107,9 @@ class GeometricPotential:
         return self.memory if memory is None else memory
 
     def realize(self, M: int, L: int):
-        """(s * log|T'| on L-word codes, s times the Lipschitz tail bound)."""
-        err = self.s * potential_approx_error(self.system, L)
+        """(s * log|T'| on L-word codes, s times the Lipschitz tail bound:
+        0.0 at s = 0, inf without bounded distortion)."""
+        err = self.s * potential_approx_error(self.system, L) if self.s else 0.0
         return self.s * realized_table(self.system, M, L), err
 
 
@@ -201,11 +202,11 @@ def realized_table(system: SmaleSystem, max_digit: int, memory: int) -> np.ndarr
     reads ``PERIODIC_WINDOW`` symbols of the word from symbol t on; the
     point composes the maps from the domain center (time -j reads phase -j
     mod memory) over ``_composition_depth`` levels.  So an entry is within
-    ``distortion_bound`` times POINT_TOL of the exact log|T'| (a grid value,
-    not a bound, for the square family).  EnumerationCapExceeded past
-    ENUMERATION_CAP words, DomainEscape for a point more than 1e-6 off the
-    domain, ConfigError for a memory below 1, a system that needs more than
-    4000 levels or a value that is not finite.
+    ``distortion_bound`` times POINT_TOL of the exact log|T'|, no bound where
+    that constant is inf (a square domain that reaches w = 0).
+    EnumerationCapExceeded past ENUMERATION_CAP words, DomainEscape for a
+    point more than 1e-6 off the domain, ConfigError for a memory below 1, a
+    system that needs more than 4000 levels or a value that is not finite.
     """
     M = check_max_digit(max_digit)
     if memory < 1:
@@ -236,7 +237,8 @@ def realized_table(system: SmaleSystem, max_digit: int, memory: int) -> np.ndarr
 
 
 def potential_approx_error(system: SmaleSystem, memory: int) -> float:
-    """Lipschitz tail bound for the memory-k realization of log|T'|."""
+    """Lipschitz tail bound for the memory-k realization of log|T'|; inf
+    where the system's ``distortion_bound`` is."""
     gap = system.domain.diameter * system.contraction ** (-memory)
     return system.distortion_bound * gap
 
@@ -267,7 +269,6 @@ class GibbsApprox:
     reverse: np.ndarray = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
-    potential_error: float = 0.0
     perron_iterations: int = 0
     perron_residual: tuple = (0.0, 0.0)
     stationarity_residual: float = 0.0
@@ -530,7 +531,7 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
     if A ** L > STATE_CAP:
         raise EnumerationCapExceeded(
             f"{A**L} states exceed the cap {STATE_CAP}; lower the memory")
-    gram, err = potential.realize(M, L)
+    gram = potential.realize(M, L)[0]
     alive = _prune_support(np.isfinite(gram), A)
     if not alive.any():
         raise NonPrimitive("no admissible bi-infinite words")
@@ -561,7 +562,6 @@ def gibbs_markov(potential, max_digit: int, memory: int = None) -> GibbsApprox:
         max_digit=M, memory=L,
         log_pressure=float(np.log(rho) + m0), n_states=int(alive.sum()),
         transition=P, reverse=Q, stationary=pi, gram=gram,
-        potential_error=err,
         perron_iterations=iterations, perron_residual=res,
         stationarity_residual=stat_res,
     )

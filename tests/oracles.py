@@ -9,7 +9,8 @@ plain pair-word tuples (the exact pair-cylinder box ``pi_tilde``,
 ``exact_coefficient``, ``fiber_map``, ``pi2_hat``) that the bulk
 composition is checked against, and the closed-form periodic log|T'| table
 (``periodic_tail``, ``exact_periodic_table``) that the realization is
-checked against.
+checked against, and the point-grid maximum the square family's closed-form
+distortion bound is checked against (``grid_square_distortion``).
 
 Each is a short formula over the package's public data that no program
 path needs; the tests that check the package against them import them
@@ -213,6 +214,22 @@ def exact_periodic_table(system, max_digit: int, memory: int,
     for j in range(levels, 0, -1):
         w = family.map(w, coeff[-j % memory])
     return np.log(family.derivative_mod(w, coeff[0]))
+
+
+def grid_square_distortion(domain, n: int = 900) -> float:
+    """Largest 1/|w| + 4|w| / (2 sqrt(2) - |w|^2), the square family's
+    log|T'| gradient bound, over a sqrt(n) x sqrt(n) point grid of the
+    domain disk and 64 points of its boundary, leaving out |w| <= 1e-3.
+    A sample, so the closed form ``distortion`` lies at or above it."""
+    side = int(math.sqrt(n))
+    xs = np.linspace(-1.0, 1.0, side)
+    gx, gy = np.meshgrid(xs, xs)
+    pts = gx.ravel() + 1j * gy.ravel()
+    ring = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 64, endpoint=False))
+    pts = np.concatenate([pts[np.abs(pts) <= 1.0], ring])
+    x = np.abs(domain.center + domain.radius * pts)
+    x = x[x > 1e-3]
+    return float(np.max(1.0 / x + 4.0 * x / (2.0 * abs(1 + 1j) - x ** 2)))
 
 
 def symbol_code(sym, max_digit: int) -> int:

@@ -78,6 +78,20 @@ class TestPressureCommand:
         assert block["extrapolated"] == pytest.approx(expected, abs=1e-9)
         assert block["potential_error"] == 0.0
 
+    @pytest.mark.parametrize("s, error", [(1.0, None), (0.0, 0.0)])
+    def test_square_potential_error(self, tmp_path, s, error):
+        # no distortion bound on the default square domain: the tail bound
+        # is infinite, written null, except at s = 0, where psi is 0
+        cfg = write_config(tmp_path, {
+            "system": {"variant": "inverse_square"},
+            "potential": {"kind": "geometric", "s": s},
+            "truncation": {"m_schedule": [2], "depth": 3},
+        })
+        out = tmp_path / "out"
+        assert run(["pressure", "--config", cfg, "--out", str(out)]) == 0
+        block = read_record(out, "pressure")["results"]["pressure"][0]
+        assert block["potential_error"] == error
+
     def test_record_echoes_merged_config(self, tmp_path):
         cfg = write_config(tmp_path, {
             "potential": {"kind": "constant", "value": 0.0},
@@ -468,7 +482,10 @@ class TestDimensionCommand:
         out = tmp_path / "out"
         assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
         record = read_record(out, "dimension")
-        assert any("s=0.6" in w for w in record["warnings"])
+        # one warning lists every grid point at or below theta
+        assert [w for w in record["warnings"] if "depth-1 sum" in w] == [
+            "infinite-alphabet depth-1 sum diverges at s=0.6, 0.9 "
+            "(s <= theta=1)"]
         summ = record["results"]["summability"]
         assert summ == {"threshold": 1.0,
                         "verdicts": ["divergent", "divergent", "summable"]}
@@ -485,6 +502,22 @@ class TestDimensionCommand:
         assert root < 1.0
         assert (f"Bowen root {root:g} of the M=2 truncation lies below the "
                 "summability threshold theta=1;") in "\n".join(record["warnings"])
+
+    def test_square_root_below_threshold_claims_nothing(self, tmp_path):
+        # the default square domain reaches w = 0, so the system has no
+        # distortion bound and no claim delta_T >= theta rests on one
+        cfg = write_config(tmp_path, {
+            "system": {"variant": "inverse_square"},
+            "truncation": {"m_schedule": [2], "memory": 1},
+            "dimension": {"s_grid": [0.6, 0.9, 1.2]},
+        })
+        out = tmp_path / "out"
+        assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
+        record = read_record(out, "dimension")
+        assert record["results"]["bowen_root"] < 1.0
+        assert record["warnings"] == [
+            "infinite-alphabet depth-1 sum diverges at s=0.6, 0.9 "
+            "(s <= theta=1)"]
 
     def test_finite_similarity_has_no_threshold_warnings(self, tmp_path):
         out = tmp_path / "out"
@@ -670,9 +703,10 @@ class TestCloudBytes:
                 == SAMPLE_RECORD_DIGESTS[name])
 
 
-# every system_report carries the certified contraction, distortion_bound
-# and distortion_certified in place of lambda_hat and distortion_alpha; the
-# reciprocal reports also read their image disks and derivatives at the
+# every system_report carries the certified contraction and distortion_bound
+# in place of lambda_hat and distortion_alpha (the distortion_certified flag
+# is gone, and square_3's distortion_bound, a 25.99 grid value before, is
+# null: its domain reaches w = 0); the reciprocal reports also read their image disks and derivatives at the
 # float translate value (tail 0.5) in place of the exact-cylinder midpoint:
 # min_image_gap moved by at most 1.1e-8, derivative_band by 5e-10 and
 # distortion_H_hat by 2e-6.  The reciprocal derivative checks read the
@@ -680,15 +714,15 @@ class TestCloudBytes:
 # their diffs by at most 2.4e-13
 VERIFY_DIGESTS = {
     "verify_conjugate":
-        "76bf4e5b85c8f2abda319b0b6055752ea4f20b7f0fb1d307a1600fc9eb4fb19e",
+        "21ec2cc7bc666a7d641ec04d401d84476124e5f9aa5b922c54c3a531f9e49c99",
     "square_3":
-        "2b5a13d643dfcea167c49811c66c7e69b96025a64150785057a459fa18a8cd92",
+        "ac0dcdd209c271e46f458ce05a5f2a7d8739f4a43200398c1b13a9359a7e85aa",
     "similarity_3":
-        "62dc1b72a0c64faa478f60329a4b4d0ed1a165cdd31102cb933795efa2d4c865",
+        "805453a6fe792a08fc9b3cb9c9d496542750e54e253da02a3714fb6e9571f98f",
     "similarity_two_ratio_3":
-        "6712d2683c10cdf4da3fa98398f0ffe163a2086dfa4ab9db110cae40bdcb2800",
+        "8e86656440f571ecf3fff23579ba5314b0f15e2d88c0cd227168f88478407e33",
     "similarity_custom_3":
-        "dce55d5613a0e55a4a2125a5cfe26eee0b6ca92bd465446da00377b66cdbf392",
+        "160d0c183c1fc6facd12fbdcabf80a21463edbc8710eda4a3abae3901d32d215",
 }
 
 # finite similarity schedules of three digits: two ratios on the grid, and a
@@ -865,6 +899,14 @@ class TestVerifyCommand:
         report = read_record(out, "verify")["results"]["system_report"]
         assert report["min_image_gap"] is None
         assert report["osc_ok"] is True
+
+
+def test_record_values_infinite_as_null_nan_kept():
+    # the one rule for a missing bound; a NaN is a fault, left to show
+    got = cli._finite({"a": (1.0, -math.inf), "b": [{"c": math.inf}],
+                       "d": np.float64(np.inf), "e": math.nan, "f": 3})
+    assert got["a"] == [1.0, None] and got["b"] == [{"c": None}]
+    assert got["d"] is None and math.isnan(got["e"]) and got["f"] == 3
 
 
 class TestThreads:

@@ -24,8 +24,8 @@ from fiberdim.thermo import gibbs_markov, realized_table
 from fiberdim.words import pair_alphabet
 
 from oracles import (constant_potential, default_symbol_sup,
-                     enumerate_pair_words, exact_coefficient,
-                     fiber_derivative_mod, fiber_map, padded_forward, pi2_hat,
+                     exact_coefficient, fiber_derivative_mod, fiber_map,
+                     grid_square_distortion, padded_forward, pi2_hat,
                      pi_tilde, sample_fiber_limit_set)
 
 
@@ -530,15 +530,15 @@ class TestVerifyReports:
         assert report.contraction == conj.contraction
         assert report.contraction <= 1.0 / report.derivative_band[1]
         assert report.distortion_bound == conj.distortion_bound
-        assert report.distortion_certified
 
     def test_square_separation_is_strict(self, square):
         report = verify_system(square, 5)
         assert report.osc_ok
         assert report.min_image_gap > 0.0
         assert 0.0 < report.derivative_band[0] < report.derivative_band[1] < 1.0
-        # its distortion bound comes from a point grid
-        assert not report.distortion_certified
+        # the default domain reaches w = 0, where log|T'| has no Lipschitz
+        # constant
+        assert report.distortion_bound == math.inf
 
     def test_single_digit_band_matches_analytic_envelope(self, conj):
         # with one symbol the translate is the golden point, so the one-step
@@ -581,6 +581,37 @@ class TestVerifyReports:
         assert verify_system(sim, 3).distortion_H_hat == 0.0
 
 
+class TestSquareDistortion:
+    """The closed-form Lipschitz constant of the square family's log|T'|."""
+
+    OFFSET = {"center": 0.175 - 0.15j, "radius": 0.15}  # |w| in [0.080, 0.380]
+
+    def test_default_domain_has_none(self, square):
+        # log|T'| = log 2 + log|w| - 2 log|w^2 + 2c| falls to -inf at w = 0
+        assert square.distortion_bound == math.inf
+
+    def test_offset_domain_bounds_samples_and_the_grid(self):
+        system = make_system("inverse_square", **self.OFFSET)
+        bound = system.distortion_bound
+        assert bound == pytest.approx(12.538207328141748, rel=1e-12)
+        assert bound >= verify_system(system, 2).distortion_H_hat
+        assert bound >= grid_square_distortion(system.domain)
+
+    def test_bounds_log_derivative_differences(self):
+        # |log|T'(w)| - log|T'(v)|| <= H |w - v| for point pairs of the
+        # domain and translate values c in the unit squares above m + ni
+        system = make_system("inverse_square", **self.OFFSET)
+        rng = np.random.default_rng(4)
+        d = system.domain
+        w, v = d.center + d.radius * np.sqrt(rng.random((2, 4000))) * np.exp(
+            2j * np.pi * rng.random((2, 4000)))
+        c = rng.integers(1, 5, size=(2, 4000)) + rng.random((2, 4000))
+        c = c[0] + 1j * c[1]
+        log_d = [np.log(system.family.derivative_mod(p, c)) for p in (w, v)]
+        slope = np.abs(log_d[0] - log_d[1]) / np.abs(w - v)
+        assert 0.5 * system.distortion_bound < slope.max() <= system.distortion_bound
+
+
 class TestBulkMatchesScalar:
     """The vectorised paths against the scalar reference ``pi2_hat``."""
 
@@ -605,24 +636,20 @@ class TestBulkMatchesScalar:
                              tuple(zip(fwd_m[i], fwd_n[i])), CONTEXT_DEPTH)
             assert abs(bulk[i] - ref) <= self.point_tol(system)
 
-        # periodic realization: log|T'| at the exact-cylinder point of each
-        # periodic word, forward word and 60-symbol past both repeating it.
-        # The map at time -j reads the word from phase -j mod memory on, so
-        # the composition needs the coefficients of memory contexts only.
-        coding = math.sqrt(2) * 2.0 ** (1 - CONTEXT_DEPTH)
-        log_tol = system.distortion_bound * (self.point_tol(system) + coding)
-        family = system.family
-        for memory in (1, 2):
-            vals = realized_table(system, 2, memory)
-            for code, word in enumerate(enumerate_pair_words(2, memory)):
-                coeff = [exact_coefficient(system, tuple(
-                    word[(phase + i) % memory] for i in range(CONTEXT_DEPTH)))
-                    for phase in range(memory)]
-                w = system.domain.center
-                for level in range(60, 0, -1):
-                    w = family.map(w, coeff[-level % memory])
-                ref = math.log(family.derivative_mod(w, coeff[0]))
-                assert abs(vals[code] - ref) <= log_tol + 1e-12
+    @pytest.mark.parametrize("schedule", [
+        SimilaritySchedule(), SimilaritySchedule(kind="equal", ratio=0.2),
+        SimilaritySchedule(kind="two_ratio")], ids=lambda sched: sched.kind)
+    def test_similarity_table_is_the_log_moduli(self, schedule):
+        # a similarity map's derivative is its modulus at every point, so the
+        # periodic table repeats log modulus of the first symbol over the
+        # rest of the word, bit for bit; the reciprocal tables are checked
+        # against their closed form in test_thermo.TestExactPeriodicRealization
+        system = make_system("similarity", schedule=schedule)
+        M, A = 2, 4
+        log_moduli = np.log(system.family.moduli(system, M))
+        for memory in (1, 2, 3):
+            want = np.repeat(log_moduli, A ** (memory - 1))
+            assert realized_table(system, M, memory).tobytes() == want.tobytes()
 
 
 def reference_points_bulk(system, past_m, past_n, fwd_m, fwd_n):
