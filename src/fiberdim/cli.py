@@ -103,7 +103,7 @@ def cmd_dimension(config: dict, out_dir: str):
                         f"s={', '.join(divergent)} (s <= theta={scan.threshold:g})")
     potential = build_potential(config, system, M)
     g = gibbs_markov(potential, M, tr["memory"])
-    stats = measure_stats(g, system, tr["memory"] or system.family.memory)
+    stats = measure_stats(g, system, tr["memory"] or system.memory)
     if stats.entropy_width > ENTROPY_TOL:
         warnings.append(f"marginal entropy bracket width {stats.entropy_width:g}"
                         f" at depth {stats.entropy_depth} exceeds ENTROPY_TOL="
@@ -136,7 +136,7 @@ def cmd_dimension(config: dict, out_dir: str):
         "branch_values": values,
         "branch_agreement": abs(values["b"] - values["c"]),
     }
-    moduli = system.family.moduli(system, M)
+    moduli = system.moduli(M)
     if moduli is not None:
         oracle = moran_root(moduli)
         results["moran_root"] = oracle

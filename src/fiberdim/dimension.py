@@ -37,7 +37,7 @@ class SummabilityReport:
 
     s_grid: tuple
     verdicts: tuple   # 'summable' | 'divergent'
-    threshold: float  # theta of ``FiberFamily.summability_threshold``
+    threshold: float  # theta of ``SmaleSystem.summability_threshold``
 
 
 def summability_scan(system: SmaleSystem, s_grid) -> SummabilityReport:
@@ -49,7 +49,7 @@ def summability_scan(system: SmaleSystem, s_grid) -> SummabilityReport:
     s_grid = tuple(float(s) for s in s_grid)
     if not s_grid:
         raise ConfigError("empty s grid")
-    theta = system.family.summability_threshold(system)
+    theta = system.summability_threshold()
     return SummabilityReport(
         s_grid=s_grid,
         verdicts=tuple("summable" if s > theta else "divergent" for s in s_grid),
@@ -72,7 +72,9 @@ def _fiber_dimension(system: SmaleSystem, s: float, max_digit: int,
 
 @dataclass(frozen=True)
 class BowenResult:
-    """Last Newton iterate, its pressure, the chain builds, and (root, h/chi)."""
+    """Last Newton iterate, its pressure, the chain builds, and (root, h/chi):
+    Newton runs from the left on a convex decreasing P, so both ``bracket``
+    entries lie at or below the truncation's root and do not enclose it."""
 
     root: float
     residual: float
@@ -89,13 +91,13 @@ def bowen_dimension(system: SmaleSystem, max_digit: int, tol: float = 1e-4,
     iterates increase to the root.  The iteration stops once the step is at
     most ``tol``, or once it stops shrinking: in exact arithmetic a step
     shrinks unless chi more than halves, so otherwise it has reached float
-    resolution.
+    resolution.  A one-symbol truncation has P(s) = -s chi, so its root is 0.
     """
     M = check_max_digit(max_digit)
     s = 0.0
     delta, chi, pressure = _fiber_dimension(system, s, M, memory)
-    if pressure <= 0:
-        raise BracketFailure(f"pressure at s=0 is {pressure}, expected positive")
+    if pressure < 0:
+        raise BracketFailure(f"pressure at s=0 is {pressure}, expected non-negative")
     step, builds = delta, 1
     while step > tol:
         if builds == BOWEN_MAX_ITER:

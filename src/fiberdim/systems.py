@@ -1,12 +1,13 @@
 """Fiber contraction families driven by two-sided pair-digit words.
 
-Each system contracts a closed disk in the plane, with the map at time zero
-selected by the forward word: the two reciprocal families read the paired
+Each system is one family acting on one closed disk, its domain: a
+``SmaleSystem`` subclass per family, whose map at time zero is selected by
+the forward word.  The two reciprocal families read the paired
 continued-fraction value of the forward word, the similarity family only its
 first symbol.  Composing maps along the past of a two-sided word pins the
 fiber point.
 
-Every coefficient comes from ``FiberFamily.coefficients`` of digit rows,
+Every coefficient comes from ``SmaleSystem.coefficients`` of digit rows,
 float continued fractions with tail 0.5.  The cloud composition
 ``fiber_points_bulk``, the image disks and ``verify_system`` read
 ``CONTEXT_DEPTH`` symbols, ``thermo.realized_table`` its periodic words to
@@ -16,7 +17,7 @@ their limit; the scalar reference composition is in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,10 +69,10 @@ def invert_disk(disk: Disk) -> Disk:
 # similarity ratio/translation schedules
 
 #: Digits <= this of an infinite alphabet are checked one by one (``_probe``);
-#: ``_Similarity.validate`` bounds every larger geometric digit at once.
+#: ``Similarity.validate`` bounds every larger geometric digit at once.
 PROBE_DIGIT = 4
 
-#: How far past the domain's radius ``FiberFamily.validate`` lets an image reach.
+#: How far past the domain's radius ``SmaleSystem.validate`` lets an image reach.
 FIT_TOL = 1e-12
 
 
@@ -114,7 +115,7 @@ class SimilaritySchedule:
         if not (0.0 < self.inner_factor <= 0.5):
             raise ConfigError("inner factor must lie in (0, 1/2]")
         # the geometric ratios fall with m + n, so its probe holds the largest
-        for r in self.maps(*_probe(self).T)[0] / self.inner_factor:
+        for r in self.maps(*_probe(self.digit_limit).T)[0] / self.inner_factor:
             if not (0.0 < r < 1.0 / 3.0):
                 raise ConfigError(f"ratio {r:g} outside (0, 1/3)")
 
@@ -162,45 +163,61 @@ class SimilaritySchedule:
         return mod, tr
 
 
-def _probe(schedule: SimilaritySchedule | None) -> np.ndarray:
-    """(k, 2) array of every symbol of a finite schedule, else of the digits
-    <= ``PROBE_DIGIT`` (the infinite ``geometric`` schedule, or none)."""
-    limit = math.inf if schedule is None else schedule.digit_limit
+def _probe(limit: float) -> np.ndarray:
+    """(k, 2) array of every symbol up to a finite digit limit, else of the
+    digits <= ``PROBE_DIGIT`` (an infinite alphabet)."""
     return np.array(pair_alphabet(PROBE_DIGIT if limit == math.inf else limit))
 
 
 # ---------------------------------------------------------------------------
-# fiber families: one formula table per variant
+# systems: one fiber family acting on one domain
 
-class FiberFamily:
-    """Formula table of one fiber family; every layer evaluates its maps here.
+@dataclass(frozen=True)
+class SmaleSystem:
+    """One fiber family T, a subclass named in ``FAMILIES``, on one disk.
 
     The time-zero map reads a coefficient off the forward word: the complex
     translate value for the reciprocal families (the defaults here), the
-    first symbol's (modulus, translation) pair for the similarity family.
+    first symbol's (modulus, translation) for the similarity family.
     ``coefficients`` is the one place a coefficient is computed; ``map``,
-    ``derivative_mod`` and ``image`` broadcast over points and coefficients,
-    so the bulk sampler, the potential realization and the image disks,
-    which ``validate`` checks for every family, share one formula.
+    ``derivative_mod`` and ``image`` broadcast over points and coefficients.
+    The certified constants are read off the domain, never passed in:
+    ``contraction`` = 1 / ``one_step_sup`` (a domain where it is not above 1
+    raises ConfigError) and ``distortion_bound`` = ``distortion``, the
+    Lipschitz constant of log|T'| in the fiber point, inf if it has none.
+    ``__eq__`` compares classes, which keeps cache keys of families apart.
     """
+
+    domain: Disk
+    contraction: float = field(init=False)
+    distortion_bound: float = field(init=False)
 
     center, radius = 0.5 + 0j, 0.5  # default domain
     memory = 2  # default realization memory of log|T'|
     uses_schedule = False  # the family takes a SimilaritySchedule
+    digit_limit = math.inf  # largest digit the maps are defined for
 
-    def coefficients(self, system, m_rows, n_rows):
+    def __post_init__(self):
+        sup = self.one_step_sup()
+        if sup >= 1.0:
+            raise ConfigError(f"one-step derivative sup {sup} is not a contraction:"
+                              " the certified contraction factor must exceed 1")
+        object.__setattr__(self, "contraction", 1.0 / sup)
+        object.__setattr__(self, "distortion_bound", self.distortion())
+
+    def coefficients(self, m_rows, n_rows):
         """Coefficients of digit rows; ``[..., i]`` is context symbol i."""
         return pi_values_bulk(m_rows, n_rows)
 
-    def moduli(self, system, max_digit):
+    def moduli(self, max_digit):
         """Derivative modulus per symbol of the M-alphabet; None if it varies."""
         return None
 
-    def image(self, domain: Disk, c) -> Disk:
+    def image(self, c) -> Disk:
         """Image disk of the domain under the maps of coefficients c."""
-        return invert_disk(self._image_preimage(domain, c))
+        return invert_disk(self._image_preimage(c))
 
-    def summability_threshold(self, system) -> float:
+    def summability_threshold(self) -> float:
         """Exponent theta past which the depth-1 sum of sup|T'|^s converges.
 
         The maps of symbol (m, n) read translate values c in the unit square
@@ -217,7 +234,7 @@ class FiberFamily:
         """
         return 1.0
 
-    def validate(self, system):
+    def validate(self):
         """Images of the ``_probe`` symbols, each read with its repeated-symbol
         tail as ``image_disk`` reads it, must stay inside the domain.
 
@@ -226,18 +243,20 @@ class FiberFamily:
         square family's ``image`` is an enclosure, so, as ``one_step_sup``
         can, the check can reject a domain whose images do fit.
         """
-        symbols = _probe(system.schedule)
-        disk = _images(system, symbols,
+        symbols = _probe(self.digit_limit)
+        disk = _images(self, symbols,
                        np.repeat(symbols[:, None], CONTEXT_DEPTH - 1, axis=1))
-        c, r = system.domain.center, system.domain.radius
+        c, r = self.domain.center, self.domain.radius
         escape = np.abs(disk.center - c) + disk.radius > r + FIT_TOL
         if escape.any():
             m, n = map(int, symbols[np.argmax(escape)])
             raise ConfigError(f"image for symbol ({m}, {n}) escapes the domain")
 
 
-class _InverseConjugate(FiberFamily):
+class InverseConjugate(SmaleSystem):
     """T(w) = 1 / (conj(w) + c)."""
+
+    variant = "inverse_conjugate"
 
     def map(self, w, c):
         return 1.0 / (np.conj(w) + c)
@@ -245,35 +264,37 @@ class _InverseConjugate(FiberFamily):
     def derivative_mod(self, w, c):
         return 1.0 / abs(np.conj(w) + c) ** 2
 
-    def _min_modulus(self, domain: Disk) -> float:
+    def _min_modulus(self) -> float:
         # minimum of |conj(z) + c| over the domain and every translate value
         # c in [1, inf)^2: the distance from -conj(center) to that quadrant,
         # less the radius
-        c = domain.center
+        c = self.domain.center
         gap = math.hypot(max(0.0, 1.0 + c.real), max(0.0, 1.0 - c.imag))
-        return gap - domain.radius
+        return gap - self.domain.radius
 
-    def one_step_sup(self, domain, schedule):
+    def one_step_sup(self):
         """1 / (least |conj(z) + c|)^2 over the domain and translate values.
 
         A positive margin ``_min_modulus`` bounds |conj(center) + c| - r, the
         preimage gap of every symbol's translate value c, from below, so no
         symbol's map meets its singularity on the domain.
         """
-        m = self._min_modulus(domain)
+        m = self._min_modulus()
         if m <= 0:
             raise ConfigError("domain touches the singular translate")
         return 1.0 / m ** 2
 
-    def distortion(self, domain):
-        return 2.0 / self._min_modulus(domain)
+    def distortion(self):
+        return 2.0 / self._min_modulus()
 
-    def _image_preimage(self, domain, p):
-        return Disk(domain.center.conjugate() + p, domain.radius)
+    def _image_preimage(self, p):
+        return Disk(self.domain.center.conjugate() + p, self.domain.radius)
 
 
-class _InverseSquare(FiberFamily):
+class InverseSquare(SmaleSystem):
     """T(w) = 1 / (w^2 + 2c)."""
+
+    variant = "inverse_square"
 
     def map(self, w, c):
         return 1.0 / (w * w + 2.0 * c)
@@ -281,43 +302,47 @@ class _InverseSquare(FiberFamily):
     def derivative_mod(self, w, c):
         return 2.0 * abs(w) / abs(w * w + 2.0 * c) ** 2
 
-    def _zmax(self, domain: Disk) -> float:
-        return abs(domain.center) + domain.radius
-
-    def one_step_sup(self, domain, schedule):
+    def one_step_sup(self):
         """2 zmax / (2 sqrt(2) - zmax^2)^2 with zmax = |center| + r.
 
         Every translate value c has |c| >= sqrt(2), so the margin
         2 sqrt(2) - zmax^2 bounds |z^2 + 2c| from below on the domain: a
         positive margin keeps every symbol's preimage gap positive.
         """
-        zmax = self._zmax(domain)
+        zmax = abs(self.domain.center) + self.domain.radius
         m = 2.0 * abs(1 + 1j) - zmax ** 2
         if m <= 0:
             raise ConfigError("domain too large for the square family")
         return 2.0 * zmax / m ** 2
 
-    def distortion(self, domain):
+    def distortion(self):
         # |grad log|T'|| = |1/w - 4w / (w^2 + 2c)| <= g(|w|) = 1/|w| + 4|w| /
         # (2 sqrt(2) - |w|^2), as in ``one_step_sup``; g is convex, so its max
         # over [|center| - r, zmax] sits at an end; none if the domain holds 0
-        lo = abs(domain.center) - domain.radius
-        return math.inf if lo <= 0 else max(
-            1.0 / x + 4.0 * x / (2.0 * abs(1 + 1j) - x * x)
-            for x in (lo, self._zmax(domain)))
+        c, r = abs(self.domain.center), self.domain.radius
+        return math.inf if c <= r else max(
+            1.0 / x + 4.0 * x / (2.0 * abs(1 + 1j) - x * x) for x in (c - r, c + r))
 
-    def _image_preimage(self, domain, p):
+    def _image_preimage(self, p):
         # z^2 over the domain sits inside a disk around center^2
-        r2 = 2.0 * abs(domain.center) * domain.radius + domain.radius ** 2
-        return Disk(domain.center ** 2 + 2.0 * p, r2)
+        c, r = self.domain.center, self.domain.radius
+        return Disk(c ** 2 + 2.0 * p, 2.0 * abs(c) * r + r ** 2)
 
 
-class _Similarity(FiberFamily):
+@dataclass(frozen=True)
+class Similarity(SmaleSystem):
     """T(w) = modulus * w + translation, both set by the first symbol."""
 
+    schedule: SimilaritySchedule
+
+    variant = "similarity"
     center, radius = 0j, 1.0
     memory = 1
     uses_schedule = True
+
+    @property
+    def digit_limit(self) -> float:
+        return self.schedule.digit_limit
 
     def map(self, w, c):
         return c[0] * w + c[1]
@@ -325,44 +350,43 @@ class _Similarity(FiberFamily):
     def derivative_mod(self, w, c):
         return np.broadcast_to(c[0], np.broadcast(w, c[0]).shape)
 
-    def coefficients(self, system, m_rows, n_rows):
-        return system.schedule.maps(m_rows[..., 0], n_rows[..., 0])
+    def coefficients(self, m_rows, n_rows):
+        return self.schedule.maps(m_rows[..., 0], n_rows[..., 0])
 
-    def moduli(self, system, max_digit):
-        return system.schedule.maps(*np.array(pair_alphabet(max_digit)).T)[0]
+    def moduli(self, max_digit):
+        return self.schedule.maps(*np.array(pair_alphabet(max_digit)).T)[0]
 
-    def image(self, domain, c):
-        return Disk(c[1] + c[0] * domain.center, c[0] * domain.radius)
+    def image(self, c):
+        return Disk(c[1] + c[0] * self.domain.center, c[0] * self.domain.radius)
 
-    def one_step_sup(self, domain, schedule):
-        return float(schedule.maps(*_probe(schedule).T)[0].max())
+    def one_step_sup(self):
+        return float(self.schedule.maps(*_probe(self.digit_limit).T)[0].max())
 
-    def distortion(self, domain):
+    def distortion(self):
         return 0.0
 
-    def summability_threshold(self, system) -> float:
+    def summability_threshold(self) -> float:
         """0 for the infinite geometric schedule, -inf for a finite one.
 
         The geometric sum of (inner * base^-(m+n))^s over m, n >= 1 is
         inner^s * (base^-s / (1 - base^-s))^2, finite exactly when s > 0; a
         finite schedule's sum has finitely many terms and converges at every s.
         """
-        return 0.0 if system.schedule.digit_limit == math.inf else -math.inf
+        return 0.0 if self.digit_limit == math.inf else -math.inf
 
-    def validate(self, system):
+    def validate(self):
         """The base probe, and one bound for the geometric kind's symbols
         with a digit above ``PROBE_DIGIT``: each translation lies in the
         square [-0.3, 0.3]^2 of the dyadic packing and each modulus is at most
         that of (1, PROBE_DIGIT + 1), so each image lies within the farthest
         corner of that square from the center c plus that modulus times
         |c| + r."""
-        super().validate(system)
-        schedule = system.schedule
-        if schedule.digit_limit == math.inf:
-            c, r = system.domain.center, system.domain.radius
+        super().validate()
+        if self.digit_limit == math.inf:
+            c, r = self.domain.center, self.domain.radius
             corner = max(abs(complex(x, y) - c)
                          for x in (-0.3, 0.3) for y in (-0.3, 0.3))
-            bound = schedule.maps(1, PROBE_DIGIT + 1)[0]
+            bound = self.schedule.maps(1, PROBE_DIGIT + 1)[0]
             reach = corner + bound * (abs(c) + r)
             if reach > r + FIT_TOL:
                 raise ConfigError(
@@ -370,67 +394,27 @@ class _Similarity(FiberFamily):
                     f"may reach {reach:.6g} from the center, past the radius {r:g}")
 
 
-#: Variant name -> formula table.  A new family is one entry here.
-FAMILIES = {
-    "inverse_conjugate": _InverseConjugate(),
-    "inverse_square": _InverseSquare(),
-    "similarity": _Similarity(),
-}
-
-
-# ---------------------------------------------------------------------------
-# system descriptor
-
-@dataclass(frozen=True)
-class SmaleSystem:
-    """One fiber contraction family with certified constants.
-
-    ``contraction`` is the certified uniform expansion factor of the inverse
-    branches (> 1); ``distortion_bound`` is an analytic Lipschitz constant H
-    of log|T'| in the fiber point, inf where log|T'| has none on the domain
-    (a square-family domain that reaches w = 0).  Both are recorded
-    diagnostics, not assumptions baked into formulas.
-    """
-
-    variant: str
-    domain: Disk
-    schedule: SimilaritySchedule | None
-    contraction: float
-    distortion_bound: float
-
-    def __post_init__(self):
-        if self.variant not in FAMILIES:
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.contraction <= 1.0:
-            raise ConfigError("certified contraction factor must exceed 1")
-
-    @property
-    def family(self) -> FiberFamily:
-        return FAMILIES[self.variant]
+#: Variant name -> system class.  A new family is one subclass here.
+FAMILIES = {cls.variant: cls for cls in (InverseConjugate, InverseSquare, Similarity)}
 
 
 def make_system(variant: str,
                 schedule: SimilaritySchedule | None = None,
                 center: complex | None = None,
                 radius: float | None = None) -> SmaleSystem:
-    """Construct a system with certified contraction and distortion bounds."""
+    """The named family on its default domain, or on the given center and
+    radius, with its images probed (``validate``)."""
     if variant not in FAMILIES:
         raise ConfigError(f"unknown variant {variant!r}")
-    family = FAMILIES[variant]
-    if family.uses_schedule:
-        schedule = schedule or SimilaritySchedule()
-    elif schedule is not None:
+    cls = FAMILIES[variant]
+    if schedule is not None and not cls.uses_schedule:
         raise ConfigError("ratio schedules only apply to similarity systems")
-    domain = Disk(complex(center) if center is not None else family.center,
-                  float(radius) if radius is not None else family.radius)
-    sup = family.one_step_sup(domain, schedule)
-    if sup >= 1.0:
-        raise ConfigError(f"one-step derivative sup {sup} is not a contraction")
-    sys_ = SmaleSystem(variant=variant, domain=domain, schedule=schedule,
-                       contraction=1.0 / sup,
-                       distortion_bound=family.distortion(domain))
-    family.validate(sys_)
-    return sys_
+    domain = Disk(complex(center) if center is not None else cls.center,
+                  float(radius) if radius is not None else cls.radius)
+    system = (cls(domain, schedule or SimilaritySchedule()) if cls.uses_schedule
+              else cls(domain))
+    system.validate()
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +425,12 @@ def image_disk(system: SmaleSystem, symbol, tail=None) -> Disk:
 
     Exact for the reciprocal-of-conjugate and similarity families, a superset
     for the square family.  ``tail`` is the forward continuation used for the
-    translate value (defaults to repeating the symbol); the map reads the
-    coefficient of the first ``CONTEXT_DEPTH`` symbols of symbol + tail.
+    translate value (None repeats the symbol, an empty tail reads the
+    symbol alone); the map reads the coefficient of the first
+    ``CONTEXT_DEPTH`` symbols of symbol + tail.
     """
-    word = check_pair_word([symbol, *(tail or [symbol] * (CONTEXT_DEPTH - 1))])
+    tail = [symbol] * (CONTEXT_DEPTH - 1) if tail is None else tail
+    word = np.array(check_pair_word([symbol, *tail]), dtype=np.int64)
     disk = _images(system, word[0], word[1:])
     return Disk(complex(disk.center), float(disk.radius))
 
@@ -457,8 +443,7 @@ def _images(system: SmaleSystem, symbols, tails) -> Disk:
     symbols = np.asarray(symbols, dtype=np.int64)[..., None, :]
     tails = np.broadcast_to(tails, symbols.shape[:-2] + np.shape(tails)[-2:])
     words = np.concatenate([symbols, tails], axis=-2)[..., :CONTEXT_DEPTH, :]
-    return system.family.image(system.domain, system.family.coefficients(
-        system, words[..., 0], words[..., 1]))
+    return system.image(system.coefficients(words[..., 0], words[..., 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +483,13 @@ def fiber_points_bulk(system: SmaleSystem,
     Rows run in ``row_blocks`` of depth plus the forward symbols a context
     reads, so deep pasts take fewer rows per block.  A block is one
     time-major two-sided digit array, the past reversed and then the forward
-    symbols; one ``family.coefficients`` call on its ``CONTEXT_DEPTH``-wide
+    symbols; one ``coefficients`` call on its ``CONTEXT_DEPTH``-wide
     sliding windows gives every level.
     """
     ahead = CONTEXT_DEPTH - 1  # forward symbols level 1 reads
     if fwd_m.shape[1] < ahead:
         raise InvalidWord(f"a fiber point reads {ahead} forward symbols, "
                           f"got {fwd_m.shape[1]}")
-    family = system.family
     count, depth = past_m.shape
     w = np.full(count, system.domain.center, dtype=complex)
     if depth == 0:
@@ -513,12 +497,12 @@ def fiber_points_bulk(system: SmaleSystem,
     for rows in row_blocks(count, depth + ahead):
         two_m, two_n = (np.concatenate([p[rows, ::-1].T, f[rows, :ahead].T])
                         for p, f in ((past_m, fwd_m), (past_n, fwd_n)))
-        coeff = family.coefficients(
-            system, sliding_window_view(two_m, CONTEXT_DEPTH, axis=0),
+        coeff = system.coefficients(
+            sliding_window_view(two_m, CONTEXT_DEPTH, axis=0),
             sliding_window_view(two_n, CONTEXT_DEPTH, axis=0))
         point = w[rows]
         for t in range(depth):  # the level depth - t acts at time t - depth
-            point = family.map(point, _level(coeff, t))
+            point = system.map(point, _level(coeff, t))
         w[rows] = point
     return w
 
@@ -571,12 +555,11 @@ def verify_system(system: SmaleSystem, max_digit: int,
     touching boundaries (open images stay disjoint), ``derivative_band`` is
     the range of sampled one-step derivatives, and ``distortion_H_hat`` the
     steepest sampled Lipschitz quotient of log-derivatives.  Every map reads
-    its coefficient off ``family.coefficients``.  A truncation past the
-    family's digit limit raises ``InvalidWord``.
+    its coefficient off the system's ``coefficients``.  A truncation past
+    its ``digit_limit`` raises ``InvalidWord``.
     """
     M = check_max_digit(max_digit)
     rng = np.random.default_rng(seed)
-    family = system.family
     alphabet = np.array(pair_alphabet(M))
     tail_len = CONTEXT_DEPTH - 1
     tails = [np.ones((tail_len, 2), dtype=np.int64),
@@ -594,15 +577,15 @@ def verify_system(system: SmaleSystem, max_digit: int,
         words[k, 0] = alphabet[rng.integers(len(alphabet))]
         words[k, 1:] = rng.integers(1, M + 1, size=(tail_len, 2))
         ws[:, k] = pts[rng.integers(len(pts), size=24)]
-    derivs = family.derivative_mod(
-        ws, family.coefficients(system, words[..., 0], words[..., 1]))
+    derivs = system.derivative_mod(
+        ws, system.coefficients(words[..., 0], words[..., 1]))
     band = (float(derivs.min()), float(derivs.max()))
 
     # measured Lipschitz constant of log-derivatives in the point
     ones = np.ones(CONTEXT_DEPTH, dtype=np.int64)  # the context of (1, 1) repeated
-    c = family.coefficients(system, ones, ones)
+    c = system.coefficients(ones, ones)
     sel = pts[rng.integers(len(pts), size=min(200, len(pts)))]
-    ld = np.log(family.derivative_mod(sel, c))
+    ld = np.log(system.derivative_mod(sel, c))
     d = np.abs(sel[None, :] - sel[:, None])
     far = d > 1e-9
     H_hat = np.max(np.abs(ld[None, :] - ld[:, None])[far] / d[far], initial=0.0)

@@ -100,7 +100,7 @@ class GeometricPotential:
     @property
     def memory(self) -> int:
         """Default realization memory: exact for similarity families."""
-        return self.system.family.memory
+        return self.system.memory
 
     def word_length(self, memory) -> int:
         """Word length L of the realized table: ``memory`` if given."""
@@ -215,21 +215,21 @@ def realized_table(system: SmaleSystem, max_digit: int, memory: int) -> np.ndarr
     count = A ** memory
     if count > ENUMERATION_CAP:
         raise EnumerationCapExceeded(f"{count} periodic words exceed the cap")
-    family, domain = system.family, system.domain
+    domain = system.domain
     depth = _composition_depth(system)
     phases = (np.arange(memory)[:, None] + np.arange(PERIODIC_WINDOW)) % memory
     vals = np.empty(count)
     for rows in row_blocks(count, memory * PERIODIC_WINDOW):
         sym = _word_symbols(np.arange(rows.start, rows.stop), memory, A)
         m_dig, n_dig = sym // M + 1, sym % M + 1
-        coeff = [family.coefficients(system, m_dig[:, p], n_dig[:, p])
+        coeff = [system.coefficients(m_dig[:, p], n_dig[:, p])
                  for p in phases]
         pts = np.full(len(sym), domain.center, dtype=complex)
         for j in range(depth, 0, -1):
-            pts = family.map(pts, coeff[-j % memory])
+            pts = system.map(pts, coeff[-j % memory])
         if (np.abs(pts - domain.center) > domain.radius + 1e-6).any():
             raise DomainEscape("fiber points left the domain")
-        vals[rows] = np.log(family.derivative_mod(pts, coeff[0]))
+        vals[rows] = np.log(system.derivative_mod(pts, coeff[0]))
     if not np.isfinite(vals).all():
         raise ConfigError("table values must be finite")
     vals.flags.writeable = False

@@ -127,13 +127,13 @@ def pi_tilde(word) -> Box:
 
 def exact_coefficient(system, word, depth: int = CONTEXT_DEPTH):
     """Coefficient of one context word, a plain tuple of pair symbols,
-    computed apart from ``family.coefficients``: the exact translate value
+    computed apart from ``system.coefficients``: the exact translate value
     of its first ``depth`` symbols, the midpoint of their cylinder, for the
     reciprocal families; the first symbol's (modulus, translation) for
     similarities."""
     if not word:
         raise InvalidWord("pair word must be nonempty")
-    if system.family.uses_schedule:
+    if system.uses_schedule:
         mod, tr = system.schedule.maps(*check_pair_symbol(word[0]))
         return float(mod), complex(tr)
     return pi_tilde(word[:depth]).mid
@@ -143,8 +143,7 @@ def fiber_map(system, word, w: complex, depth: int = CONTEXT_DEPTH) -> complex:
     """Apply the time-zero fiber map of a context word to a domain point."""
     if not system.domain.contains(w, tol=ESCAPE_TOL):
         raise DomainEscape(f"argument {w} outside the fiber domain")
-    family = system.family
-    img = family.map(w, exact_coefficient(system, word, depth))
+    img = system.map(w, exact_coefficient(system, word, depth))
     if not system.domain.contains(img, tol=ESCAPE_TOL):
         raise DomainEscape(f"image {img} escaped the fiber domain")
     return img
@@ -177,7 +176,7 @@ def fiber_derivative_mod(system, word, w: complex,
     """One-step derivative modulus of a context word's map at a domain point."""
     if not system.domain.contains(w, tol=ESCAPE_TOL):
         raise DomainEscape(f"argument {w} outside the fiber domain")
-    return system.family.derivative_mod(w, exact_coefficient(system, word, depth))
+    return system.derivative_mod(w, exact_coefficient(system, word, depth))
 
 
 def periodic_tail(digits) -> float:
@@ -209,11 +208,10 @@ def exact_periodic_table(system, max_digit: int, memory: int,
             m, n = zip(*(word[t:] + word[:t]))
             coeff[t, k] = complex(m[0] + periodic_tail(m[1:] + m[:1]),
                                   n[0] + periodic_tail(n[1:] + n[:1]))
-    family = system.family
     w = np.full(len(words), system.domain.center)
     for j in range(levels, 0, -1):
-        w = family.map(w, coeff[-j % memory])
-    return np.log(family.derivative_mod(w, coeff[0]))
+        w = system.map(w, coeff[-j % memory])
+    return np.log(system.derivative_mod(w, coeff[0]))
 
 
 def grid_square_distortion(domain, n: int = 900) -> float:
@@ -339,7 +337,7 @@ def analytic_similarity_dimension(system, max_digit: int, s: float,
     delta = s + P/chi; the derivatives follow from the central moments of g
     under the tilted weights.
     """
-    moduli = system.family.moduli(system, max_digit)
+    moduli = system.moduli(max_digit)
     if moduli is None:
         raise ConfigError("closed forms exist for similarity systems only")
     g = np.log(moduli)
@@ -575,9 +573,8 @@ def whole_draw_lyapunov_fiber(g, system, n_samples: int, past_depth: int,
                                    n_samples, rng_seed)
     (past_m, past_n), (fwd_m, fwd_n) = g.digits(past), g.digits(fwd)
     pts = fiber_points_bulk(system, past_m, past_n, fwd_m, fwd_n)
-    family = system.family
-    c = family.coefficients(system, fwd_m[:, :CONTEXT_DEPTH], fwd_n[:, :CONTEXT_DEPTH])
-    return McEstimate.from_samples(-np.log(family.derivative_mod(pts, c)))
+    c = system.coefficients(fwd_m[:, :CONTEXT_DEPTH], fwd_n[:, :CONTEXT_DEPTH])
+    return McEstimate.from_samples(-np.log(system.derivative_mod(pts, c)))
 
 
 def whole_draw_lyapunov_fiber_table_mc(g, system, n_samples: int,

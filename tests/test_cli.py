@@ -392,6 +392,23 @@ class TestDimensionCommand:
         assert lines[0] == "s,delta"
         assert len(lines) == 6
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["inverse_conjugate", "inverse_square",
+                                         "similarity"])
+    def test_one_symbol_truncation_has_root_zero(self, tmp_path, variant):
+        # P(s) = -s chi on one symbol, so P(0) = 0 and the root is 0
+        cfg = write_config(tmp_path, {
+            "system": {"variant": variant},
+            "truncation": {"m_schedule": [1]},
+            "dimension": {"s_grid": [0.5, 0.7, 0.9]},
+        })
+        out = tmp_path / "out"
+        assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
+        results = read_record(out, "dimension")["results"]
+        for key in ("bowen_root", "gap", "global_dimension"):
+            assert results[key] == 0.0
+        assert results.get("moran_root", 0.0) == 0.0
+
     def test_one_live_code_records_positive_zero(self, tmp_path):
         # a chain on one symbol has entropy 0, and the record writes +0.0
         cfg = write_config(tmp_path, {

@@ -13,7 +13,7 @@ from fiberdim.dimension import (
     summability_scan,
     variational_sweep,
 )
-from fiberdim.errors import BracketFailure, ConfigError, DegenerateExponent
+from fiberdim.errors import ConfigError, DegenerateExponent
 from fiberdim.systems import SimilaritySchedule, make_system
 from fiberdim.thermo import MeasureStats
 
@@ -59,13 +59,13 @@ class TestSummability:
     def test_conjugate_boundary_near_one(self, conj):
         # the shell-sum fit is the oracle for theta, to its old tolerance
         grid = (0.6, 0.8, 1.0, 1.2, 1.4)
-        theta = conj.family.summability_threshold(conj)
+        theta = conj.summability_threshold()
         assert abs(fitted_threshold("inverse_conjugate", grid) - theta) <= 0.05
 
     def test_square_boundary_near_one(self):
         square = make_system("inverse_square")
         grid = (0.6, 0.8, 1.0, 1.2, 1.4)
-        theta = square.family.summability_threshold(square)
+        theta = square.summability_threshold()
         assert abs(fitted_threshold("inverse_square", grid) - theta) <= 0.05
 
     def test_tail_slopes_decrease_with_s(self):
@@ -138,11 +138,14 @@ class TestMoranRoots:
         assert res.root == pytest.approx(
             bowen_dimension(conj, 2, tol=1e-10).root, abs=1e-14)
 
-    def test_single_map_has_no_root(self):
+    def test_single_map_root_is_zero(self):
+        # one symbol: P(s) = -s chi, so the pressure at s = 0 is 0 and so is
+        # the root, which the Moran solve agrees with
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.05, 0.0, 0.0),))
         system = make_system("similarity", schedule=sched)
-        with pytest.raises(BracketFailure):
-            bowen_dimension(system, 1, tol=1e-9)
+        res = bowen_dimension(system, 1, tol=1e-9)
+        assert res.root == 0.0 == moran_root(system.moduli(1))
+        assert res.bracket == (0.0, 0.0)
 
 
 class TestBranchFormulas:

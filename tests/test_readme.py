@@ -52,8 +52,9 @@ def inline_code() -> list:
 
 
 def package_names() -> tuple:
-    """(module-level assigned names, function and class names) of src/fiberdim."""
-    constants, callables = set(), set()
+    """(module-level assigned names, function and class names, class names)
+    of src/fiberdim."""
+    constants, callables, classes = set(), set(), set()
     for path in (ROOT / "src" / "fiberdim").glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -62,15 +63,21 @@ def package_names() -> tuple:
                 constants.update(t.id for t in targets if isinstance(t, ast.Name))
         callables.update(node.name for node in ast.walk(tree)
                          if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
-    return constants, callables
+        classes.update(node.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ClassDef))
+    return constants, callables, classes
 
 
 def test_readme_names_resolve():
-    # numpy (np.), a Generator (rng.) and builtins are not package names
-    constants, callables = package_names()
+    # numpy (np.), a Generator (rng.), builtins and the JSON literals
+    # Infinity and NaN are not package names
+    constants, callables, classes = package_names()
     missing = []
     for span in inline_code():
         if re.fullmatch(r"[A-Z][A-Z0-9_]+", span) and span not in constants:
+            missing.append(span)
+        if (re.fullmatch(r"[A-Z][a-z]\w*", span) and span not in classes
+                and not hasattr(builtins, span) and span not in ("Infinity", "NaN")):
             missing.append(span)
         for name in re.findall(r"(?<![\w.])([A-Za-z_][\w.]*)\(", span):
             parts = name.split(".")

@@ -36,6 +36,6 @@ def schedules(draw):
 def test_bowen_root_matches_moran(case):
     system, M = case
     res = bowen_dimension(system, M, tol=1e-12)
-    want = moran_root(system.family.moduli(system, M))
+    want = moran_root(system.moduli(M))
     assert abs(res.root - want) <= 1e-11
     assert res.iterations <= 6

@@ -194,17 +194,18 @@ class TestMakeSystem:
         # the integer translates stay 1.118 from -conj(center) = 1.5, but the
         # translate value 1.55 + i of symbol (1, 1) meets w = -1.55 at
         # distance 1, where |T'| = 1
-        assert conj.family.derivative_mod(-1.55 + 0j, 1.55 + 1j) == 1.0
+        assert conj.derivative_mod(-1.55 + 0j, 1.55 + 1j) == 1.0
         with pytest.raises(ConfigError):
             make_system("inverse_conjugate", center=-1.5 + 0j, radius=0.05)
 
     def test_contraction_follows_the_domain(self):
         # the certified sup follows the domain, but this domain's images of
         # (1, 1), (1, 2) and (2, 2) leave it, so make_system rejects it
-        family = systems.FAMILIES["inverse_conjugate"]
-        sup = family.one_step_sup(Disk(0.5 + 0.1j, 0.4), None)
+        system = systems.FAMILIES["inverse_conjugate"](Disk(0.5 + 0.1j, 0.4))
+        sup = system.one_step_sup()
         assert 1.0 / sup == pytest.approx((abs(1.5 + 0.9j) - 0.4) ** 2,
                                           rel=1e-15)
+        assert system.contraction == 1.0 / sup
         assert sup == pytest.approx(0.5493, abs=1e-4)
         with pytest.raises(ConfigError,
                            match=r"symbol \(1, 1\) escapes the domain"):
@@ -216,10 +217,33 @@ class TestMakeSystem:
         ("inverse_conjugate", 0.5, "must exceed 1"),
     ])
     def test_direct_construction_checks(self, variant, contraction, match):
+        # the conjugate family certifies contraction (|1 + center| - r)^2 on a
+        # disk centred at height 1, so this disk certifies `contraction`
+        domain = Disk(complex(math.sqrt(contraction), 1.0), 1.0)
         with pytest.raises(ConfigError, match=match):
-            SmaleSystem(variant=variant, domain=Disk(0.5 + 0j, 0.5),
-                        schedule=None, contraction=contraction,
-                        distortion_bound=1.0)
+            make_system(variant, center=domain.center, radius=domain.radius)
+        if variant in systems.FAMILIES:
+            with pytest.raises(ConfigError, match=match):
+                systems.FAMILIES[variant](domain)
+
+    def test_constants_are_not_constructor_arguments(self):
+        # the certified constants come from the domain: no caller sets them,
+        # and a domain that does not contract is refused at construction
+        for variant, center in [("inverse_conjugate", -0.2), ("inverse_square", 0.7)]:
+            cls = systems.FAMILIES[variant]
+            for name in ("contraction", "distortion_bound"):
+                with pytest.raises(TypeError, match=name):
+                    cls(Disk(0.5 + 0j, 0.5), **{name: 2.0})
+            with pytest.raises(ConfigError, match="is not a contraction"):
+                cls(Disk(complex(center), 0.5))
+
+    def test_reciprocal_families_on_one_domain_differ(self, conj, square):
+        # one domain, but the generated __eq__ compares classes, so the two
+        # families stay apart as realized_table and gibbs_markov cache keys
+        assert conj.domain == square.domain and conj != square
+        assert isinstance(conj, SmaleSystem) and isinstance(square, SmaleSystem)
+        assert (realized_table(conj, 2, 2).tobytes()
+                != realized_table(square, 2, 2).tobytes())
 
     def test_escaping_similarity_image(self):
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.25, 2.0, 0.0),))
@@ -246,7 +270,7 @@ class TestSymbolSup:
         for system in (conj, square):
             w = system.domain.center + system.domain.radius * ring[:, None]
             for m, n in pair_alphabet(8):
-                got = system.family.derivative_mod(w, m + 1j * n).max()
+                got = system.derivative_mod(w, m + 1j * n).max()
                 want = default_symbol_sup(system.variant, m, n)
                 assert got <= want * (1 + 1e-12)
                 if system is conj:
@@ -265,29 +289,28 @@ class TestSymbolSup:
 
 class TestFiberFormulas:
     def test_conjugate_map_value(self, conj):
-        assert conj.family.map(0j, 2 + 2j) == pytest.approx(0.25 - 0.25j)
+        assert conj.map(0j, 2 + 2j) == pytest.approx(0.25 - 0.25j)
 
     def test_square_map_value(self, square):
-        assert square.family.map(0j, 2 + 2j) == pytest.approx(0.125 - 0.125j)
+        assert square.map(0j, 2 + 2j) == pytest.approx(0.125 - 0.125j)
 
     def test_similarity_map_value(self):
         sched = SimilaritySchedule(kind="custom", table=((1, 1, 0.25, 0.5, 0.0),))
         sim = make_system("similarity", schedule=sched)
-        coeff = sim.family.coefficients(sim, np.array([1]), np.array([1]))
-        assert sim.family.map(1 + 0j, coeff) == pytest.approx(0.625 + 0j)
+        coeff = sim.coefficients(np.array([1]), np.array([1]))
+        assert sim.map(1 + 0j, coeff) == pytest.approx(0.625 + 0j)
 
     def test_conjugate_derivative_value(self, conj):
-        assert conj.family.derivative_mod(0j, 2 + 2j) == pytest.approx(0.125)
+        assert conj.derivative_mod(0j, 2 + 2j) == pytest.approx(0.125)
 
     def test_square_derivative_value(self, square):
-        got = square.family.derivative_mod(0.5 + 0j, 2 + 2j)
+        got = square.derivative_mod(0.5 + 0j, 2 + 2j)
         assert got == pytest.approx(1.0 / 34.0625)
 
     def test_derivative_matches_finite_differences(self, conj, square):
         rng = np.random.default_rng(3)
         h = 1e-7
         for system in (conj, square):
-            family = system.family
             checked = 0
             while checked < 200:
                 u = rng.random() + 1j * rng.random()
@@ -296,9 +319,9 @@ class TestFiberFormulas:
                     continue
                 theta = rng.random() * 2 * math.pi
                 e = complex(math.cos(theta), math.sin(theta))
-                fd = abs(family.map(w + h * e, 1.6 + 1.6j)
-                         - family.map(w - h * e, 1.6 + 1.6j)) / (2 * h)
-                ref = family.derivative_mod(w, 1.6 + 1.6j)
+                fd = abs(system.map(w + h * e, 1.6 + 1.6j)
+                         - system.map(w - h * e, 1.6 + 1.6j)) / (2 * h)
+                ref = system.derivative_mod(w, 1.6 + 1.6j)
                 assert abs(fd - ref) <= 1e-6 * ref
                 checked += 1
 
@@ -307,10 +330,10 @@ class TestFiberFormulas:
         # one coefficient, the context of (1, 1) repeated, at a grid of points
         system = make_system(variant)
         ones = np.ones(CONTEXT_DEPTH, dtype=np.int64)
-        c = system.family.coefficients(system, ones, ones)
+        c = system.coefficients(ones, ones)
         points = system.domain.center + 0.5 * system.domain.radius * np.exp(
             1j * np.arange(12.0)).reshape(3, 4)
-        assert system.family.derivative_mod(points, c).shape == points.shape
+        assert system.derivative_mod(points, c).shape == points.shape
 
     def test_checked_layer_rejects_escapes(self, conj):
         word = ((1, 1),) * 12
@@ -328,7 +351,7 @@ class TestFiberFormulas:
     def test_checked_layer_matches_formula(self, conj):
         word = ((2, 3),) * 12
         w = 0.4 + 0.1j
-        assert fiber_map(conj, word, w) == conj.family.map(
+        assert fiber_map(conj, word, w) == conj.map(
             w, pi_tilde(word).mid)
 
 
@@ -389,6 +412,15 @@ class TestImageGeometry:
                                  - img.radius)
             assert margin > 0.0
 
+    def test_empty_tail_reads_the_symbol_alone(self, conj):
+        # an empty tail is not the default repeated-symbol one: the symbol
+        # (1, 1) alone reads 1.5 + 1.5i (tail 0.5), so the image inverts
+        # the disk of centre 2 + 1.5i and radius 0.5
+        img = image_disk(conj, (1, 1), ())
+        assert img.center == pytest.approx(1 / 3 - 0.25j, abs=1e-15)
+        assert img.radius == pytest.approx(1 / 12, abs=1e-15)
+        assert image_disk(conj, (1, 1)).radius == pytest.approx(0.0729, abs=1e-4)
+
     def test_similarity_image_exact(self):
         sched = SimilaritySchedule(kind="equal", ratio=0.2, grid_digit=2,
                                    inner_factor=0.5)
@@ -403,41 +435,40 @@ class TestImageGeometry:
         tail = ((2, 1),) * 11
         img = image_disk(conj, (1, 3), tail)
         m, n = np.array(((1, 3),) + tail).T
-        c = conj.family.coefficients(conj, m, n)
+        c = conj.coefficients(m, n)
         rng = np.random.default_rng(1)
         for _ in range(100):
             u = rng.random() + 1j * rng.random()
             w = conj.domain.center + conj.domain.radius * (2 * u - (1 + 1j))
             if abs(w - conj.domain.center) > conj.domain.radius:
                 continue
-            assert img.contains(conj.family.map(w, c), tol=1e-9)
+            assert img.contains(conj.map(w, c), tol=1e-9)
 
 
 VARIANTS = ["inverse_conjugate", "inverse_square", "similarity"]
 
 
 class TestOneCoefficientPath:
-    """Image disks read ``family.coefficients``; the exact-midpoint oracle
+    """Image disks read ``coefficients``; the exact-midpoint oracle
     stays within the coding error of it."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_image_disk_coefficient_is_the_bulk_one(self, variant, monkeypatch):
         system = make_system(variant)
-        family, seen = system.family, []
-        image = family.image
+        seen, image = [], type(system).image
 
-        def spy(domain, c):
+        def spy(self, c):
             seen.append(c)
-            return image(domain, c)
+            return image(self, c)
 
-        monkeypatch.setattr(family, "image", spy)
+        monkeypatch.setattr(type(system), "image", spy)
         rng = np.random.default_rng(7)
         for _ in range(20):
             sym = tuple(rng.integers(1, 4, size=2).tolist())
             tail = tuple(map(tuple, rng.integers(1, 9, size=(11, 2)).tolist()))
             image_disk(system, sym, tail)
             m, n = np.array((sym,) + tail).T
-            got, want = seen.pop(), family.coefficients(system, m, n)
+            got, want = seen.pop(), system.coefficients(m, n)
             if isinstance(want, tuple):  # similarity: (modulus, translation)
                 assert got[0] == want[0] and got[1] == want[1]
             else:
@@ -447,10 +478,10 @@ class TestOneCoefficientPath:
     def test_exact_midpoint_within_coding_error(self, variant):
         system = make_system(variant)
         m, n = np.random.default_rng(8).integers(1, 5, size=(2, 400, CONTEXT_DEPTH))
-        bulk = system.family.coefficients(system, m, n)
+        bulk = system.coefficients(m, n)
         for i in range(len(m)):
             exact = exact_coefficient(system, tuple(zip(m[i], n[i])))
-            if system.family.uses_schedule:  # the first symbol alone
+            if system.uses_schedule:  # the first symbol alone
                 assert exact == (bulk[0][i], bulk[1][i])
             else:
                 assert abs(exact - bulk[i]) <= math.sqrt(2) * 2.0 ** (1 - CONTEXT_DEPTH)
@@ -607,7 +638,7 @@ class TestSquareDistortion:
             2j * np.pi * rng.random((2, 4000)))
         c = rng.integers(1, 5, size=(2, 4000)) + rng.random((2, 4000))
         c = c[0] + 1j * c[1]
-        log_d = [np.log(system.family.derivative_mod(p, c)) for p in (w, v)]
+        log_d = [np.log(system.derivative_mod(p, c)) for p in (w, v)]
         slope = np.abs(log_d[0] - log_d[1]) / np.abs(w - v)
         assert 0.5 * system.distortion_bound < slope.max() <= system.distortion_bound
 
@@ -646,7 +677,7 @@ class TestBulkMatchesScalar:
         # against their closed form in test_thermo.TestExactPeriodicRealization
         system = make_system("similarity", schedule=schedule)
         M, A = 2, 4
-        log_moduli = np.log(system.family.moduli(system, M))
+        log_moduli = np.log(system.moduli(M))
         for memory in (1, 2, 3):
             want = np.repeat(log_moduli, A ** (memory - 1))
             assert realized_table(system, M, memory).tobytes() == want.tobytes()
@@ -655,8 +686,6 @@ class TestBulkMatchesScalar:
 def reference_points_bulk(system, past_m, past_n, fwd_m, fwd_n):
     """In-test copy of the per-level composition before blocking: each level
     slices its CONTEXT_DEPTH-symbol context out of the past and forward rows."""
-    family = system.family
-
     def context(past, fwd, level):
         rows = past[:, level - 1::-1][:, :CONTEXT_DEPTH]
         if rows.shape[1] < CONTEXT_DEPTH:
@@ -666,8 +695,8 @@ def reference_points_bulk(system, past_m, past_n, fwd_m, fwd_n):
 
     w = np.full(past_m.shape[0], system.domain.center, dtype=complex)
     for level in range(past_m.shape[1], 0, -1):
-        w = family.map(w, family.coefficients(
-            system, context(past_m, fwd_m, level), context(past_n, fwd_n, level)))
+        w = system.map(w, system.coefficients(
+            context(past_m, fwd_m, level), context(past_n, fwd_n, level)))
     return w
 
 

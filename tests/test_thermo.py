@@ -20,8 +20,7 @@ from fiberdim.errors import (
 from fiberdim import moments, systems, thermo
 from fiberdim.config import build_potential
 from fiberdim.moments import lyapunov_marginal_exact
-from fiberdim.systems import (FAMILIES, Disk, SimilaritySchedule, SmaleSystem,
-                              make_system)
+from fiberdim.systems import FAMILIES, Disk, SimilaritySchedule, make_system
 from fiberdim.words import pair_alphabet
 from fiberdim.thermo import (
     GeometricPotential,
@@ -505,11 +504,7 @@ class TestRealizedTableBytes:
         # the images of (1, 1), (1, 2) and (2, 2) leave this disk, and so
         # do the periodic fiber points of their words; make_system rejects
         # the disk, so the system is built directly
-        domain = Disk(0.5 + 0.1j, 0.4)
-        family = FAMILIES["inverse_conjugate"]
-        system = SmaleSystem("inverse_conjugate", domain, None,
-                             1.0 / family.one_step_sup(domain, None),
-                             family.distortion(domain))
+        system = FAMILIES["inverse_conjugate"](Disk(0.5 + 0.1j, 0.4))
         with pytest.raises(DomainEscape, match="left the domain"):
             realized_table(system, 2, 2)
 
@@ -549,7 +544,7 @@ class TestExactPeriodicRealization:
         def forbidden(*args):
             raise AssertionError("no map may run for a refused system")
 
-        monkeypatch.setattr(system.family, "map", forbidden)
+        monkeypatch.setattr(type(system), "map", forbidden)
         with pytest.raises(ConfigError, match=r"1\.00155 needs 19609 composition"):
             realized_table.__wrapped__(system, 2, 2)
 
