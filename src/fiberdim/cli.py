@@ -92,8 +92,7 @@ def cmd_dimension(config: dict, out_dir: str):
     system = build_system(config)
     tr = config["truncation"]
     M = tr["m_schedule"][-1]
-    s_grid = resolve_s_grid(config)
-    check_s_grid(s_grid)
+    s_grid = check_s_grid(resolve_s_grid(config))
     warnings = []
     scan = summability_scan(system, s_grid)
     divergent = [f"{s:g}" for s, verdict in zip(scan.s_grid, scan.verdicts)

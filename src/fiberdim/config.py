@@ -224,13 +224,7 @@ def build_potential(config: dict, system: SmaleSystem, max_digit: int):
             max_digit, dict.fromkeys(pair_alphabet(max_digit), sec["value"]))
     if sec["kind"] == "geometric":
         return GeometricPotential(system, float(sec["s"]))
-    mapping = {}
-    for word, value in sec["table"]:
-        key = tuple(tuple(sym) for sym in word)
-        if key in mapping:
-            raise ConfigError(f"table word {key} is repeated")
-        mapping[key] = value
-    return TablePotential.from_dict(max_digit, mapping)
+    return TablePotential.from_dict(max_digit, sec["table"])
 
 
 def resolve_s_grid(config: dict) -> list:

@@ -82,60 +82,57 @@ class BowenResult:
     bracket: tuple
 
 
+def _newton_up(update, tol: float) -> tuple:
+    """(s, P(s), next, evaluations) of Newton from s = 0 on a convex
+    decreasing P of slope -chi, given ``update(s)`` = (next, chi, P(s)).
+
+    The iterates increase to the root.  The iteration stops once the step
+    ``abs(next - s)`` is at most ``tol``, or once it stops shrinking: in
+    exact arithmetic a step shrinks unless chi more than halves, so
+    otherwise it has reached float resolution.
+    """
+    nxt, step, chi = 0.0, math.inf, math.inf
+    for evaluations in range(1, BOWEN_MAX_ITER + 1):
+        s, last_step, last_chi = nxt, step, chi
+        nxt, chi, pressure = update(s)
+        step = abs(nxt - s)
+        if step <= tol or (step >= last_step and 2.0 * chi > last_chi):
+            return s, pressure, nxt, evaluations
+    raise BracketFailure(f"no root within {BOWEN_MAX_ITER} Newton steps "
+                         f"(last step {step:g})")
+
+
 def bowen_dimension(system: SmaleSystem, max_digit: int, tol: float = 1e-4,
                     memory: int = None) -> BowenResult:
-    """Root of s -> pressure(s geometric) by Newton iteration from s = 0.
-
-    The realized pressure P(s) = h - s chi is convex with P' = -chi, so the
-    Newton step s + P/chi is the fiber dimension h/chi at s, and the
-    iterates increase to the root.  The iteration stops once the step is at
-    most ``tol``, or once it stops shrinking: in exact arithmetic a step
-    shrinks unless chi more than halves, so otherwise it has reached float
-    resolution.  A one-symbol truncation has P(s) = -s chi, so its root is 0.
+    """Root of s -> pressure(s geometric) by ``_newton_up``: the realized
+    P(s) = h - s chi is convex with P' = -chi, so the Newton step s + P/chi
+    is the fiber dimension h/chi at s.  P(0), a log count of words, is at
+    least 0.  A one-symbol truncation has P(s) = -s chi, so its root is 0.
     """
     M = check_max_digit(max_digit)
-    s = 0.0
-    delta, chi, pressure = _fiber_dimension(system, s, M, memory)
-    if pressure < 0:
-        raise BracketFailure(f"pressure at s=0 is {pressure}, expected non-negative")
-    step, builds = delta, 1
-    while step > tol:
-        if builds == BOWEN_MAX_ITER:
-            raise BracketFailure(
-                f"no Bowen root within {BOWEN_MAX_ITER} chain builds "
-                f"(last step {step:g})")
-        s, last_step, last_chi = delta, step, chi
-        delta, chi, pressure = _fiber_dimension(system, s, M, memory)
-        builds += 1
-        step = abs(delta - s)
-        if step >= last_step and 2.0 * chi > last_chi:
-            break
+    s, pressure, delta, builds = _newton_up(
+        lambda s: _fiber_dimension(system, s, M, memory), tol)
     return BowenResult(root=s, residual=pressure, iterations=builds,
                        bracket=tuple(sorted((s, delta))))
 
 
 def moran_root(moduli, tol: float = 1e-14) -> float:
-    """Independent scalar solve of sum(moduli^s) = 1 by Newton from s = 0.
+    """Independent scalar solve of sum(moduli^s) = 1 by ``_newton_up``.
 
-    log sum r^s is convex with slope m1 < 0, the tilted mean of log r, so
-    the step -log(sum r^s)/m1 moves up to the root; it stops by the rule of
-    ``bowen_dimension`` with -m1 in place of chi.
+    log sum r^s is convex with slope m1 < 0, the tilted mean of log r, and
+    at least 0 at s = 0; the step -log(sum r^s)/m1 has -m1 in place of chi.
     """
     mods = np.array([float(r) for r in moduli])
     if not mods.size or not np.all((mods > 0) & (mods < 1)):
         raise ConfigError("moduli must lie in (0, 1)")
     g = np.log(mods)
-    s, step, chi = 0.0, math.inf, math.inf
-    for _ in range(BOWEN_MAX_ITER):
+
+    def update(s):
         w = np.exp(s * g)
         Z = w.sum()
         log_z, m1 = math.log(Z), float(w / Z @ g)
-        last_step, last_chi = step, chi
-        step, chi = abs(log_z / m1), -m1
-        s -= log_z / m1
-        if step <= tol or (step >= last_step and 2.0 * chi > last_chi):
-            return s
-    raise BracketFailure(f"no Moran root within {BOWEN_MAX_ITER} Newton steps")
+        return s - log_z / m1, -m1, log_z
+    return _newton_up(update, tol)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def sample_measure(g: GibbsApprox, system: SmaleSystem, target: str,
     past, fwd = g.sample_two_sided(depth if "w" in parts else 0,
                                    forward, n_points, seed)
     errors = {"z": 2.0 ** (1 - depth),
-              "w": system.domain.diameter * system.contraction ** (-depth)}
+              "w": system.image_diameter(depth)}
     points = np.empty((n_points, 2 * len(parts)))
     for rows in row_blocks(n_points, depth + forward):
         fwd_m, fwd_n = g.digits(fwd[rows])
@@ -362,16 +362,13 @@ def box_dimension(cloud: PointCloud, n_scales: int = 8) -> BoxDimEstimate:
 
     The sides are diam / 2**j for j = 1 .. n_scales, stopping before the
     first side below the coding floor; ``dyadic_box_counts`` counts them
-    all at once.  A cloud with zero extent (all samples resolve to one
-    point) reports dimension 0 directly instead of failing on a degenerate
-    ladder.
+    all at once.  A cloud whose extent is at most that floor (all samples
+    resolve to one point) has no side left and reports dimension 0.
     """
     if not is_integer(n_scales) or n_scales < 5:
         raise ConfigError(f"need an integer >= 5 dyadic scales, got {n_scales!r}")
     diam = cloud.diameter()
     floor = max(CODING_FLOOR_FACTOR * cloud.coding_error, 1e-300)
-    if diam <= floor:
-        return BoxDimEstimate(value=0.0, scales=(), counts=())
     eps_list = []
     for j in range(1, n_scales + 1):
         eps = diam / 2.0 ** j

@@ -34,7 +34,7 @@ class ExponentNotConverged(FiberdimError):
 
 
 class BracketFailure(FiberdimError):
-    """No pressure zero: P(0) is not positive, or Newton hit its step cap."""
+    """The Newton root solve hit its step cap, ``BOWEN_MAX_ITER``."""
 
 
 class DegenerateExponent(FiberdimError, ValueError):

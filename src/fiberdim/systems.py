@@ -217,6 +217,10 @@ class SmaleSystem:
         """Image disk of the domain under the maps of coefficients c."""
         return invert_disk(self._image_preimage(c))
 
+    def image_diameter(self, levels: int) -> float:
+        """diam * contraction^-levels: bounds every ``levels``-fold image."""
+        return self.domain.diameter * self.contraction ** (-levels)
+
     def summability_threshold(self) -> float:
         """Exponent theta past which the depth-1 sum of sup|T'|^s converges.
 

@@ -107,9 +107,10 @@ class GeometricPotential:
         return self.memory if memory is None else memory
 
     def realize(self, M: int, L: int):
-        """(s * log|T'| on L-word codes, s times the Lipschitz tail bound:
-        0.0 at s = 0, inf without bounded distortion)."""
-        err = self.s * potential_approx_error(self.system, L) if self.s else 0.0
+        """(s * log|T'| on L-word codes, s * distortion_bound * image_diameter(L),
+        a Lipschitz tail bound: 0.0 at s = 0, inf without bounded distortion)."""
+        err = (self.s * (self.system.distortion_bound
+                         * self.system.image_diameter(L)) if self.s else 0.0)
         return self.s * realized_table(self.system, M, L), err
 
 
@@ -133,8 +134,12 @@ class TablePotential:
             raise ConfigError("table memory must be >= 1")
         if not self.entries:
             raise ConfigError("table has no admissible words")
+        seen = set()
         for word, value in self.entries:
             w = check_pair_word(word)
+            if w in seen:
+                raise ConfigError(f"table word {w} is repeated")
+            seen.add(w)
             if len(w) != self.memory:
                 raise InvalidWord(f"table word {word} is not a {self.memory}-word")
             if any(max(sym) > self.max_digit for sym in w):
@@ -143,9 +148,11 @@ class TablePotential:
                 raise ConfigError("table values must be finite")
 
     @classmethod
-    def from_dict(cls, max_digit: int, mapping: dict) -> "TablePotential":
+    def from_dict(cls, max_digit: int, mapping) -> "TablePotential":
+        """The table of a dict, or of (word, value) rows as the config's."""
         entries = []
-        for word, value in mapping.items():
+        for word, value in (mapping.items() if isinstance(mapping, dict)
+                            else mapping):
             if word and is_integer(word[0]):
                 word = (tuple(word),)  # single symbol given bare
             entries.append((check_pair_word(word), float(value)))
@@ -179,6 +186,7 @@ class TablePotential:
 # geometric realization
 
 def _composition_depth(system: SmaleSystem) -> int:
+    # the least n >= 4 with system.image_diameter(n) <= POINT_TOL
     lam = system.contraction
     need = math.ceil(math.log(system.domain.diameter / POINT_TOL) / math.log(lam))
     if need > 4000:
@@ -234,13 +242,6 @@ def realized_table(system: SmaleSystem, max_digit: int, memory: int) -> np.ndarr
         raise ConfigError("table values must be finite")
     vals.flags.writeable = False
     return vals
-
-
-def potential_approx_error(system: SmaleSystem, memory: int) -> float:
-    """Lipschitz tail bound for the memory-k realization of log|T'|; inf
-    where the system's ``distortion_bound`` is."""
-    gap = system.domain.diameter * system.contraction ** (-memory)
-    return system.distortion_bound * gap
 
 
 # ---------------------------------------------------------------------------

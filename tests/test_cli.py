@@ -507,6 +507,20 @@ class TestDimensionCommand:
         assert summ == {"threshold": 1.0,
                         "verdicts": ["divergent", "divergent", "summable"]}
 
+    def test_unsorted_grid_verdicts_follow_the_curve(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "truncation": {"m_schedule": [2], "memory": 1},
+            "dimension": {"s_grid": [1.2, 0.6, 0.9]},
+        })
+        out = tmp_path / "out"
+        assert run(["dimension", "--config", cfg, "--out", str(out)]) == 0
+        verdicts = read_record(out, "dimension")["results"]["summability"][
+            "verdicts"]
+        assert verdicts == ["divergent", "divergent", "summable"]
+        curve = np.loadtxt(out / "dimension_curve.csv", delimiter=",",
+                           skiprows=1)
+        assert curve[:, 0].tolist() == [0.6, 0.9, 1.2]
+
     def test_bowen_root_below_threshold_warns(self, tmp_path):
         cfg = write_config(tmp_path, {
             "truncation": {"m_schedule": [2], "memory": 1},

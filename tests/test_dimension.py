@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fiberdim import dimension
 from fiberdim.dimension import (
     bowen_dimension,
     branch_value,
@@ -13,7 +14,7 @@ from fiberdim.dimension import (
     summability_scan,
     variational_sweep,
 )
-from fiberdim.errors import ConfigError, DegenerateExponent
+from fiberdim.errors import BracketFailure, ConfigError, DegenerateExponent
 from fiberdim.systems import SimilaritySchedule, make_system
 from fiberdim.thermo import MeasureStats
 
@@ -137,6 +138,14 @@ class TestMoranRoots:
         assert res.iterations <= 6
         assert res.root == pytest.approx(
             bowen_dimension(conj, 2, tol=1e-10).root, abs=1e-14)
+
+    def test_step_cap_raises(self, conj, monkeypatch):
+        # both roots leave through the one Newton iteration and its cap
+        monkeypatch.setattr(dimension, "BOWEN_MAX_ITER", 2)
+        with pytest.raises(BracketFailure, match="no root within 2 Newton"):
+            bowen_dimension(conj, 2, tol=1e-20)
+        with pytest.raises(BracketFailure, match="no root within 2 Newton"):
+            moran_root([0.5, 0.25])
 
     def test_single_map_root_is_zero(self):
         # one symbol: P(s) = -s chi, so the pressure at s = 0 is 0 and so is

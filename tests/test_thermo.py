@@ -31,7 +31,6 @@ from fiberdim.thermo import (
     lyapunov_fiber_exact,
     marginal_entropy,
     measure_stats,
-    potential_approx_error,
     pressure_cylinder_sum,
     pressure_derivative_check,
     realized_table,
@@ -94,11 +93,26 @@ class TestPotentials:
         table = realized_table(sim, 2, 1)
         assert all(v == pytest.approx(math.log(0.1)) for v in table)
         assert not table.flags.writeable
-        assert potential_approx_error(sim, 1) == 0.0
+        assert GeometricPotential(sim, 1.0).realize(2, 1)[1] == 0.0
 
     def test_realization_error_decays_with_memory(self, conj):
-        errs = [potential_approx_error(conj, k) for k in (1, 2, 3)]
+        errs = [GeometricPotential(conj, 1.0).realize(2, k)[1] for k in (1, 2, 3)]
         assert errs[0] > errs[1] > errs[2] > 0.0
+        # s times the system's distortion bound times its image diameter
+        assert GeometricPotential(conj, 0.5).realize(2, 2)[1] == 0.5 * (
+            conj.distortion_bound * conj.image_diameter(2))
+
+    def test_table_rejects_repeated_word(self):
+        # a bare symbol and its one-symbol word are the same word
+        with pytest.raises(ConfigError, match=r"table word \(\(1, 1\),\) is repeated"):
+            TablePotential.from_dict(1, {(1, 1): 0.0, ((1, 1),): 1.0})
+        # rows, as the config lists them, may name one word twice
+        with pytest.raises(ConfigError, match="is repeated"):
+            TablePotential.from_dict(2, [([[1, 1]], 0.0), ([[1, 2]], 1.0),
+                                         ([[1, 1]], 5.0)])
+        with pytest.raises(ConfigError, match="is repeated"):
+            TablePotential(max_digit=2, memory=1,
+                           entries=((((1, 1),), 0.0), (((1, 1),), 5.0)))
 
 
 class TestConstantKind:
